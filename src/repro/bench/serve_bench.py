@@ -72,22 +72,22 @@ def _zipf_stream(queries: list, n_total: int,
     return [stream[i] for i in perm]
 
 
-def _serve_stream(server: UAEServer, stream: list) -> tuple[float, list]:
+def _serve_stream(server: UAEServer,
+                  stream: list) -> tuple[float, list, list]:
     """Closed-loop drive through the micro-batching worker; returns
-    (elapsed_seconds, results in stream order)."""
-    results = []
+    (elapsed_seconds, results in stream order, the settled handles)."""
+    results, handles = [], []
     start = time.perf_counter()
     for lo in range(0, len(stream), _WAVE):
         requests = [server.submit(q) for q in stream[lo:lo + _WAVE]]
         results.extend(r.result(timeout=120.0) for r in requests)
-    return time.perf_counter() - start, results
+        handles.extend(requests)
+    return time.perf_counter() - start, results, handles
 
 
-def _phase_latency(server: UAEServer, n_requests: int) -> dict[str, float]:
-    """Quantiles over the last ``n_requests`` served (the phase just run;
-    robust to the bounded latency deque having rotated)."""
-    arr = np.fromiter(server.service.latencies.copy(), dtype=np.float64)
-    arr = arr[-min(len(arr), n_requests):]
+def _phase_latency(handles: list) -> dict[str, float]:
+    """Submit-to-settle quantiles over the phase's own request handles."""
+    arr = np.array([r.latency() for r in handles], dtype=np.float64)
     if arr.size == 0:
         return {"p50_ms": 0.0, "p99_ms": 0.0}
     return {"p50_ms": float(np.percentile(arr, 50) * 1e3),
@@ -380,7 +380,7 @@ def run_scale_out(profile: Profile | None = None,
                     publishes.append(cluster.publish(name, refined))
                 for name in datasets:
                     sub = [q for q in parity_slice
-                           if cluster.resolve(q) == name]
+                           if cluster.resolve(q).name == name]
                     if not sub:
                         continue
                     got_post = cluster.estimate_batch(sub, seed=_SEED)
@@ -876,7 +876,7 @@ def run_serving(profile: Profile | None = None,
         # ----------------------------------------------------------
         # Phase 1: steady traffic through the micro-batching worker.
         server.estimate_batch(steady.queries[:8])  # warm engine + caches
-        elapsed, results = _serve_stream(server, stream)
+        elapsed, results, handles = _serve_stream(server, stream)
         serving_qps = len(stream) / elapsed
         steady_truths = np.array([truth_of[q] for q in stream])
         steady_err = summarize(np.array(results), steady_truths)
@@ -884,7 +884,7 @@ def run_serving(profile: Profile | None = None,
             server.feedback.record(q, est, tru)
         rows.append({"phase": "steady", "queries": len(stream),
                      "qps": serving_qps,
-                     **_phase_latency(server, len(stream)),
+                     **_phase_latency(handles),
                      "qerr_mean": steady_err.mean,
                      "qerr_p95": steady_err.p95,
                      "version": server.registry.version})
@@ -912,7 +912,8 @@ def run_serving(profile: Profile | None = None,
         # refinement; stale feedback labels are dropped), and the
         # workload shifts onto the new region.
         server.stage_data(new_rows)
-        shifted_elapsed, shift_est = _serve_stream(server, shift_fb.queries)
+        shifted_elapsed, shift_est, handles = _serve_stream(
+            server, shift_fb.queries)
         for q, est, tru in zip(shift_fb.queries, shift_est,
                                shift_fb.cardinalities):
             server.feedback.record(q, est, tru)
@@ -924,7 +925,7 @@ def run_serving(profile: Profile | None = None,
         checks["drift_triggered"] = server.feedback.should_refine()
         rows.append({"phase": "shifted", "queries": len(shift_fb),
                      "qps": len(shift_fb) / shifted_elapsed,
-                     **_phase_latency(server, len(shift_fb)),
+                     **_phase_latency(handles),
                      "qerr_mean": before.mean, "qerr_p95": before.p95,
                      "version": server.registry.version})
 
@@ -979,7 +980,8 @@ def run_serving(profile: Profile | None = None,
         checks["weights_actually_swapped"] = not np.array_equal(svc_pre,
                                                                 svc_post)
 
-        post_elapsed, after_est = _serve_stream(server, shift_fb.queries)
+        post_elapsed, after_est, handles = _serve_stream(
+            server, shift_fb.queries)
         after = summarize(np.array(after_est), shift_fb.cardinalities)
         heldout_after = summarize(
             server.estimate_batch(shift_test.queries, seed=_SEED + 1),
@@ -987,7 +989,7 @@ def run_serving(profile: Profile | None = None,
         rows.append({"phase": "post-swap shifted",
                      "queries": len(shift_fb),
                      "qps": len(shift_fb) / post_elapsed,
-                     **_phase_latency(server, len(shift_fb)),
+                     **_phase_latency(handles),
                      "qerr_mean": after.mean, "qerr_p95": after.p95,
                      "version": server.registry.version})
 

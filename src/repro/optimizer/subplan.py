@@ -2,9 +2,10 @@
 
 The DP planner asks for the cardinality of every connected fragment of a
 query.  :class:`ServingCardinalityProvider` answers that card function
-through a live serving front door (:class:`~repro.serve.router.
-RoutedEstimateService` or a single :class:`~repro.serve.server.UAEServer`)
-the way the related work's ``CardinalityGenerator`` adapters do — but
+through a live serving front (anything speaking the serving tier's front
+contract: :class:`~repro.serve.router.RoutedEstimateService`, a single
+:class:`~repro.serve.server.UAEServer`, ...) the way the related work's
+``CardinalityGenerator`` adapters do — but
 instead of up to ``2^N`` per-fragment round trips per plan it collects
 the query's connected fragments up front (deterministic order: smallest
 subsets first, lexicographic within a size) and issues **one batched,
@@ -42,13 +43,14 @@ from .planner import JoinGraph
 class ServingCardinalityProvider:
     """A planner card function answered by the live serving tier.
 
-    ``service`` is a routed front door (anything with ``resolve`` +
-    ``estimate_batch``/``estimate_on``) or a bare ``UAEServer``.  The
-    provider exposes the adapter API the optimizer study expects
-    (``name`` + ``card_fn(query)``), plus counters the plan-quality
-    bench gates on: ``batched_calls`` must equal the number of distinct
-    plans prefetched (one round trip per plan) and ``fallback_calls``
-    stays zero when every DP request was covered by the prefetch.
+    ``service`` is any serving front (``resolve`` + ``estimate_batch``
+    are all the provider calls; :meth:`reference` additionally needs an
+    in-process one).  The provider exposes the adapter API the
+    optimizer study expects (``name`` + ``card_fn(query)``), plus
+    counters the plan-quality bench gates on: ``batched_calls`` must
+    equal the number of distinct plans prefetched (one round trip per
+    plan) and ``fallback_calls`` stays zero when every DP request was
+    covered by the prefetch.
     """
 
     name = "UAE-serving"
@@ -91,29 +93,20 @@ class ServingCardinalityProvider:
     # ------------------------------------------------------------------
     def _target(self, query) -> tuple[str, int]:
         """(namespace name, live model version) serving ``query``."""
-        resolve = getattr(self.service, "resolve", None)
-        if resolve is not None:
-            space = resolve(query, namespace=self.namespace)
-            return space.name, space.version
-        return (getattr(self.service, "namespace", "default"),
-                self.service.registry.version)
+        space = self.service.resolve(query, namespace=self.namespace)
+        return space.name, space.version
 
     def _estimate(self, fragments: list, seed: int) -> np.ndarray:
-        if hasattr(self.service, "resolve"):
-            return self.service.estimate_batch(
-                fragments, namespace=self.namespace, seed=seed)
-        return self.service.estimate_batch(fragments, seed=seed)
+        return self.service.estimate_batch(
+            fragments, namespace=self.namespace, seed=seed)
 
     def reference(self, query: JoinQuery) -> np.ndarray:
         """Single-process seeded engine answers for the plan's fragments
         — what :meth:`prefetch` must match bit-for-bit."""
-        fragments = self.plan_fragments(query)
-        seed = self.seed_for(query)
-        if hasattr(self.service, "resolve"):
-            space = self.service.resolve(query, namespace=self.namespace)
-            return self.service.estimate_on(space.name, fragments, seed=seed)
-        snap = self.service.registry.active()
-        return self.service.service.estimate_on(snap, fragments, seed=seed)
+        space = self.service.resolve(query, namespace=self.namespace)
+        return space.service.estimate_on(
+            space.registry.active(), self.plan_fragments(query),
+            seed=self.seed_for(query))
 
     # ------------------------------------------------------------------
     # Cache (ResultCache-style version sync)

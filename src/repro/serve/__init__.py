@@ -1,7 +1,10 @@
 """Online serving subsystem: the paper's incremental-ingestion loop
 (Section 4.5) run under live traffic.
 
-Five cooperating pieces (see the README's "Serving" section):
+The cooperating pieces (see the README's "Serving" section; the three
+fronts — :class:`UAEServer`, :class:`RoutedEstimateService`,
+:class:`ClusterEstimateService` — share the one keyword contract in the
+README's "Front contract" table):
 
 * :class:`ModelRegistry` — versioned, immutable UAE snapshots with atomic
   hot-swap; background refinement never blocks or corrupts in-flight

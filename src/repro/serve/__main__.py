@@ -68,28 +68,6 @@ CHAOS_FAULTS = {
 # ----------------------------------------------------------------------
 # HTTP front door (--http / --smoke)
 # ----------------------------------------------------------------------
-def _sql_literal(value) -> str:
-    if hasattr(value, "item"):              # numpy scalar -> python
-        value = value.item()
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)
-
-
-def _render_sql(query) -> str:
-    """Render a Query back to the WHERE-fragment grammar the parser
-    accepts, so the smoke test exercises real SQL over the wire."""
-    parts = []
-    for pred in query.predicates:
-        if pred.op == "IN":
-            vals = ", ".join(_sql_literal(v) for v in pred.value)
-            parts.append(f"{pred.column} IN ({vals})")
-        else:
-            parts.append(f"{pred.column} {pred.op} "
-                         f"{_sql_literal(pred.value)}")
-    return " AND ".join(parts)
-
-
 def _build_http_front(profile):
     """Train the profile's DMV model and wrap it in a UAEServer."""
     import numpy as np
@@ -109,7 +87,7 @@ def _build_http_front(profile):
     uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
     workload = generate_inworkload(table, 32, np.random.default_rng(5))
     server = UAEServer(uae, max_batch=32, max_wait_ms=2.0, seed=7)
-    return server, [_render_sql(q) for q in workload.queries]
+    return server, [str(q) for q in workload.queries]
 
 
 def _http_smoke(door, sqls: list[str]) -> list[str]:
@@ -346,31 +324,17 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--http is exclusive of "
                          "--datasets/--workers/--chaos")
         return _run_http(PROFILES[args.profile], args.http, args.smoke)
-    if args.chaos is not None:
-        if args.datasets:
-            parser.error("--chaos is exclusive of --datasets")
-        cluster_fault = CHAOS_FAULTS[args.chaos] == "cluster"
-        try:
+    if args.chaos is not None and args.datasets:
+        parser.error("--chaos is exclusive of --datasets")
+    try:
+        if args.chaos is not None:
+            cluster_fault = CHAOS_FAULTS[args.chaos] == "cluster"
             result = run_chaos(
                 PROFILES[args.profile],
                 include_single=not cluster_fault,
                 include_cluster=cluster_fault,
                 workers=args.workers if args.workers is not None else 2)
-        except RuntimeError as exc:
-            print(f"FAILED: {exc}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps({k: v for k, v in result.items()
-                              if k not in ("rows", "columns", "title")},
-                             indent=2, default=str))
-        print(format_table(result["rows"], result["columns"],
-                           title=result["title"]))
-        print("checks: "
-              + ("all passed" if all(result["checks"].values())
-                 else str(result["checks"])))
-        return 0
-    try:
-        if args.workers is not None:
+        elif args.workers is not None:
             profile = PROFILES[args.profile]
             counts = (1,) if args.workers == 1 else (1, args.workers)
             result = run_scale_out(replace(profile,
@@ -393,7 +357,9 @@ def main(argv: list[str] | None = None) -> int:
                          indent=2, default=str))
     print(format_table(result["rows"], result["columns"],
                        title=result["title"]))
-    if args.workers is not None:
+    if args.chaos is not None:
+        pass                                # the table is the summary
+    elif args.workers is not None:
         qps = result["qps_by_workers"]
         print(f"\ncluster q/s by worker count: "
               + ", ".join(f"{n}w {v:.0f}" for n, v in qps.items())

@@ -21,8 +21,9 @@ one process to N:
   ``load_state_dict`` bumps every parameter version in the worker, which
   invalidates and recompiles its engine exactly as in-process training
   would.
-* **Load-shedding balancer** — :class:`ClusterEstimateService` routes by
-  :func:`~repro.workload.predicate.routing_signature`, applies
+* **Load-shedding balancer** — :class:`ClusterEstimateService` routes
+  through the same :class:`~repro.serve.router.MultiTableRegistry` as the
+  single-process front door, applies
   backpressure through bounded per-worker in-flight windows, and when a
   worker saturates sheds *deadline-first*: a request whose remaining
   budget cannot cover the queue wait plus the worker's observed batch
@@ -58,10 +59,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..workload.predicate import routing_signature
 from .placement import HashRing, WorkerUnavailableError
-from .router import AmbiguousNamespaceError, UnknownNamespaceError
-from .service import RequestCancelledError
+from .router import MultiTableRegistry, Namespace, group_by_namespace
+from .service import EstimateRequest, compute_cardinalities, expand_query
 from .snapshot import HAVE_SHARED_MEMORY, SharedSnapshot
 
 
@@ -214,15 +214,11 @@ def _worker_main(worker_id: str, request_q, response_q,
                         f"worker {worker_id}; retry"))
                     continue
                 t0 = time.perf_counter()
-                constraints = [
-                    estimator.fact.expand_masks(q.masks(estimator.table))
-                    for q in queries]
                 rng = np.random.default_rng(seed) if seed is not None \
                     else rngs[namespace]
-                sels = estimator.sampler.scheduler.estimate_many(
-                    constraints, estimator.sampler.num_samples, rng)
-                cards = np.clip(sels, 0.0, 1.0) \
-                    * estimator.table.num_rows
+                cards = compute_cardinalities(
+                    estimator, [expand_query(estimator, q) for q in queries],
+                    rng)
                 served += len(queries)
                 compute_s = time.perf_counter() - t0
                 wm_served.labels(namespace=namespace).inc(len(queries))
@@ -250,102 +246,22 @@ def _worker_main(worker_id: str, request_q, response_q,
 # ----------------------------------------------------------------------
 # Futures + handles
 # ----------------------------------------------------------------------
-class ClusterRequest:
-    """A single in-flight cluster call; future-like, mirrors
-    :class:`~repro.serve.service.EstimateRequest` (first-wins
-    settlement, done callbacks, best-effort cancellation)."""
+class ClusterRequest(EstimateRequest):
+    """A single in-flight cluster call: the shared settlement future
+    plus the dispatch envelope (owning namespace, query count, the
+    worker that answered, whether the call was shed)."""
 
-    __slots__ = ("namespace", "count", "deadline", "single", "trace",
-                 "dispatched_at", "submitted_at", "completed_at",
-                 "version", "worker", "shed", "cancelled", "_lock",
-                 "_callbacks", "_event", "_value", "_error")
+    __slots__ = ("namespace", "count", "dispatched_at", "worker", "shed")
 
     def __init__(self, namespace: str, count: int,
                  deadline: float | None, single: bool = False,
                  trace=None):
+        super().__init__(None, None, None, deadline, trace, single)
         self.namespace = namespace
         self.count = count
-        self.deadline = deadline           # absolute perf_counter time
-        self.single = single
-        self.trace = trace                 # optional obs.Trace
         self.dispatched_at: float | None = None
-        self.submitted_at = time.perf_counter()
-        self.completed_at: float | None = None
-        self.version: int | None = None
         self.worker: str | None = None
         self.shed = False
-        self.cancelled = False
-        self._lock = threading.Lock()
-        self._callbacks: list = []
-        self._event = threading.Event()
-        self._value = None
-        self._error: BaseException | None = None
-
-    def _settle(self, value, error, version, worker, shed) -> bool:
-        with self._lock:
-            if self._event.is_set():
-                return False
-            self._value = value
-            self._error = error
-            self.version = version
-            self.worker = worker
-            self.shed = shed
-            self.completed_at = time.perf_counter()
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-        return True
-
-    def _complete(self, value, version: int | None,
-                  worker: str | None) -> bool:
-        return self._settle(value, None, version, worker, False)
-
-    def _fail(self, error: BaseException, shed: bool = False) -> bool:
-        return self._settle(None, error, self.version, self.worker, shed)
-
-    def cancel(self) -> bool:
-        """Abandon the call parent-side.  The batch may already sit in
-        the worker's queue — cancellation cannot cross the process
-        boundary, but the worker's own deadline check (and the parent
-        dropping the answer here) keeps a dead client from being waited
-        on.  Returns True when the cancellation won."""
-        self.cancelled = True
-        return self._fail(RequestCancelledError("cluster request "
-                                                "cancelled"))
-
-    def add_done_callback(self, callback) -> None:
-        """Call ``callback(request)`` once settled (immediately if
-        already done), from the settling thread."""
-        with self._lock:
-            if not self._event.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def exception(self) -> BaseException | None:
-        """The request's error, or None (valid once ``done()``)."""
-        return self._error
-
-    def result(self, timeout: float | None = None):
-        """The estimate (float for ``submit``, array for batch
-        dispatch); raises the request's typed error — ``LoadShedError``
-        when shed, ``WorkerUnavailableError`` when the owner died."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("cluster request not ready")
-        if self._error is not None:
-            raise self._error
-        if self.single:
-            return float(np.asarray(self._value).reshape(-1)[0])
-        return self._value
-
-    def latency(self) -> float | None:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.submitted_at
 
 
 class _WorkerHandle:
@@ -414,9 +330,11 @@ class ClusterEstimateService:
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
         self._ring = HashRing(vnodes=vnodes)
+        # Routing (and each namespace's published version) lives in the
+        # same registry class the single-process front door routes by.
+        self.registry = MultiTableRegistry()
         self._specs: "OrderedDict[str, dict]" = OrderedDict()
         self._snapshots: dict[str, SharedSnapshot] = {}
-        self._versions: dict[str, int] = {}
         self._assignment: dict[str, str] = {}
         self._handles: dict[str, _WorkerHandle] = {}
         self._response_q = None
@@ -507,25 +425,24 @@ class ClusterEstimateService:
             raise RuntimeError("add_table() before start(): live "
                                "namespace migration is not supported")
         name = namespace or estimator.table.name
-        if name in self._specs:
-            raise ValueError(f"namespace {name!r} already registered")
-        snap = SharedSnapshot.create(estimator.model.state_dict(),
-                                     version=1)
+        self.registry.register(Namespace(
+            name, None, "table", tables=frozenset({estimator.table.name}),
+            columns=frozenset(estimator.table.column_names),
+            worker_version=1))
         self._specs[name] = {
             "table": estimator.table,
             "config": estimator.config,
             "order": list(estimator.model.order),
-            "columns": frozenset(estimator.table.column_names),
         }
-        self._snapshots[name] = snap
-        self._versions[name] = 1
+        self._snapshots[name] = SharedSnapshot.create(
+            estimator.model.state_dict(), version=1)
         return name
 
     def namespaces(self) -> list[str]:
         return list(self._specs)
 
     def version(self, namespace: str) -> int:
-        return self._versions[namespace]
+        return self.registry.get(namespace).version
 
     def assignment(self) -> dict[str, str]:
         return dict(self._assignment)
@@ -543,33 +460,14 @@ class ClusterEstimateService:
             raise RuntimeError("no namespaces registered")
         self._response_q = self._ctx.Queue()
         for i in range(self.num_workers):
-            worker_id = f"w{i}"
-            request_q = self._ctx.Queue()
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(worker_id, request_q, self._response_q,
-                      self.chaos, 0),
-                name=f"{self.name}-{worker_id}", daemon=True)
-            process.start()
-            self._handles[worker_id] = _WorkerHandle(
-                worker_id, process, request_q, self.queue_depth)
-            self._ring.add(worker_id)
+            self._spawn_worker(f"w{i}", 0)
         # Collector starts strictly after every fork: forking a process
         # while parent threads hold queue locks can deadlock the child.
-        self._collector_stop.clear()
-        self._collector = threading.Thread(
-            target=self._collect_loop, name=f"{self.name}-collector",
-            daemon=True)
-        self._collector.start()
+        self._resume_collector()
         self._running = True
         self._assignment = self._ring.assign(self._specs,
                                              balance=self.balance)
-        acks = [(ns, self._adopt_async(ns)) for ns in self._specs]
-        for ns, request in acks:
-            request.result(timeout=self.request_timeout)
-            self.events.emit("swap_adopt", namespace=ns,
-                             worker=self._assignment.get(ns),
-                             version=self._versions.get(ns))
+        self._adopt_all(self._specs)
         return self
 
     def stop(self) -> None:
@@ -627,32 +525,12 @@ class ClusterEstimateService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def resolve(self, query, namespace: str | None = None) -> str:
+    def resolve(self, query, namespace: str | None = None) -> Namespace:
         """The namespace serving ``query`` (explicit ``namespace``
-        wins); same rules and typed misses as the single-process
-        router, restricted to table namespaces."""
-        if namespace is not None:
-            if namespace not in self._specs:
-                raise UnknownNamespaceError(
-                    f"unknown namespace {namespace!r} "
-                    f"(have {self.namespaces()})")
-            return namespace
-        kind, targets = routing_signature(query)
-        if kind != "table":
-            raise UnknownNamespaceError(
-                "cluster workers serve table namespaces; route join "
-                "queries through the single-process front door")
-        matches = [ns for ns, spec in self._specs.items()
-                   if spec["columns"] >= targets]
-        if not matches:
-            raise UnknownNamespaceError(
-                f"no namespace covers columns {sorted(targets)} "
-                f"(have {self.namespaces()})")
-        if len(matches) > 1:
-            raise AmbiguousNamespaceError(
-                f"columns {sorted(targets)} match namespaces "
-                f"{matches}; pass namespace= to pick one")
-        return matches[0]
+        wins): the single-process router's rules and typed misses.
+        Workers host table namespaces only, so a join query finds no
+        covering namespace (``UnknownNamespaceError``)."""
+        return self.registry.resolve(query, namespace=namespace)
 
     # ------------------------------------------------------------------
     # Serving
@@ -664,7 +542,7 @@ class ClusterEstimateService:
         handle.  Saturation sheds deadline-first (typed
         :class:`LoadShedError`); a dead owner raises
         :class:`~repro.serve.placement.WorkerUnavailableError`."""
-        ns = self.resolve(query, namespace=namespace)
+        ns = self.resolve(query, namespace=namespace).name
         deadline = None if deadline_ms is None \
             else time.perf_counter() + deadline_ms / 1e3
         return self._dispatch(ns, [query], None, deadline, single=True,
@@ -679,32 +557,36 @@ class ClusterEstimateService:
         return request.result(timeout=budget)
 
     def estimate_batch(self, queries: list, *,
-                       namespace: str | None = None,
-                       seed: int | None = None) -> np.ndarray:
+                       namespace: str | None = None, seed: int | None = None,
+                       use_cache: bool = True) -> np.ndarray:
         """Bulk path over a (possibly mixed-namespace) query list.
 
-        Grouping and per-namespace stream order match
-        ``RoutedEstimateService.estimate_batch`` exactly, and each
-        namespace group runs as one seeded engine batch on its worker —
-        so a seeded call is bit-identical to the single-process front
-        door on the same queries.  Namespace groups run concurrently
-        across workers; the call returns when all have answered.
+        Grouping, per-namespace stream order and the compute formula are
+        the ones ``RoutedEstimateService.estimate_batch`` runs, and each
+        namespace group is one seeded engine batch on its worker — so a
+        seeded call is bit-identical to the single-process front door on
+        the same queries.  Namespace groups run concurrently across
+        workers; the call returns when all have answered.  ``use_cache``
+        is accepted for the front contract and ignored: workers keep no
+        result cache to switch.
         """
-        if not queries:
-            return np.zeros(0, dtype=np.float64)
-        groups: "OrderedDict[str, list[int]]" = OrderedDict()
-        for i, query in enumerate(queries):
-            groups.setdefault(self.resolve(query, namespace=namespace),
-                              []).append(i)
-        requests: dict[str, ClusterRequest] = {}
-        for ns, indices in groups.items():
-            requests[ns] = self._dispatch(
-                ns, [queries[i] for i in indices], seed, None)
+        pending = [(self._dispatch(space.name, [queries[i] for i in indices],
+                                   seed, None), indices)
+                   for space, indices in group_by_namespace(
+                       self.resolve, queries, namespace)]
         out = np.empty(len(queries), dtype=np.float64)
-        for ns, indices in groups.items():
-            out[indices] = requests[ns].result(
-                timeout=self.request_timeout)
+        for request, indices in pending:
+            out[indices] = request.result(timeout=self.request_timeout)
         return out
+
+    def observe(self, query, true_cardinality: float,
+                estimate: float | None = None, *,
+                namespace: str | None = None) -> float:
+        """Front-contract slot: workers keep no feedback monitor (a
+        cluster is refreshed by :meth:`publish`), so feedback is a typed
+        refusal rather than a silent drop."""
+        raise TypeError("front ClusterEstimateService does not accept "
+                        "feedback; refine out of band and publish()")
 
     # ------------------------------------------------------------------
     # Publication + healing
@@ -719,12 +601,10 @@ class ClusterEstimateService:
         ``publish`` control message and rebuilds its compiled engine
         from the buffer.  Returns propagation timing for the bench.
         """
-        if namespace not in self._specs:
-            raise UnknownNamespaceError(
-                f"unknown namespace {namespace!r}")
+        space = self.registry.get(namespace)
         if not self._running:
             raise RuntimeError("publish() needs a started cluster")
-        version = self._versions[namespace] + 1
+        version = space.version + 1
         t0 = time.perf_counter()
         self._snapshots[namespace].publish(
             estimator.model.state_dict(), version)
@@ -738,7 +618,7 @@ class ClusterEstimateService:
             raise RuntimeError(
                 f"worker {handle.worker_id} acked version "
                 f"{ack_version}, expected {version}")
-        self._versions[namespace] = version
+        space.worker_version = version
         self._c_pub.inc()
         self.events.emit("swap_publish", namespace=namespace,
                          version=version, source=source,
@@ -767,12 +647,7 @@ class ClusterEstimateService:
         moved = [ns for ns, wid in new_assignment.items()
                  if self._assignment.get(ns) != wid]
         self._assignment = new_assignment
-        acks = [(ns, self._adopt_async(ns)) for ns in moved]
-        for ns, request in acks:
-            request.result(timeout=timeout or self.request_timeout)
-            self.events.emit("swap_adopt", namespace=ns,
-                             worker=self._assignment.get(ns),
-                             version=self._versions.get(ns))
+        self._adopt_all(moved, timeout)
         self.events.emit("worker_recover", removed=sorted(dead),
                          moved=sorted(moved))
         return {"removed": sorted(dead), "moved": sorted(moved)}
@@ -833,24 +708,15 @@ class ClusterEstimateService:
         self._dead.remove(worker_id)
         incarnation = self._incarnations.get(worker_id, 0) + 1
         self._incarnations[worker_id] = incarnation
-        request_q = self._ctx.Queue()
         # Fork with the collector parked: forking while a parent
         # thread sits inside the response queue's internal locks can
         # deadlock the child (same discipline as start(), where the
         # collector starts strictly after every fork).
         self._pause_collector()
         try:
-            process = self._ctx.Process(
-                target=_worker_main,
-                args=(worker_id, request_q, self._response_q,
-                      self.chaos, incarnation),
-                name=f"{self.name}-{worker_id}", daemon=True)
-            process.start()
+            self._spawn_worker(worker_id, incarnation)
         finally:
             self._resume_collector()
-        self._handles[worker_id] = _WorkerHandle(
-            worker_id, process, request_q, self.queue_depth)
-        self._ring.add(worker_id)
         new_assignment = self._ring.assign(self._specs,
                                            balance=self.balance)
         # The fresh process has no state: every namespace it now owns
@@ -860,12 +726,7 @@ class ClusterEstimateService:
                  if wid == worker_id or self._assignment.get(ns) != wid]
         self._assignment = new_assignment
         try:
-            acks = [(ns, self._adopt_async(ns)) for ns in moved]
-            for ns, request in acks:
-                request.result(timeout=self.request_timeout)
-                self.events.emit("swap_adopt", namespace=ns,
-                                 worker=self._assignment.get(ns),
-                                 version=self._versions.get(ns))
+            self._adopt_all(moved)
         except BaseException:
             # Adoption failed (snapshot read error, wedged fork,
             # timeout): a half-adopted worker must not stay published
@@ -894,6 +755,18 @@ class ClusterEstimateService:
             return self._supervisor
         self._supervisor = WorkerSupervisor(self, **kwargs).start()
         return self._supervisor
+
+    def _spawn_worker(self, worker_id: str, incarnation: int) -> None:
+        request_q = self._ctx.Queue()
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(worker_id, request_q, self._response_q, self.chaos,
+                  incarnation),
+            name=f"{self.name}-{worker_id}", daemon=True)
+        process.start()
+        self._handles[worker_id] = _WorkerHandle(
+            worker_id, process, request_q, self.queue_depth)
+        self._ring.add(worker_id)
 
     def _pause_collector(self) -> None:
         self._collector_stop.set()
@@ -934,12 +807,21 @@ class ClusterEstimateService:
                 "is unavailable; call recover() to re-place it")
         return handle
 
-    def _adopt_async(self, namespace: str) -> ClusterRequest:
-        spec = self._specs[namespace]
-        handle = self._owner_handle(namespace)
-        return self._control(
-            handle, "adopt", namespace, spec["table"], spec["config"],
-            spec["order"], self._snapshots[namespace].name, self._seed)
+    def _adopt_all(self, namespaces, timeout: float | None = None) -> None:
+        """Ship each namespace to its assigned worker (all adoptions in
+        flight at once), then wait for every ack."""
+        acks = []
+        for ns in namespaces:
+            spec = self._specs[ns]
+            acks.append((ns, self._control(
+                self._owner_handle(ns), "adopt", ns, spec["table"],
+                spec["config"], spec["order"], self._snapshots[ns].name,
+                self._seed)))
+        for ns, request in acks:
+            request.result(timeout=timeout or self.request_timeout)
+            self.events.emit("swap_adopt", namespace=ns,
+                             worker=self._assignment.get(ns),
+                             version=self.version(ns))
 
     def _control(self, handle: _WorkerHandle, kind: str,
                  *payload) -> ClusterRequest:
@@ -1095,7 +977,7 @@ class ClusterEstimateService:
                     values, version, compute_s, worker_t0 = payload
                     self._observe_stages(request, worker_id, compute_s,
                                          worker_t0, now)
-                    if request._complete(values, version, worker_id):
+                    if request._complete(values, version, worker=worker_id):
                         self._c_served.inc(request.count)
                         self._h_latency.labels(
                             namespace=request.namespace).observe(
@@ -1107,7 +989,7 @@ class ClusterEstimateService:
                                          worker=worker_id,
                                          stage="post_compute")
                 else:
-                    request._complete(payload, None, worker_id)
+                    request._complete(payload, None, worker=worker_id)
             elif status == "shed":
                 if request._fail(LoadShedError(str(payload)), shed=True):
                     self._c_sheds.inc(request.count)
@@ -1202,7 +1084,8 @@ class ClusterEstimateService:
                 "supervisor": None if self._supervisor is None
                 else self._supervisor.stats(),
                 "assignment": dict(self._assignment),
-                "versions": dict(self._versions),
+                "versions": {space.name: space.version
+                             for space in self.registry},
                 "served": self.served, "sheds": self.sheds,
                 "failures": self.failures,
                 "cancellations": self.cancellations,

@@ -4,10 +4,10 @@ Three layers, each usable on its own:
 
 ``AsyncEstimateService``
     Awaitable adapter over any serving front —
-    :class:`~repro.serve.service.EstimateService`,
     :class:`~repro.serve.server.UAEServer`,
     :class:`~repro.serve.router.RoutedEstimateService`, or
-    :class:`~repro.serve.cluster.ClusterEstimateService`.  ``await
+    :class:`~repro.serve.cluster.ClusterEstimateService`, which share
+    one keyword contract (README "Front contract").  ``await
     submit(query, deadline_ms=...)`` propagates the caller's budget down
     into the micro-batcher (which sheds typed: ``TimeoutError`` /
     ``LoadShedError``), and cancelling the awaitable **abandons** the
@@ -48,7 +48,6 @@ timeline.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import time
 from functools import partial
@@ -135,27 +134,9 @@ class AsyncEstimateService:
 
     def __init__(self, front):
         self.front = front
-        submit_params = inspect.signature(front.submit).parameters
-        batch_params = inspect.signature(front.estimate_batch).parameters
-        self._submit_ns = "namespace" in submit_params
-        self._submit_trace = "trace" in submit_params
-        self._batch_ns = "namespace" in batch_params
-        self._batch_cache = "use_cache" in batch_params
         self.cancelled = 0
 
     # -- internals -----------------------------------------------------
-    def _submit_kwargs(self, namespace, deadline_ms, trace=None) -> dict:
-        kwargs = {"deadline_ms": deadline_ms}
-        if self._submit_ns:
-            kwargs["namespace"] = namespace
-        elif namespace is not None:
-            raise UnknownNamespaceError(
-                f"front {type(self.front).__name__} is single-namespace; "
-                f"got namespace={namespace!r}")
-        if trace is not None and self._submit_trace:
-            kwargs["trace"] = trace
-        return kwargs
-
     async def _enqueue(self, fn):
         """Run a (possibly blocking) enqueue on the default executor.
 
@@ -184,8 +165,8 @@ class AsyncEstimateService:
         (value, version, latency all inspectable).  Raises the handle's
         typed error.  Cancelling the await abandons the query."""
         request = await self._enqueue(partial(
-            self.front.submit, query,
-            **self._submit_kwargs(namespace, deadline_ms, trace)))
+            self.front.submit, query, namespace=namespace,
+            deadline_ms=deadline_ms, trace=trace))
         loop = asyncio.get_running_loop()
         settled: asyncio.Future = loop.create_future()
 
@@ -236,38 +217,20 @@ class AsyncEstimateService:
         """Awaitable bulk path, bit-identical to the sync
         ``front.estimate_batch`` — same code runs, on the executor, so
         seeded calls keep the reproducibility contract."""
-        kwargs: dict = {"seed": seed}
-        if self._batch_ns:
-            kwargs["namespace"] = namespace
-        elif namespace is not None:
-            raise UnknownNamespaceError(
-                f"front {type(self.front).__name__} is single-namespace; "
-                f"got namespace={namespace!r}")
-        if self._batch_cache:
-            kwargs["use_cache"] = use_cache
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, partial(
-            self.front.estimate_batch, list(queries), **kwargs))
+            self.front.estimate_batch, list(queries), namespace=namespace,
+            seed=seed, use_cache=use_cache))
 
     async def observe(self, query, true_cardinality: float,
                       estimate: float | None = None, *,
                       namespace: str | None = None) -> float:
         """Awaitable feedback: route an executed query's truth to the
         front's monitor; returns the serving q-error."""
-        observe = getattr(self.front, "observe", None)
-        if observe is None:
-            raise TypeError(f"front {type(self.front).__name__} does not "
-                            "accept feedback")
-        kwargs = {"estimate": estimate}
-        if "namespace" in inspect.signature(observe).parameters:
-            kwargs["namespace"] = namespace
-        elif namespace is not None:
-            raise UnknownNamespaceError(
-                f"front {type(self.front).__name__} is single-namespace; "
-                f"got namespace={namespace!r}")
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, partial(
-            observe, query, true_cardinality, **kwargs))
+            self.front.observe, query, true_cardinality, estimate=estimate,
+            namespace=namespace))
 
     def stats(self) -> dict:
         out = dict(self.front.stats())
@@ -376,17 +339,12 @@ class HTTPFrontDoor:
         self._server: asyncio.AbstractServer | None = None
         self._inflight = 0
         self._space = asyncio.Condition()
-        # Share the serving front's registry when it has one, so a
-        # single /metrics scrape covers the whole process; a cluster
-        # front additionally contributes its workers' snapshots via
-        # metrics_snapshots() at scrape time.
-        front_metrics = getattr(service.front, "metrics", None)
-        if metrics is not None:
-            self.metrics = metrics
-        elif isinstance(front_metrics, MetricsRegistry):
-            self.metrics = front_metrics
-        else:
-            self.metrics = MetricsRegistry()
+        # Share the serving front's registry, so a single /metrics
+        # scrape covers the whole process; a cluster front additionally
+        # contributes its workers' snapshots via metrics_snapshots() at
+        # scrape time.
+        self.metrics = metrics if metrics is not None \
+            else service.front.metrics
         self.traces = TraceRecorder(
             capacity=trace_capacity,
             slow_threshold_s=slow_trace_threshold_s)
@@ -571,9 +529,6 @@ class HTTPFrontDoor:
         return None
 
     # -- routing -------------------------------------------------------
-    def _count_status(self, status: int) -> None:
-        self._f_responses.labels(status=str(status)).inc()
-
     async def _dispatch(self, method: str, path: str, body: bytes):
         self._c_requests.inc()
         t0 = time.perf_counter()
@@ -586,6 +541,7 @@ class HTTPFrontDoor:
                   "/metrics": ("GET", self._h_metrics),
                   "/debug/traces": ("GET", self._h_debug_traces)}
         route = path if path in routes else "other"
+        extra: tuple = ()
         try:
             if path not in routes:
                 raise _EarlyResponse(404, {"error": "NotFound",
@@ -603,26 +559,20 @@ class HTTPFrontDoor:
             else:
                 payload = {}
             status, out = await handler(payload)
-        except asyncio.CancelledError:
-            raise
         except _EarlyResponse as early:
             status, out, extra = early.status, early.payload, early.extra
-            self._count_status(status)
-            return status, out, extra
         except Exception as exc:            # noqa: BLE001 - typed mapping
             status = status_for(exc)
             out = {"error": type(exc).__name__, "detail": str(exc)}
-            extra = (("Retry-After", f"{self.retry_after_s:.3f}"),) \
-                if status == 503 else ()
-            self._count_status(status)
-            return status, out, extra
+            if status == 503:
+                extra = (("Retry-After", f"{self.retry_after_s:.3f}"),)
         finally:
             self._h_request.labels(route=route).observe(
                 time.perf_counter() - t0)
-        self._count_status(status)
+        self._f_responses.labels(status=str(status)).inc()
         if status == 200:
             self._c_served.inc()
-        return status, out, ()
+        return status, out, extra
 
     # -- handlers ------------------------------------------------------
     def _query_from(self, payload: dict, field: str = "sql"):
@@ -663,9 +613,9 @@ class HTTPFrontDoor:
             raise
         out = {"estimate": float(request.result(timeout=0)),
                "trace_id": trace.trace_id}
-        if getattr(request, "version", None) is not None:
+        if request.version is not None:
             out["version"] = int(request.version)
-        if getattr(request, "from_cache", False):
+        if request.from_cache:
             out["from_cache"] = True
         latency = request.latency()
         if latency is not None:
@@ -735,20 +685,17 @@ class HTTPFrontDoor:
         fronts share one registry with the door, so a single render
         covers the whole process."""
         front = self.service.front
+        own = [] if front.metrics is self.metrics \
+            else [(self.metrics.snapshot(), None)]
         snaps = getattr(front, "metrics_snapshots", None)
-        if callable(snaps):
+        if snaps is not None:
             loop = asyncio.get_running_loop()
-            pairs = list(await loop.run_in_executor(None, snaps))
-            if getattr(front, "metrics", None) is not self.metrics:
-                pairs.append((self.metrics.snapshot(), None))
-            return 200, MetricsRegistry.merged(pairs).render()
-        front_metrics = getattr(front, "metrics", None)
-        if isinstance(front_metrics, MetricsRegistry) \
-                and front_metrics is not self.metrics:
-            pairs = [(self.metrics.snapshot(), None),
-                     (front_metrics.snapshot(), None)]
-            return 200, MetricsRegistry.merged(pairs).render()
-        return 200, self.metrics.render()
+            pairs = list(await loop.run_in_executor(None, snaps)) + own
+        elif own:
+            pairs = own + [(front.metrics.snapshot(), None)]
+        else:
+            return 200, self.metrics.render()
+        return 200, MetricsRegistry.merged(pairs).render()
 
     async def _h_debug_traces(self, payload: dict):
         return 200, self.traces.to_dict()

@@ -32,29 +32,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..workload.predicate import routing_signature
 from .registry import ModelRegistry
-from .server import UAEServer
+from .server import (AmbiguousNamespaceError, Namespace,  # noqa: F401
+                     RoutingError, UAEServer, UnknownNamespaceError)
 from .service import EstimateRequest
-
-
-class RoutingError(KeyError):
-    """Base class for front-door routing failures."""
-
-    def __str__(self) -> str:  # KeyError quotes its message otherwise
-        return self.args[0] if self.args else ""
-
-
-class UnknownNamespaceError(RoutingError):
-    """No registered namespace covers the query's target tables/columns."""
-
-
-class AmbiguousNamespaceError(RoutingError):
-    """More than one namespace covers the target; pass ``namespace=``."""
 
 
 # ----------------------------------------------------------------------
@@ -305,29 +290,6 @@ class RefinementPool:
 # ----------------------------------------------------------------------
 # Namespaces + routing
 # ----------------------------------------------------------------------
-@dataclass
-class Namespace:
-    """One serving namespace: a per-table (or per-join-schema) stack."""
-
-    name: str
-    server: UAEServer
-    kind: str                               # "table" | "join"
-    tables: frozenset = field(default_factory=frozenset)
-    columns: frozenset = field(default_factory=frozenset)
-
-    @property
-    def registry(self) -> ModelRegistry:
-        return self.server.registry
-
-    @property
-    def service(self):
-        return self.server.service
-
-    @property
-    def version(self) -> int:
-        return self.server.registry.version
-
-
 class MultiTableRegistry:
     """Keys per-namespace model registries; resolves queries to them.
 
@@ -414,6 +376,19 @@ class MultiTableRegistry:
                 f"{kind} targets {sorted(targets)} match namespaces "
                 f"{[s.name for s in spaces]}; pass namespace= to pick one")
         return spaces[0]
+
+
+def group_by_namespace(resolve, queries: list,
+                       namespace: str | None = None) -> list:
+    """``[(namespace, query indices)]`` in first-seen order, each group
+    in stream order — the grouping every front's ``estimate_batch`` runs,
+    so a seeded call is bit-reproducible *per namespace* whichever front
+    (and whichever other namespaces in the batch) it went through."""
+    groups: dict[str, tuple[Namespace, list[int]]] = {}
+    for i, query in enumerate(queries):
+        space = resolve(query, namespace=namespace)
+        groups.setdefault(space.name, (space, []))[1].append(i)
+    return list(groups.values())
 
 
 # ----------------------------------------------------------------------
@@ -557,20 +532,12 @@ class RoutedEstimateService:
         bit-reproducible *per namespace* — the answers a namespace gives
         do not depend on which other namespaces appear in the batch.
         """
-        if not queries:
-            return np.zeros(0, dtype=np.float64)
-        groups: "OrderedDict[str, list[int]]" = OrderedDict()
-        spaces: dict[str, Namespace] = {}
-        for i, query in enumerate(queries):
-            space = self.resolve(query, namespace=namespace)
-            groups.setdefault(space.name, []).append(i)
-            spaces[space.name] = space
         out = np.empty(len(queries), dtype=np.float64)
-        for name, indices in groups.items():
-            values = spaces[name].server.estimate_batch(
+        for space, indices in group_by_namespace(self.resolve, queries,
+                                                 namespace):
+            out[indices] = space.server.estimate_batch(
                 [queries[i] for i in indices], seed=seed,
                 use_cache=use_cache)
-            out[indices] = values
         return out
 
     def estimate_on(self, namespace: str, queries: list, *,

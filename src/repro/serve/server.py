@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +36,49 @@ from .cache import ResultCache
 from .feedback import FeedbackCollector
 from .registry import ModelRegistry
 from .service import EstimateRequest, EstimateService
+
+
+class RoutingError(KeyError):
+    """Base class for front-door routing failures."""
+
+    def __str__(self) -> str:  # KeyError quotes its message otherwise
+        return self.args[0] if self.args else ""
+
+
+class UnknownNamespaceError(RoutingError):
+    """No registered namespace covers the query's target tables/columns."""
+
+
+class AmbiguousNamespaceError(RoutingError):
+    """More than one namespace covers the target; pass ``namespace=``."""
+
+
+@dataclass
+class Namespace:
+    """One serving namespace: a per-table (or per-join-schema) stack —
+    what every front's ``resolve`` returns."""
+
+    name: str
+    server: "UAEServer | None"              # None: hosted by a cluster worker
+    kind: str                               # "table" | "join"
+    tables: frozenset = field(default_factory=frozenset)
+    columns: frozenset = field(default_factory=frozenset)
+    #: published version of a worker-hosted namespace (``server is None``)
+    worker_version: int = 0
+
+    @property
+    def registry(self) -> ModelRegistry:
+        return self.server.registry
+
+    @property
+    def service(self):
+        return self.server.service
+
+    @property
+    def version(self) -> int:
+        if self.server is None:
+            return self.worker_version
+        return self.server.registry.version
 
 
 class UAEServer:
@@ -65,6 +109,10 @@ class UAEServer:
         # forwarded to the EstimateService and used again when feedback
         # is ingested.
         self.namespace = str(namespace)
+        self._space = Namespace(
+            self.namespace, self, "table" if expander is None else "join",
+            tables=frozenset({estimator.table.name}),
+            columns=frozenset(estimator.table.column_names))
         self.pool = pool
         self.expander = expander
         self.scale = None if scale is None else float(scale)
@@ -174,17 +222,32 @@ class UAEServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def estimate(self, query: Query,
+    def resolve(self, query, namespace: str | None = None) -> Namespace:
+        """The front contract's routing step for a single-namespace
+        front: every query is this server's, and only its own name (or
+        ``None``) names it."""
+        if namespace is not None and namespace != self.namespace:
+            raise UnknownNamespaceError(
+                f"unknown namespace {namespace!r} "
+                f"(have {[self.namespace]})")
+        return self._space
+
+    def estimate(self, query: Query, *, namespace: str | None = None,
                  deadline_ms: float | None = None) -> float:
+        self.resolve(query, namespace)
         return self.service.estimate(query, deadline_ms=deadline_ms)
 
-    def submit(self, query: Query, deadline_ms: float | None = None,
+    def submit(self, query: Query, *, namespace: str | None = None,
+               deadline_ms: float | None = None,
                trace=None) -> EstimateRequest:
+        self.resolve(query, namespace)
         return self.service.submit(query, deadline_ms=deadline_ms,
                                    trace=trace)
 
-    def estimate_batch(self, queries: list[Query], seed: int | None = None,
+    def estimate_batch(self, queries: list[Query], *,
+                       namespace: str | None = None, seed: int | None = None,
                        use_cache: bool = True) -> np.ndarray:
+        self.resolve(None, namespace)
         return self.service.estimate_batch(queries, seed=seed,
                                            use_cache=use_cache)
 
@@ -192,12 +255,14 @@ class UAEServer:
     # Feedback + continuous learning
     # ------------------------------------------------------------------
     def observe(self, query: Query, true_cardinality: float,
-                estimate: float | None = None) -> float:
+                estimate: float | None = None, *,
+                namespace: str | None = None) -> float:
         """Record an executed query's truth; returns its serving q-error.
 
         With ``auto_refine`` set, a drift past the feedback threshold
         kicks off background refinement (at most one at a time).
         """
+        self.resolve(query, namespace)
         if estimate is None:
             estimate = self.estimate(query)
         if self.chaos is not None:

@@ -55,26 +55,31 @@ class RequestCancelledError(RuntimeError):
 
 
 class EstimateRequest:
-    """A single in-flight estimate; a minimal future.
+    """A single in-flight estimate; a minimal future — the one
+    settlement implementation every front's handle is built on.
 
-    Settlement is first-wins: exactly one of ``_complete`` / ``_fail``
-    takes effect, so a caller cancelling concurrently with the worker
-    completing never observes a half-settled request.  Done callbacks
-    (the asyncio front door's bridge back to its event loop) fire once,
-    from whichever thread settles the request.
+    Settlement is first-wins: exactly one of ``_complete`` / ``_fail`` /
+    ``cancel`` takes effect, so a caller cancelling concurrently with
+    the worker completing never observes a half-settled request.  Done
+    callbacks (the asyncio front door's bridge back to its event loop)
+    fire once, from whichever thread settles the request.  The value is
+    a float for single submits and an array for a cluster batch
+    dispatch; ``single`` unwraps a one-query array back to a float.
     """
 
-    __slots__ = ("query", "constraints", "key", "deadline", "submitted_at",
-                 "completed_at", "version", "from_cache", "cancelled",
-                 "trace", "_lock", "_callbacks", "_event", "_value", "_error")
+    __slots__ = ("query", "constraints", "key", "deadline", "trace",
+                 "single", "submitted_at", "completed_at", "version",
+                 "from_cache", "cancelled", "_lock", "_callbacks",
+                 "_event", "_value", "_error")
 
-    def __init__(self, query: Query, constraints: list, key: bytes | None,
-                 deadline: float | None, trace=None):
+    def __init__(self, query, constraints, key: bytes | None,
+                 deadline: float | None, trace=None, single: bool = False):
         self.query = query
         self.constraints = constraints
         self.key = key
         self.deadline = deadline          # absolute perf_counter time
         self.trace = trace                # optional obs.Trace
+        self.single = single
         self.submitted_at = time.perf_counter()
         self.completed_at: float | None = None
         self.version: int | None = None
@@ -83,18 +88,21 @@ class EstimateRequest:
         self._lock = threading.Lock()
         self._callbacks: list = []
         self._event = threading.Event()
-        self._value: float | None = None
+        self._value = None
         self._error: BaseException | None = None
 
     # ------------------------------------------------------------------
-    def _settle(self, value, error, version, from_cache) -> bool:
+    def _settle(self, value, error, **outcome) -> bool:
+        """First-wins settlement; ``outcome`` attributes (``version``,
+        ``from_cache``, a cluster handle's ``worker`` / ``shed``) are
+        written under the same lock, so a loser never leaves a trace."""
         with self._lock:
             if self._event.is_set():
                 return False
             self._value = value
             self._error = error
-            self.version = version
-            self.from_cache = from_cache
+            for name, attr in outcome.items():
+                setattr(self, name, attr)
             self.completed_at = time.perf_counter()
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
@@ -102,20 +110,23 @@ class EstimateRequest:
             callback(self)
         return True
 
-    def _complete(self, value: float, version: int,
-                  from_cache: bool = False) -> bool:
+    def _complete(self, value, version: int | None,
+                  from_cache: bool = False, **outcome) -> bool:
         """Settle with a value; False when the request was already
         settled (e.g. cancelled while the engine computed it)."""
-        return self._settle(value, None, version, from_cache)
+        return self._settle(value, None, version=version,
+                            from_cache=from_cache, **outcome)
 
-    def _fail(self, error: BaseException) -> bool:
-        return self._settle(None, error, self.version, self.from_cache)
+    def _fail(self, error: BaseException, **outcome) -> bool:
+        return self._settle(None, error, **outcome)
 
     def cancel(self) -> bool:
         """Abandon the request: the micro-batcher drops cancelled
         requests before compute, so a cancelled request never occupies a
-        batch slot in a later flush.  Returns True when the cancellation
-        won (the request had not already completed or failed)."""
+        batch slot in a later flush.  (A cluster batch may already sit
+        in its worker's inbox — cancellation cannot cross the process
+        boundary, but the parent drops the answer.)  Returns True when
+        the cancellation won (the request had not already settled)."""
         self.cancelled = True       # worker reads this before computing
         return self._fail(RequestCancelledError("request cancelled"))
 
@@ -135,14 +146,17 @@ class EstimateRequest:
         """The request's error, or None (valid once ``done()``)."""
         return self._error
 
-    def result(self, timeout: float | None = None) -> float:
-        """Block until the estimate is ready; raises the request's error
-        (e.g. ``TimeoutError`` on a missed deadline,
-        ``RequestCancelledError`` after a cancellation)."""
+    def result(self, timeout: float | None = None):
+        """Block until the estimate is ready; raises the request's typed
+        error (``TimeoutError`` on a missed deadline,
+        ``RequestCancelledError`` after a cancellation, ``LoadShedError``
+        / ``WorkerUnavailableError`` from a cluster)."""
         if not self._event.wait(timeout):
             raise TimeoutError("estimate not ready")
         if self._error is not None:
             raise self._error
+        if self.single:
+            return float(np.asarray(self._value).reshape(-1)[0])
         return self._value
 
     def latency(self) -> float | None:
@@ -151,13 +165,38 @@ class EstimateRequest:
         return self.completed_at - self.submitted_at
 
 
+def expand_query(model, query, expander=None) -> list:
+    """``query`` as the engine's per-column constraint list (an
+    ``expander(model, query)`` replaces mask expansion for joins)."""
+    if expander is not None:
+        return expander(model, query)
+    return model.fact.expand_masks(query.masks(model.table))
+
+
+def compute_cardinalities(model, constraint_lists: list[list], rng,
+                          scale: float | None = None) -> np.ndarray:
+    """Scheduler-grouped progressive sampling, clipped and scaled to
+    cardinalities — the one formula the in-process service and the
+    cluster workers both run, which is what makes their seeded answers
+    bit-identical."""
+    sampler = model.sampler
+    sels = sampler.scheduler.estimate_many(
+        constraint_lists, sampler.num_samples, rng)
+    if scale is not None:
+        # Join namespaces: match UAEJoin.estimate_many exactly — lower
+        # clip only, scaled by the outer join's size (the
+        # sample-selectivity estimand is not bounded by the sample
+        # table's row count the way a base table's is).
+        return np.maximum(sels, 0.0) * scale
+    return np.clip(sels, 0.0, 1.0) * model.table.num_rows
+
+
 class EstimateService:
     """Sync + deadline-aware micro-batching API over a model registry."""
 
     def __init__(self, registry: ModelRegistry, cache: ResultCache | None = None,
                  *, max_batch: int = 32, max_wait_ms: float = 2.0,
-                 seed: int = 0, latency_window: int = 100_000,
-                 expander=None, scale: float | None = None,
+                 seed: int = 0, expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None):
         self.registry = registry
         self.cache = cache
@@ -187,7 +226,6 @@ class EstimateService:
         # EWMA of per-query compute seconds; None until the first flush
         # is measured (no shedding before there is an observation).
         self._cost_per_query: float | None = None
-        self.latencies: deque[float] = deque(maxlen=latency_window)
         # All counters live in the metrics registry (one shared registry
         # across namespaces when routed); ``served`` & friends are
         # read-only properties over the namespace-labeled children.
@@ -335,9 +373,7 @@ class EstimateService:
                 request._complete(hit, snap.version, from_cache=True)
                 self._c_cache.inc()
                 self._c_served.inc()
-                lat = request.latency()
-                self.latencies.append(lat)
-                self._h_latency.observe(lat)
+                self._h_latency.observe(request.latency())
                 if trace is not None:
                     trace.add_span("cache_hit", request.submitted_at,
                                    request.completed_at, version=snap.version)
@@ -466,30 +502,19 @@ class EstimateService:
     # Internals
     # ------------------------------------------------------------------
     def _expand(self, snap: ModelVersion, query: Query) -> list:
-        model = snap.model
-        if self.expander is not None:
-            return self.expander(model, query)
-        return model.fact.expand_masks(query.masks(model.table))
+        return expand_query(snap.model, query, self.expander)
 
     def _compute(self, snap: ModelVersion, constraint_lists: list[list],
                  seed: int | None = None) -> np.ndarray:
         rng = self._rng if seed is None else np.random.default_rng(seed)
-        sampler = snap.model.sampler
         with self._engine_lock:
-            engine = sampler.scheduler.engine
+            engine = snap.model.sampler.scheduler.engine
             if engine.metrics is not self.metrics:
                 # Each snapshot owns its engine; point it at the
                 # service registry so batch-loop metrics aggregate here.
                 engine.metrics = self.metrics
-            sels = sampler.scheduler.estimate_many(
-                constraint_lists, sampler.num_samples, rng)
-        if self.scale is not None:
-            # Join namespaces: match UAEJoin.estimate_many exactly —
-            # lower clip only, scaled by the outer join's size (the
-            # sample-selectivity estimand is not bounded by the sample
-            # table's row count the way a base table's is).
-            return np.maximum(sels, 0.0) * self.scale
-        return np.clip(sels, 0.0, 1.0) * snap.model.table.num_rows
+            return compute_cardinalities(snap.model, constraint_lists, rng,
+                                         self.scale)
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
@@ -546,9 +571,7 @@ class EstimateService:
                     if req._complete(hit, snap.version, from_cache=True):
                         self._c_cache.inc()
                         self._c_served.inc()
-                        lat = req.latency()
-                        self.latencies.append(lat)
-                        self._h_latency.observe(lat)
+                        self._h_latency.observe(req.latency())
                     continue
             live.append(req)
         if not live:
@@ -621,9 +644,7 @@ class EstimateService:
                 continue
             if req._complete(float(card), snap.version):
                 self._c_served.inc()
-                lat = req.latency()
-                self.latencies.append(lat)
-                self._h_latency.observe(lat)
+                self._h_latency.observe(req.latency())
                 stage_settle.observe(req.completed_at - done_at)
                 if req.trace is not None:
                     req.trace.add_span("settle", done_at, req.completed_at)
@@ -636,15 +657,14 @@ class EstimateService:
 
     # ------------------------------------------------------------------
     def latency_quantiles(self) -> dict[str, float]:
-        # deque.copy() is atomic under the GIL; iterating the live deque
-        # while the worker appends would raise "mutated during iteration".
-        snapshot = self.latencies.copy()
-        if not snapshot:
+        """p50/p99/mean of ``repro_serve_latency_seconds`` — the same
+        observations ``/metrics`` exports, read without copying them."""
+        hist = self._h_latency
+        if not hist.count:
             return {"p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0}
-        arr = np.fromiter(snapshot, dtype=np.float64)
-        return {"p50_ms": float(np.percentile(arr, 50) * 1e3),
-                "p99_ms": float(np.percentile(arr, 99) * 1e3),
-                "mean_ms": float(arr.mean() * 1e3)}
+        return {"p50_ms": hist.percentile(0.5) * 1e3,
+                "p99_ms": hist.percentile(0.99) * 1e3,
+                "mean_ms": hist.sum / hist.count * 1e3}
 
     def stats(self) -> dict:
         # Counters come straight from the metrics registry (the same

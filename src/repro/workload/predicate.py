@@ -20,6 +20,19 @@ SUPPORTED_OPS = ("=", "!=", "<", "<=", ">", ">=", "IN")
 RANGE_OPS = ("<", "<=", ">", ">=")
 
 
+def _sql_literal(value) -> str:
+    """A literal :func:`~repro.workload.sqlparse.parse_query` reads back:
+    NumPy scalars print bare (NumPy 2's repr is ``np.int32(3)``), strings
+    single-quoted with ``'`` doubled, IN lists parenthesised."""
+    if isinstance(value, (list, tuple)):
+        return "(" + ", ".join(_sql_literal(v) for v in value) + ")"
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class Predicate:
     """One constraint on one attribute."""
@@ -35,7 +48,7 @@ class Predicate:
             raise ValueError("IN predicate needs a list/tuple literal")
 
     def __str__(self) -> str:
-        return f"{self.column} {self.op} {self.value!r}"
+        return f"{self.column} {self.op} {_sql_literal(self.value)}"
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.serve import (ERROR_STATUS, AmbiguousNamespaceError,
                          AsyncEstimateService, AsyncHTTPClient,
-                         EstimateRequest, HTTPFrontDoor, LoadShedError,
-                         RequestCancelledError, RoutedEstimateService,
-                         UAEServer, UnknownNamespaceError,
+                         ClusterRequest, EstimateRequest, HTTPFrontDoor,
+                         LoadShedError, RequestCancelledError,
+                         RoutedEstimateService, UAEServer,
+                         UnknownNamespaceError,
                          WorkerUnavailableError, status_for)
 from repro.workload import Predicate, Query
 from repro.workload.sqlparse import SQLParseError
@@ -153,21 +155,90 @@ class TestCancellation:
             # Lost the race to the worker: then it completed normally.
             assert request.exception() is None
 
-    def test_settlement_is_first_wins(self, server):
-        request = EstimateRequest(fresh_query(3), [], None, None)
-        assert request._complete(1.0, 1)
-        assert not request.cancel()
-        assert request.exception() is None
-        assert request.result(timeout=0) == 1.0
+    # One settlement implementation, three handle shapes: the
+    # micro-batcher's float handle, a cluster batch handle carrying an
+    # array, and a cluster ``single`` handle unwrapping a one-query
+    # array back to a float.
+    HANDLES = {
+        "float": (lambda: EstimateRequest(fresh_query(3), [], None, None),
+                  1.0, 1.0),
+        "batch": (lambda: ClusterRequest("tiny", 3, None),
+                  np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])),
+        "single": (lambda: ClusterRequest("tiny", 1, None, single=True),
+                   np.array([4.0]), 4.0),
+    }
 
-    def test_done_callback_fires_once_after_settle(self, server):
-        request = EstimateRequest(fresh_query(4), [], None, None)
+    @pytest.mark.parametrize("shape", sorted(HANDLES))
+    def test_settlement_is_first_wins(self, shape):
+        make, value, want = self.HANDLES[shape]
+        request = make()
+        assert request._complete(value, 1)
+        assert not request.cancel()
+        assert not request._fail(RuntimeError("late"))
+        assert request.exception() is None
+        got = request.result(timeout=0)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        assert request.version == 1 and request.from_cache is False
+        assert request.latency() >= 0.0
+        # ...and the other way round: a cancellation that wins sticks.
+        loser = make()
+        assert loser.cancel()
+        assert not loser._complete(value, 2)
+        assert loser.version is None
+        with pytest.raises(RequestCancelledError):
+            loser.result(timeout=0)
+
+    @pytest.mark.parametrize("shape", sorted(HANDLES))
+    def test_done_callback_fires_once_after_settle(self, shape):
+        make, value, _want = self.HANDLES[shape]
+        request = make()
         calls = []
         request.add_done_callback(calls.append)
-        request._complete(2.0, 1)
+        request._complete(value, 1)
+        request._fail(RuntimeError("late"))       # loses: no second call
+        assert len(calls) == 1
         request.add_done_callback(calls.append)   # already settled
         assert len(calls) == 2
         assert all(r is request for r in calls)
+
+    @pytest.mark.parametrize("shape", sorted(HANDLES))
+    def test_cancel_vs_complete_race_settles_exactly_once(self, shape):
+        make, value, want = self.HANDLES[shape]
+        envelope = {} if shape == "float" else {"worker": "w0"}
+        for _ in range(200):
+            request = make()
+            calls = []
+            request.add_done_callback(calls.append)
+            barrier = threading.Barrier(2)
+            won = []
+
+            def complete():
+                barrier.wait()
+                won.append(("complete",
+                            request._complete(value, 1, **envelope)))
+
+            def cancel():
+                barrier.wait()
+                won.append(("cancel", request.cancel()))
+
+            threads = [threading.Thread(target=complete),
+                       threading.Thread(target=cancel)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert sorted(ok for _who, ok in won) == [False, True]
+            assert len(calls) == 1
+            if dict(won)["complete"]:
+                assert request.exception() is None
+                assert np.array_equal(request.result(timeout=0), want)
+                assert request.version == 1
+            else:
+                assert isinstance(request.exception(),
+                                  RequestCancelledError)
+                # The losing completion left no trace on the handle.
+                assert request.version is None
+                assert getattr(request, "worker", None) is None
 
 
 class TestDeadlinePropagation:
@@ -401,20 +472,24 @@ class _RaisingFront:
 
     def __init__(self, error: BaseException | None = None):
         self.error = error
+        self.metrics = MetricsRegistry()
 
-    def submit(self, query, deadline_ms=None):
+    def submit(self, query, *, namespace=None, deadline_ms=None,
+               trace=None):
         if self.error is not None:
             raise self.error
         request = EstimateRequest(query, [], None, None)
         request._complete(1.0, 1)
         return request
 
-    def estimate_batch(self, queries, seed=None, use_cache=True):
+    def estimate_batch(self, queries, *, namespace=None, seed=None,
+                       use_cache=True):
         if self.error is not None:
             raise self.error
         return np.ones(len(queries))
 
-    def observe(self, query, true_cardinality, estimate=None):
+    def observe(self, query, true_cardinality, estimate=None, *,
+                namespace=None):
         if self.error is not None:
             raise self.error
         return 1.0

@@ -262,6 +262,32 @@ class TestParseSignatureRouteFuzz:
             assert isinstance(parsed, Query)
             assert parsed == expected, sql
 
+    def test_str_round_trips_through_the_parser(self):
+        """``parse_query(str(q)) == q`` — including NumPy-scalar values,
+        which NumPy 2 would otherwise print as ``np.int32(3)`` (a
+        ``SQLParseError``), strings with embedded quotes, and IN lists."""
+        rng = np.random.default_rng(20260928)
+        gen = _Gen(rng, NS_COLUMNS["users"] + NS_COLUMNS["vehicles"])
+        wrap = {int: (np.int32, np.int64), float: (np.float64,),
+                str: (np.str_,)}
+
+        def numpyfied(value):
+            if isinstance(value, tuple):
+                return tuple(numpyfied(v) for v in value)
+            if rng.integers(0, 2):
+                return value
+            kinds = wrap[type(value)]
+            return kinds[int(rng.integers(0, len(kinds)))](value)
+
+        for _ in range(self.ITERS):
+            _sql, plain = gen.conjunction()
+            query = Query(tuple(Predicate(p.column, p.op, numpyfied(p.value))
+                                for p in plain.predicates))
+            text = str(query)
+            assert "np." not in text, text
+            assert parse_query(text) == plain, text
+            assert parse_query(str(plain)) == plain, str(plain)
+
     def test_parse_is_deterministic(self):
         rng = np.random.default_rng(7)
         gen = _Gen(rng, NS_COLUMNS["users"])

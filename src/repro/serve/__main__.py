@@ -118,6 +118,15 @@ def _http_smoke(door, sqls: list[str]) -> list[str]:
                   status == 200 and body.get("estimate", -1) >= 0
                   and "version" in body, f"status={status} body={body}")
 
+            # the repeat is a cache hit, settled on the event loop
+            # (see the offloop-submits gate below)
+            status, again, _ = await client.post("/estimate",
+                                                 {"sql": sqls[0]})
+            check("repeated estimate from_cache",
+                  status == 200 and again.get("from_cache") is True
+                  and again.get("estimate") == body.get("estimate"),
+                  f"status={status} body={again}")
+
             batch = {"sql": sqls[:3], "seed": 123, "use_cache": False}
             _, first, _ = await client.post("/estimate_batch", batch)
             _, second, _ = await client.post("/estimate_batch", batch)
@@ -208,13 +217,18 @@ def _http_smoke(door, sqls: list[str]) -> list[str]:
                        if not isinstance(text, str) or f not in text]
             check("metrics families present", not missing,
                   f"missing={missing}")
-            served_lines = [] if not isinstance(text, str) else [
-                line for line in text.splitlines()
-                if line.startswith("repro_serve_served_total")]
+
+            def samples(name: str) -> list[float]:
+                lines = text.splitlines() if isinstance(text, str) else []
+                return [float(line.rsplit(" ", 1)[1]) for line in lines
+                        if line.startswith(name)]
+
+            served = samples("repro_serve_served_total")
             check("metrics count just-served requests",
-                  any(float(line.rsplit(" ", 1)[1]) >= 1
-                      for line in served_lines),
-                  f"lines={served_lines}")
+                  any(value >= 1 for value in served), f"samples={served}")
+            offloop = samples("repro_async_offloop_submits_total")
+            check("no submit left the event loop", offloop == [0.0],
+                  f"samples={offloop}")
 
             # /debug/traces: the estimates above must have left traces
             # with admission + compute-side spans

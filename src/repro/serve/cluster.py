@@ -55,7 +55,7 @@ import queue as queue_mod
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque, namedtuple
 
 import numpy as np
 
@@ -264,8 +264,19 @@ class ClusterRequest(EstimateRequest):
         self.shed = False
 
 
+#: A dispatch waiting for a slot of its worker's window; ``give_up_at``
+#: is when a deadlined one is shed instead (None: waits indefinitely).
+_Parked = namedtuple("_Parked", "request queries seed give_up_at")
+
+
 class _WorkerHandle:
-    """Parent-side view of one worker: process, queue, in-flight window."""
+    """Parent-side view of one worker: process, queue, in-flight window.
+
+    The window is ``free`` open slots plus the ``parked`` dispatches
+    waiting for one, in arrival order, both guarded by ``cond``.
+    ``placer`` is the thread that hands freed slots to parked
+    dispatches (started at the first saturation), so no caller ever
+    waits for a slot itself."""
 
     def __init__(self, worker_id: str, process, request_q,
                  queue_depth: int):
@@ -273,13 +284,32 @@ class _WorkerHandle:
         self.process = process
         self.request_q = request_q
         self.queue_depth = int(queue_depth)
-        self.slots = threading.BoundedSemaphore(self.queue_depth)
+        self.cond = threading.Condition()
+        self.free = self.queue_depth
+        self.parked: deque[_Parked] = deque()
+        self.placer: threading.Thread | None = None
+        self.closed = False
         self.in_flight = 0
         self.ewma_seconds: float | None = None   # observed batch latency
         self.dispatched = 0
 
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    def release(self) -> None:
+        with self.cond:
+            self.free += 1
+            self.cond.notify()
+
+    def close(self) -> list:
+        """Stop the placer; returns the requests still parked, for the
+        caller to fail typed."""
+        with self.cond:
+            self.closed = True
+            parked = [entry.request for entry in self.parked]
+            self.parked.clear()
+            self.cond.notify()
+        return parked
 
     def observe_latency(self, seconds: float) -> None:
         if self.ewma_seconds is None:
@@ -302,12 +332,13 @@ class ClusterEstimateService:
     owning worker; ``recover`` heals after a worker crash.
 
     ``queue_depth`` bounds the number of un-acked batches per worker —
-    the backpressure window.  When the window is full, deadline-free
-    calls block for a slot while deadlined calls are shed as soon as
-    their remaining budget drops under the worker's observed batch
-    latency (deadline-first shedding: the requests that cannot make it
-    are dropped immediately, typed, before any compute is wasted on
-    them).
+    the backpressure window.  ``submit`` never blocks: when the window
+    is full the handle comes back unsettled and ``deferred``, parked
+    until a slot frees.  Deadline-free calls park for as long as it
+    takes while deadlined calls are shed as soon as their remaining
+    budget drops under the worker's observed batch latency
+    (deadline-first shedding: the requests that cannot make it are
+    dropped immediately, typed, before any compute is wasted on them).
     """
 
     def __init__(self, *, workers: int = 2, queue_depth: int = 4,
@@ -374,6 +405,10 @@ class ClusterEstimateService:
         self._c_pub = m.counter(
             "repro_cluster_publishes_total",
             "Snapshot hot-swaps propagated to workers")
+        self._f_callback_errors = m.counter(
+            "repro_serve_callback_errors_total",
+            "Done-callbacks that raised in the settling thread",
+            ("namespace",))
         self._h_latency = m.histogram(
             "repro_cluster_latency_seconds",
             "Submit-to-settle latency of cluster requests",
@@ -499,6 +534,8 @@ class ClusterEstimateService:
         for request, _handle, _is_batch in pending:
             request._fail(RuntimeError("cluster stopped"))
         for handle in self._handles.values():
+            for request in handle.close():
+                request._fail(RuntimeError("cluster stopped"))
             handle.request_q.close()
             handle.request_q.cancel_join_thread()
             self._ring.remove(handle.worker_id)
@@ -852,6 +889,9 @@ class ClusterEstimateService:
     def _dispatch(self, namespace: str, queries: list,
                   seed: int | None, deadline: float | None,
                   single: bool = False, trace=None) -> ClusterRequest:
+        """Never blocks: send through an open slot of the owner's
+        window, or — window full — park the dispatch for the owner's
+        placer thread and return the handle ``deferred``."""
         try:
             handle = self._owner_handle(namespace)
         except WorkerUnavailableError:
@@ -859,38 +899,105 @@ class ClusterEstimateService:
             raise
         request = ClusterRequest(namespace, len(queries), deadline,
                                  single=single, trace=trace)
-        if not handle.slots.acquire(blocking=False):
-            # Saturated: deadline-first shedding.  A deadlined request
-            # only waits as long as its budget minus the worker's
-            # observed batch latency allows; a deadline-free request
-            # blocks for a slot (pure backpressure).
-            self._c_sat.inc()
-            if deadline is not None:
-                headroom = handle.ewma_seconds or 0.0
-                budget = deadline - time.perf_counter() - headroom
-                if budget <= 0 or not handle.slots.acquire(
-                        timeout=budget):
-                    self._c_sheds.inc(len(queries))
-                    self.events.emit("shed", namespace=namespace,
-                                     reason="saturated",
-                                     worker=handle.worker_id,
-                                     headroom_s=headroom)
-                    request._fail(LoadShedError(
-                        f"worker {handle.worker_id} saturated "
-                        f"({handle.queue_depth} batches in flight) and "
-                        "the remaining deadline budget cannot cover its "
-                        f"batch latency (~{headroom * 1e3:.1f} ms)"),
-                        shed=True)
-                    return request
-            else:
-                handle.slots.acquire()
+        request.on_callback_error = self._callback_failed
+        with handle.cond:
+            open_slot = handle.free > 0 and not handle.parked
+            if open_slot:
+                handle.free -= 1
+        if open_slot:
+            self._send(handle, request, queries, seed)
+            return request
+        # Saturated: deadline-first shedding.  A deadlined request only
+        # parks as long as its budget minus the worker's observed batch
+        # latency allows; a deadline-free request parks until a slot
+        # frees (pure backpressure).
+        self._c_sat.inc()
+        give_up_at = None if deadline is None \
+            else deadline - (handle.ewma_seconds or 0.0)
+        if give_up_at is not None and give_up_at <= time.perf_counter():
+            self._shed_saturated(handle, request)
+            return request
+        request.deferred = True
+        with handle.cond:
+            closed = handle.closed
+            if not closed:
+                handle.parked.append(
+                    _Parked(request, queries, seed, give_up_at))
+                if handle.placer is None:
+                    handle.placer = threading.Thread(
+                        target=self._place_loop, args=(handle,),
+                        name=f"{self.name}-{handle.worker_id}-placer",
+                        daemon=True)
+                    handle.placer.start()
+                handle.cond.notify()
+        if closed:                      # lost the race with _mark_dead
+            self._fail_unavailable(handle, request, "while dispatching")
+        return request
+
+    def _place_loop(self, handle: _WorkerHandle) -> None:
+        """Hand the worker's freed slots to its parked dispatches in
+        arrival order; shed the deadlined ones whose budget lapses
+        first and drop the ones their caller abandoned."""
+        while True:
+            with handle.cond:
+                if handle.closed:
+                    return
+                now = time.perf_counter()
+                lapsed = [entry for entry in handle.parked
+                          if entry.request.done()
+                          or (entry.give_up_at is not None
+                              and entry.give_up_at <= now)]
+                for entry in lapsed:
+                    handle.parked.remove(entry)
+                placed = None
+                if handle.free > 0 and handle.parked:
+                    handle.free -= 1
+                    placed = handle.parked.popleft()
+                elif not lapsed:
+                    wake = min((entry.give_up_at for entry in handle.parked
+                                if entry.give_up_at is not None),
+                               default=None)
+                    handle.cond.wait(None if wake is None
+                                     else max(0.0, wake - now))
+                    continue
+            for entry in lapsed:
+                if entry.request.done():    # abandoned while parked
+                    self._c_cancel.inc(entry.request.count)
+                else:
+                    self._shed_saturated(handle, entry.request)
+            if placed is not None:
+                self._send(handle, placed.request, placed.queries,
+                           placed.seed)
+
+    def _shed_saturated(self, handle: _WorkerHandle,
+                        request: ClusterRequest) -> None:
+        headroom = handle.ewma_seconds or 0.0
+        if request._fail(LoadShedError(
+                f"worker {handle.worker_id} saturated "
+                f"({handle.queue_depth} batches in flight) and the "
+                "remaining deadline budget cannot cover its batch "
+                f"latency (~{headroom * 1e3:.1f} ms)"), shed=True):
+            self._c_sheds.inc(request.count)
+            self.events.emit("shed", namespace=request.namespace,
+                             reason="saturated", worker=handle.worker_id,
+                             headroom_s=headroom)
+
+    def _fail_unavailable(self, handle: _WorkerHandle,
+                          request: ClusterRequest, when: str) -> None:
+        self._c_unavail.inc(request.count)
+        request._fail(WorkerUnavailableError(
+            f"worker {handle.worker_id!r} died {when} (namespace "
+            f"{request.namespace!r}); call recover()"))
+
+    def _send(self, handle: _WorkerHandle, request: ClusterRequest,
+              queries: list, seed: int | None) -> None:
+        """Ship a dispatch that holds one of ``handle``'s slots; every
+        way it can fail settles the handle typed and returns the slot."""
         if not handle.alive():
-            handle.slots.release()
+            handle.release()
             self._mark_dead(handle.worker_id)
-            self._c_unavail.inc(len(queries))
-            raise WorkerUnavailableError(
-                f"worker {handle.worker_id!r} died while dispatching "
-                f"to namespace {namespace!r}; call recover()")
+            self._fail_unavailable(handle, request, "while dispatching")
+            return
         req_id = next(self._req_ids)
         with self._lock:
             self._pending[req_id] = (request, handle, True)
@@ -906,32 +1013,33 @@ class ClusterEstimateService:
                 if entry is not None:
                     handle.in_flight -= 1
             if entry is not None:
-                handle.slots.release()
-                self._c_unavail.inc(request.count)
-                request._fail(WorkerUnavailableError(
-                    f"worker {handle.worker_id!r} died while "
-                    f"dispatching to namespace {namespace!r}; call "
-                    "recover()"))
-            return request
+                handle.release()
+                self._fail_unavailable(handle, request, "while dispatching")
+            return
         request.dispatched_at = time.perf_counter()
-        self._h_stage.labels(namespace=namespace, stage="slot_wait") \
+        self._h_stage.labels(namespace=request.namespace,
+                             stage="slot_wait") \
             .observe(request.dispatched_at - request.submitted_at)
-        if trace is not None:
-            trace.add_span("slot_wait", request.submitted_at,
-                           request.dispatched_at,
-                           worker=handle.worker_id)
+        if request.trace is not None:
+            request.trace.add_span("slot_wait", request.submitted_at,
+                                   request.dispatched_at,
+                                   worker=handle.worker_id)
         try:
             handle.request_q.put(
-                (req_id, "batch", namespace, list(queries), seed,
-                 deadline, request.dispatched_at))
+                (req_id, "batch", request.namespace, list(queries), seed,
+                 request.deadline, request.dispatched_at))
         except (ValueError, OSError) as exc:
             with self._lock:
                 self._pending.pop(req_id, None)
                 handle.in_flight -= 1
-            handle.slots.release()
+            handle.release()
             request._fail(WorkerUnavailableError(
                 f"worker {handle.worker_id} queue is closed: {exc}"))
-        return request
+
+    def _callback_failed(self, request, exc: BaseException) -> None:
+        self._f_callback_errors.labels(namespace=request.namespace).inc()
+        self.events.emit("callback_error", namespace=request.namespace,
+                         error=type(exc).__name__, detail=str(exc))
 
     def _mark_dead(self, worker_id: str) -> None:
         handle = self._handles.pop(worker_id, None)
@@ -943,14 +1051,18 @@ class ClusterEstimateService:
             orphaned = [req_id for req_id, (_r, h, _b)
                         in self._pending.items() if h is handle]
             entries = [self._pending.pop(req_id) for req_id in orphaned]
+        parked = handle.close()
         self.events.emit("worker_crash", worker=worker_id,
-                         orphaned=len(entries))
+                         orphaned=len(entries) + len(parked))
         for request, _handle, is_batch in entries:
             if is_batch:
                 self._c_unavail.inc(request.count)
             request._fail(WorkerUnavailableError(
                 f"worker {worker_id!r} died with the request in "
                 "flight"))
+        for request in parked:
+            self._fail_unavailable(handle, request, "with the request "
+                                   "waiting for a slot")
         handle.request_q.close()
         handle.request_q.cancel_join_thread()
 
@@ -970,7 +1082,7 @@ class ClusterEstimateService:
             request, handle, is_batch = entry
             now = time.perf_counter()
             if is_batch:
-                handle.slots.release()
+                handle.release()
                 handle.observe_latency(now - request.submitted_at)
             if status == "ok":
                 if is_batch:

@@ -13,9 +13,11 @@ Three layers, each usable on its own:
     ``LoadShedError``), and cancelling the awaitable **abandons** the
     query via ``EstimateRequest.cancel()`` — the worker drops it at
     flush time, so a dead client never occupies a batch slot or engine
-    time.  Enqueues run on the default executor because a cluster front
-    may block for an in-flight slot; the awaitable itself never blocks
-    the event loop.
+    time.  ``front.submit`` runs inline on the event loop (the contract
+    says it never blocks), so a cache hit or a typed shed is answered
+    without a thread hand-off; only ``estimate_batch`` / ``observe`` /
+    a cluster's ``metrics_snapshots`` — which compute or wait — run on
+    the default executor.
 
 ``HTTPFrontDoor``
     A hand-rolled HTTP/1.1 JSON wire protocol over
@@ -50,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from functools import partial
 
 import numpy as np
 
@@ -119,12 +120,13 @@ def _jsonable(value):
 # Awaitable adapter
 # ----------------------------------------------------------------------
 class AsyncEstimateService:
-    """Awaitable facade over a (running) serving front.
+    """Awaitable facade over a running serving front.
 
     The front's own threads keep doing the batching/compute; this class
-    only bridges their future-like request handles onto the event loop
-    (``add_done_callback`` -> ``call_soon_threadsafe``) and translates
-    asyncio cancellation into :meth:`EstimateRequest.cancel`.
+    calls the non-blocking ``front.submit`` inline, bridges the handles
+    that come back unsettled onto the event loop (``add_done_callback``
+    -> ``call_soon_threadsafe``) and translates asyncio cancellation
+    into :meth:`EstimateRequest.cancel`.
     """
 
     #: grace added to a deadline before the awaitable gives up locally
@@ -134,29 +136,11 @@ class AsyncEstimateService:
 
     def __init__(self, front):
         self.front = front
-        self.cancelled = 0
-
-    # -- internals -----------------------------------------------------
-    async def _enqueue(self, fn):
-        """Run a (possibly blocking) enqueue on the default executor.
-
-        Executor futures cannot be interrupted once running, so a caller
-        cancellation mid-enqueue attaches a callback that abandons the
-        request handle the moment it materializes — it never lingers in
-        a batch queue with nobody waiting.
-        """
-        loop = asyncio.get_running_loop()
-        pending = loop.run_in_executor(None, fn)
-        try:
-            return await asyncio.shield(pending)
-        except asyncio.CancelledError:
-            def _abandon(done):
-                if done.cancelled() or done.exception() is not None:
-                    return
-                done.result().cancel()
-                self.cancelled += 1
-            pending.add_done_callback(_abandon)
-            raise
+        self.cancelled = 0              # awaits abandoned while pending
+        self._c_offloop = front.metrics.counter(
+            "repro_async_offloop_submits_total",
+            "Submits the front could not place without blocking and "
+            "handed to one of its own threads").labels()    # export the 0
 
     async def submit_request(self, query, *, namespace: str | None = None,
                              deadline_ms: float | None = None,
@@ -164,23 +148,30 @@ class AsyncEstimateService:
         """Awaitable submit returning the **settled** request handle
         (value, version, latency all inspectable).  Raises the handle's
         typed error.  Cancelling the await abandons the query."""
-        request = await self._enqueue(partial(
-            self.front.submit, query, namespace=namespace,
-            deadline_ms=deadline_ms, trace=trace))
+        if not self.front.running:
+            raise WorkerUnavailableError(
+                "the serving front is not running; start() it first")
+        request = self.front.submit(query, namespace=namespace,
+                                    deadline_ms=deadline_ms, trace=trace)
+        if request.deferred:
+            self._c_offloop.inc()
+        if not request.done():          # a miss: wait for the front's thread
+            await self._settled(request, deadline_ms)
+        error = request.exception()
+        if error is not None:
+            raise error
+        return request
+
+    async def _settled(self, request, deadline_ms: float | None) -> None:
         loop = asyncio.get_running_loop()
         settled: asyncio.Future = loop.create_future()
 
-        def _resolve(req):
-            if settled.done():
-                return
-            error = req.exception()
-            if error is not None:
-                settled.set_exception(error)
-            else:
-                settled.set_result(req)
+        def _wake():
+            if not settled.done():
+                settled.set_result(None)
 
         request.add_done_callback(
-            lambda req: loop.call_soon_threadsafe(_resolve, req))
+            lambda _req: loop.call_soon_threadsafe(_wake))
         budget = None if deadline_ms is None \
             else deadline_ms / 1e3 + self.DEADLINE_GRACE_S
         try:
@@ -190,13 +181,10 @@ class AsyncEstimateService:
                 self.cancelled += 1
             raise
         except (asyncio.TimeoutError, TimeoutError):
-            if not settled.cancelled():
-                raise       # the service's own typed deadline shed
             request.cancel()
             raise TimeoutError(
                 f"deadline ({deadline_ms} ms) expired with the request "
                 "still unsettled") from None
-        return request
 
     # -- awaitable API -------------------------------------------------
     async def submit(self, query, *, namespace: str | None = None,
@@ -218,9 +206,10 @@ class AsyncEstimateService:
         ``front.estimate_batch`` — same code runs, on the executor, so
         seeded calls keep the reproducibility contract."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, partial(
-            self.front.estimate_batch, list(queries), namespace=namespace,
-            seed=seed, use_cache=use_cache))
+        return await loop.run_in_executor(
+            None, lambda: self.front.estimate_batch(
+                list(queries), namespace=namespace, seed=seed,
+                use_cache=use_cache))
 
     async def observe(self, query, true_cardinality: float,
                       estimate: float | None = None, *,
@@ -228,9 +217,10 @@ class AsyncEstimateService:
         """Awaitable feedback: route an executed query's truth to the
         front's monitor; returns the serving q-error."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, partial(
-            self.front.observe, query, true_cardinality, estimate=estimate,
-            namespace=namespace))
+        return await loop.run_in_executor(
+            None, lambda: self.front.observe(
+                query, true_cardinality, estimate=estimate,
+                namespace=namespace))
 
     def stats(self) -> dict:
         out = dict(self.front.stats())

@@ -501,6 +501,10 @@ class RoutedEstimateService:
             space.server.stop(timeout=timeout)
         self.pool.close(timeout=timeout)
 
+    @property
+    def running(self) -> bool:
+        return self._running
+
     def __enter__(self) -> "RoutedEstimateService":
         return self.start()
 

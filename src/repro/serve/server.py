@@ -216,6 +216,10 @@ class UAEServer:
         self.join_refinement(timeout=timeout)
         self.service.stop()
 
+    @property
+    def running(self) -> bool:
+        return self.service.running
+
     def __enter__(self) -> "UAEServer":
         return self.start()
 

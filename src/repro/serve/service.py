@@ -54,6 +54,11 @@ class RequestCancelledError(RuntimeError):
     """The caller abandoned the request before it completed."""
 
 
+def _log_callback_error(request, exc: BaseException) -> None:
+    """Default sink for a raising done-callback (a handle no front owns)."""
+    EVENTS.emit("callback_error", error=type(exc).__name__, detail=str(exc))
+
+
 class EstimateRequest:
     """A single in-flight estimate; a minimal future — the one
     settlement implementation every front's handle is built on.
@@ -62,15 +67,22 @@ class EstimateRequest:
     ``cancel`` takes effect, so a caller cancelling concurrently with
     the worker completing never observes a half-settled request.  Done
     callbacks (the asyncio front door's bridge back to its event loop)
-    fire once, from whichever thread settles the request.  The value is
-    a float for single submits and an array for a cluster batch
+    fire once, from whichever thread settles the request; one that
+    raises is reported to ``on_callback_error(request, exc)`` (the
+    owning front counts it), never propagated — the settling thread is
+    a micro-batcher or collector with batch-mates still to settle.  The
+    value is a float for single submits and an array for a cluster batch
     dispatch; ``single`` unwraps a one-query array back to a float.
+    ``deferred`` marks a handle whose front could not place it without
+    blocking and left the placement to one of its own threads (a
+    saturated cluster worker window).
     """
 
     __slots__ = ("query", "constraints", "key", "deadline", "trace",
                  "single", "submitted_at", "completed_at", "version",
-                 "from_cache", "cancelled", "_lock", "_callbacks",
-                 "_event", "_value", "_error")
+                 "from_cache", "cancelled", "deferred",
+                 "on_callback_error", "_lock", "_callbacks", "_event",
+                 "_value", "_error")
 
     def __init__(self, query, constraints, key: bytes | None,
                  deadline: float | None, trace=None, single: bool = False):
@@ -85,6 +97,8 @@ class EstimateRequest:
         self.version: int | None = None
         self.from_cache = False
         self.cancelled = False
+        self.deferred = False
+        self.on_callback_error = _log_callback_error
         self._lock = threading.Lock()
         self._callbacks: list = []
         self._event = threading.Event()
@@ -107,8 +121,14 @@ class EstimateRequest:
             self._event.set()
             callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
-            callback(self)
+            self._run_callback(callback)
         return True
+
+    def _run_callback(self, callback) -> None:
+        try:
+            callback(self)
+        except Exception as exc:  # noqa: BLE001 - must not kill the settler
+            self.on_callback_error(self, exc)
 
     def _complete(self, value, version: int | None,
                   from_cache: bool = False, **outcome) -> bool:
@@ -137,7 +157,7 @@ class EstimateRequest:
             if not self._event.is_set():
                 self._callbacks.append(callback)
                 return
-        callback(self)
+        self._run_callback(callback)
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -253,6 +273,10 @@ class EstimateService:
         self._c_flushes = m.counter(
             "repro_serve_flushes_total",
             "Micro-batch flushes through the engine", lab).labels(namespace=ns)
+        self._c_callback_errors = m.counter(
+            "repro_serve_callback_errors_total",
+            "Done-callbacks that raised in the settling thread",
+            lab).labels(namespace=ns)
         self._f_failures = m.counter(
             "repro_serve_failures_total",
             "Requests failed by an engine/compute error",
@@ -316,11 +340,14 @@ class EstimateService:
         """Start the micro-batching worker (idempotent)."""
         if self._worker is None or not self._worker.is_alive():
             self._stop.clear()
-            self._worker = threading.Thread(target=self._worker_loop,
-                                            name="estimate-service",
-                                            daemon=True)
-            self._worker.start()
+            self._spawn_worker()
         return self
+
+    def _spawn_worker(self) -> None:
+        self._worker = threading.Thread(target=self._worker_loop,
+                                        name="estimate-service",
+                                        daemon=True)
+        self._worker.start()
 
     def stop(self) -> None:
         """Drain-free shutdown: pending requests fail with RuntimeError."""
@@ -337,7 +364,9 @@ class EstimateService:
 
     @property
     def running(self) -> bool:
-        return self._worker is not None and self._worker.is_alive()
+        """Started and not stopped.  A worker thread that died in
+        between is respawned by the next ``submit``."""
+        return self._worker is not None and not self._stop.is_set()
 
     def __enter__(self) -> "EstimateService":
         return self.start()
@@ -352,7 +381,11 @@ class EstimateService:
                trace=None) -> EstimateRequest:
         """Enqueue one query; returns a future-like request handle.
 
-        With no worker running the request is served inline (still via
+        Never blocks on a running service: a cache hit comes back
+        already settled, a miss is queued for the worker (a worker that
+        died is respawned first — the engine never runs on the caller,
+        which may be an event loop).  Only a service that was never
+        started, or was stopped, serves the request inline (still via
         the scheduler, still cached) so the sync API never needs a
         thread.  ``trace`` (an :class:`repro.obs.Trace`) rides on the
         request and collects queue-wait/compute/settle spans.
@@ -367,6 +400,7 @@ class EstimateService:
             else time.perf_counter() + deadline_ms / 1e3
         request = EstimateRequest(query, constraints, key, deadline,
                                   trace=trace)
+        request.on_callback_error = self._callback_failed
         if key is not None:
             hit = self.cache.get(key, snap.version)
             if hit is not None:
@@ -383,7 +417,12 @@ class EstimateService:
             # Liveness re-checked under the lock: stop() sets _stop and
             # drains _pending while holding it, so a request can never
             # slip in after the drain and hang its caller.
-            if not self._stop.is_set() and self.running:
+            worker = self._worker
+            if worker is not None and not self._stop.is_set():
+                if not worker.is_alive():
+                    self.events.emit("batcher_restart",
+                                     namespace=self.namespace)
+                    self._spawn_worker()
                 self._pending.append(request)
                 self._cond.notify()
                 enqueued = True
@@ -501,6 +540,11 @@ class EstimateService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _callback_failed(self, request, exc: BaseException) -> None:
+        self._c_callback_errors.inc()
+        self.events.emit("callback_error", namespace=self.namespace,
+                         error=type(exc).__name__, detail=str(exc))
+
     def _expand(self, snap: ModelVersion, query: Query) -> list:
         return expand_query(snap.model, query, self.expander)
 

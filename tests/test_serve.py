@@ -256,6 +256,60 @@ class TestEstimateService:
         # Sync path still works without the worker.
         assert service.estimate(workload.queries[0]) >= 0.0
 
+    def test_raising_done_callback_spares_worker_and_batch_mates(
+            self, uae, workload):
+        """A done-callback that raises (``call_soon_threadsafe`` on a
+        closed loop does) used to propagate out of the flush: the
+        micro-batcher thread died and its batch-mates never settled."""
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_batch=2, max_wait_ms=500.0)
+
+        def boom(request):
+            raise RuntimeError("Event loop is closed")
+
+        with service:
+            first = service.submit(workload.queries[0])
+            first.add_done_callback(boom)
+            second = service.submit(workload.queries[1])    # same batch
+            assert second.result(timeout=30.0) >= 0.0
+            assert first.result(timeout=30.0) >= 0.0
+            assert service.flushes == 1
+            assert service._worker.is_alive() and service.running
+            assert service._c_callback_errors.value == 1
+            # Already-settled handles guard the immediate call too.
+            first.add_done_callback(boom)
+            assert service._c_callback_errors.value == 2
+
+    def test_dead_worker_is_respawned_never_computed_on_caller(
+            self, uae, workload):
+        """Never started: inline on the caller.  Started and died: the
+        next submit respawns the worker — the caller may be an event
+        loop and must not run the engine."""
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_wait_ms=1.0)
+        threads = []
+        orig = service._compute
+
+        def recording(snap, constraint_lists, seed=None):
+            threads.append(threading.current_thread())
+            return orig(snap, constraint_lists, seed)
+
+        service._compute = recording
+        assert service.submit(workload.queries[0]).done()   # inline
+        assert threads == [threading.current_thread()]
+        service._worker_loop = lambda: None     # a worker that dies at once
+        service.start()
+        service._worker.join(timeout=10.0)
+        assert not service._worker.is_alive() and service.running
+        del service._worker_loop
+        try:
+            request = service.submit(workload.queries[1])
+            assert request.result(timeout=30.0) >= 0.0
+            assert service._worker.is_alive()
+            assert threads[-1] is service._worker
+        finally:
+            service.stop()
+
 
 # ----------------------------------------------------------------------
 class TestFeedbackCollector:

@@ -199,8 +199,133 @@ class TestSharedSnapshot:
 
 
 # ----------------------------------------------------------------------
-# Multi-process cluster end-to-end (deselected from tier-1).
+@needs_shm
+class TestDispatchWindow:
+    """The parent-side in-flight window without any worker process: a
+    stub handle whose "worker" is a thread acking whatever lands in its
+    inbox, so the slot accounting can be hammered in tier-1."""
+
+    class _Inbox:
+        def __init__(self):
+            self.items = []
+            self.cond = threading.Condition()
+
+        def put(self, message):
+            with self.cond:
+                self.items.append(message)
+                self.cond.notify()
+
+        def take(self, timeout):
+            with self.cond:
+                if not self.items:
+                    self.cond.wait(timeout)
+                return self.items.pop(0) if self.items else None
+
+        def close(self):
+            pass
+
+        cancel_join_thread = close
+
+    class _Process:
+        pid = 0
+
+        def is_alive(self):
+            return True
+
+    def make(self, tiny_uae, depth):
+        from repro.serve.cluster import _WorkerHandle
+        cluster = ClusterEstimateService(workers=1, queue_depth=depth)
+        cluster.add_table(tiny_uae)
+        handle = _WorkerHandle("w0", self._Process(), self._Inbox(), depth)
+        cluster._handles["w0"] = handle
+        cluster._assignment = {"tiny": "w0"}
+        return cluster, handle
+
+    def ack(self, cluster, handle, message):
+        """What the collector does with a worker's ``ok`` response."""
+        req_id, _kind, _ns, queries = message[:4]
+        with cluster._lock:
+            request, _handle, _is_batch = cluster._pending.pop(req_id)
+            handle.in_flight -= 1
+        handle.release()
+        request._complete(np.zeros(len(queries)), 1, worker="w0")
+
+    def test_saturated_submit_parks_then_is_placed_in_order(
+            self, tiny_uae, tiny_workload):
+        cluster, handle = self.make(tiny_uae, depth=1)
+        try:
+            queries = list(tiny_workload.queries)
+            first = cluster.submit(queries[0])
+            parked = [cluster.submit(q) for q in queries[1:4]]
+            assert not first.deferred and all(r.deferred for r in parked)
+            assert cluster.saturations == 3 and handle.free == 0
+            doomed = cluster.submit(queries[4], deadline_ms=30.0)
+            assert parked[1].cancel()           # abandoned while parked
+            with pytest.raises(LoadShedError):  # shed by the placer, on time
+                doomed.result(timeout=5.0)
+            assert doomed.shed and 0.02 < doomed.latency() < 1.0
+            order = []
+            for _ in range(3):
+                message = handle.request_q.take(timeout=5.0)
+                order.append(message[3][0])
+                self.ack(cluster, handle, message)
+            assert order == [queries[0], queries[1], queries[3]]
+            assert parked[2].result(timeout=5.0) == 0.0
+            assert handle.free == 1 and not handle.parked
+            assert cluster.cancellations == 1 and cluster.sheds == 1
+        finally:
+            cluster._snapshots.pop("tiny").unlink()
+            assert handle.close() == []
+
+    def test_window_never_overfills_under_contention(
+            self, tiny_uae, tiny_workload):
+        import sys
+        cluster, handle = self.make(tiny_uae, depth=2)
+        query = tiny_workload.queries[0]
+        stop = threading.Event()
+        worst = [0]
+
+        def worker():
+            while not stop.is_set():
+                message = handle.request_q.take(timeout=0.05)
+                if message is not None:
+                    worst[0] = max(worst[0], handle.in_flight)
+                    self.ack(cluster, handle, message)
+
+        handles = [[] for _ in range(6)]
+
+        def caller(mine):
+            for _ in range(150):
+                mine.append(cluster.submit(query))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker)] + [
+                threading.Thread(target=caller, args=(mine,))
+                for mine in handles]
+            for thread in threads:
+                thread.start()
+            for thread in threads[1:]:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            for mine in handles:
+                assert len(mine) == 150
+                assert all(r.result(timeout=30.0) == 0.0 for r in mine)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            threads[0].join(timeout=10.0)
+            cluster._snapshots.pop("tiny").unlink()
+        assert not threads[0].is_alive()
+        assert worst[0] <= 2                    # never beyond queue_depth
+        assert handle.free == 2 and not handle.parked
+        assert handle.in_flight == 0 and not cluster._pending
+        assert handle.close() == []
+
+
 # ----------------------------------------------------------------------
+# Multi-process cluster end-to-end (deselected from tier-1).
 @needs_shm
 @pytest.mark.multiproc
 class TestCluster:

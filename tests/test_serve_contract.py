@@ -9,6 +9,12 @@ spawns a worker process and is ``multiproc``-marked (deselected from
 tier-1, run by the CI scale-out step).
 """
 
+import contextlib
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -16,6 +22,7 @@ from repro.obs import MetricsRegistry, Trace
 from repro.serve import (HAVE_SHARED_MEMORY, ClusterEstimateService,
                          RoutedEstimateService, UAEServer,
                          UnknownNamespaceError)
+from repro.workload import Predicate, Query
 
 FRONTS = ["server", "routed",
           pytest.param("cluster", marks=[
@@ -72,6 +79,7 @@ def test_identical_keyword_calls_are_accepted(front, tiny_workload):
                              namespace="tiny") == pytest.approx(2.0)
     assert isinstance(front.metrics, MetricsRegistry)
     assert isinstance(front.stats(), dict)
+    assert front.running is True
 
 
 def test_unknown_namespace_is_typed_everywhere(front, tiny_workload):
@@ -109,3 +117,55 @@ def test_seeded_batch_is_bit_identical_across_fronts(front, tiny_workload,
     got = front.estimate_batch(queries, seed=5)
     assert np.array_equal(got, reference)
     assert np.array_equal(front.estimate_batch(queries, seed=5), got)
+
+
+@contextlib.contextmanager
+def gated_shut(front):
+    """Hold the front's compute shut: the in-process fronts' engine call
+    waits on an event, a cluster's worker processes are SIGSTOPped."""
+    if isinstance(front, ClusterEstimateService):
+        pids = [handle.process.pid for handle in front._handles.values()]
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            yield
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
+        return
+    service = front.resolve(None, namespace="tiny").service
+    gate = threading.Event()
+    orig = service._compute
+
+    def gated(snap, constraint_lists, seed=None):
+        assert gate.wait(timeout=30.0)
+        return orig(snap, constraint_lists, seed)
+
+    service._compute = gated
+    try:
+        yield
+    finally:
+        gate.set()
+        service._compute = orig
+
+
+def test_submit_returns_a_handle_without_blocking(front):
+    """The clause the event loop relies on: with the engine gated shut
+    (and, on the cluster, more submits than the worker window holds)
+    every ``submit`` still comes straight back with a handle."""
+    queries = [Query((Predicate("a", "=", i % 4), Predicate("b", ">=", i % 5),
+                      Predicate("c", "<=", i % 3))) for i in range(8)]
+    took = []
+    with gated_shut(front):
+        handles = []
+        for query in queries:
+            t0 = time.perf_counter()
+            handles.append(front.submit(query))
+            took.append(time.perf_counter() - t0)
+        time.sleep(0.05)
+        assert not any(handle.done() for handle in handles)
+    assert max(took) < 0.05
+    assert all(h.result(timeout=30.0) >= 0.0 for h in handles)
+    # Only a full cluster window defers placement to the front's thread.
+    want = 4 if isinstance(front, ClusterEstimateService) else 0
+    assert sum(handle.deferred for handle in handles) == want

@@ -100,8 +100,10 @@ class TestAwaitableParity:
 
 class TestCancellation:
     def test_cancelled_awaitable_never_occupies_batch_slot(self, tiny_uae):
-        """A request cancelled while queued is dropped at flush time:
-        the engine never sees its constraints."""
+        """``submit`` enqueues inline, so the only place an await can be
+        abandoned is *pending* — queued behind the worker.  Cancelling
+        it settles the handle on the spot and the flush drops it: the
+        engine never sees its constraints."""
         with UAEServer(tiny_uae, max_batch=16, max_wait_ms=1.0,
                        seed=7) as srv:
             service = srv.service
@@ -124,14 +126,22 @@ class TestCancellation:
                 first = asyncio.ensure_future(svc.submit(fresh_query(0)))
                 await asyncio.get_running_loop().run_in_executor(
                     None, entered.wait, 10.0)
-                # ...q1 queues behind it, then its caller walks away.
+                # ...q1 is in the pending queue after its task's first
+                # step, then its caller walks away.
                 victim = asyncio.ensure_future(svc.submit(fresh_query(1)))
-                await asyncio.sleep(0.05)   # reaches the pending queue
+                await asyncio.sleep(0)
+                queued = list(service._pending)
+                assert len(queued) == 1 and not queued[0].done()
                 victim.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await victim
+                assert svc.cancelled == 1
+                assert isinstance(queued[0].exception(),
+                                  RequestCancelledError)
                 gate.set()
                 await first
+                # An await that settles (hit or miss) is never counted.
+                await svc.submit(fresh_query(0))
                 return svc
 
             svc = run(scenario())
@@ -239,6 +249,118 @@ class TestCancellation:
                 # The losing completion left no trace on the handle.
                 assert request.version is None
                 assert getattr(request, "worker", None) is None
+
+
+class TestLoopNeverBlocks:
+    """The single-query path is a straight line on the event loop:
+    ``front.submit`` inline, no executor hop, and nothing the loop can
+    wait on indefinitely."""
+
+    def test_cache_hits_settle_without_leaving_the_loop(self, server):
+        query = fresh_query(7)
+
+        def left_the_loop(*args, **kwargs):
+            raise AssertionError("a cache hit must not leave the loop")
+
+        async def scenario():
+            svc = AsyncEstimateService(server)
+            await svc.submit(query)             # the miss fills the cache
+            loop = asyncio.get_running_loop()
+            patched = ("run_in_executor", "call_soon_threadsafe",
+                       "create_future", "call_later", "call_at")
+            for name in patched:
+                setattr(loop, name, left_the_loop)
+            try:
+                handles = [await svc.submit_request(query)
+                           for _ in range(50)]
+            finally:
+                for name in patched:
+                    delattr(loop, name)
+            return svc, handles
+
+        svc, handles = run(scenario())
+        assert all(h.from_cache and h.done() for h in handles)
+        assert svc._c_offloop.value == 0 and svc.cancelled == 0
+
+    def test_front_that_is_not_running_is_refused_typed(self, tiny_uae):
+        srv = UAEServer(tiny_uae, seed=7)       # never started
+        computed = []
+        srv.service._compute = lambda *a, **k: computed.append(a)
+
+        async def scenario():
+            with pytest.raises(WorkerUnavailableError):
+                await AsyncEstimateService(srv).submit(fresh_query(8))
+            async with _DoorHarness(srv) as h:
+                return await h.client.post("/estimate",
+                                           {"sql": "a = 1 AND b = 1"})
+
+        status, body, headers = run(scenario())
+        assert status == 503 and body["error"] == "WorkerUnavailableError"
+        assert "retry-after" in headers
+        assert computed == []       # the engine never ran on the loop
+
+    @pytest.mark.multiproc
+    def test_saturated_cluster_parks_submits_off_the_loop(
+            self, tiny_uae, second_uae, tiny_workload):
+        """All of the owner's slots are held by a batch its worker
+        sleeps on: a deadline-free submit stays pending (parked on the
+        cluster's placer thread) while the loop keeps ticking, and a
+        deadlined one sheds 503 as before."""
+        from repro.serve import (HAVE_SHARED_MEMORY, ChaosPlan,
+                                 ClusterEstimateService)
+        if not HAVE_SHARED_MEMORY:
+            pytest.skip("no multiprocessing.shared_memory")
+        plan = ChaosPlan(seed=5)
+        plan.inject("worker.batch", "sleep", at=2,
+                    where={"namespace": "tiny"}, params={"seconds": 1.0})
+        cluster = ClusterEstimateService(workers=2, queue_depth=1, seed=7,
+                                         chaos=plan)
+        cluster.add_table(tiny_uae.clone())
+        cluster.add_table(second_uae.clone())
+        queries = list(tiny_workload.queries)
+
+        async def scenario():
+            async with _DoorHarness(cluster) as h:
+                svc = h.door.service
+                handle = cluster._owner_handle("tiny")
+                worst_lag = 0.0
+
+                async def heartbeat():
+                    nonlocal worst_lag
+                    while True:
+                        t0 = time.perf_counter()
+                        await asyncio.sleep(0.005)
+                        worst_lag = max(worst_lag,
+                                        time.perf_counter() - t0 - 0.005)
+
+                beat = asyncio.ensure_future(heartbeat())
+                blocker = asyncio.ensure_future(
+                    svc.estimate_batch(queries[:4], namespace="tiny"))
+                while handle.free:              # the gated batch is out
+                    await asyncio.sleep(0.005)
+                parked = asyncio.ensure_future(svc.submit(queries[4]))
+                await asyncio.sleep(0.2)
+                assert not parked.done() and len(handle.parked) == 1
+                status, body, _ = await h.client.post(
+                    "/estimate", {"sql": "a = 1 AND b = 1",
+                                  "deadline_ms": 100.0})
+                assert not parked.done() and not blocker.done()
+                value = await parked
+                await blocker
+                beat.cancel()
+                _, text, _ = await h.client.get("/metrics")
+                return status, body, value, worst_lag, text
+
+        with cluster:
+            cluster.estimate_batch(queries[:4])     # warm the EWMA
+            status, body, value, worst_lag, text = run(scenario())
+            assert cluster.stats()["failures"] == 0
+        assert status == 503 and body["error"] == "LoadShedError"
+        assert value >= 0.0
+        assert worst_lag < 0.05
+        offloop = [line for line in text.splitlines()
+                   if line.startswith("repro_async_offloop_submits_total")]
+        assert [float(line.rsplit(" ", 1)[1]) for line in offloop] == [2.0]
 
 
 class TestDeadlinePropagation:
@@ -469,6 +591,8 @@ class TestHTTPRejections:
 class _RaisingFront:
     """Stub front whose submit raises a configured error — drives the
     exhaustive error-mapping assertions without timing games."""
+
+    running = True
 
     def __init__(self, error: BaseException | None = None):
         self.error = error

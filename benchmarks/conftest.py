@@ -3,7 +3,13 @@
 Each benchmark regenerates one of the paper's tables/figures through
 :mod:`repro.bench.experiments`, records the wall-clock via pytest-benchmark
 (one round — these are experiments, not micro-kernels), prints the
-formatted table, and persists JSON + text artifacts under ``results/``.
+formatted table, and persists JSON + text artifacts.
+
+Artifacts go to ``$REPRO_RESULTS_DIR`` when it is set and to a pytest
+temp directory otherwise, so a plain test run never rewrites the tracked
+``results/`` files (every one carries a timestamp and wall-clock cells).
+``REPRO_RESULTS_DIR=results python -m pytest benchmarks/`` or
+``python -m repro.bench all`` regenerates the committed ones.
 
 Scale comes from the ``REPRO_PROFILE`` environment variable (default:
 ``small`` here so a full ``pytest benchmarks/`` run finishes in minutes;
@@ -16,14 +22,21 @@ import os
 
 import pytest
 
-from repro.bench import PROFILES, format_table, save_json
-from repro.bench.reporting import RESULTS_DIR
+from repro.bench import PROFILES, format_table, reporting, save_json
 
 
 @pytest.fixture(scope="session")
 def profile():
     name = os.environ.get("REPRO_PROFILE", "small").lower()
     return PROFILES[name]
+
+
+@pytest.fixture(autouse=True)
+def _artifacts_out_of_the_tree(tmp_path_factory, monkeypatch):
+    if not os.environ.get("REPRO_RESULTS_DIR"):
+        monkeypatch.setattr(
+            reporting, "RESULTS_DIR",
+            str(tmp_path_factory.getbasetemp() / "results"))
 
 
 def run_experiment(benchmark, name: str, func, profile):
@@ -33,7 +46,6 @@ def run_experiment(benchmark, name: str, func, profile):
                         title=result["title"])
     print("\n" + text)
     save_json(name, {k: v for k, v in result.items() if k != "speedups"})
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
+    with open(os.path.join(reporting.RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
     return result

@@ -1,4 +1,5 @@
-"""Ablations for the design choices DESIGN.md calls out."""
+"""Ablations for the paper's design choices (gradient estimator,
+discrepancy, encoding, sampler, wildcard dropout, column order)."""
 
 import numpy as np
 

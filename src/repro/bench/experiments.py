@@ -1,4 +1,4 @@
-"""One function per paper table/figure (see DESIGN.md's experiment index).
+"""One function per paper table/figure (``python -m repro.bench list``).
 
 Every function returns ``{"title", "columns", "rows", ...}`` ready for
 :func:`repro.bench.reporting.format_table`, and is invoked both by the
@@ -433,7 +433,7 @@ def optimizer_impact(profile: Profile | None = None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Ablations (DESIGN.md Section 5)
+# Ablations
 # ----------------------------------------------------------------------
 def ablation_gradient_estimator(profile: Profile | None = None) -> dict:
     """Gumbel-Softmax vs REINFORCE for training UAE-Q (paper Section 4.3)."""

@@ -1,11 +1,10 @@
 """Inference-engine latency/throughput microbenchmark.
 
-Measures ``ProgressiveSampler.estimate_batch`` on the legacy reference
-loop and on the compiled engine *in the same run*, over the same DMV
-workload and the same random seeds, then checks the two paths agree
-within Monte-Carlo tolerance (same seed implies draw-for-draw parity, so
-agreement is far tighter than the sampling error).  A third row measures
-the scheduler-grouped ``estimate_many`` path.
+Measures ``ProgressiveSampler.estimate_batch`` (the compiled engine) and
+the scheduler-grouped ``estimate_many`` path over one seeded DMV
+workload, and A/B-gates the cost of the engine's metrics instrumentation.
+Agreement with the reference loop is a tier-1 contract
+(``tests/test_infer_engine.py``), not a bench row.
 
 Run ``python -m repro.bench latency --profile bench`` to regenerate the
 ``BENCH_infer.json`` artifact at the repo root (plus the usual
@@ -42,14 +41,12 @@ OBS_OVERHEAD_PCT = 7.0
 
 
 def _time_batches(sampler: ProgressiveSampler, constraints: list[list],
-                  batch_queries: int) -> tuple[float, np.ndarray]:
-    """Wall-clock seconds and estimates for chunked ``estimate_batch``."""
-    estimates = np.empty(len(constraints), dtype=np.float64)
+                  batch_queries: int) -> float:
+    """Wall-clock seconds for chunked ``estimate_batch``."""
     start = time.perf_counter()
     for lo in range(0, len(constraints), batch_queries):
-        chunk = constraints[lo:lo + batch_queries]
-        estimates[lo:lo + len(chunk)] = sampler.estimate_batch(chunk)
-    return time.perf_counter() - start, estimates
+        sampler.estimate_batch(constraints[lo:lo + batch_queries])
+    return time.perf_counter() - start
 
 
 def _measure_obs_overhead(sampler: ProgressiveSampler,
@@ -68,11 +65,11 @@ def _measure_obs_overhead(sampler: ProgressiveSampler,
     try:
         for _ in range(reps):
             engine.metrics = None
-            t, _ = _time_batches(sampler, constraints, batch_queries)
-            plain.append(t)
+            plain.append(_time_batches(sampler, constraints,
+                                       batch_queries))
             engine.metrics = MetricsRegistry()
-            t, _ = _time_batches(sampler, constraints, batch_queries)
-            instrumented.append(t)
+            instrumented.append(_time_batches(sampler, constraints,
+                                              batch_queries))
     finally:
         engine.metrics = None
     return float(np.median(plain)), float(np.median(instrumented))
@@ -81,7 +78,7 @@ def _measure_obs_overhead(sampler: ProgressiveSampler,
 def run_infer_latency(profile: Profile | None = None,
                       batch_queries: int = 8,
                       write_artifact: bool = True) -> dict:
-    """Legacy vs compiled-engine throughput on the DMV workload."""
+    """Compiled-engine and scheduler throughput on the DMV workload."""
     profile = profile or current_profile()
     n_queries = _LATENCY_QUERIES.get(profile.name, 64)
     table = load("dmv", rows=profile.dataset_rows("dmv"), seed=0)
@@ -92,29 +89,18 @@ def run_infer_latency(profile: Profile | None = None,
     constraints = [uae.fact.expand_masks(q.masks(table))
                    for q in workload.queries]
 
-    samplers = {
-        "legacy": ProgressiveSampler(uae.model,
-                                     num_samples=profile.est_samples,
-                                     seed=5, backend="legacy"),
-        "engine": ProgressiveSampler(uae.model,
-                                     num_samples=profile.est_samples,
-                                     seed=5, backend="engine"),
-    }
-    # Warm both paths (buffer pools, compiled caches, BLAS threads) on a
-    # throwaway chunk so the measured loops are steady-state.
-    for sampler in samplers.values():
-        sampler.estimate_batch(constraints[:batch_queries])
-
-    timings: dict[str, float] = {}
-    estimates: dict[str, np.ndarray] = {}
-    for name, sampler in samplers.items():
-        sampler.rng = np.random.default_rng(99)  # identical draw streams
-        timings[name], estimates[name] = _time_batches(
-            sampler, constraints, batch_queries)
+    engine = ProgressiveSampler(uae.model, num_samples=profile.est_samples,
+                                seed=5)
+    # Warm the path (buffer pools for every chunk's shapes, compiled
+    # caches, BLAS threads, the allocator) on one untimed pass so the
+    # measured loop is steady-state.
+    _time_batches(engine, constraints, batch_queries)
+    engine.rng = np.random.default_rng(99)
+    timings = {"engine": _time_batches(engine, constraints, batch_queries)}
 
     scheduled = ProgressiveSampler(uae.model, num_samples=profile.est_samples,
-                                   seed=5, backend="engine")
-    scheduled.estimate_many(constraints[:batch_queries])
+                                   seed=5)
+    scheduled.estimate_many(constraints)
     scheduled.rng = np.random.default_rng(99)
     start = time.perf_counter()
     scheduled.estimate_many(constraints)
@@ -123,23 +109,14 @@ def run_infer_latency(profile: Profile | None = None,
     # Observability must stay effectively free on the hot path: A/B the
     # engine with its registry attached vs detached and gate the delta.
     plain_s, instr_s = _measure_obs_overhead(
-        samplers["engine"], constraints, batch_queries)
+        engine, constraints, batch_queries)
     obs_overhead_pct = (instr_s / plain_s - 1.0) * 100.0
     checks = {"obs_overhead": obs_overhead_pct <= OBS_OVERHEAD_PCT}
 
-    speedup = timings["legacy"] / timings["engine"]
-    diff = np.abs(estimates["legacy"] - estimates["engine"])
-    denom = np.maximum(np.maximum(estimates["legacy"],
-                                  estimates["engine"]), 1e-12)
-    rows = []
-    for name in ("legacy", "engine", "engine+scheduler"):
-        elapsed = timings[name]
-        rows.append({
-            "path": name,
-            "queries_per_sec": n_queries / elapsed,
-            "ms_per_query": elapsed * 1e3 / n_queries,
-            "speedup_vs_legacy": timings["legacy"] / elapsed,
-        })
+    rows = [{"path": name,
+             "queries_per_sec": n_queries / elapsed,
+             "ms_per_query": elapsed * 1e3 / n_queries}
+            for name, elapsed in timings.items()]
 
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -149,12 +126,8 @@ def run_infer_latency(profile: Profile | None = None,
         "num_queries": n_queries,
         "num_samples": profile.est_samples,
         "batch_queries": batch_queries,
-        "legacy_qps": n_queries / timings["legacy"],
         "engine_qps": n_queries / timings["engine"],
         "scheduler_qps": n_queries / timings["engine+scheduler"],
-        "speedup_estimate_batch": speedup,
-        "estimate_max_abs_diff": float(diff.max()),
-        "estimate_max_rel_diff": float((diff / denom).max()),
         "obs_overhead_pct": obs_overhead_pct,
         "obs_overhead_threshold_pct": OBS_OVERHEAD_PCT,
         "obs_plain_qps": n_queries / plain_s,
@@ -174,9 +147,8 @@ def run_infer_latency(profile: Profile | None = None,
             f"inference bench invariants violated: {failed} "
             f"(metrics overhead {obs_overhead_pct:.2f}% > "
             f"{OBS_OVERHEAD_PCT}% ceiling)")
-    return {"title": "Inference engine throughput: legacy vs compiled "
+    return {"title": "Inference engine throughput "
                      f"(DMV, profile={profile.name})",
-            "columns": ["path", "queries_per_sec", "ms_per_query",
-                        "speedup_vs_legacy"],
+            "columns": ["path", "queries_per_sec", "ms_per_query"],
             "rows": rows,
             **{k: v for k, v in payload.items() if k != "rows"}}

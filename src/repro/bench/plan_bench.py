@@ -18,8 +18,8 @@ Each test query is planned with five providers —
 * ``UAE-serving``     — UAE estimates through the live serving tier —
 
 and every chosen plan is scored with *true* costs (the execution proxy,
-DESIGN.md).  Speedups are reported against the PostgreSQL plan, like
-``run_optimizer_study``.
+README "Optimizer in the loop").  Speedups are reported against the
+PostgreSQL plan, like ``run_optimizer_study``.
 
 Test queries are drawn from a generated pool and selected in two
 estimator-blind steps.  First, keep only queries where planning with

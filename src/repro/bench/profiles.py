@@ -2,8 +2,7 @@
 
 The paper ran on a Tesla V100 with 11.6M-row DMV and 20K training queries;
 this reproduction runs on one CPU core, so every experiment is scaled down
-while keeping the *relative* comparisons intact (DESIGN.md).  Four
-profiles:
+while keeping the *relative* comparisons intact.  Four profiles:
 
 * ``ci``     — smallest; the CI smoke jobs (serving loop end to end).
 * ``small``  — seconds; used by the test suite's integration checks.

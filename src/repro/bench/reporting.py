@@ -2,7 +2,7 @@
 
 Every experiment returns plain dict/list structures; this module renders
 them as the paper's tables (aligned ASCII) and saves JSON artifacts under
-``results/`` so EXPERIMENTS.md can reference a concrete run.
+``results/`` so a reported number can be traced to a concrete run.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ Per Algorithm 2:
 * line 13 — estimates of the S samples are averaged.
 
 Factorized low digits use the *hard* argmax of the high digit's soft sample
-to pick the conditional mask — a straight-through-style approximation noted
-in DESIGN.md.
+to pick the conditional mask — a straight-through-style approximation (the
+mask choice itself carries no gradient).
 """
 
 from __future__ import annotations
@@ -32,106 +32,36 @@ from ..infer import compile_constraints
 from ..nn import functional as F
 from ..nn.made import ResMADE
 from ..nn.tensor import Tensor, concatenate, stack
-from .gumbel import gs_sample
 
 
 class DifferentiableProgressiveSampler:
     """Batched DPS over model-column constraint lists.
 
-    ``backend="engine"`` (default) runs the hand-fused training kernel
+    Runs the hand-fused training kernel
     (:class:`repro.train.dps_fused.FusedDPS`): persistent input buffer,
-    step-0 wildcard dedup, one hand-written backward.  ``backend=
-    "legacy"`` runs the original graph-built loop below — the reference
-    implementation the fused kernel's gradient-parity tests and the
-    training benchmark compare against.  Both consume the Gumbel stream
+    step-0 wildcard dedup, one hand-written backward.  The original
+    graph-built loop is the tests' oracle
+    (``tests/reference/dps.py``); both consume the Gumbel stream
     identically, so a shared seed gives draw-for-draw agreement.
     """
 
     def __init__(self, model: ResMADE, num_samples: int = 8,
-                 temperature: float = 1.0, seed: int = 0,
-                 backend: str = "engine"):
+                 temperature: float = 1.0, seed: int = 0):
         if num_samples < 1:
             raise ValueError("need at least one sample")
-        if backend not in ("engine", "legacy"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.model = model
         self.num_samples = num_samples
         self.temperature = temperature
         self.rng = np.random.default_rng(seed)
-        self.backend = backend
         self._fused = None
 
     def estimate_batch(self, constraint_lists: list[list]) -> Tensor:
         """Differentiable selectivity estimates ``[num_queries]``."""
-        if self.backend == "engine":
-            if self._fused is None:
-                from ..train.dps_fused import FusedDPS
-                self._fused = FusedDPS(self.model)
-            return self._fused.estimate_batch(
-                constraint_lists, self.num_samples, self.temperature,
-                self.rng)
-        return self.estimate_batch_legacy(constraint_lists)
-
-    def estimate_batch_legacy(self, constraint_lists: list[list]) -> Tensor:
-        """The original autograd-graph loop (reference implementation)."""
-        model = self.model
-        n_queries = len(constraint_lists)
-        s = self.num_samples
-        batch = n_queries * s
-
-        queried = [any(cl[c] is not None for cl in constraint_lists)
-                   for c in range(model.num_cols)]
-        last_pos = max((model.position[c] for c in range(model.num_cols)
-                        if queried[c]), default=-1)
-        if last_pos < 0:
-            return Tensor(np.ones(n_queries, dtype=np.float32))
-
-        zero_codes = np.zeros((batch, model.num_cols), dtype=np.int64)
-        all_wild = np.ones((batch, model.num_cols), dtype=bool)
-        x_np = model.encode_tuples(zero_codes, wildcard=all_wild)
-
-        # Per-column input segments; queried columns get replaced by the
-        # differentiable soft encoding as sampling progresses.
-        segments: list[Tensor] = [
-            Tensor(x_np[:, model.input_slices[c]])
-            for c in range(model.num_cols)]
-
-        density: Tensor | None = None
-        hard_hi: dict[int, np.ndarray] = {}
-        compiled = compile_constraints(constraint_lists, model.domain_sizes)
-
-        for pos in range(last_pos + 1):
-            col = model.order[pos]
-            if not queried[col]:
-                continue
-            valid, gain = compiled.valid_gain_rows(col, s, hard_hi)
-            x = concatenate(segments, axis=-1)
-            h = model.hidden_tensor(x)
-            logits = model.column_logits_from_hidden(h, col)
-            probs = F.softmax(logits, axis=-1)
-            weight = valid.astype(np.float32) if gain is None \
-                else (valid * gain).astype(np.float32)
-            in_region = (probs * Tensor(weight)).sum(axis=-1)
-            density = in_region if density is None else density * in_region
-            if pos == last_pos:
-                break
-            # Truncate the conditional to the region (Alg. 2 lines 7-8) and
-            # GS-sample a differentiable soft one-hot (line 9).  Gains fold
-            # into the proposal as constant log-offsets so join fanout
-            # scaling stays unbiased under DPS too.
-            masked_logits = F.masked_fill(logits, ~valid)
-            if gain is not None:
-                from ..nn.tensor import add_constant
-                masked_logits = add_constant(
-                    masked_logits,
-                    np.log(np.maximum(gain, 1e-30)).astype(np.float32))
-            log_cond = F.log_softmax(masked_logits, axis=-1)
-            y = gs_sample(log_cond, self.temperature, self.rng)
-            hard_hi[col] = np.argmax(y.data, axis=-1)
-            segments[col] = model.encoders[col].encode_soft(y)
-
-        est = density.reshape(n_queries, s).mean(axis=1)
-        return est
+        if self._fused is None:
+            from ..train.dps_fused import FusedDPS
+            self._fused = FusedDPS(self.model)
+        return self._fused.estimate_batch(
+            constraint_lists, self.num_samples, self.temperature, self.rng)
 
 
 class ScoreFunctionSampler:

@@ -16,7 +16,7 @@ through the query loss, no retraining from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -62,7 +62,6 @@ class UAEConfig:
     gradient_estimator: str = "gumbel"  # or "reinforce" (ablation)
     column_order: str = "natural"       # or "random" (ordering ablation)
     grad_clip: float | None = 8.0
-    train_backend: str = "engine"       # or "legacy" (reference autograd)
     seed: int = 0
 
 
@@ -93,9 +92,6 @@ class UAE(TrainableEstimator):
         """Model, optimizer, and samplers (shared by ``__init__`` and the
         lightweight :meth:`snapshot` path)."""
         config = self.config
-        if config.train_backend not in ("engine", "legacy"):
-            raise ValueError(
-                f"unknown train_backend {config.train_backend!r}")
         self.model = ResMADE(self.fact.model_domains, hidden=config.hidden,
                              num_blocks=config.num_blocks, rng=self.rng,
                              encoding=config.encoding,
@@ -109,12 +105,11 @@ class UAE(TrainableEstimator):
                                           seed=config.seed + 1)
         self.dps = DifferentiableProgressiveSampler(
             self.model, num_samples=config.dps_samples,
-            temperature=config.temperature, seed=config.seed + 2,
-            backend=config.train_backend)
+            temperature=config.temperature, seed=config.seed + 2)
         self.sf = ScoreFunctionSampler(self.model,
                                        num_samples=config.dps_samples,
                                        seed=config.seed + 2)
-        self._fused_data = None  # lazy FusedDataLoss (engine backend)
+        self._fused_data = None  # lazy FusedDataLoss
 
     def _build_order(self, strategy: str) -> list[int] | None:
         """Column-ordering strategies (paper Section 4.2 / Naru, MADE).
@@ -143,40 +138,19 @@ class UAE(TrainableEstimator):
     def data_loss(self, batch_codes: np.ndarray) -> Tensor:
         """Eq. 2 with Naru-style wildcard dropout for skipping support.
 
-        The default ``train_backend="engine"`` runs the hand-fused
-        forward/backward kernel (:class:`repro.train.FusedDataLoss`);
-        ``"legacy"`` keeps the original per-column ``F.cross_entropy``
-        graph as the reference.  Both consume the wildcard-dropout RNG
-        identically and agree on gradients to float32 rounding.
+        Runs the hand-fused forward/backward kernel
+        (:class:`repro.train.FusedDataLoss`).  The original per-column
+        ``F.cross_entropy`` graph is the tests' oracle
+        (``tests/reference/uae.py``): it consumes the wildcard-dropout
+        RNG identically and agrees on gradients to float32 rounding.
         """
         n = len(batch_codes)
         frac = self.rng.uniform(0.0, self.config.wildcard_max_frac, size=(n, 1))
         wildcard = self.rng.random((n, self.model.num_cols)) < frac
-        if self.config.train_backend == "engine":
-            if self._fused_data is None:
-                from ..train import FusedDataLoss
-                self._fused_data = FusedDataLoss(self.model)
-            return self._fused_data.loss(batch_codes, wildcard)
-        logits = self.model.forward_codes(batch_codes, wildcard=wildcard)
-        loss: Tensor | None = None
-        for col in range(self.model.num_cols):
-            term = F.cross_entropy(self.model.logits_for(logits, col),
-                                   batch_codes[:, col])
-            loss = term if loss is None else loss + term
-        return loss
-
-    @property
-    def train_backend(self) -> str:
-        return self.config.train_backend
-
-    @train_backend.setter
-    def train_backend(self, backend: str) -> None:
-        """Switch the training fast path on or off (``"engine"`` /
-        ``"legacy"``) without touching weights or optimizer state."""
-        if backend not in ("engine", "legacy"):
-            raise ValueError(f"unknown train_backend {backend!r}")
-        self.config = replace(self.config, train_backend=backend)
-        self.dps.backend = backend
+        if self._fused_data is None:
+            from ..train import FusedDataLoss
+            self._fused_data = FusedDataLoss(self.model)
+        return self._fused_data.loss(batch_codes, wildcard)
 
     def _discrepancy(self, est: Tensor, true_sels: np.ndarray) -> Tensor:
         kind = self.config.discrepancy
@@ -422,7 +396,7 @@ class UAE(TrainableEstimator):
         """Scheduled selectivity estimates for raw constraint lists."""
         if not constraint_lists:
             return np.zeros(0, dtype=np.float64)
-        if batch_queries is not None and self.sampler.backend == "engine":
+        if batch_queries is not None:
             base = self.sampler.scheduler
             scheduler = type(base)(
                 self.sampler.engine,
@@ -500,7 +474,11 @@ class UAE(TrainableEstimator):
         with np.load(path) as payload:
             meta = json.loads(bytes(payload["__meta__"]).decode())
             state = {k: payload[k] for k in payload.files if k != "__meta__"}
-        config = UAEConfig(**meta["config"])
+        # An older checkpoint may carry hyper-parameters retired since it
+        # was written; they no longer select anything, so drop them.
+        known = {f.name for f in fields(UAEConfig)}
+        config = UAEConfig(**{k: v for k, v in meta["config"].items()
+                              if k in known})
         model = cls(table, config)
         if model.fact.model_domains != meta["domains"]:
             raise ValueError(

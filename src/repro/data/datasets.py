@@ -2,7 +2,7 @@
 
 The real DMV / Census / Kddcup98 extracts are not available in this offline
 environment, so each generator reproduces the *properties the experiments
-depend on* (documented in DESIGN.md):
+depend on*:
 
 * **DMV** — 11 columns, domain sizes 2..~2100, strong skew (target
   Fisher–Pearson ≈ 4.9) and strong correlation (NCIE ≈ 0.23).

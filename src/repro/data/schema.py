@@ -1,8 +1,7 @@
 """Multi-table schemas for the join and optimizer experiments.
 
 The real IMDB snapshot is unavailable offline, so :func:`make_imdb` builds
-a synthetic star schema with the properties the join experiments exercise
-(DESIGN.md):
+a synthetic star schema with the properties the join experiments exercise:
 
 * keyed equi-joins ``title.id = child.movie_id``;
 * **skewed fan-outs** — the per-title number of matching child rows follows

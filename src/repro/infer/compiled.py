@@ -7,8 +7,9 @@ as flat, pre-transposed, contiguous float32 numpy arrays:
   ``[in, out]`` so each forward matmul is a plain row-major GEMM;
 * per-column *output heads*: the slice of the fused output projection that
   produces one column's logits, pre-transposed to ``[hidden, domain]``,
-  plus the matching bias slice — the legacy path pays a full
-  ``weight * mask`` product over *all* logits just to read one column;
+  plus the matching bias slice — the reference loop
+  (``tests/reference/progressive.py``) pays a full ``weight * mask``
+  product over *all* logits just to read one column;
 * the constant fully-wildcarded input row, its hidden state, and each
   column's logits under full wildcarding.  Every progressive-sampling
   batch starts from this state, so step 0 costs one cached row instead of

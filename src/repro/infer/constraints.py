@@ -2,15 +2,16 @@
 
 ``ColumnFactorization.expand_masks`` describes one query as a per-model-
 column list of ``None`` / ``("fixed", mask)`` / ``("scaled", mask, gain)`` /
-``("lo", grid)`` entries.  The legacy samplers re-interpreted those tuples
-inside a per-query Python loop *at every autoregressive step*;
+``("lo", grid)`` entries.  The reference loop
+(``tests/reference/progressive.py``) re-interprets those tuples inside a
+per-query Python loop *at every autoregressive step*;
 :func:`compile_constraints` lifts all of it into packed numpy structures
 once per batch:
 
 * ``base_weight`` — ``[n_queries, domain]`` float32 rows holding
   ``mask * gain`` (ones when unconstrained; the union over high digits for
-  ``"lo"`` entries, matching the legacy fallback);
-* ``base_valid`` / ``gain_base`` — the legacy-dtype validity (bool) and
+  ``"lo"`` entries, matching the reference loop's fallback);
+* ``base_valid`` / ``gain_base`` — the reference-dtype validity (bool) and
   gain (float64) planes, kept separate for the differentiable samplers
   which mask logits and fold gains into log-space independently;
 * stacked ``"lo"`` grids plus a per-query index so the per-sample low-digit
@@ -107,7 +108,7 @@ class CompiledConstraints:
 
         ``state_qi`` maps each state to its query; ``hi_codes`` holds the
         state's sampled high digit for ``"lo"`` resolution (``None`` keeps
-        the union-over-high-digits fallback, as the legacy path does when
+        the union-over-high-digits fallback, as the reference loop does when
         the high digit was never sampled).  Returns a fresh/writable
         ``[n_states, domain]`` float32 array.
         """
@@ -135,9 +136,10 @@ class CompiledConstraints:
     def valid_gain_rows(self, col: int, s: int,
                         sampled: dict[int, np.ndarray]
                         ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Per-sample validity/gain matrices in the legacy row layout.
+        """Per-sample validity/gain matrices in the reference row layout.
 
-        Equivalent to the samplers' old ``_valid_matrix`` Python loop:
+        Equivalent to the reference loop's per-query validity expansion
+        (``tests/reference/progressive.py``, which the tests hold it to):
         rows are query-major blocks of ``s`` samples, validity is bool,
         gains float64 (or ``None`` when no query is fanout-scaled).
         ``sampled[col - 1]`` resolves ``"lo"`` entries per sample.

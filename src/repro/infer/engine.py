@@ -1,8 +1,10 @@
 """The progressive-sampling inference engine.
 
-Drop-in replacement for the legacy ``ProgressiveSampler.estimate_batch``
-numpy loop, same Monte-Carlo estimator (paper Section 4.2) and the same
-random-variate consumption order, rebuilt around four ideas:
+The one shipped implementation behind ``ProgressiveSampler``: the same
+Monte-Carlo estimator (paper Section 4.2) and the same random-variate
+consumption order as the reference numpy loop it replaced (now the
+tests' oracle, ``tests/reference/progressive.py``), rebuilt around four
+ideas:
 
 1. **Compiled weights** (:class:`~repro.infer.compiled.CompiledModel`):
    fused/pre-transposed matrices and per-column output heads, invalidated
@@ -112,7 +114,7 @@ class InferenceEngine:
                         compiled_constraints: CompiledConstraints | None = None):
         """Selectivity estimates (and optional standard errors) for a batch.
 
-        Mirrors the legacy sampler's semantics exactly: iterate the union
+        Mirrors the reference loop's semantics exactly: iterate the union
         of queried columns in autoregressive order, truncate and sample at
         every step but the last, draw one uniform per row per sampled step.
         """

@@ -1,7 +1,7 @@
 """Plan representation and a textbook hash-join cost model.
 
 "Execution time" in this reproduction is the plan's cost evaluated with
-*true* cardinalities (DESIGN.md): the planner picks a join order using an
+*true* cardinalities: the planner picks a join order using an
 estimator's cardinalities, then we score the chosen plan with ground truth,
 which is precisely the mechanism Figure 6 demonstrates (better estimates →
 better plans → faster execution).

@@ -6,7 +6,7 @@ For every test query:
 1. each estimator produces cardinalities for all connected subqueries;
 2. the DP planner picks a join order per estimator;
 3. each chosen plan is scored with *true* cardinalities (the execution
-   proxy — see DESIGN.md);
+   proxy — see :mod:`repro.optimizer.cost`);
 4. the speedup of estimator E on query q is
    ``exec_cost(plan_postgres) / exec_cost(plan_E)``.
 """

@@ -397,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{result['qerr_shifted_after']['mean']:.3g} after hot-swap "
               f"(x{result['qerr_improvement']:.2f})")
     print(f"checks: {'all passed' if all(result['checks'].values()) else result['checks']}")
+    for name, reason in result.get("skipped", {}).items():
+        print(f"skipped: {name} ({reason})")
     return 0
 
 

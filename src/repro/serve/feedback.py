@@ -13,6 +13,7 @@ hands the buffered observations to the trainer as a
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 
@@ -20,6 +21,25 @@ import numpy as np
 
 from ..workload.metrics import RollingQErrorMonitor
 from ..workload.predicate import LabeledWorkload, Query
+
+
+def checked_cardinality(value, field: str) -> float:
+    """``value`` as a float cardinality: finite and ``>= 0``, else
+    ``ValueError``.
+
+    Feedback is outside input — an executor's report over the wire or
+    through the sync API — and a single NaN, infinite or negative label
+    would become a training label of the next refinement, turn the drift
+    quantile into NaN (``nan > threshold`` is False, so the trigger goes
+    silent) and read as a 1e18 q-error to the swap tripwire.  There is
+    no upper bound: a truth counted over staged rows the model has not
+    ingested yet legitimately exceeds its table size.
+    """
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(
+            f"{field} must be a finite number >= 0, got {value!r}")
+    return number
 
 
 class FeedbackCollector:
@@ -46,10 +66,17 @@ class FeedbackCollector:
     # ------------------------------------------------------------------
     def record(self, query: Query, estimate: float,
                true_cardinality: float) -> float:
-        """Observe one executed query; returns its serving q-error."""
+        """Observe one executed query; returns its serving q-error.
+
+        Raises ``ValueError`` for a non-finite or negative ``estimate`` /
+        ``true_cardinality`` (see :func:`checked_cardinality`).
+        """
+        estimate = checked_cardinality(estimate, "estimate")
+        true_cardinality = checked_cardinality(true_cardinality,
+                                               "true_cardinality")
         with self._lock:
             err = self.monitor.add(estimate, true_cardinality)
-            self._buffer.append((query, float(true_cardinality)))
+            self._buffer.append((query, true_cardinality))
             self._since_drain += 1
             self.total_observed += 1
             return err

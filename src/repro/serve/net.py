@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 
 import numpy as np
@@ -58,6 +59,7 @@ import numpy as np
 from ..obs import MetricsRegistry, Trace, TraceRecorder
 from ..workload.sqlparse import SQLParseError, parse_query
 from .cluster import LoadShedError
+from .feedback import checked_cardinality
 from .placement import WorkerUnavailableError
 from .router import AmbiguousNamespaceError, UnknownNamespaceError
 from .service import RequestCancelledError
@@ -578,8 +580,8 @@ class HTTPFrontDoor:
         deadline_ms = payload.get("deadline_ms", default)
         if deadline_ms is not None:
             deadline_ms = float(deadline_ms)
-            if deadline_ms <= 0:
-                raise ValueError("deadline_ms must be positive")
+            if not (math.isfinite(deadline_ms) and deadline_ms > 0):
+                raise ValueError("deadline_ms must be a finite number > 0")
         return deadline_ms
 
     async def _h_estimate(self, payload: dict):
@@ -647,8 +649,9 @@ class HTTPFrontDoor:
             raise ValueError("missing required field 'true_cardinality'")
         estimate = payload.get("estimate")
         qerror = await self.service.observe(
-            query, float(truth),
-            estimate=None if estimate is None else float(estimate),
+            query, checked_cardinality(truth, "true_cardinality"),
+            estimate=None if estimate is None
+            else checked_cardinality(estimate, "estimate"),
             namespace=payload.get("namespace"))
         return 200, {"ok": True, "qerror": float(qerror)}
 

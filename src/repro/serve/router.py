@@ -413,7 +413,6 @@ class RoutedEstimateService:
                  max_wait_ms: float = 2.0, seed: int = 0,
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False,
-                 train_backend: str | None = None,
                  metrics=None, events=None):
         from ..obs import EVENTS, MetricsRegistry
         self.registry = MultiTableRegistry()
@@ -431,7 +430,6 @@ class RoutedEstimateService:
                               refine_epochs=refine_epochs,
                               data_epochs=data_epochs,
                               auto_refine=auto_refine,
-                              train_backend=train_backend,
                               metrics=self.metrics, events=self.events)
         self._running = False
 

@@ -33,7 +33,7 @@ from ..core.uae import UAE
 from ..obs import EVENTS, MetricsRegistry
 from ..workload.predicate import LabeledWorkload, Query
 from .cache import ResultCache
-from .feedback import FeedbackCollector
+from .feedback import FeedbackCollector, checked_cardinality
 from .registry import ModelRegistry
 from .service import EstimateRequest, EstimateService
 
@@ -89,18 +89,10 @@ class UAEServer:
                  max_batch: int = 32, max_wait_ms: float = 2.0,
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False, seed: int = 0,
-                 train_backend: str | None = None,
                  namespace: str = "default", pool=None,
                  expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None,
                  chaos: ChaosPlan | None = None, modelops=None):
-        # Refinement runs on the trainer's configured training backend —
-        # the fused engine by default (see ``UAEConfig.train_backend``),
-        # which is what keeps drift-triggered hot-swaps fresh under live
-        # traffic.  Pass ``train_backend="legacy"`` to pin the reference
-        # autograd path.
-        if train_backend is not None:
-            estimator.train_backend = train_backend
         self.trainer = estimator
         # Multi-table wiring (see repro.serve.router): the namespace this
         # server answers for, an optional shared RefinementPool that
@@ -265,7 +257,14 @@ class UAEServer:
 
         With ``auto_refine`` set, a drift past the feedback threshold
         kicks off background refinement (at most one at a time).
+        A non-finite or negative ``true_cardinality`` / ``estimate`` is
+        a ``ValueError`` before anything — feedback buffer, shadow probe
+        set, tripwire window — sees it.
         """
+        true_cardinality = checked_cardinality(true_cardinality,
+                                               "true_cardinality")
+        if estimate is not None:
+            estimate = checked_cardinality(estimate, "estimate")
         self.resolve(query, namespace)
         if estimate is None:
             estimate = self.estimate(query)

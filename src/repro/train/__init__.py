@@ -8,22 +8,19 @@ float32 discipline end to end.
 * :class:`FusedDataLoss` — one fused pass for the data NLL (Eq. 2),
   replacing the per-column ``F.cross_entropy`` graph;
 * :class:`FusedDPS` — the vectorized differentiable-progressive-sampling
-  step (Algorithm 2) behind ``DifferentiableProgressiveSampler``'s
-  default ``backend="engine"``;
-* :func:`gradient_parity` — the legacy-vs-engine gradient check the
-  training bench and tests gate on.
+  step (Algorithm 2) behind ``DifferentiableProgressiveSampler``.
 
-``UAE`` selects the backend through ``UAEConfig.train_backend``
-(``"engine"`` by default, ``"legacy"`` keeps the original autograd path).
+These are the only training kernels ``UAE`` runs.  The original autograd
+paths they replaced live under ``tests/reference/`` as the oracle for the
+1e-4 gradient-parity contract (``tests/test_train_engine.py``,
+``tests/test_backend_matrix.py``).
 """
 
 from .fused import BufferPool, FusedDataLoss, TrunkGrads, trunk_backward, \
     trunk_forward
 from .dps_fused import FusedDPS
-from .parity import collect_grads, gradient_parity, max_grad_diff
 
 __all__ = [
     "BufferPool", "FusedDataLoss", "TrunkGrads", "trunk_backward",
-    "trunk_forward", "FusedDPS", "collect_grads", "gradient_parity",
-    "max_grad_diff",
+    "trunk_forward", "FusedDPS",
 ]

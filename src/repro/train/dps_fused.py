@@ -1,10 +1,11 @@
 """Vectorized differentiable progressive sampling (the DPS fast path).
 
-Same estimator as :meth:`repro.core.dps.DifferentiableProgressiveSampler.
-estimate_batch_legacy` — Algorithm 2 with Gumbel-Softmax draws — rebuilt
-as one hand-written forward/backward kernel:
+Same estimator as the reference loop that builds the autograd graph step
+by step (the tests' oracle, ``tests/reference/dps.py``) — Algorithm 2
+with Gumbel-Softmax draws — rebuilt as one hand-written forward/backward
+kernel:
 
-* **Persistent input buffer.**  The legacy loop rebuilt the full encoded
+* **Persistent input buffer.**  The reference loop rebuilds the full encoded
   input via ``concatenate(segments)`` at every sampling position (one
   graph node + a batch-width copy per step).  Here soft encodings are
   written into one pooled ``[batch, input_width]`` buffer in place;
@@ -29,21 +30,21 @@ as one hand-written forward/backward kernel:
   against the **final** input buffer in a single GEMM; (2) each column's
   segment is written at most once, so the gradient w.r.t. the input
   buffer (``gx``) routes each slice to exactly one step's soft sample.
-* **Normalizer-free GS scores.**  The legacy path materialises the
+* **Normalizer-free GS scores.**  The reference loop materialises the
   truncated ``log_softmax`` before adding Gumbel noise; a softmax is
   invariant to per-row constants, so the sample only needs the
   *unnormalised* truncated log-probabilities ``logits + log(weight)``
-  (``log(0) = -inf`` clamped to the legacy ``NEG_INF`` fill).  That
+  (``log(0) = -inf`` clamped to the reference ``NEG_INF`` fill).  That
   removes the mask-fill/exp/normalise passes from the forward and the
   whole log-softmax term from the backward — its row-sum is identically
   zero, which is also why gradients at masked-out categories vanish
-  exactly, matching the legacy ``where``.
+  exactly, matching the reference ``where``.
 
 Draw-for-draw parity: the Gumbel stream is consumed with the same shapes
-in the same order as the legacy path, and per-row constant shifts cancel
-in every softmax, so with a shared seed the two backends agree to float32
-rounding (gradient diff < 1e-4; asserted by the training bench and
-``tests/test_train_engine.py``).
+in the same order as the reference loop, and per-row constant shifts
+cancel in every softmax, so with a shared seed the two agree to float32
+rounding (gradient diff < 1e-4; asserted by
+``tests/test_train_engine.py`` and ``tests/test_backend_matrix.py``).
 
 Like :class:`~repro.train.fused.FusedDataLoss`, ``estimate_batch``
 returns a ``Tensor`` (shape ``[num_queries]``) whose ``_backward``
@@ -152,9 +153,9 @@ class FusedDPS:
             # GS-sample from the truncated conditional (Alg. 2 lines
             # 7-9): scores need only the unnormalised truncated log-probs
             # ``logits + log(weight)`` — per-row constants cancel in the
-            # softmax, and ``log(0) -> NEG_INF`` reproduces the legacy
-            # mask fill (clamped so an all-masked row degrades to the
-            # legacy noise-only sample instead of NaN).
+            # softmax, and ``log(0) -> NEG_INF`` reproduces the reference
+            # loop's mask fill (clamped so an all-masked row degrades to
+            # its noise-only sample instead of NaN).
             logw = scratch
             with np.errstate(divide="ignore"):
                 np.log(weight, out=logw)

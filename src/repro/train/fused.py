@@ -1,6 +1,7 @@
 """Fused training kernels: hand-written forward/backward for the data loss.
 
-The legacy training path builds a dynamic autograd graph per step — one
+The reference training path (the tests' oracle,
+``tests/reference/uae.py``) builds a dynamic autograd graph per step — one
 Python closure per primitive op, a ``log_softmax`` composition and an
 ``np.add.at`` scatter per column for the cross-entropy — which dominates
 the step time on CPU.  This module mirrors the PR 1 inference engine's
@@ -14,14 +15,15 @@ buffers.
 The public entry point, :meth:`FusedDataLoss.loss`, still returns a
 :class:`~repro.nn.tensor.Tensor`, so callers compose it with graph-built
 losses (``loss = data + lam * query``) and call ``backward()`` exactly as
-on the legacy path — the node's ``_backward`` closure runs the fused pass
+on a graph-built loss — the node's ``_backward`` closure runs the fused pass
 when the graph reaches it.
 
-Gradient contract: identical math to ``UAE.data_loss`` on the legacy
-backend (per-column softmax cross-entropy over the same encoded inputs;
-encoders are constants under wildcard dropout on both paths), so
-gradients agree to float32 rounding — the training bench and
-``tests/test_train_engine.py`` assert max abs diff < 1e-4.
+Gradient contract: identical math to ``ReferenceUAE.data_loss`` under
+``tests/reference/`` (per-column softmax cross-entropy over the same
+encoded inputs; encoders are constants under wildcard dropout on both
+paths), so gradients agree to float32 rounding —
+``tests/test_train_engine.py`` and ``tests/test_backend_matrix.py``
+assert max abs diff < 1e-4.
 
 Activation storage is pooled: buffers persist across steps keyed by role,
 so steady-state training steps allocate almost nothing.  Consequence: at

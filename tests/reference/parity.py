@@ -1,12 +1,12 @@
-"""Gradient-parity checks: fused kernels vs. the legacy autograd path.
+"""Gradient-parity checks: fused kernels vs. the reference autograd path.
 
 The training engine's contract is *numerical equivalence*: on the same
 weights, the same batch, and the same random draws, the fused data-loss
-backward and the fused DPS backward must reproduce the legacy graph's
+backward and the fused DPS backward must reproduce the reference graph's
 parameter gradients to float32 rounding.  These helpers drive that
-comparison; ``python -m repro.bench training`` records the result in
-``BENCH_train.json`` and raises when it fails, and
-``tests/test_train_engine.py`` asserts it on small models.
+comparison for ``tests/test_train_engine.py`` and
+``tests/test_backend_matrix.py``.  Moved here unchanged from
+``repro.train.parity``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def gradient_parity(make_uae: Callable[[str], "object"],
     """Compare data-loss and query-loss gradients across backends.
 
     ``make_uae(backend)`` must build identically-seeded estimators whose
-    only difference is ``train_backend`` — both then consume their RNG
+    only difference is the class — :class:`reference.uae.ReferenceUAE`
+    for ``"legacy"``, ``UAE`` for ``"engine"`` — both then consume their RNG
     streams (wildcard dropout, Gumbel noise) draw for draw.  Returns the
     max abs gradient diffs, the loss-value diffs, and a ``passed`` flag
     against ``tolerance``.

@@ -1,21 +1,24 @@
-"""Cross-backend parity matrix.
+"""Reference-vs-engine parity matrix.
 
-Parity used to be checked only pairwise — inference legacy-vs-engine on
-fixed weights (``test_infer_engine``) and training-gradient
-legacy-vs-engine at one point (``test_train_engine``).  This matrix
+``src/repro`` ships one implementation of training and of inference (the
+fused kernels and the compiled engine); the loops they replaced are the
+oracle under ``tests/reference/`` (``"legacy"`` below).  Pairwise checks
+live in ``test_infer_engine`` (inference on fixed weights) and
+``test_train_engine`` (training gradients at one point).  This matrix
 closes the loop over the full product
-``train_backend x backend in {legacy, engine}^2``: a model *trained* on
-either training backend and then *served* on either inference backend
-must agree with the all-legacy reference within the documented 1e-4
-contract, for both estimates and gradients.
+``trained by x served by in {legacy, engine}^2``: a model *trained* by
+either implementation and then *served* by either must agree with the
+all-legacy reference within the documented 1e-4 contract, for both
+estimates and gradients.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import UAE
 from repro.core.progressive import ProgressiveSampler
-from repro.train import collect_grads, max_grad_diff
+from reference.parity import collect_grads, max_grad_diff
+from reference.progressive import estimate_batch_legacy
+from reference.uae import UAE_CLASS
 
 BACKENDS = ("legacy", "engine")
 CONTRACT = 1e-4          # the documented parity tolerance (README/ROADMAP)
@@ -28,7 +31,7 @@ def trained(tiny_table, tiny_workload):
     """One identically-seeded hybrid fit per training backend."""
     models = {}
     for tb in BACKENDS:
-        uae = UAE(tiny_table, **FAST, train_backend=tb)
+        uae = UAE_CLASS[tb](tiny_table, **FAST)
         uae.fit(epochs=2, workload=tiny_workload, mode="hybrid")
         models[tb] = uae
     return models
@@ -43,9 +46,9 @@ def matrix_estimates(trained, tiny_table, tiny_workload):
         constraints = [uae.fact.expand_masks(q.masks(tiny_table))
                        for q in queries]
         for ib in BACKENDS:
-            sampler = ProgressiveSampler(uae.model, num_samples=64, seed=17,
-                                         backend=ib)
-            sels = sampler.estimate_batch(constraints)
+            sampler = ProgressiveSampler(uae.model, num_samples=64, seed=17)
+            sels = estimate_batch_legacy(sampler, constraints) \
+                if ib == "legacy" else sampler.estimate_batch(constraints)
             cells[(tb, ib)] = np.clip(sels, 0.0, 1.0) * tiny_table.num_rows
     return cells
 
@@ -92,7 +95,7 @@ def test_gradients_agree_at_trained_weights(trained, tiny_table,
 
     grads = {}
     for backend in BACKENDS:
-        uae = UAE(tiny_table, **FAST, train_backend=backend)
+        uae = UAE_CLASS[backend](tiny_table, **FAST)
         uae.model.load_state_dict(source.model.state_dict())
         # Pin the wildcard-dropout draws so both backends consume the
         # random stream draw for draw (the DPS Gumbel stream is already

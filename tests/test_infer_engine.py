@@ -1,11 +1,12 @@
-"""Equivalence tests: compiled inference engine vs the legacy numpy path.
+"""Equivalence tests: compiled inference engine vs the reference numpy
+loop (``tests/reference/progressive.py``, "legacy" below).
 
 The engine must be a *semantics-preserving* rewrite: compiled model
 forwards match ``hidden_np``/``column_logits_np``/``forward_np`` to float
-tolerance, compiled constraints match the legacy ``_valid_matrix``
+tolerance, compiled constraints match the reference ``_valid_matrix``
 expansion exactly (including factorized ``"lo"`` columns and fanout-scaled
 join constraints), and full estimates agree draw-for-draw when both
-backends consume the same random stream.
+consume the same random stream.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.core.progressive import ProgressiveSampler
 from repro.infer import (BatchScheduler, CompiledModel, InferenceEngine,
                          compile_constraints)
 from repro.nn import Adam, ResMADE, Tensor
+
+from reference.progressive import _valid_matrix, estimate_batch_legacy
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +117,6 @@ class TestCompiledModel:
 
 
 class TestCompiledConstraints:
-    def legacy_valid(self, model, constraint_lists, col, s, sampled):
-        sampler = ProgressiveSampler(model, num_samples=s, backend="legacy")
-        return sampler._valid_matrix(constraint_lists, col, s, sampled)
-
     def test_fixed_and_wildcard_match_legacy(self, model):
         rng = np.random.default_rng(7)
         queries = make_queries(model, rng, 5)
@@ -127,7 +126,7 @@ class TestCompiledConstraints:
             if not cc.queried[col]:
                 continue
             valid, gain = cc.valid_gain_rows(col, s, {})
-            ref_valid, ref_gain = self.legacy_valid(model, queries, col, s, {})
+            ref_valid, ref_gain = _valid_matrix(model, queries, col, s, {})
             np.testing.assert_array_equal(valid, ref_valid)
             assert gain is None and ref_gain is None
 
@@ -148,12 +147,12 @@ class TestCompiledConstraints:
         sampled = {0: hi_codes}
         cc = compile_constraints(queries, model.domain_sizes)
         valid, gain = cc.valid_gain_rows(1, s, sampled)
-        ref_valid, ref_gain = self.legacy_valid(model, queries, 1, s, sampled)
+        ref_valid, ref_gain = _valid_matrix(model, queries, 1, s, sampled)
         np.testing.assert_array_equal(valid, ref_valid)
         assert gain is None and ref_gain is None
         # Without the sampled high digit the union fallback must apply.
         valid_u, _ = cc.valid_gain_rows(1, s, {})
-        ref_valid_u, _ = self.legacy_valid(model, queries, 1, s, {})
+        ref_valid_u, _ = _valid_matrix(model, queries, 1, s, {})
         np.testing.assert_array_equal(valid_u, ref_valid_u)
 
     def test_scaled_gain_matches_legacy(self, model):
@@ -166,7 +165,7 @@ class TestCompiledConstraints:
         s = 2
         cc = compile_constraints(queries, model.domain_sizes)
         valid, gain = cc.valid_gain_rows(0, s, {})
-        ref_valid, ref_gain = self.legacy_valid(model, queries, 0, s, {})
+        ref_valid, ref_gain = _valid_matrix(model, queries, 0, s, {})
         np.testing.assert_array_equal(valid, ref_valid)
         np.testing.assert_allclose(gain, ref_gain, atol=1e-6)
         # Engine-facing combined weights equal valid * gain.
@@ -191,11 +190,9 @@ class TestEngineEquivalence:
     def test_estimates_match_legacy_draw_for_draw(self, model):
         rng = np.random.default_rng(8)
         queries = make_queries(model, rng, 6)
-        legacy = ProgressiveSampler(model, num_samples=200, seed=11,
-                                    backend="legacy")
-        engine = ProgressiveSampler(model, num_samples=200, seed=11,
-                                    backend="engine")
-        a = legacy.estimate_batch(queries)
+        legacy = ProgressiveSampler(model, num_samples=200, seed=11)
+        engine = ProgressiveSampler(model, num_samples=200, seed=11)
+        a = estimate_batch_legacy(legacy, queries)
         b = engine.estimate_batch(queries)
         # Same seed -> same uniform stream -> near bit-identical estimates.
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
@@ -203,11 +200,9 @@ class TestEngineEquivalence:
     def test_with_error_matches_legacy(self, model):
         rng = np.random.default_rng(9)
         queries = make_queries(model, rng, 3)
-        legacy = ProgressiveSampler(model, num_samples=64, seed=13,
-                                    backend="legacy")
-        engine = ProgressiveSampler(model, num_samples=64, seed=13,
-                                    backend="engine")
-        a, ae = legacy.estimate_batch(queries, with_error=True)
+        legacy = ProgressiveSampler(model, num_samples=64, seed=13)
+        engine = ProgressiveSampler(model, num_samples=64, seed=13)
+        a, ae = estimate_batch_legacy(legacy, queries, with_error=True)
         b, be = engine.estimate_batch(queries, with_error=True)
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(ae, be, rtol=1e-3, atol=1e-7)
@@ -221,11 +216,9 @@ class TestEngineEquivalence:
               fixed(np.array([True, True, False, True, True])), None]
         q2 = [fixed(np.array([True, False, True, True])), None, None,
               fixed(np.array([True, False, True]))]
-        legacy = ProgressiveSampler(model, num_samples=300, seed=17,
-                                    backend="legacy")
-        engine = ProgressiveSampler(model, num_samples=300, seed=17,
-                                    backend="engine")
-        a = legacy.estimate_batch([q1, q2])
+        legacy = ProgressiveSampler(model, num_samples=300, seed=17)
+        engine = ProgressiveSampler(model, num_samples=300, seed=17)
+        a = estimate_batch_legacy(legacy, [q1, q2])
         b = engine.estimate_batch([q1, q2])
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
 
@@ -234,11 +227,9 @@ class TestEngineEquivalence:
         q = [fixed(np.array([True, True, False, False])),
              ("scaled", np.ones(6, dtype=bool), gain),
              fixed(np.array([False, True, True, True, False])), None]
-        legacy = ProgressiveSampler(model, num_samples=400, seed=19,
-                                    backend="legacy")
-        engine = ProgressiveSampler(model, num_samples=400, seed=19,
-                                    backend="engine")
-        a = legacy.estimate_batch([q])
+        legacy = ProgressiveSampler(model, num_samples=400, seed=19)
+        engine = ProgressiveSampler(model, num_samples=400, seed=19)
+        a = estimate_batch_legacy(legacy, [q])
         b = engine.estimate_batch([q])
         np.testing.assert_allclose(a, b, rtol=1e-3, atol=1e-7)
 
@@ -257,11 +248,10 @@ class TestEngineEquivalence:
         """One queried column never touches the batched network path."""
         mask = np.array([True, False, True, False])
         q = [fixed(mask), None, None, None]
-        legacy = ProgressiveSampler(model, num_samples=500, seed=29,
-                                    backend="legacy")
-        engine = ProgressiveSampler(model, num_samples=500, seed=29,
-                                    backend="engine")
-        np.testing.assert_allclose(legacy.estimate(q), engine.estimate(q),
+        legacy = ProgressiveSampler(model, num_samples=500, seed=29)
+        engine = ProgressiveSampler(model, num_samples=500, seed=29)
+        np.testing.assert_allclose(estimate_batch_legacy(legacy, [q])[0],
+                                   engine.estimate(q),
                                    rtol=1e-5, atol=1e-8)
 
     def test_engine_tracks_training_updates(self, model):
@@ -279,8 +269,8 @@ class TestEngineEquivalence:
         (m.forward(Tensor(x)) * scale).sum().backward()
         opt.step()
         after = engine.estimate(q)
-        reference = ProgressiveSampler(m, num_samples=4000, seed=41,
-                                       backend="legacy").estimate(q)
+        reference = estimate_batch_legacy(
+            ProgressiveSampler(m, num_samples=4000, seed=41), [q])[0]
         assert after == pytest.approx(reference, rel=0.2, abs=0.02)
         assert before != after
 

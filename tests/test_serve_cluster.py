@@ -442,3 +442,21 @@ class TestCluster:
         with self.make_cluster(tiny_uae, second_uae) as cluster:
             with pytest.raises(RuntimeError):
                 cluster.add_table(second_uae, namespace="late")
+
+
+@needs_shm
+@pytest.mark.multiproc
+def test_scale_out_bench_skips_the_gate_it_cannot_measure(monkeypatch):
+    """Fewer cores than workers: ``scale_throughput`` is not a check
+    that passes on a fallback, it is listed as skipped with the reason."""
+    from dataclasses import replace
+
+    from repro.bench import PROFILES
+    from repro.bench.serve_bench import run_scale_out
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    result = run_scale_out(replace(PROFILES["ci"], scale_workers=(1, 2)))
+    assert result["cpu_limited"]
+    assert "scale_throughput" not in result["checks"]
+    assert result["skipped"] == {
+        "scale_throughput": "cpu_count 1 < workers 2"}
+    assert all(result["checks"].values()), result["checks"]

@@ -192,6 +192,35 @@ class TestModelOps:
         # The rollback version is the new fallback target.
         assert server.modelops._last_good == 3
 
+    def test_bad_feedback_is_refused_before_it_can_roll_back_a_swap(
+            self, uae, workload):
+        """A NaN / infinite / negative truth or estimate used to reach
+        the training buffer and the probe set, and — as a 1e18 q-error —
+        the tripwire window, where it rolls back a healthy swap."""
+        server = self.make_server(uae, tripwire_ratio=2.0,
+                                  tripwire_window=8, tripwire_min_obs=4)
+        self.feed(server, workload)
+        assert server.refine()["version"] == 2         # healthy, wire armed
+        query = workload.queries[0]
+        _, probes_before = server.modelops.validator.probes()
+        for bad in (float("nan"), float("inf"), -5.0):
+            for _ in range(4):                         # >= tripwire_min_obs
+                with pytest.raises(ValueError, match="true_cardinality"):
+                    server.observe(query, bad, estimate=10.0)
+                with pytest.raises(ValueError, match="estimate"):
+                    server.observe(query, 10.0, estimate=bad)
+            with pytest.raises(ValueError, match="true_cardinality"):
+                server.feedback.record(query, 10.0, bad)
+        assert len(server.feedback) == 0
+        assert server.feedback.stats()["observed"] == 8
+        assert server.modelops.tripwire.stats()["window"] == 0
+        assert server.registry.version == 2 and not server.modelops.rollbacks
+        _, probes_after = server.modelops.validator.probes()
+        np.testing.assert_array_equal(probes_after, probes_before)
+        # No upper bound: a truth above the table size is legitimate.
+        server.observe(query, 1e300, estimate=1e300)
+        assert len(server.feedback) == 1
+
     def test_lost_rollback_target_disarms(self, uae, workload):
         server = self.make_server(uae)
         self.feed(server, workload)

@@ -579,13 +579,50 @@ class TestHTTPRejections:
         assert h405.get("allow") == "POST"
 
     def test_bad_deadline_is_400(self, server):
+        # json.loads accepts the NaN / Infinity literals the client's
+        # json.dumps emits: a NaN budget used to wait out the grace and
+        # answer 504, an infinite one was accepted.
         async def scenario():
             async with _DoorHarness(server) as h:
-                return await h.client.post(
-                    "/estimate", {"sql": "a = 1", "deadline_ms": -5})
+                return [await h.client.post(
+                    "/estimate", {"sql": "a = 1", "deadline_ms": bad})
+                    for bad in (-5, 0, float("nan"), float("inf"))]
 
-        status, body, _ = run(scenario())
-        assert status == 400
+        for status, body, _ in run(scenario()):
+            assert status == 400
+            assert "deadline_ms" in body["detail"]
+
+    def test_bad_feedback_number_is_400_and_never_recorded(self, tiny_uae):
+        """A non-finite or negative truth / estimate is refused at the
+        door: it never becomes a training label, a drift observation, a
+        shadow probe or a tripwire sample."""
+        nan, inf = float("nan"), float("inf")
+        bodies = [{"sql": "a = 1", "true_cardinality": bad}
+                  for bad in (nan, inf, -inf, -5, "many")]
+        bodies += [{"sql": "a = 1", "true_cardinality": 200, "estimate": bad}
+                   for bad in (nan, inf, -5)]
+
+        async def scenario(srv):
+            async with _DoorHarness(srv) as h:
+                bad = [await h.client.post("/feedback", b) for b in bodies]
+                # No upper bound: a truth above the table size (counted
+                # over rows staged but not yet ingested) is legitimate.
+                good = await h.client.post(
+                    "/feedback", {"sql": "a = 1", "true_cardinality": 1e300})
+                return bad, good
+
+        with UAEServer(tiny_uae.clone(), max_batch=16, max_wait_ms=1.0,
+                       seed=7, modelops=True) as srv:
+            bad, good = run(scenario(srv))
+            for (status, body, _), sent in zip(bad, bodies):
+                assert status == 400, sent
+                assert body["error"] == "ValueError"
+            assert good[0] == 200
+            assert [c for _, c in srv.feedback._buffer] == [1e300]
+            assert srv.feedback.stats()["observed"] == 1
+            assert np.isfinite(srv.feedback.stats()["drift"])
+            _, truths = srv.modelops.validator.probes()
+            assert list(truths) == [1e300]
 
 
 class _RaisingFront:

@@ -1,10 +1,11 @@
 """Tests for the compiled hybrid-training engine (:mod:`repro.train`).
 
-The engine's contract is numerical equivalence with the legacy autograd
-path: same weights + same batch + same random draws => same gradients to
-float32 rounding.  Verified three ways: against the legacy backward,
-against central finite differences, and through bit-level run-to-run
-determinism of full ``fit`` loops on both backends.
+The engine's contract is numerical equivalence with the reference
+autograd path (``tests/reference/``, "legacy" below): same weights + same
+batch + same random draws => same gradients to float32 rounding.
+Verified three ways: against the reference backward, against central
+finite differences, and through bit-level run-to-run determinism of full
+``fit`` loops on both.
 """
 
 import numpy as np
@@ -12,10 +13,15 @@ import pytest
 
 from repro.core import UAE
 from repro.core.dps import DifferentiableProgressiveSampler
+from repro.core.progressive import ProgressiveSampler
 from repro.nn import ResMADE
 from repro.nn import functional as F
-from repro.train import FusedDataLoss, FusedDPS, collect_grads, \
-    gradient_parity, max_grad_diff
+from repro.serve import RoutedEstimateService, UAEServer
+from repro.train import FusedDataLoss, FusedDPS
+
+from reference.dps import estimate_batch_legacy
+from reference.parity import collect_grads, gradient_parity, max_grad_diff
+from reference.uae import UAE_CLASS
 
 FAST = dict(hidden=24, num_blocks=1, est_samples=32, dps_samples=4,
             batch_size=128, query_batch_size=8, seed=0)
@@ -36,6 +42,13 @@ def fixed(mask):
 
 CONSTRAINTS = [fixed([1, 1, 0, 1, 0]), fixed([0, 1, 1, 0, 1, 1, 0]),
                None, fixed([1, 0, 0, 1, 1, 1])]
+
+
+def dps_estimate(dps, backend, constraint_lists):
+    """``dps``'s seeded stream through the reference loop or the kernel."""
+    if backend == "legacy":
+        return estimate_batch_legacy(dps, constraint_lists)
+    return dps.estimate_batch(constraint_lists)
 
 
 def batch_codes(model: ResMADE, n: int, seed: int = 1) -> np.ndarray:
@@ -143,10 +156,9 @@ class TestFusedDPS:
         results = {}
         for backend in ("legacy", "engine"):
             dps = DifferentiableProgressiveSampler(
-                model, num_samples=8, temperature=1.0, seed=42,
-                backend=backend)
-            est = dps.estimate_batch([CONSTRAINTS, CONSTRAINTS[:2] + [None,
-                                                                      None]])
+                model, num_samples=8, temperature=1.0, seed=42)
+            est = dps_estimate(dps, backend,
+                               [CONSTRAINTS, CONSTRAINTS[:2] + [None, None]])
             loss = F.qerror_loss(est, np.array([0.2, 0.4]))
             model.zero_grad()
             loss.backward()
@@ -201,16 +213,20 @@ class TestFusedDPS:
         grads = {}
         for backend in ("legacy", "engine"):
             dps = DifferentiableProgressiveSampler(
-                model, num_samples=8, seed=21, backend=backend)
-            est = dps.estimate_batch(cls)
+                model, num_samples=8, seed=21)
+            est = dps_estimate(dps, backend, cls)
             model.zero_grad()
             F.qerror_loss(est, np.array([0.15])).backward()
             grads[backend] = collect_grads(model)
         assert max_grad_diff(grads["legacy"], grads["engine"]) < 1e-4
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            DifferentiableProgressiveSampler(small_model(), backend="fast")
+        """There is one implementation: ``backend=`` is no longer a
+        keyword, for any value."""
+        for backend in ("engine", "legacy", "fast"):
+            with pytest.raises(TypeError):
+                DifferentiableProgressiveSampler(small_model(),
+                                                 backend=backend)
 
     def test_no_constraints_returns_one(self):
         model = small_model(16)
@@ -224,7 +240,7 @@ class TestUAEBackends:
         wl = toy_workloads["train"]
 
         def make(backend):
-            return UAE(toy_table, **FAST, train_backend=backend)
+            return UAE_CLASS[backend](toy_table, **FAST)
 
         probe = make("engine")
         codes = probe.model_codes[
@@ -241,36 +257,59 @@ class TestUAEBackends:
         """Two identically-seeded fits produce bit-identical weights."""
         states = []
         for _ in range(2):
-            uae = UAE(toy_table, **FAST, train_backend=backend)
+            uae = UAE_CLASS[backend](toy_table, **FAST)
             uae.fit(epochs=1, workload=toy_workloads["train"], mode="hybrid")
             states.append(uae.model.state_dict())
         for name in states[0]:
             assert np.array_equal(states[0][name], states[1][name]), name
 
     def test_engine_hybrid_fit_learns(self, toy_table, toy_workloads):
-        uae = UAE(toy_table, **FAST, train_backend="engine")
+        uae = UAE(toy_table, **FAST)
         before = uae.loglikelihood(toy_table.codes[:300])
         uae.fit(epochs=3, workload=toy_workloads["train"], mode="hybrid")
         after = uae.loglikelihood(toy_table.codes[:300])
         assert after > before
         assert np.isfinite(uae.history[-1]["query_loss"])
 
-    def test_backend_switch_and_validation(self, toy_table):
+    def test_backend_options_are_gone(self, toy_table):
+        """The selector is deleted, not ignored: every entry point that
+        took it now rejects it like any unknown keyword."""
         uae = UAE(toy_table, **FAST)
-        assert uae.train_backend == "engine"
-        uae.train_backend = "legacy"
-        assert uae.config.train_backend == "legacy"
-        assert uae.dps.backend == "legacy"
-        with pytest.raises(ValueError):
-            uae.train_backend = "turbo"
-        with pytest.raises(ValueError):
-            UAE(toy_table, **FAST, train_backend="bogus")
+        assert not hasattr(uae, "train_backend")
+        assert not hasattr(uae.config, "train_backend")
+        for value in ("engine", "legacy"):
+            with pytest.raises(TypeError):
+                UAE(toy_table, **FAST, train_backend=value)
+            with pytest.raises(TypeError):
+                ProgressiveSampler(uae.model, backend=value)
+            with pytest.raises(TypeError):
+                UAEServer(uae, train_backend=value)
+            with pytest.raises(TypeError):
+                RoutedEstimateService(train_backend=value)
 
-    def test_snapshot_preserves_backend(self, toy_table):
-        uae = UAE(toy_table, **FAST, train_backend="legacy")
-        snap = uae.snapshot()
-        assert snap.train_backend == "legacy"
-        assert snap.dps.backend == "legacy"
+    @pytest.mark.parametrize("retired", ["engine", "legacy"])
+    def test_load_checkpoint_from_before_the_option_was_retired(
+            self, toy_table, toy_workloads, tmp_path, retired):
+        """A checkpoint whose meta still says ``train_backend`` opens and
+        serves the saved model's seeded estimates bit for bit."""
+        import json
+        uae = UAE(toy_table, **FAST)
+        uae.fit(epochs=1, mode="data")
+        path, old = str(tmp_path / "new.npz"), str(tmp_path / "old.npz")
+        uae.save(path)
+        with np.load(path) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"]["train_backend"] = retired
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                           dtype=np.uint8)
+        np.savez(old, **arrays)
+
+        loaded = UAE.load(old, toy_table)
+        assert loaded.config == uae.config
+        queries = toy_workloads["test_in"].queries[:8]
+        np.testing.assert_array_equal(loaded.estimate_many(queries),
+                                      uae.estimate_many(queries))
 
     def test_fit_early_stop_restores_optimizer_state(self, toy_table,
                                                      toy_workloads):

@@ -45,7 +45,7 @@ def run_experiment(benchmark, name: str, func, profile):
     text = format_table(result["rows"], result["columns"],
                         title=result["title"])
     print("\n" + text)
-    save_json(name, {k: v for k, v in result.items() if k != "speedups"})
+    save_json(name, result)
     with open(os.path.join(reporting.RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
     return result

@@ -1,22 +1,24 @@
 """Injecting learned cardinalities into a query optimizer (Figure 6).
 
 The Selinger-style DP planner in ``repro.optimizer`` accepts any
-cardinality provider, exactly like the paper's modified PostgreSQL.  This
-example plans multi-way join queries with (a) Postgres-style heuristics,
-(b) a trained UAE, and (c) true cardinalities, then scores every chosen
-plan with true costs to show how better estimates buy better plans.
+cardinality source, exactly like the paper's modified PostgreSQL: anything
+with ``name`` and ``cardinality(query, subset)`` plans through
+``card_fn``.  This example plans multi-way join queries with (a)
+Postgres-style heuristics, (b) a trained UAE, and (c) true cardinalities,
+then scores every chosen plan with true costs to show how better estimates
+buy better plans.
 
 Run:  python examples/optimizer_injection.py
 """
 
 import numpy as np
 
+from repro.bench.plan_bench import plan_and_score, speedup_row
 from repro.data.schema import make_imdb_large
 from repro.joins import UAEJoin
 from repro.joins.workload import generate_job_m_focused
-from repro.optimizer import (EstimatorCardAdapter, PostgresHeuristic,
-                             TrueCardOracle, plan_cost, plan_for_query,
-                             run_optimizer_study)
+from repro.optimizer import (PostgresHeuristic, TrueCardOracle, card_fn,
+                             plan_cost, plan_for_query)
 
 
 def main() -> None:
@@ -29,31 +31,29 @@ def main() -> None:
                   est_samples=96, dps_samples=8, batch_size=512,
                   lam=1e-3, seed=0)
     uae.fit(epochs=5, workload=train, mode="hybrid")
+    uae.name = "UAE"
+    oracle = TrueCardOracle(schema)
+    sources = [PostgresHeuristic(schema), uae, oracle]
 
     # Show one query's plans side by side.
     query = test.queries[0]
-    oracle = TrueCardOracle(schema)
-    postgres = PostgresHeuristic(schema)
-    adapters = {
-        "PostgreSQL": postgres.card_fn(query),
-        "UAE": EstimatorCardAdapter(uae, "UAE").card_fn(query),
-        "TrueCard": oracle.card_fn(query),
-    }
     print(f"query: {query}\n")
-    true_fn = oracle.card_fn(query)
-    for name, fn in adapters.items():
-        plan = plan_for_query(schema, list(query.tables), fn)
+    true_fn = card_fn(oracle, query)
+    for source in sources:
+        plan = plan_for_query(schema, list(query.tables),
+                              card_fn(source, query))
         cost = plan_cost(plan, true_fn)
-        print(f"{name:>11}: plan {plan}  -> true cost {cost:,.0f}")
+        print(f"{source.name:>11}: plan {plan}  -> true cost {cost:,.0f}")
 
     # Aggregate speedups over the workload.
-    results = run_optimizer_study(schema, test.queries,
-                                  [EstimatorCardAdapter(uae, "UAE")])
+    costs, _, errors = plan_and_score(schema, test.queries, sources, oracle)
+    if errors:
+        raise errors[0]
     print("\nspeedup vs the PostgreSQL-heuristic plan "
           "(per-query execution-cost ratio):")
-    for r in results:
-        s = r.summary()
-        print(f"{r.estimator:>11}: median {s['median']:.3f}  "
+    for name in ("TrueCard", "UAE"):
+        s = speedup_row(name, costs["PostgreSQL"], costs[name])
+        print(f"{name:>11}: median {s['median']:.3f}  "
               f"mean {s['mean']:.3f}  p10 {s['p10']:.3f}  p90 {s['p90']:.3f}")
 
 

@@ -63,8 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         print(format_table(result["rows"], result["columns"],
                            title=result["title"]))
         print(f"[{name} took {elapsed:.1f}s]")
-        path = save_json(name, {k: v for k, v in result.items()
-                                if k not in ("speedups",)})
+        path = save_json(name, result)
         print(f"saved {path}\n")
     if failed:
         print(f"failed experiments: {failed}", file=sys.stderr)

@@ -21,7 +21,8 @@ from ..estimators import (BayesNetEstimator, FeedbackKDEEstimator,
 from ..joins import (MSCNJoin, NeuroCard, SPNJoin, UAEJoin,
                      generate_job_light, generate_job_light_ranges_focused)
 from ..joins.workload import generate_job_m_focused
-from ..optimizer import EstimatorCardAdapter, run_optimizer_study
+from ..optimizer import (MagicConstantHeuristic, PostgresHeuristic,
+                         TrueCardOracle)
 from ..workload import (generate_inworkload, generate_random,
                         generate_shifted_partitions, summarize)
 from .profiles import Profile, current_profile
@@ -418,18 +419,21 @@ def optimizer_impact(profile: Profile | None = None) -> dict:
                           **uae_kwargs)
     neurocard.fit(epochs=profile.join_epochs)
 
-    from ..optimizer.postgres import MagicConstantHeuristic
-    results = run_optimizer_study(schema, test.queries, [
-        MagicConstantHeuristic(schema),
-        EstimatorCardAdapter(neurocard, "NeuroCard"),
-        EstimatorCardAdapter(_named(uae, "UAE"), "UAE"),
-    ])
-    rows = [{"estimator": r.estimator, **r.summary()} for r in results]
+    # The plan bench's plan-and-score loop; every row is a speedup over
+    # the PostgreSQL plan, scored with true costs.
+    from .plan_bench import plan_and_score, speedup_row
+    oracle = TrueCardOracle(schema)
+    costs, _, errors = plan_and_score(schema, test.queries, [
+        oracle, PostgresHeuristic(schema), MagicConstantHeuristic(schema),
+        neurocard, _named(uae, "UAE")], oracle)
+    if errors:
+        raise errors[0]
+    baseline = costs.pop("PostgreSQL")
     return {"title": "Figure 6: query execution speedups vs PostgreSQL "
                      f"(profile={profile.name})",
             "columns": ["estimator", "median", "mean", "p10", "p90"],
-            "rows": rows,
-            "speedups": {r.estimator: r.speedups for r in results}}
+            "rows": [speedup_row(name, baseline, vals)
+                     for name, vals in costs.items()]}
 
 
 # ----------------------------------------------------------------------

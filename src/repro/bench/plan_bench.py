@@ -19,7 +19,9 @@ Each test query is planned with five providers —
 
 and every chosen plan is scored with *true* costs (the execution proxy,
 README "Optimizer in the loop").  Speedups are reported against the
-PostgreSQL plan, like ``run_optimizer_study``.
+PostgreSQL plan.  :func:`plan_and_score` is that loop; Figure 6
+(``python -m repro.bench fig6``) is another scenario of it, planning with
+in-process join estimators instead of the serving tier.
 
 Test queries are drawn from a generated pool and selected in two
 estimator-blind steps.  First, keep only queries where planning with
@@ -48,8 +50,7 @@ at the repo root; ``--profile ci`` is the CI smoke.  Hard ``pq_*`` checks
   within a recorded factor of the oracle's;
 * ``pq_subplan_bit_identical`` — every served sub-plan answer equals the
   single-process seeded engine reference bit-for-bit;
-* ``pq_single_batched_call`` — exactly one batched round trip per plan,
-  zero per-fragment fallbacks;
+* ``pq_single_batched_call`` — exactly one batched round trip per plan;
 * ``pq_ues_upper_bound`` — the UES bound is >= the true cardinality on
   every connected fragment of every query;
 * ``pq_zero_untyped_failures`` — planning never surfaces an untyped
@@ -58,7 +59,6 @@ at the repo root; ``--profile ci`` is the CI smoke.  Hard ``pq_*`` checks
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from datetime import datetime, timezone
@@ -71,8 +71,8 @@ from ..joins.workload import (LabeledJoinWorkload, generate_job_m_focused,
                               true_join_cardinality)
 from ..optimizer import (JoinGraph, MagicConstantHeuristic, PostgresHeuristic,
                          ServingCardinalityProvider, TrueCardOracle,
-                         UESPessimisticProvider, plan_cost, plan_for_query)
-from ..optimizer.cost import join_cost
+                         UESPessimisticProvider, card_fn, plan_cost,
+                         plan_for_query, worst_plan)
 from ..serve import RoutedEstimateService
 from ..serve.router import RoutingError
 from ..workload import (FragmentError, extract_fragment,
@@ -102,38 +102,41 @@ _MIN_TABLES = 5             # tables per test query (join-order space)
 _POOL_FACTOR = 4            # candidate queries generated per kept query
 
 
-def _plan_str(plan) -> str:
-    return str(plan)
+def plan_and_score(schema, queries, providers, oracle):
+    """Plan every query with every provider through :func:`card_fn`
+    and score each chosen plan with true costs.
+
+    Returns ``(costs, plans, errors)``: per provider name, the true
+    cost of each query's plan (``inf`` where planning raised) and the
+    plan as a string (``"None"`` there), plus every exception raised.
+    """
+    costs: dict[str, list[float]] = {p.name: [] for p in providers}
+    plans: dict[str, list[str]] = {p.name: [] for p in providers}
+    errors: list[Exception] = []
+    for query in queries:
+        true_fn = card_fn(oracle, query)
+        for provider in providers:
+            try:
+                plan = plan_for_query(schema, list(query.tables),
+                                      card_fn(provider, query))
+                cost = float(plan_cost(plan, true_fn))
+            except Exception as exc:
+                errors.append(exc)
+                plan, cost = None, float("inf")
+            costs[provider.name].append(cost)
+            plans[provider.name].append(str(plan))
+    return ({name: np.asarray(vals) for name, vals in costs.items()},
+            plans, errors)
 
 
-def _worst_plan_cost(tables, graph: JoinGraph, card) -> float:
-    """True cost of the *worst* connected plan — the same DP recurrence
-    as ``best_plan`` with ``max`` in place of ``min``.  The worst/best
-    ratio is the query's plan spread."""
-    tables = sorted(tables)
-    worst = {frozenset([t]): float(card(frozenset([t]))) for t in tables}
-    for size in range(2, len(tables) + 1):
-        for combo in itertools.combinations(tables, size):
-            subset = frozenset(combo)
-            if not graph.is_connected(subset):
-                continue
-            members = sorted(subset)
-            out = card(subset)
-            candidates = []
-            for r in range(1, size // 2 + 1):
-                for left_combo in itertools.combinations(members, r):
-                    left = frozenset(left_combo)
-                    if 2 * r == size and members[0] not in left:
-                        continue
-                    right = subset - left
-                    if left not in worst or right not in worst:
-                        continue
-                    candidates.append(worst[left] + worst[right]
-                                      + join_cost(card(left), card(right),
-                                                  out))
-            if candidates:
-                worst[subset] = max(candidates)
-    return worst[frozenset(tables)]
+def speedup_row(name: str, baseline: np.ndarray, costs: np.ndarray) -> dict:
+    """Per-query speedup ``baseline / costs`` summarised as a table row."""
+    speedups = baseline / np.maximum(costs, 1e-9)
+    return {"estimator": name,
+            "median": float(np.median(speedups)),
+            "mean": float(speedups.mean()),
+            "p10": float(np.percentile(speedups, 10)),
+            "p90": float(np.percentile(speedups, 90))}
 
 
 def _augment_with_fragments(schema, train) -> LabeledJoinWorkload:
@@ -188,13 +191,12 @@ def _select_test_queries(schema, pool, oracle, n_keep):
     magic = MagicConstantHeuristic(schema)
     spreads, gaps = [], []
     for query in pool.queries:
-        true_fn = oracle.card_fn(query)
-        best = plan_cost(plan_for_query(schema, list(query.tables), true_fn),
-                         true_fn)
-        worst = _worst_plan_cost(list(query.tables), graph, true_fn)
+        tables = list(query.tables)
+        true_fn = card_fn(oracle, query)
+        best = plan_cost(plan_for_query(schema, tables, true_fn), true_fn)
+        worst = plan_cost(worst_plan(tables, graph, true_fn), true_fn)
         magic_cost = plan_cost(
-            plan_for_query(schema, list(query.tables), magic.card_fn(query)),
-            true_fn)
+            plan_for_query(schema, tables, card_fn(magic, query)), true_fn)
         spreads.append(worst / max(best, 1e-9))
         gaps.append(magic_cost / max(best, 1e-9))
     spreads = np.asarray(spreads)
@@ -242,8 +244,6 @@ def run_plan_quality(profile: Profile | None = None,
             mode="hybrid")
 
     checks: dict[str, bool] = {}
-    typed_failures = 0
-    untyped_failures = 0
 
     front = RoutedEstimateService(seed=0)
     space = front.add_join(uae)
@@ -254,24 +254,10 @@ def run_plan_quality(profile: Profile | None = None,
                      MagicConstantHeuristic(schema),
                      UESPessimisticProvider(schema), serving]
         ues = providers[3]
-
-        costs: dict[str, list[float]] = {p.name: [] for p in providers}
-        plans: dict[str, list[str]] = {p.name: [] for p in providers}
-        for query in test_queries:
-            true_fn = oracle.card_fn(query)
-            for provider in providers:
-                try:
-                    plan = plan_for_query(schema, list(query.tables),
-                                          provider.card_fn(query))
-                    cost = float(plan_cost(plan, true_fn))
-                except _TYPED_ERRORS:
-                    typed_failures += 1
-                    plan, cost = None, float("inf")
-                except Exception:
-                    untyped_failures += 1
-                    plan, cost = None, float("inf")
-                costs[provider.name].append(cost)
-                plans[provider.name].append(_plan_str(plan))
+        arr, plans, errors = plan_and_score(schema, test_queries, providers,
+                                            oracle)
+        typed_failures = sum(isinstance(e, _TYPED_ERRORS) for e in errors)
+        untyped_failures = len(errors) - typed_failures
 
         # --- bit-identity: served sub-plan answers vs the single-process
         # seeded engine reference (same snapshot, fragment order, seed).
@@ -285,12 +271,11 @@ def run_plan_quality(profile: Profile | None = None,
             for subset in serving.graph.connected_subsets(query.tables):
                 truth = true_join_cardinality(
                     schema, extract_fragment(query, subset))
-                if ues.cardinality(query, subset) + 1e-6 < truth:
+                if ues.upper_bound(query, subset) + 1e-6 < truth:
                     ues_holds = False
 
         service_failures = space.server.service.failures
 
-    arr = {name: np.asarray(vals) for name, vals in costs.items()}
     oracle_costs = arr[oracle.name]
     serving_costs = arr[serving.name]
     magic_costs = arr["MagicConstants"]
@@ -307,24 +292,15 @@ def run_plan_quality(profile: Profile | None = None,
     checks["pq_uae_within_factor_of_oracle"] = \
         uae_vs_oracle <= _UAE_ORACLE_FACTOR
     checks["pq_subplan_bit_identical"] = bool(bit_identical)
-    checks["pq_single_batched_call"] = (
+    checks["pq_single_batched_call"] = \
         serving.batched_calls == len(test_queries)
-        and serving.fallback_calls == 0)
     checks["pq_ues_upper_bound"] = ues_holds
     checks["pq_zero_untyped_failures"] = (untyped_failures == 0
                                           and service_failures == 0)
 
-    rows = []
-    for name, vals in arr.items():
-        speedups = pg_costs / np.maximum(vals, 1e-9)
-        rows.append({
-            "estimator": name,
-            "median": float(np.median(speedups)),
-            "mean": float(speedups.mean()),
-            "p10": float(np.percentile(speedups, 10)),
-            "p90": float(np.percentile(speedups, 90)),
-            "mean_true_cost": float(vals.mean()),
-        })
+    rows = [{**speedup_row(name, pg_costs, vals),
+             "mean_true_cost": float(vals.mean())}
+            for name, vals in arr.items()]
 
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -350,7 +326,6 @@ def run_plan_quality(profile: Profile | None = None,
         "uae_median_cost_vs_oracle": uae_vs_oracle,
         "batched_calls": serving.batched_calls,
         "fragments_estimated": serving.fragments_estimated,
-        "fallback_calls": serving.fallback_calls,
         "typed_failures": typed_failures,
         "untyped_failures": untyped_failures,
         "service_failures": int(service_failures),
@@ -373,8 +348,8 @@ def run_plan_quality(profile: Profile | None = None,
             f"plan-quality invariants violated: {failed} "
             f"[UAE-vs-Magic median {uae_vs_magic:.3f}; UAE-vs-oracle "
             f"median {uae_vs_oracle:.3f} (bound {_UAE_ORACLE_FACTOR}); "
-            f"batched {serving.batched_calls}/{len(test_queries)} plans, "
-            f"{serving.fallback_calls} fallbacks; untyped "
+            f"batched {serving.batched_calls}/{len(test_queries)} plans; "
+            f"untyped "
             f"{untyped_failures}]; see "
             f"{BENCH_PLAN_PATH if write_artifact else 'payload'}")
 

@@ -14,10 +14,10 @@ from ..estimators.mscn import MSCNSampling
 from ..estimators.spn import SPNEstimator
 from ..workload.predicate import LabeledWorkload, Predicate, Query
 from .sampler import StarJoinSampler
-from .workload import JoinQuery, LabeledJoinWorkload
+from .workload import FragmentCardinality, JoinQuery, LabeledJoinWorkload
 
 
-class _JoinSampleMixin:
+class _JoinSampleMixin(FragmentCardinality):
     """Shared query translation onto the flat join sample."""
 
     def _init_sample(self, schema: Schema, sample_size: int, seed: int):

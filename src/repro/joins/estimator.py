@@ -25,10 +25,10 @@ from ..core.uae import UAE, UAEConfig
 from ..data.schema import Schema
 from ..workload.predicate import LabeledWorkload, Query
 from .sampler import StarJoinSampler
-from .workload import JoinQuery, LabeledJoinWorkload
+from .workload import FragmentCardinality, JoinQuery, LabeledJoinWorkload
 
 
-class UAEJoin:
+class UAEJoin(FragmentCardinality):
     """UAE/NeuroCard-style estimator over a star schema."""
 
     name = "UAE-join"

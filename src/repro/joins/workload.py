@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.schema import Schema
+from ..workload.fragments import extract_fragment
 from ..workload.predicate import Predicate
 
 _JOIN_OPS = ("=", "<", "<=", ">", ">=")
@@ -64,6 +65,16 @@ class LabeledJoinWorkload:
 
     def __len__(self) -> int:
         return len(self.queries)
+
+
+class FragmentCardinality:
+    """The planner's cardinality contract for any ``estimate(JoinQuery)``:
+    the estimate of ``query``'s fragment over ``subset``, floored at one
+    row (see :func:`repro.optimizer.card_fn`)."""
+
+    def cardinality(self, query: JoinQuery, subset: frozenset) -> float:
+        return float(max(self.estimate(extract_fragment(query, subset)),
+                         1.0))
 
 
 def _table_row_mask(schema: Schema, name: str,

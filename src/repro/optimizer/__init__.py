@@ -1,19 +1,20 @@
-"""Query-optimizer impact study (Figure 6): DP planner, cost model,
-Postgres-style heuristic, serving-tier sub-plan provider, and the
-estimate-injection harness."""
+"""Query-optimizer impact study (Figure 6): DP planner, cost model, and
+the planner's cardinality sources — true cardinalities, Postgres-style
+heuristics, the UES bound, and the serving-tier sub-plan provider — all
+behind one contract, ``cardinality(query, subset)``, read through
+:func:`card_fn`.  Every join estimator in :mod:`repro.joins` speaks it
+too."""
 
-from .cost import Plan, join_cost, plan_cost, plan_intermediates, scan_cost
-from .planner import JoinGraph, best_plan, connected, plan_for_query
+from .cost import (Plan, TrueCardOracle, join_cost, plan_cost,
+                   plan_intermediates, scan_cost)
+from .planner import (JoinGraph, best_plan, card_fn, plan_for_query,
+                      worst_plan)
 from .postgres import MagicConstantHeuristic, PostgresHeuristic
-from .study import (EstimatorCardAdapter, OptimizerResult, TrueCardOracle,
-                    restrict_query, run_optimizer_study)
 from .subplan import ServingCardinalityProvider, UESPessimisticProvider
 
 __all__ = [
     "Plan", "plan_cost", "scan_cost", "join_cost", "plan_intermediates",
-    "best_plan", "plan_for_query", "connected", "JoinGraph",
-    "PostgresHeuristic", "MagicConstantHeuristic",
-    "TrueCardOracle", "EstimatorCardAdapter", "OptimizerResult",
-    "restrict_query", "run_optimizer_study",
+    "best_plan", "worst_plan", "plan_for_query", "card_fn", "JoinGraph",
+    "TrueCardOracle", "PostgresHeuristic", "MagicConstantHeuristic",
     "ServingCardinalityProvider", "UESPessimisticProvider",
 ]

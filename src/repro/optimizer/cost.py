@@ -4,7 +4,8 @@
 *true* cardinalities: the planner picks a join order using an
 estimator's cardinalities, then we score the chosen plan with ground truth,
 which is precisely the mechanism Figure 6 demonstrates (better estimates →
-better plans → faster execution).
+better plans → faster execution).  :class:`TrueCardOracle` is that ground
+truth as a cardinality source.
 """
 
 from __future__ import annotations
@@ -12,7 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..data.schema import Schema
+from ..joins.workload import (FragmentCardinality, JoinQuery,
+                              true_join_cardinality)
+
 CardFn = Callable[[frozenset], float]
+
+
+class TrueCardOracle(FragmentCardinality):
+    """Perfect cardinalities — the upper bound on plan quality, and the
+    card function every chosen plan is scored with."""
+
+    name = "TrueCard"
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+
+    def estimate(self, query: JoinQuery) -> int:
+        return true_join_cardinality(self.schema, query)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ every subquery (Section 5.6, following Cai et al. 2019); this module is the
 equivalent substrate: the DP planner consults an arbitrary cardinality
 function, so swapping estimators changes only the numbers it sees.
 
+Every cardinality source speaks one contract — ``name`` plus
+``cardinality(query, subset) -> float`` — and :func:`card_fn` turns any
+of them into the planner's memoised card function.
+
 Cross products are excluded.  Connectivity comes from a
-:class:`JoinGraph` derived from the schema's foreign keys; for a star
-schema that reduces to the historical rule (a subset is connected iff it
-is a singleton or contains the center table), which :func:`connected`
-still implements directly for callers that pass a center name.
+:class:`JoinGraph` derived from the schema's foreign keys.
 """
 
 from __future__ import annotations
@@ -23,19 +24,13 @@ from ..data.schema import Schema
 from .cost import CardFn, Plan, join_cost, scan_cost
 
 
-def connected(subset: frozenset, center: str) -> bool:
-    """Star-schema connectivity: singleton or contains the center."""
-    return len(subset) == 1 or center in subset
-
-
 class JoinGraph:
     """Join connectivity derived from foreign-key edges.
 
     Each foreign key contributes an undirected edge child—parent; a table
     subset is connected iff it induces a connected subgraph.  On a star
-    schema this is exactly the :func:`connected` rule (children only meet
-    through the center), but it also covers snowflakes and chains, which
-    is what lets :func:`best_plan` drop the hard-coded star assumption.
+    schema that is a singleton or any subset holding the center (children
+    only meet through it); snowflakes and chains are covered too.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
@@ -85,29 +80,44 @@ class JoinGraph:
         return out
 
 
-def best_plan(tables: list[str], connectivity, card: CardFn) -> Plan:
-    """Exhaustive DP over connected subsets (<= 2^|tables| states).
+def card_fn(source, query) -> CardFn:
+    """The planner's card function for ``query``: ``source.cardinality``
+    memoised per subset.
 
-    ``connectivity`` is either a center-table name (the historical star
-    rule) or a :class:`JoinGraph`-shaped object with ``is_connected``.
+    ``source`` is any cardinality source — ``name`` plus
+    ``cardinality(query, subset) -> float``, the value the planner
+    prices with (each source applies its own floor).  The DP asks for a
+    subset many times; the source sees it at most once per plan.
+    """
+    memo: dict[frozenset, float] = {}
+
+    def fn(subset: frozenset) -> float:
+        if subset not in memo:
+            memo[subset] = source.cardinality(query, subset)
+        return memo[subset]
+    return fn
+
+
+def _dp(tables: list[str], graph: JoinGraph, card: CardFn,
+        pick) -> Plan:
+    """The DP recurrence over connected subsets (<= 2^|tables| states):
+    each subset keeps the split ``pick`` (``min`` or ``max``) chooses by
+    cost.
 
     Mirrored partitions cost the same — :func:`~repro.optimizer.cost.
     join_cost` is build/probe-symmetric and both halves' DP costs are
     shared — so each split is enumerated once: left halves run up to
     half the subset size, and an even split keeps the half holding the
     smallest member.  That kept candidate is the one the full
-    enumeration's earliest-minimum tie-break chose, so plans are
-    bit-identical to the pre-dedup planner at half the partition work.
+    enumeration's earliest-extremum tie-break chose, so plans are
+    bit-identical to the full enumeration at half the partition work.
     """
+    if isinstance(graph, str):
+        raise TypeError("the planner takes a JoinGraph, not a center-table "
+                        "name; build one with JoinGraph.from_schema")
     tables = sorted(tables)
     if not tables:
         raise ValueError("no tables to plan")
-    if isinstance(connectivity, str):
-        center = connectivity
-        def is_connected(subset: frozenset) -> bool:
-            return connected(subset, center)
-    else:
-        is_connected = connectivity.is_connected
 
     best: dict[frozenset, tuple[float, Plan]] = {}
     for name in tables:
@@ -117,7 +127,7 @@ def best_plan(tables: list[str], connectivity, card: CardFn) -> Plan:
     for size in range(2, len(tables) + 1):
         for combo in combinations(tables, size):
             subset = frozenset(combo)
-            if not is_connected(subset):
+            if not graph.is_connected(subset):
                 continue
             candidates: list[tuple[float, Plan]] = []
             members = sorted(subset)
@@ -135,11 +145,22 @@ def best_plan(tables: list[str], connectivity, card: CardFn) -> Plan:
                     candidates.append(
                         (cost, Plan(subset, best[left][1], best[right][1])))
             if candidates:
-                best[subset] = min(candidates, key=lambda t: t[0])
+                best[subset] = pick(candidates, key=lambda t: t[0])
     full = frozenset(tables)
     if full not in best:
         raise RuntimeError("query graph is disconnected; cannot plan")
     return best[full][1]
+
+
+def best_plan(tables: list[str], graph: JoinGraph, card: CardFn) -> Plan:
+    """The cheapest connected plan under ``card`` (no cross products)."""
+    return _dp(tables, graph, card, min)
+
+
+def worst_plan(tables: list[str], graph: JoinGraph, card: CardFn) -> Plan:
+    """The most expensive connected plan under ``card`` — with true
+    cardinalities, worst/best cost is a query's plan spread."""
+    return _dp(tables, graph, card, max)
 
 
 def plan_for_query(schema: Schema, tables: list[str], card: CardFn) -> Plan:

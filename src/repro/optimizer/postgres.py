@@ -62,7 +62,11 @@ class PostgresHeuristic:
 
     # ------------------------------------------------------------------
     def cardinality(self, query: JoinQuery, subset: frozenset) -> float:
-        """System-R estimate for the join of ``subset`` under the query."""
+        """System-R estimate for the join of ``subset`` under the query.
+
+        Floored at 1e-6, not at one row like the other sources: the
+        heuristics' sub-row estimates are part of the plans they pick.
+        """
         card = 1.0
         for tname in subset:
             card *= max(self.base_cardinality(
@@ -73,11 +77,6 @@ class PostgresHeuristic:
                     card /= max(self.center_key_ndv[fk.child],
                                 self.child_ndv[fk.child])
         return max(card, 1e-6)
-
-    def card_fn(self, query: JoinQuery):
-        def fn(subset: frozenset) -> float:
-            return self.cardinality(query, subset)
-        return fn
 
     def size_bytes(self) -> int:
         return sum(h.size_bytes()
@@ -112,8 +111,3 @@ class MagicConstantHeuristic:
                         if fk.child in subset)
             card /= max(self.center_ndv, 1) ** joins
         return max(card, 1e-6)
-
-    def card_fn(self, query: JoinQuery):
-        def fn(subset: frozenset) -> float:
-            return self.cardinality(query, subset)
-        return fn

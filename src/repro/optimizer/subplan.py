@@ -1,25 +1,25 @@
 """Optimizer-in-the-loop: sub-plan cardinalities from the serving tier.
 
 The DP planner asks for the cardinality of every connected fragment of a
-query.  :class:`ServingCardinalityProvider` answers that card function
-through a live serving front (anything speaking the serving tier's front
-contract: :class:`~repro.serve.router.RoutedEstimateService`, a single
+query.  :class:`ServingCardinalityProvider` answers through a live
+serving front (anything speaking the serving tier's front contract:
+:class:`~repro.serve.router.RoutedEstimateService`, a single
 :class:`~repro.serve.server.UAEServer`, ...) the way the related work's
-``CardinalityGenerator`` adapters do — but
-instead of up to ``2^N`` per-fragment round trips per plan it collects
-the query's connected fragments up front (deterministic order: smallest
-subsets first, lexicographic within a size) and issues **one batched,
-seeded** ``estimate_batch`` call, so every sub-plan answer is
-bit-reproducible against the single-process engine reference
-(``estimate_on`` with the same snapshot, fragment order, and seed).
+``CardinalityGenerator`` adapters do — but instead of up to ``2^N``
+per-fragment round trips per plan it collects the query's connected
+fragments up front (deterministic order: smallest subsets first,
+lexicographic within a size) and issues **one batched, seeded**
+``estimate_batch`` call, so every sub-plan answer is bit-reproducible
+against the single-process engine reference (``estimate_on`` with the
+same snapshot, fragment order, and seed).
 
-Answers are cached per (namespace version, fragment signature) and the
-cache invalidates the way the serving tier's ``ResultCache`` does: a
-newer published version clears it, so a hot-swap is immediately visible
-to the planner.  Because a seeded batch's Monte-Carlo stream is shared
-across the batch, fragment values are only reused for a query whose
-*whole* fragment list was prefetched — reusing another query's partial
-answers would silently break the bit-identity contract.
+Each plan's answers are kept as that plan's own array, per (namespace,
+query signature), and a subset is read from it by position.  A seeded
+batch shares one Monte-Carlo stream, so a fragment's answer belongs to
+the plan it was drawn for; two plans sharing a fragment never read each
+other's value.  The arrays invalidate the way the serving tier's
+``ResultCache`` does: a newer published version clears them, so a
+hot-swap is immediately visible to the planner.
 
 :class:`UESPessimisticProvider` is the pessimistic baseline: an
 UES-style upper bound (Hertzschuch et al., CIDR 2021) propagating
@@ -35,22 +35,20 @@ import numpy as np
 
 from ..data.schema import Schema
 from ..joins.workload import JoinQuery
-from ..workload.fragments import extract_fragment, fragment_signature
-from .cost import CardFn
+from ..workload.fragments import (FragmentError, extract_fragment,
+                                  fragment_signature)
 from .planner import JoinGraph
 
 
 class ServingCardinalityProvider:
-    """A planner card function answered by the live serving tier.
+    """A planner cardinality source answered by the live serving tier.
 
     ``service`` is any serving front (``resolve`` + ``estimate_batch``
     are all the provider calls; :meth:`reference` additionally needs an
-    in-process one).  The provider exposes the adapter API the
-    optimizer study expects (``name`` + ``card_fn(query)``), plus
-    counters the plan-quality bench gates on: ``batched_calls`` must
-    equal the number of distinct plans prefetched (one round trip per
-    plan) and ``fallback_calls`` stays zero when every DP request was
-    covered by the prefetch.
+    in-process one).  Counters the plan-quality bench gates on:
+    ``batched_calls`` counts every ``estimate_batch`` the provider
+    issues, so it equals the number of distinct plans (per model
+    version) it answered.
     """
 
     name = "UAE-serving"
@@ -64,11 +62,9 @@ class ServingCardinalityProvider:
         self.namespace = namespace
         self._lock = threading.Lock()
         self._versions: dict[str, int] = {}
-        self._cache: dict[tuple, float] = {}
         self._prefetched: dict[tuple, np.ndarray] = {}
         self.batched_calls = 0
         self.fragments_estimated = 0
-        self.fallback_calls = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------------
@@ -96,10 +92,6 @@ class ServingCardinalityProvider:
         space = self.service.resolve(query, namespace=self.namespace)
         return space.name, space.version
 
-    def _estimate(self, fragments: list, seed: int) -> np.ndarray:
-        return self.service.estimate_batch(
-            fragments, namespace=self.namespace, seed=seed)
-
     def reference(self, query: JoinQuery) -> np.ndarray:
         """Single-process seeded engine answers for the plan's fragments
         — what :meth:`prefetch` must match bit-for-bit."""
@@ -109,7 +101,7 @@ class ServingCardinalityProvider:
             seed=self.seed_for(query))
 
     # ------------------------------------------------------------------
-    # Cache (ResultCache-style version sync)
+    # Per-plan answers (ResultCache-style version sync)
     # ------------------------------------------------------------------
     def _sync_locked(self, name: str, version: int) -> None:
         stored = self._versions.get(name)
@@ -117,67 +109,43 @@ class ServingCardinalityProvider:
             self._versions[name] = version
             if stored is not None:
                 self.invalidations += 1
-            self._cache = {key: value for key, value in self._cache.items()
-                           if key[0] != name}
             self._prefetched = {key: value
                                 for key, value in self._prefetched.items()
                                 if key[0] != name}
 
     def prefetch(self, query: JoinQuery) -> np.ndarray:
-        """All connected fragment cardinalities of ``query``, via at most
-        one batched seeded round trip (cached per model version)."""
-        fragments = self.plan_fragments(query)
+        """All connected fragment cardinalities of ``query`` (raw, in
+        :meth:`plan_fragments` order), via at most one batched seeded
+        round trip per model version.  Read-only."""
         name, version = self._target(query)
         plan_key = (name, fragment_signature(query))
         with self._lock:
             self._sync_locked(name, version)
             cached = self._prefetched.get(plan_key)
-            if cached is not None:
-                return cached.copy()
-        values = np.asarray(self._estimate(fragments, self.seed_for(query)),
-                            dtype=np.float64)
-        self.batched_calls += 1
-        self.fragments_estimated += len(fragments)
+        if cached is not None:
+            return cached
+        fragments = self.plan_fragments(query)
+        values = np.asarray(self.service.estimate_batch(
+            fragments, namespace=self.namespace, seed=self.seed_for(query)),
+            dtype=np.float64)
+        values.setflags(write=False)
         with self._lock:
+            self.batched_calls += 1
+            self.fragments_estimated += len(fragments)
             self._sync_locked(name, version)
             if self._versions.get(name) == version:
-                for fragment, value in zip(fragments, values):
-                    key = (name, fragment_signature(fragment))
-                    self._cache[key] = float(value)
-                self._prefetched[plan_key] = values.copy()
+                self._prefetched[plan_key] = values
         return values
 
-    def lookup(self, query: JoinQuery, subset: frozenset) -> float:
-        """The served cardinality of one fragment (raw, unfloored)."""
-        fragment = extract_fragment(query, subset)
-        name, version = self._target(query)
-        key = (name, fragment_signature(fragment))
-        with self._lock:
-            self._sync_locked(name, version)
-            value = self._cache.get(key)
-        if value is None:
-            # A hot-swap invalidated the plan's answers (or the subset
-            # was never prefetched): re-batch the whole plan, then fall
-            # back to a single-fragment seeded call only if the subset
-            # is genuinely outside the plan's connected fragments.
-            self.prefetch(query)
-            with self._lock:
-                value = self._cache.get(key)
-            if value is None:
-                self.fallback_calls += 1
-                value = float(self._estimate([fragment],
-                                             self.seed_for(query))[0])
-        return value
-
-    # ------------------------------------------------------------------
-    # Adapter API
-    # ------------------------------------------------------------------
-    def card_fn(self, query: JoinQuery) -> CardFn:
-        self.prefetch(query)
-
-        def fn(subset: frozenset) -> float:
-            return max(self.lookup(query, subset), 1.0)
-        return fn
+    def cardinality(self, query: JoinQuery, subset: frozenset) -> float:
+        """The served answer for ``subset``, read from the plan's own
+        batch and floored at one row.  Raises :class:`FragmentError` for
+        a subset that is not a connected fragment of ``query``."""
+        subsets = self.graph.connected_subsets(query.tables)
+        if subset not in subsets:
+            raise FragmentError(f"tables {sorted(subset)} are not a "
+                                f"connected fragment of {query!s}")
+        return max(float(self.prefetch(query)[subsets.index(subset)]), 1.0)
 
 
 class UESPessimisticProvider:
@@ -227,7 +195,10 @@ class UESPessimisticProvider:
             self._filter_cache[key] = float(keep.sum())
         return self._filter_cache[key]
 
-    def cardinality(self, query: JoinQuery, subset: frozenset) -> float:
+    def upper_bound(self, query: JoinQuery, subset: frozenset) -> float:
+        """The raw bound, floored at 1e-6 only — what the plan bench
+        holds against the truth, where a one-row floor would hide a
+        bound of 0 under a true count of 1."""
         subset = frozenset(subset)
         counts = {name: self._filtered_count(query, name) for name in subset}
         if len(subset) == 1:
@@ -247,12 +218,5 @@ class UESPessimisticProvider:
             bounds.append(bound)
         return max(min(bounds), 1e-6)
 
-    def card_fn(self, query: JoinQuery) -> CardFn:
-        cache: dict[frozenset, float] = {}
-
-        def fn(subset: frozenset) -> float:
-            subset = frozenset(subset)
-            if subset not in cache:
-                cache[subset] = max(self.cardinality(query, subset), 1.0)
-            return cache[subset]
-        return fn
+    def cardinality(self, query: JoinQuery, subset: frozenset) -> float:
+        return max(self.upper_bound(query, subset), 1.0)

@@ -24,10 +24,11 @@ def extract_fragment(query, tables: Iterable[str]):
 
     Keeps exactly the predicates whose (table-qualified) column belongs
     to a kept table, in their original order, and returns a new query of
-    the same type over the sorted subset.  Generalizes the optimizer
-    study's ``restrict_query`` and underpins cross-schema routing: a
-    fragment's :func:`~repro.workload.predicate.routing_signature` names
-    only the tables it actually touches.
+    the same type over the sorted subset.  The planner's cardinality
+    sources cut their fragments with it, and it underpins cross-schema
+    routing: a fragment's
+    :func:`~repro.workload.predicate.routing_signature` names only the
+    tables it actually touches.
 
     Raises :class:`FragmentError` when ``tables`` is empty or names a
     table the query does not join.

@@ -1,4 +1,5 @@
-"""Test-only reference implementations of the paper's three numeric cores.
+"""Test-only reference implementations of the paper's three numeric cores
+(and of the planner's star-schema connectivity rule).
 
 ``src/repro`` ships one implementation of each — the compiled inference
 engine and the fused training kernels.  The loops they replaced live
@@ -9,7 +10,9 @@ here, unchanged, as the oracle the parity tests compare against:
   Gumbel-Softmax (Algorithm 2);
 * :mod:`reference.uae` — ``ReferenceUAE``, a ``UAE`` whose data NLL
   (Eq. 2) and query loss run the two loops above;
-* :mod:`reference.parity` — gradient-comparison helpers.
+* :mod:`reference.parity` — gradient-comparison helpers;
+* :mod:`reference.planner` — the star-schema connectivity rule the
+  planner's ``JoinGraph`` is checked against.
 
 Importable as ``reference`` because pytest puts ``tests/`` on
 ``sys.path``.  Nothing under ``src/`` may import it.

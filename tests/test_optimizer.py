@@ -1,16 +1,28 @@
-"""Tests for the planner, cost model, and Figure 6 study harness."""
+"""Tests for the planner, cost model, the cardinality-source contract,
+and the plan-and-score loop behind Figure 6 and the plan bench."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from reference.planner import connected
+from repro.bench.plan_bench import plan_and_score, speedup_row
 from repro.data.schema import make_imdb_large
-from repro.joins import JoinQuery
+from repro.joins import (JoinQuery, JoinSampleScan, MSCNJoin, NeuroCard,
+                         SPNJoin, UAEJoin)
 from repro.joins.workload import generate_job_m_focused
-from repro.optimizer import (EstimatorCardAdapter, Plan, PostgresHeuristic,
-                             TrueCardOracle, best_plan, connected, join_cost,
-                             plan_cost, plan_for_query, plan_intermediates,
-                             restrict_query, run_optimizer_study, scan_cost)
+from repro.optimizer import (JoinGraph, MagicConstantHeuristic, Plan,
+                             PostgresHeuristic, ServingCardinalityProvider,
+                             TrueCardOracle, UESPessimisticProvider,
+                             best_plan, card_fn, join_cost, plan_cost,
+                             plan_for_query, plan_intermediates, scan_cost)
+from repro.serve import RoutedEstimateService
 from repro.workload import Predicate
+
+
+def _star(*children: str, center: str = "title") -> JoinGraph:
+    return JoinGraph((child, center) for child in children)
 
 
 class TestCostModel:
@@ -50,7 +62,7 @@ class TestPlanner:
     def test_two_table_plan(self):
         cards = {frozenset(["title"]): 100.0, frozenset(["x"]): 10.0,
                  frozenset(["title", "x"]): 50.0}
-        plan = best_plan(["title", "x"], "title", lambda s: cards[s])
+        plan = best_plan(["title", "x"], _star("x"), lambda s: cards[s])
         assert plan.tables == frozenset(["title", "x"])
         assert not plan.is_leaf
 
@@ -64,7 +76,7 @@ class TestPlanner:
             frozenset(["title", "big"]): 100_000.0,
             frozenset(["title", "small", "big"]): 50.0,
         }
-        plan = best_plan(["title", "small", "big"], "title",
+        plan = best_plan(["title", "small", "big"], _star("small", "big"),
                          lambda s: cards[s])
         # The first join must be title ⋈ small.
         first_join = plan.left if not plan.left.is_leaf else plan.right
@@ -88,7 +100,7 @@ class TestPlanner:
         def card(s):
             return cards[s]
 
-        plan = best_plan(tables, "title", card)
+        plan = best_plan(tables, _star("a", "b", "c"), card)
         best_cost = plan_cost(plan, card)
         # Compare against the worst left-deep order.
         for order in ([["a", "b", "c"]], [["c", "b", "a"]]):
@@ -100,7 +112,12 @@ class TestPlanner:
 
     def test_disconnected_raises(self):
         with pytest.raises(RuntimeError):
-            best_plan(["x", "y"], "title", lambda s: 1.0)
+            best_plan(["x", "y"], _star("x", "y"), lambda s: 1.0)
+
+    def test_rejects_center_table_string(self):
+        """Connectivity has one input: a JoinGraph."""
+        with pytest.raises(TypeError):
+            best_plan(["title", "x"], "title", lambda s: 1.0)
 
 
 class TestHeuristicAndOracle:
@@ -124,40 +141,98 @@ class TestHeuristicAndOracle:
         from repro.joins.workload import true_join_cardinality
         oracle = TrueCardOracle(schema)
         q = JoinQuery(("title", "movie_companies"), ())
-        fn = oracle.card_fn(q)
+        fn = card_fn(oracle, q)
         assert fn(frozenset(q.tables)) == pytest.approx(
             max(true_join_cardinality(schema, q), 1.0))
-
-    def test_restrict_query_drops_foreign_predicates(self):
-        q = JoinQuery(("title", "movie_info"),
-                      (Predicate("title.kind_id", "=", 1),
-                       Predicate("movie_info.info_type_id", "=", 2)))
-        sub = restrict_query(q, frozenset(["title"]))
-        assert len(sub.predicates) == 1
-        assert sub.predicates[0].column == "title.kind_id"
 
     def test_study_oracle_never_slower(self, schema):
         """Planning with true cards can never lose to the heuristic."""
         rng = np.random.default_rng(2)
         wl = generate_job_m_focused(schema, 6, rng)
-        results = run_optimizer_study(schema, wl.queries, [])
-        oracle_result = results[0]
-        assert oracle_result.estimator == "TrueCard"
-        assert (oracle_result.speedups >= 1.0 - 1e-9).all()
+        oracle = TrueCardOracle(schema)
+        costs, plans, errors = plan_and_score(
+            schema, wl.queries, [oracle, PostgresHeuristic(schema)], oracle)
+        assert not errors
+        assert list(costs) == ["TrueCard", "PostgreSQL"]
+        assert len(plans["TrueCard"]) == len(wl.queries)
+        speedups = costs["PostgreSQL"] / costs["TrueCard"]
+        assert (speedups >= 1.0 - 1e-9).all()
+        row = speedup_row("TrueCard", costs["PostgreSQL"], costs["TrueCard"])
+        assert row["estimator"] == "TrueCard"
+        assert row["p10"] >= 1.0 - 1e-9
 
-    def test_adapter_caches(self, schema):
-        calls = []
 
-        class Fake:
-            name = "fake"
+# ----------------------------------------------------------------------
+# One contract: every source answers cardinality(query, subset)
+# ----------------------------------------------------------------------
+_JOIN_KWARGS = dict(sample_size=200, hidden=16, num_blocks=1,
+                    est_samples=8, dps_samples=4, batch_size=64,
+                    query_batch_size=4, seed=0)
 
-            def estimate(self, q):
-                calls.append(q)
-                return 10.0
 
-        adapter = EstimatorCardAdapter(Fake())
-        q = JoinQuery(("title", "movie_info"), ())
-        fn = adapter.card_fn(q)
-        fn(frozenset(["title"]))
-        fn(frozenset(["title"]))
-        assert len(calls) == 1
+def _serving(schema):
+    front = RoutedEstimateService(pool_workers=1, seed=3)
+    front.add_join(UAEJoin(schema, **_JOIN_KWARGS))
+    return ServingCardinalityProvider(front, schema, seed=17)
+
+
+def _mscn(schema):
+    train = generate_job_m_focused(schema, 16, np.random.default_rng(4))
+    return MSCNJoin(schema, sample_size=200, epochs=1, seed=0).fit(train)
+
+
+SOURCES = {
+    "TrueCard": TrueCardOracle,
+    "PostgreSQL": PostgresHeuristic,
+    "MagicConstants": MagicConstantHeuristic,
+    "UES": UESPessimisticProvider,
+    "UAE-serving": _serving,
+    "UAEJoin": lambda schema: UAEJoin(schema, **_JOIN_KWARGS),
+    "NeuroCard": lambda schema: NeuroCard(schema, **_JOIN_KWARGS),
+    "JoinSampleScan": lambda schema: JoinSampleScan(schema, sample_size=200),
+    "SPNJoin": lambda schema: SPNJoin(schema, sample_size=200),
+    "MSCNJoin": _mscn,
+}
+
+
+class _Counting:
+    """Forwards the contract and counts which subsets reach the source."""
+
+    def __init__(self, source):
+        self.source = source
+        self.name = source.name
+        self.asked: Counter = Counter()
+
+    def cardinality(self, query, subset):
+        self.asked[subset] += 1
+        return self.source.cardinality(query, subset)
+
+
+@pytest.fixture(scope="module")
+def contract_setup():
+    schema = make_imdb_large(n_titles=200, seed=1)
+    query = generate_job_m_focused(schema, 1, np.random.default_rng(3),
+                                   min_tables=4).queries[0]
+    return schema, query
+
+
+@pytest.mark.parametrize("kind", list(SOURCES))
+def test_card_fn_asks_each_subset_once_per_plan(contract_setup, kind):
+    """Every planner source and join estimator plans through the one
+    memoised card_fn; the DP re-reads subsets, the source sees each at
+    most once per plan, and every answer is a finite float."""
+    schema, query = contract_setup
+    source = SOURCES[kind](schema)
+    counting = _Counting(source)
+    fn = card_fn(counting, query)
+    plan = plan_for_query(schema, list(query.tables), fn)
+    assert plan.tables == frozenset(query.tables)
+    assert counting.asked and max(counting.asked.values()) == 1
+    graph = JoinGraph.from_schema(schema)
+    assert set(counting.asked) <= set(graph.connected_subsets(query.tables))
+    values = [fn(subset) for subset in counting.asked]
+    assert all(isinstance(v, float) and np.isfinite(v) and v > 0
+               for v in values)
+    assert max(counting.asked.values()) == 1
+    if kind == "UAE-serving":
+        assert source.batched_calls == 1

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from reference.planner import connected
 from repro.data import Table
 from repro.data.schema import ForeignKey, Schema, make_imdb, make_imdb_large
 from repro.joins import JoinQuery, UAEJoin, UnjoinableFragmentError
@@ -16,8 +17,8 @@ from repro.joins.workload import (generate_job_m_focused,
 from repro.optimizer import (JoinGraph, MagicConstantHeuristic,
                              PostgresHeuristic, ServingCardinalityProvider,
                              TrueCardOracle, UESPessimisticProvider,
-                             best_plan, connected, join_cost, plan_cost,
-                             plan_for_query, scan_cost)
+                             best_plan, card_fn, join_cost, plan_cost,
+                             plan_for_query, scan_cost, worst_plan)
 from repro.optimizer.cost import Plan
 from repro.serve import RoutedEstimateService
 from repro.workload import (FragmentError, Predicate, extract_fragment,
@@ -85,12 +86,6 @@ class TestExtractFragment:
             for combo in combinations(self.QUERY.tables, r):
                 frag = extract_fragment(self.QUERY, combo)
                 assert routing_signature(frag) == ("join", frozenset(combo))
-
-    def test_restrict_query_is_extract_fragment(self):
-        from repro.optimizer import restrict_query
-        subset = frozenset(["title", "movie_info"])
-        assert restrict_query(self.QUERY, subset) == \
-            extract_fragment(self.QUERY, subset)
 
     def test_empty_subset_raises(self):
         with pytest.raises(FragmentError):
@@ -200,8 +195,9 @@ class TestPostgresPerEdgeNDV:
 # ----------------------------------------------------------------------
 # Planner: join-graph connectivity + mirror-partition dedup
 # ----------------------------------------------------------------------
-def _best_plan_reference(tables, is_connected, card):
-    """The pre-dedup enumeration: every (left, right) ordered partition."""
+def _plan_reference(tables, is_connected, card, pick=min):
+    """The pre-dedup enumeration: every (left, right) ordered partition,
+    each subset keeping the ``pick`` of its candidates by cost."""
     tables = sorted(tables)
     best = {}
     for name in tables:
@@ -226,7 +222,7 @@ def _best_plan_reference(tables, is_connected, card):
                     candidates.append(
                         (cost, Plan(subset, best[left][1], best[right][1])))
             if candidates:
-                best[subset] = min(candidates, key=lambda t: t[0])
+                best[subset] = pick(candidates, key=lambda t: t[0])
     return best[frozenset(tables)][1]
 
 
@@ -267,16 +263,17 @@ class TestJoinGraphPlanner:
             assert node.tables != frozenset(["a", "c"])
 
     def test_star_plans_bit_identical_via_graph(self):
-        """plan_for_query (join graph) must equal best_plan with the
-        historical star rule on a real workload."""
+        """plan_for_query (join graph) must equal the full enumeration
+        under the star rule on a real workload."""
         schema = make_imdb_large(n_titles=200, seed=0)
         wl = generate_job_m_focused(schema, 6, np.random.default_rng(5),
                                     min_tables=3)
         pg = PostgresHeuristic(schema)
         for q in wl.queries:
-            fn = pg.card_fn(q)
+            fn = card_fn(pg, q)
             assert plan_for_query(schema, list(q.tables), fn) == \
-                best_plan(list(q.tables), "title", fn)
+                _plan_reference(list(q.tables),
+                                lambda s: connected(s, "title"), fn)
 
     def test_dedup_matches_reference_enumeration_with_ties(self):
         """Mirror-partition dedup halves the enumeration; plans must be
@@ -285,6 +282,7 @@ class TestJoinGraphPlanner:
         center = "t"
         children = ["a", "b", "c", "d"]
         tables = [center] + children
+        graph = JoinGraph((child, center) for child in children)
         rng = np.random.default_rng(7)
         for _ in range(60):
             cards = {}
@@ -294,10 +292,11 @@ class TestJoinGraphPlanner:
                     if connected(s, center):
                         cards[s] = float(rng.integers(1, 8))
             fn = lambda s: cards[s]
-            got = best_plan(tables, center, fn)
-            want = _best_plan_reference(
-                tables, lambda s: connected(s, center), fn)
-            assert got == want
+            star = lambda s: connected(s, center)
+            assert best_plan(tables, graph, fn) == \
+                _plan_reference(tables, star, fn)
+            assert worst_plan(tables, graph, fn) == \
+                _plan_reference(tables, star, fn, max)
 
     def test_disconnected_raises(self):
         graph = JoinGraph([("b", "a")])
@@ -353,25 +352,53 @@ class TestServingCardinalityProvider:
         front, _, _ = serving_front
         provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
         plan = plan_for_query(imdb_schema, list(SERVING_QUERY.tables),
-                              provider.card_fn(SERVING_QUERY))
+                              card_fn(provider, SERVING_QUERY))
         assert plan.tables == frozenset(SERVING_QUERY.tables)
         assert provider.batched_calls == 1
-        assert provider.fallback_calls == 0
-        # Re-planning the same query hits the version-keyed cache.
+        # Re-planning the same query reuses the plan's answers.
         plan_for_query(imdb_schema, list(SERVING_QUERY.tables),
-                       provider.card_fn(SERVING_QUERY))
+                       card_fn(provider, SERVING_QUERY))
         assert provider.batched_calls == 1
 
-    def test_lookup_matches_prefetched_fragment_values(self, serving_front,
-                                                       imdb_schema):
+    def test_cardinality_matches_prefetch(self, serving_front,
+                                          imdb_schema):
         front, _, _ = serving_front
         provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
         values = provider.prefetch(SERVING_QUERY)
         frags = provider.plan_fragments(SERVING_QUERY)
         for frag, value in zip(frags, values):
-            got = provider.lookup(SERVING_QUERY, frozenset(frag.tables))
-            assert got == float(value)
+            got = provider.cardinality(SERVING_QUERY, frozenset(frag.tables))
+            assert got == max(float(value), 1.0)
         assert provider.batched_calls == 1
+
+    def test_replanning_reads_own_answers(self, serving_front,
+                                          imdb_schema):
+        """Plans sharing a fragment never read each other's seeded
+        answers.  Planning B between two plannings of A used to leave
+        B's value for their shared fragments in a cross-plan cache,
+        which A's second planning then read."""
+        front, _, _ = serving_front
+        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        kind = (Predicate("title.kind_id", "=", 1),)
+        a = JoinQuery(("title", "movie_companies", "movie_info"), kind)
+        b = JoinQuery(("title", "movie_companies"), kind)
+        for query in (a, b):
+            plan_for_query(imdb_schema, list(query.tables),
+                           card_fn(provider, query))
+        replanned = card_fn(provider, a)
+        subsets = provider.graph.connected_subsets(a.tables)
+        for subset, value in zip(subsets, provider.reference(a)):
+            assert replanned(subset) == max(float(value), 1.0)
+        assert provider.batched_calls == 2
+
+    def test_subset_outside_the_plan_is_typed(self, serving_front,
+                                              imdb_schema):
+        front, _, _ = serving_front
+        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        with pytest.raises(FragmentError):
+            provider.cardinality(
+                SERVING_QUERY, frozenset(["movie_companies", "movie_info"]))
+        assert provider.batched_calls == 0
 
     def test_seed_stable_across_instances(self, serving_front, imdb_schema):
         front, _, _ = serving_front
@@ -405,7 +432,7 @@ class TestUESPessimisticProvider:
         ues = UESPessimisticProvider(tiny_schema)
         q = JoinQuery(("movie_info",),
                       (Predicate("movie_info.info_type", "=", 1),))
-        assert ues.cardinality(q, frozenset(["movie_info"])) == 3
+        assert ues.upper_bound(q, frozenset(["movie_info"])) == 3
 
     def test_upper_bounds_every_connected_fragment(self, tiny_schema):
         ues = UESPessimisticProvider(tiny_schema)
@@ -422,11 +449,11 @@ class TestUESPessimisticProvider:
             for subset in graph.connected_subsets(q.tables):
                 truth = true_join_cardinality(
                     tiny_schema, extract_fragment(q, subset))
-                assert ues.cardinality(q, subset) + 1e-6 >= truth
+                assert ues.upper_bound(q, subset) + 1e-6 >= truth
 
     def test_bound_is_finite_and_positive(self, tiny_schema):
         ues = UESPessimisticProvider(tiny_schema)
-        fn = ues.card_fn(JoinQuery(
+        fn = card_fn(ues, JoinQuery(
             ("title", "movie_companies", "movie_info"), ()))
         bound = fn(frozenset(["title", "movie_companies", "movie_info"]))
         assert np.isfinite(bound) and bound >= 1.0
@@ -441,10 +468,10 @@ class TestOracleOptimality:
         magic = MagicConstantHeuristic(tiny_schema)
         q = JoinQuery(("title", "movie_companies", "movie_info"),
                       (Predicate("title.production_year", ">=", 2000),))
-        true_fn = oracle.card_fn(q)
+        true_fn = card_fn(oracle, q)
         oracle_cost = plan_cost(
             plan_for_query(tiny_schema, list(q.tables), true_fn), true_fn)
         magic_cost = plan_cost(
-            plan_for_query(tiny_schema, list(q.tables), magic.card_fn(q)),
+            plan_for_query(tiny_schema, list(q.tables), card_fn(magic, q)),
             true_fn)
         assert oracle_cost <= magic_cost + 1e-9

@@ -29,15 +29,19 @@ one process to N:
   budget cannot cover the queue wait plus the worker's observed batch
   latency fails immediately with a typed :class:`LoadShedError` (never a
   silent late answer, never an untyped crash), while deadline-free
-  requests simply wait for a slot.
+  requests park until the worker's placer thread hands them a slot.
 
-Crash containment: a dead worker surfaces as a typed
-:class:`~repro.serve.placement.WorkerUnavailableError` on every request
-routed to it; :meth:`ClusterEstimateService.recover` removes it from the
-ring (moving only ~1/N namespaces), re-adopts the displaced namespaces
-on the survivors from the retained snapshot segments, and serving
-resumes bit-identically — the model state lives in shared memory, not in
-the dead process.
+Crash containment: each worker talks to the parent over one duplex pipe,
+read by one reader thread.  A dead worker is an EOF on that pipe: the
+reader quarantines it at once — out of the ring, every request in flight
+on it failed with a typed
+:class:`~repro.serve.placement.WorkerUnavailableError` — and a worker
+whose parent dies sees the same EOF and exits with it.  Healing is
+separate: :class:`~repro.serve.supervisor.WorkerSupervisor` restarts the
+worker under its id, or :meth:`ClusterEstimateService.recover` re-places
+its namespaces on the survivors (only ~1/N move) from the retained
+snapshot segments; either way serving resumes bit-identically — the
+model state lives in shared memory, not in the dead process.
 
 Determinism: a seeded ``estimate_batch`` groups queries by namespace in
 stream order and sends each namespace group as one batch, so answers are
@@ -51,7 +55,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
@@ -93,11 +96,12 @@ def _limit_blas_threads(n: int = 1) -> None:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(worker_id: str, request_q, response_q,
+def _worker_main(worker_id: str, conn, parent_end,
                  chaos=None, incarnation: int = 0) -> None:
     """One shared-nothing worker: adopt namespaces, serve batches,
     re-read snapshot segments on publish.  Runs until a ``stop`` message
-    (or the process is killed — the balancer contains the crash).
+    or EOF on ``conn`` (the parent is gone); if the process is killed,
+    the parent's reader sees the EOF and contains the crash.
 
     ``chaos`` is an optional :class:`~repro.chaos.ChaosPlan` copy; this
     worker evaluates the ``worker.batch`` hook on every batch message
@@ -106,6 +110,8 @@ def _worker_main(worker_id: str, request_q, response_q,
     counts restarts of this worker id — 0 for the original fork — so a
     fault with ``where={"incarnation": 0}`` crashes once and lets the
     restarted worker run healthy."""
+    # Close this copy of the parent's end, or a dead parent gives no EOF.
+    parent_end.close()
     _limit_blas_threads(1)
     from ..core.uae import UAE             # deferred: cheap worker spawn
     from ..obs import MetricsRegistry
@@ -130,12 +136,15 @@ def _worker_main(worker_id: str, request_q, response_q,
 
     def respond(req_id, status, payload=None) -> None:
         try:
-            response_q.put((worker_id, req_id, status, payload))
+            conn.send((req_id, status, payload))
         except (ValueError, OSError):      # parent gone: nothing to do
             pass
 
     while True:
-        msg = request_q.get()
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):        # parent gone: die with it
+            break
         req_id, kind = msg[0], msg[1]
         if kind == "stop":
             break
@@ -184,9 +193,6 @@ def _worker_main(worker_id: str, request_q, response_q,
                                         namespace=namespace,
                                         incarnation=incarnation)
                     if fault is not None and fault.action == "kill":
-                        # Die before any respond(): a SIGKILL mid-put
-                        # could wedge the shared response queue for
-                        # the surviving workers.
                         os.kill(os.getpid(), signal.SIGKILL)
                     if fault is not None and fault.action == "sleep":
                         time.sleep(float(
@@ -270,19 +276,23 @@ _Parked = namedtuple("_Parked", "request queries seed give_up_at")
 
 
 class _WorkerHandle:
-    """Parent-side view of one worker: process, queue, in-flight window.
+    """Parent-side view of one worker: process, pipe, in-flight window.
 
-    The window is ``free`` open slots plus the ``parked`` dispatches
-    waiting for one, in arrival order, both guarded by ``cond``.
-    ``placer`` is the thread that hands freed slots to parked
-    dispatches (started at the first saturation), so no caller ever
-    waits for a slot itself."""
+    ``conn`` is the parent's end of the worker's duplex pipe; ``reader``
+    is the one thread that reads it, and :meth:`send` is the one way to
+    write it (callers on the event loop, placer and control threads
+    take turns on ``send_lock``).  The window is ``free`` open slots
+    plus the ``parked`` dispatches waiting for one, in arrival order,
+    both guarded by ``cond``.  ``placer`` is the thread that hands
+    freed slots to parked dispatches (started at the first saturation),
+    so no caller ever waits for a slot itself."""
 
-    def __init__(self, worker_id: str, process, request_q,
-                 queue_depth: int):
+    def __init__(self, worker_id: str, process, conn, queue_depth: int):
         self.worker_id = worker_id
         self.process = process
-        self.request_q = request_q
+        self.conn = conn
+        self.send_lock = threading.Lock()
+        self.reader: threading.Thread | None = None
         self.queue_depth = int(queue_depth)
         self.cond = threading.Condition()
         self.free = self.queue_depth
@@ -295,6 +305,12 @@ class _WorkerHandle:
 
     def alive(self) -> bool:
         return self.process.is_alive()
+
+    def send(self, message) -> None:
+        """Write one message; ``OSError`` once the pipe is closed or
+        the worker is dead."""
+        with self.send_lock:
+            self.conn.send(message)
 
     def release(self) -> None:
         with self.cond:
@@ -368,9 +384,6 @@ class ClusterEstimateService:
         self._snapshots: dict[str, SharedSnapshot] = {}
         self._assignment: dict[str, str] = {}
         self._handles: dict[str, _WorkerHandle] = {}
-        self._response_q = None
-        self._collector: threading.Thread | None = None
-        self._collector_stop = threading.Event()
         self._pending: dict[int, tuple[ClusterRequest, _WorkerHandle,
                                        bool]] = {}
         self._req_ids = itertools.count(1)
@@ -493,12 +506,8 @@ class ClusterEstimateService:
                                "multiprocessing.shared_memory")
         if not self._specs:
             raise RuntimeError("no namespaces registered")
-        self._response_q = self._ctx.Queue()
         for i in range(self.num_workers):
             self._spawn_worker(f"w{i}", 0)
-        # Collector starts strictly after every fork: forking a process
-        # while parent threads hold queue locks can deadlock the child.
-        self._resume_collector()
         self._running = True
         self._assignment = self._ring.assign(self._specs,
                                              balance=self.balance)
@@ -514,36 +523,32 @@ class ClusterEstimateService:
             # re-fork a worker we are about to kill.
             self._supervisor.stop()
             self._supervisor = None
-        for handle in self._handles.values():
+        with self._lock:
+            # Detached first, so each reader takes its worker's exit
+            # for a stop, not a crash.
+            handles = list(self._handles.values())
+            self._handles.clear()
+            for handle in handles:
+                self._ring.remove(handle.worker_id)
+        for handle in handles:
             try:
-                handle.request_q.put((0, "stop"))
+                handle.send((0, "stop"))
             except (ValueError, OSError):
                 pass
-        for handle in self._handles.values():
+        for handle in handles:
             handle.process.join(timeout=5.0)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
-        self._collector_stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
-            self._collector = None
+            handle.reader.join(timeout=5.0)
         with self._lock:
             pending = list(self._pending.values())
             self._pending.clear()
         for request, _handle, _is_batch in pending:
             request._fail(RuntimeError("cluster stopped"))
-        for handle in self._handles.values():
+        for handle in handles:
             for request in handle.close():
                 request._fail(RuntimeError("cluster stopped"))
-            handle.request_q.close()
-            handle.request_q.cancel_join_thread()
-            self._ring.remove(handle.worker_id)
-        self._handles.clear()
-        if self._response_q is not None:
-            self._response_q.close()
-            self._response_q.cancel_join_thread()
-            self._response_q = None
         for snap in self._snapshots.values():
             snap.close()
             snap.unlink()
@@ -672,10 +677,11 @@ class ClusterEstimateService:
         re-place their namespaces on survivors (bounded-load walk: only
         ~1/N move), and re-adopt each moved namespace from its retained
         snapshot segment at its current version."""
-        for wid in [wid for wid, handle in self._handles.items()
-                    if not handle.alive()]:
-            self._mark_dead(wid)
-        dead, self._dead = self._dead, []
+        for handle in list(self._handles.values()):
+            if not handle.alive():
+                self._mark_dead(handle)
+        with self._lock:
+            dead, self._dead = self._dead, []
         if not self._handles:
             raise WorkerUnavailableError(
                 "all cluster workers are down")
@@ -692,14 +698,15 @@ class ClusterEstimateService:
     def dead_workers(self) -> list[str]:
         """Quarantine and return the currently-dead workers.
 
-        Any handle whose process has exited is marked dead (removed
-        from the ring, its in-flight requests failed typed) and the
+        Each worker's reader quarantines it at EOF (removed from the
+        ring, its in-flight requests failed typed); this also catches a
+        handle whose process has exited before its reader noticed.  The
         accumulated dead list is returned *without clearing it* —
         :meth:`restart_worker` and :meth:`recover` consume entries.
         This is the supervisor's detection probe."""
-        for wid in [wid for wid, handle in list(self._handles.items())
-                    if not handle.alive()]:
-            self._mark_dead(wid)
+        for handle in list(self._handles.values()):
+            if not handle.alive():
+                self._mark_dead(handle)
         return list(self._dead)
 
     def fail_worker(self, worker_id: str) -> None:
@@ -712,7 +719,7 @@ class ClusterEstimateService:
             if handle.alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
-            self._mark_dead(worker_id)
+            self._mark_dead(handle)
 
     def restart_worker(self, worker_id: str) -> dict:
         """Re-fork a dead worker under its original id.
@@ -738,22 +745,14 @@ class ClusterEstimateService:
             if handle.alive():
                 return {"restarted": False, "worker": worker_id,
                         "reason": "alive"}
-            self._mark_dead(worker_id)
+            self._mark_dead(handle)
         if worker_id not in self._dead:
             raise KeyError(f"unknown dead worker {worker_id!r} "
                            f"(dead: {self._dead})")
         self._dead.remove(worker_id)
         incarnation = self._incarnations.get(worker_id, 0) + 1
         self._incarnations[worker_id] = incarnation
-        # Fork with the collector parked: forking while a parent
-        # thread sits inside the response queue's internal locks can
-        # deadlock the child (same discipline as start(), where the
-        # collector starts strictly after every fork).
-        self._pause_collector()
-        try:
-            self._spawn_worker(worker_id, incarnation)
-        finally:
-            self._resume_collector()
+        self._spawn_worker(worker_id, incarnation)
         new_assignment = self._ring.assign(self._specs,
                                            balance=self.balance)
         # The fresh process has no state: every namespace it now owns
@@ -765,17 +764,18 @@ class ClusterEstimateService:
         try:
             self._adopt_all(moved)
         except BaseException:
-            # Adoption failed (snapshot read error, wedged fork,
-            # timeout): a half-adopted worker must not stay published
-            # as healthy — quarantine it so the next supervision pass
-            # retries the restart with backoff or evicts.  _mark_dead
-            # fails any request that raced into its inbox typed and
-            # puts the id back on the dead list.
+            # Adoption failed (snapshot read error, dead fork, timeout):
+            # a half-adopted worker must not stay published as healthy
+            # — quarantine it so the next supervision pass retries the
+            # restart with backoff or evicts.  _mark_dead fails any
+            # request that raced into its pipe typed and puts the id
+            # back on the dead list.
             fresh = self._handles.get(worker_id)
-            if fresh is not None and fresh.alive():
-                fresh.process.kill()
-                fresh.process.join(timeout=5.0)
-            self._mark_dead(worker_id)
+            if fresh is not None:
+                if fresh.alive():
+                    fresh.process.kill()
+                    fresh.process.join(timeout=5.0)
+                self._mark_dead(fresh)
             raise
         self.events.emit("worker_restart", worker=worker_id,
                          incarnation=incarnation, moved=sorted(moved))
@@ -794,29 +794,22 @@ class ClusterEstimateService:
         return self._supervisor
 
     def _spawn_worker(self, worker_id: str, incarnation: int) -> None:
-        request_q = self._ctx.Queue()
+        conn, child_end = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, request_q, self._response_q, self.chaos,
-                  incarnation),
+            args=(worker_id, child_end, conn, self.chaos, incarnation),
             name=f"{self.name}-{worker_id}", daemon=True)
         process.start()
-        self._handles[worker_id] = _WorkerHandle(
-            worker_id, process, request_q, self.queue_depth)
-        self._ring.add(worker_id)
-
-    def _pause_collector(self) -> None:
-        self._collector_stop.set()
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
-            self._collector = None
-
-    def _resume_collector(self) -> None:
-        self._collector_stop.clear()
-        self._collector = threading.Thread(
-            target=self._collect_loop, name=f"{self.name}-collector",
-            daemon=True)
-        self._collector.start()
+        # Close our copy of the worker's end, or a dead worker gives no EOF.
+        child_end.close()
+        handle = _WorkerHandle(worker_id, process, conn, self.queue_depth)
+        handle.reader = threading.Thread(
+            target=self._read_loop, args=(handle,),
+            name=f"{self.name}-{worker_id}-reader", daemon=True)
+        with self._lock:
+            self._handles[worker_id] = handle
+            self._ring.add(worker_id)
+        handle.reader.start()
 
     def ping(self) -> dict:
         """Round-trip worker stats (liveness probe)."""
@@ -838,7 +831,7 @@ class ClusterEstimateService:
         handle = self._handles.get(worker_id)
         if handle is None or not handle.alive():
             if handle is not None:
-                self._mark_dead(worker_id)
+                self._mark_dead(handle)
             raise WorkerUnavailableError(
                 f"worker {worker_id!r} owning namespace {namespace!r} "
                 "is unavailable; call recover() to re-place it")
@@ -866,24 +859,18 @@ class ClusterEstimateService:
         rare and must not deadlock behind a full data window)."""
         request = ClusterRequest(payload[0] if payload else "", 0, None)
         req_id = next(self._req_ids)
-        with self._lock:
-            self._pending[req_id] = (request, handle, False)
-        if self._handles.get(handle.worker_id) is not handle:
-            # Same lost race as in _dispatch: the owner died and its
-            # orphan sweep already ran; fail typed rather than hang.
-            with self._lock:
-                self._pending.pop(req_id, None)
+        if not self._register(handle, req_id, request, False):
             request._fail(WorkerUnavailableError(
                 f"worker {handle.worker_id} died before the control "
                 "message was dispatched"))
             return request
         try:
-            handle.request_q.put((req_id, kind, *payload))
+            handle.send((req_id, kind, *payload))
         except (ValueError, OSError) as exc:
             with self._lock:
                 self._pending.pop(req_id, None)
             request._fail(WorkerUnavailableError(
-                f"worker {handle.worker_id} queue is closed: {exc}"))
+                f"worker {handle.worker_id} pipe is closed: {exc}"))
         return request
 
     def _dispatch(self, namespace: str, queries: list,
@@ -993,28 +980,10 @@ class ClusterEstimateService:
               queries: list, seed: int | None) -> None:
         """Ship a dispatch that holds one of ``handle``'s slots; every
         way it can fail settles the handle typed and returns the slot."""
-        if not handle.alive():
-            handle.release()
-            self._mark_dead(handle.worker_id)
-            self._fail_unavailable(handle, request, "while dispatching")
-            return
         req_id = next(self._req_ids)
-        with self._lock:
-            self._pending[req_id] = (request, handle, True)
-            handle.in_flight += 1
-            handle.dispatched += 1
-        if self._handles.get(handle.worker_id) is not handle:
-            # Lost race with _mark_dead: its orphan sweep ran between
-            # the alive() check above and this registration, so nothing
-            # will ever settle the entry — fail it here, typed, instead
-            # of letting the caller wait out the full request timeout.
-            with self._lock:
-                entry = self._pending.pop(req_id, None)
-                if entry is not None:
-                    handle.in_flight -= 1
-            if entry is not None:
-                handle.release()
-                self._fail_unavailable(handle, request, "while dispatching")
+        if not self._register(handle, req_id, request, True):
+            handle.release()
+            self._fail_unavailable(handle, request, "while dispatching")
             return
         request.dispatched_at = time.perf_counter()
         self._h_stage.labels(namespace=request.namespace,
@@ -1025,7 +994,7 @@ class ClusterEstimateService:
                                    request.dispatched_at,
                                    worker=handle.worker_id)
         try:
-            handle.request_q.put(
+            handle.send(
                 (req_id, "batch", request.namespace, list(queries), seed,
                  request.deadline, request.dispatched_at))
         except (ValueError, OSError) as exc:
@@ -1034,20 +1003,39 @@ class ClusterEstimateService:
                 handle.in_flight -= 1
             handle.release()
             request._fail(WorkerUnavailableError(
-                f"worker {handle.worker_id} queue is closed: {exc}"))
+                f"worker {handle.worker_id} pipe is closed: {exc}"))
+
+    def _register(self, handle: _WorkerHandle, req_id: int,
+                  request: ClusterRequest, is_batch: bool) -> bool:
+        """Enter ``request`` as in flight on ``handle``; False when the
+        handle is already quarantined, whose sweep of ``_pending`` has
+        run and would never settle the entry."""
+        with self._lock:
+            if self._handles.get(handle.worker_id) is not handle:
+                return False
+            self._pending[req_id] = (request, handle, is_batch)
+            if is_batch:
+                handle.in_flight += 1
+                handle.dispatched += 1
+        return True
 
     def _callback_failed(self, request, exc: BaseException) -> None:
         self._f_callback_errors.labels(namespace=request.namespace).inc()
         self.events.emit("callback_error", namespace=request.namespace,
                          error=type(exc).__name__, detail=str(exc))
 
-    def _mark_dead(self, worker_id: str) -> None:
-        handle = self._handles.pop(worker_id, None)
-        if handle is None:
-            return
-        self._dead.append(worker_id)
-        self._ring.remove(worker_id)
+    def _mark_dead(self, handle: _WorkerHandle) -> None:
+        """Quarantine ``handle``'s worker: out of the ring, onto the
+        dead list, and every request in flight or parked on it failed
+        typed.  A no-op unless ``handle`` is still the one serving its
+        id (``restart_worker`` reuses ids; ``stop`` detaches first)."""
+        worker_id = handle.worker_id
         with self._lock:
+            if self._handles.get(worker_id) is not handle:
+                return
+            del self._handles[worker_id]
+            self._dead.append(worker_id)
+            self._ring.remove(worker_id)
             orphaned = [req_id for req_id, (_r, h, _b)
                         in self._pending.items() if h is handle]
             entries = [self._pending.pop(req_id) for req_id in orphaned]
@@ -1063,63 +1051,70 @@ class ClusterEstimateService:
         for request in parked:
             self._fail_unavailable(handle, request, "with the request "
                                    "waiting for a slot")
-        handle.request_q.close()
-        handle.request_q.cancel_join_thread()
 
-    def _collect_loop(self) -> None:
-        while not self._collector_stop.is_set():
+    def _read_loop(self, handle: _WorkerHandle) -> None:
+        """The one reader of ``handle``'s pipe: settle each response;
+        at EOF the worker is gone, so quarantine it."""
+        while True:
             try:
-                item = self._response_q.get(timeout=0.2)
-            except (queue_mod.Empty, OSError, ValueError):
-                continue
-            worker_id, req_id, status, payload = item
-            with self._lock:
-                entry = self._pending.pop(req_id, None)
-                if entry is not None and entry[2]:
-                    entry[1].in_flight -= 1
-            if entry is None:
-                continue
-            request, handle, is_batch = entry
-            now = time.perf_counter()
+                req_id, status, payload = handle.conn.recv()
+            except (EOFError, OSError):
+                break
+            self._settle(handle, req_id, status, payload)
+        with handle.send_lock:          # no sender mid-write on the fd
+            handle.conn.close()
+        self._mark_dead(handle)
+
+    def _settle(self, handle: _WorkerHandle, req_id: int, status: str,
+                payload) -> None:
+        worker_id = handle.worker_id
+        with self._lock:
+            entry = self._pending.pop(req_id, None)
+            if entry is not None and entry[2]:
+                handle.in_flight -= 1
+        if entry is None:
+            return
+        request, _handle, is_batch = entry
+        now = time.perf_counter()
+        if is_batch:
+            handle.release()
+            handle.observe_latency(now - request.submitted_at)
+        if status == "ok":
             if is_batch:
-                handle.release()
-                handle.observe_latency(now - request.submitted_at)
-            if status == "ok":
-                if is_batch:
-                    values, version, compute_s, worker_t0 = payload
-                    self._observe_stages(request, worker_id, compute_s,
-                                         worker_t0, now)
-                    if request._complete(values, version, worker=worker_id):
-                        self._c_served.inc(request.count)
-                        self._h_latency.labels(
-                            namespace=request.namespace).observe(
-                            request.completed_at - request.submitted_at)
-                    else:
-                        self._c_cancel.inc(request.count)
-                        self.events.emit("cancel",
-                                         namespace=request.namespace,
-                                         worker=worker_id,
-                                         stage="post_compute")
+                values, version, compute_s, worker_t0 = payload
+                self._observe_stages(request, worker_id, compute_s,
+                                     worker_t0, now)
+                if request._complete(values, version, worker=worker_id):
+                    self._c_served.inc(request.count)
+                    self._h_latency.labels(
+                        namespace=request.namespace).observe(
+                        request.completed_at - request.submitted_at)
                 else:
-                    request._complete(payload, None, worker=worker_id)
-            elif status == "shed":
-                if request._fail(LoadShedError(str(payload)), shed=True):
-                    self._c_sheds.inc(request.count)
-                    self.events.emit("shed", namespace=request.namespace,
-                                     reason="worker_deadline",
-                                     worker=worker_id)
+                    self._c_cancel.inc(request.count)
+                    self.events.emit("cancel",
+                                     namespace=request.namespace,
+                                     worker=worker_id,
+                                     stage="post_compute")
             else:
-                error = payload if isinstance(payload, BaseException) \
-                    else RuntimeError(str(payload))
-                if request._fail(error) and is_batch:
-                    if isinstance(error, WorkerUnavailableError):
-                        # Worker-reported transient unavailability
-                        # (e.g. not-yet-adopted namespace during a
-                        # restart) is retryable, not a failure.
-                        self._c_unavail.inc(request.count)
-                    else:
-                        self._f_failures.labels(
-                            error=type(error).__name__).inc(request.count)
+                request._complete(payload, None, worker=worker_id)
+        elif status == "shed":
+            if request._fail(LoadShedError(str(payload)), shed=True):
+                self._c_sheds.inc(request.count)
+                self.events.emit("shed", namespace=request.namespace,
+                                 reason="worker_deadline",
+                                 worker=worker_id)
+        else:
+            error = payload if isinstance(payload, BaseException) \
+                else RuntimeError(str(payload))
+            if request._fail(error) and is_batch:
+                if isinstance(error, WorkerUnavailableError):
+                    # Worker-reported transient unavailability
+                    # (e.g. not-yet-adopted namespace during a
+                    # restart) is retryable, not a failure.
+                    self._c_unavail.inc(request.count)
+                else:
+                    self._f_failures.labels(
+                        error=type(error).__name__).inc(request.count)
 
     def _observe_stages(self, request: ClusterRequest, worker_id: str,
                         compute_s: float, worker_t0: float,
@@ -1184,7 +1179,7 @@ class ClusterEstimateService:
 
     def stats(self) -> dict:
         workers = {}
-        for wid, handle in self._handles.items():
+        for wid, handle in list(self._handles.items()):
             workers[wid] = {
                 "alive": handle.alive(),
                 "in_flight": handle.in_flight,

@@ -2,10 +2,13 @@
 
 PR 6's cluster *contains* a worker crash (typed errors, ``recover()``)
 but never heals it — a dead worker stays dead until an operator calls
-``recover()`` by hand.  :class:`WorkerSupervisor` closes the loop: a
-background thread polls :meth:`ClusterEstimateService.dead_workers`
-(which also quarantines newly dead processes, failing their in-flight
-requests typed) and drives a small state machine per worker:
+``recover()`` by hand.  The split is: the cluster's reader thread for a
+worker quarantines it the moment its pipe hits EOF (out of the ring,
+its in-flight requests failed typed); :class:`WorkerSupervisor`
+restarts it.  A background thread polls
+:meth:`ClusterEstimateService.dead_workers` (which also catches a
+process that exited before its reader noticed) and drives a small state
+machine per worker:
 
 ``healthy -> crashed -> backoff -> restarting -> healthy``
                      \\-> (crash loop) -> evicted

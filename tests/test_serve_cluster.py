@@ -9,6 +9,10 @@ CI scale-out step) and skips cleanly on platforms without
 ``multiprocessing.shared_memory``.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -221,10 +225,7 @@ class TestDispatchWindow:
                     self.cond.wait(timeout)
                 return self.items.pop(0) if self.items else None
 
-        def close(self):
-            pass
-
-        cancel_join_thread = close
+        send = put
 
     class _Process:
         pid = 0
@@ -266,7 +267,7 @@ class TestDispatchWindow:
             assert doomed.shed and 0.02 < doomed.latency() < 1.0
             order = []
             for _ in range(3):
-                message = handle.request_q.take(timeout=5.0)
+                message = handle.conn.take(timeout=5.0)
                 order.append(message[3][0])
                 self.ack(cluster, handle, message)
             assert order == [queries[0], queries[1], queries[3]]
@@ -287,7 +288,7 @@ class TestDispatchWindow:
 
         def worker():
             while not stop.is_set():
-                message = handle.request_q.take(timeout=0.05)
+                message = handle.conn.take(timeout=0.05)
                 if message is not None:
                     worst[0] = max(worst[0], handle.in_flight)
                     self.ack(cluster, handle, message)
@@ -411,6 +412,36 @@ class TestCluster:
             assert cluster.stats()["unavailable"] > 0
             assert cluster.stats()["failures"] == 0
 
+    def test_worker_killed_mid_batch_fails_typed(
+            self, tiny_uae, second_uae, tiny_workload, parity_setup):
+        """No supervisor: the victim's EOF fails its in-flight batch
+        typed at once, and the survivor's seeded answers stay
+        bit-identical to the single-process front door."""
+        from repro.serve import ChaosPlan
+        mixed, expected = parity_setup
+        # Each namespace group is its own seeded batch, so the
+        # second-table half of the reference is a reference by itself.
+        probes, expected = mixed[1::2], expected[1::2]
+        plan = ChaosPlan(seed=5)
+        plan.inject("worker.batch", "sleep",
+                    where={"namespace": tiny_uae.table.name},
+                    params={"seconds": 30.0})
+        with self.make_cluster(tiny_uae, second_uae,
+                               chaos=plan) as cluster:
+            assignment = cluster.assignment()
+            victim = assignment[tiny_uae.table.name]
+            assert assignment[second_uae.table.name] != victim
+            held = cluster.submit(tiny_workload.queries[0])
+            time.sleep(0.2)                 # the worker sleeps on it
+            os.kill(cluster._handles[victim].process.pid, signal.SIGKILL)
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerUnavailableError):
+                held.result(timeout=5.0)
+            assert time.perf_counter() - t0 < 2.0
+            assert np.array_equal(
+                cluster.estimate_batch(probes, seed=4321), expected)
+            assert cluster.stats()["failures"] == 0
+
     def test_overload_sheds_typed_never_fails(
             self, tiny_uae, second_uae, tiny_workload):
         burst = (list(tiny_workload.queries) * 4)[:48]
@@ -460,3 +491,58 @@ def test_scale_out_bench_skips_the_gate_it_cannot_measure(monkeypatch):
     assert result["skipped"] == {
         "scale_throughput": "cpu_count 1 < workers 2"}
     assert all(result["checks"].values()), result["checks"]
+
+
+_ORPHAN_PARENT = """
+import time
+from repro.core import UAE
+from repro.data import make_toy
+from repro.serve import ClusterEstimateService
+
+cluster = ClusterEstimateService(workers=2)
+cluster.add_table(UAE(make_toy(rows=200, seed=1, num_cols=3,
+                               max_domain=4), hidden=8, num_blocks=1))
+cluster.start()
+print(*(h.process.pid for h in cluster._handles.values()), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_shm
+@pytest.mark.multiproc
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_their_parent_dies():
+    """A SIGKILLed parent runs no cleanup: its workers must notice the
+    EOF on their pipes and exit rather than block forever."""
+    import repro
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHAN_PARENT],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.kill()
+        parent.wait(timeout=10.0)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        parent.kill()
+        parent.wait(timeout=10.0)
+        parent.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

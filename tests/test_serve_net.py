@@ -362,6 +362,39 @@ class TestLoopNeverBlocks:
                    if line.startswith("repro_async_offloop_submits_total")]
         assert [float(line.rsplit(" ", 1)[1]) for line in offloop] == [2.0]
 
+    @pytest.mark.multiproc
+    def test_worker_killed_mid_batch_is_503_not_a_hang(
+            self, tiny_uae, tiny_workload):
+        """A deadline-free request whose worker is SIGKILLed while it
+        holds the batch gets a typed 503 at once (no supervisor, no
+        request timeout to wait out)."""
+        import os
+        import signal
+
+        from repro.serve import (HAVE_SHARED_MEMORY, ChaosPlan,
+                                 ClusterEstimateService)
+        if not HAVE_SHARED_MEMORY:
+            pytest.skip("no multiprocessing.shared_memory")
+        plan = ChaosPlan(seed=5)
+        plan.inject("worker.batch", "sleep", params={"seconds": 30.0})
+        cluster = ClusterEstimateService(workers=1, seed=7, chaos=plan)
+        cluster.add_table(tiny_uae.clone())
+
+        async def scenario():
+            async with _DoorHarness(cluster) as h:
+                post = asyncio.ensure_future(h.client.post(
+                    "/estimate", {"sql": "a = 1 AND b = 1"}))
+                await asyncio.sleep(0.3)        # the worker sleeps on it
+                os.kill(cluster._handles["w0"].process.pid, signal.SIGKILL)
+                t0 = time.perf_counter()
+                status, body, _ = await asyncio.wait_for(post, 2.0)
+                return status, body, time.perf_counter() - t0
+
+        with cluster:
+            status, body, waited = run(scenario())
+        assert status == 503 and body["error"] == "WorkerUnavailableError"
+        assert waited < 2.0
+
 
 class TestDeadlinePropagation:
     def test_service_layer_sheds_typed(self, server):

@@ -71,6 +71,17 @@ def _percentiles(latencies: list[float]) -> dict[str, float]:
             "mean_ms": float(arr.mean())}
 
 
+def _door_counts(metrics) -> dict:
+    """The front door's wire counts, read from the metrics registry."""
+    responses = metrics.get_family("repro_http_responses_total")
+    return {"requests": int(metrics.total("repro_http_requests_total")),
+            "served": int(metrics.total("repro_http_served_total")),
+            "sheds": int(metrics.total("repro_http_sheds_total")),
+            "status_counts": {labels["status"]: int(child.value)
+                              for labels, child in responses.series()
+                              if child.value}}
+
+
 class _ClientPool:
     """Grab-an-idle-or-dial connection pool: open-loop arrivals must
     never queue behind a busy keep-alive socket (that would re-introduce
@@ -279,11 +290,7 @@ def run_open_loop(profile: Profile | None = None,
             return {"calibration": calib, "slo_ms": slo_ms,
                     "deadline_ms": deadline_ms,
                     "metrics_internal": internal,
-                    "door": {"requests": door.requests,
-                             "served": door.served,
-                             "sheds": door.sheds,
-                             "status_counts": {str(k): v for k, v in
-                                               door.status_counts.items()}}}
+                    "door": _door_counts(door.metrics)}
         finally:
             await door.stop()
 

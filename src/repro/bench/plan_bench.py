@@ -274,7 +274,8 @@ def run_plan_quality(profile: Profile | None = None,
                 if ues.upper_bound(query, subset) + 1e-6 < truth:
                     ues_holds = False
 
-        service_failures = space.server.service.failures
+        service_failures = front.metrics.total(
+            "repro_serve_failures_total", namespace=space.name)
 
     oracle_costs = arr[oracle.name]
     serving_costs = arr[serving.name]

@@ -85,6 +85,13 @@ def _serve_stream(server: UAEServer,
     return time.perf_counter() - start, results, handles
 
 
+def _failures(server) -> int:
+    """Engine/compute failures of ``server``'s namespace, read from the
+    metrics registry (the one place a serving count lives)."""
+    return int(server.metrics.total("repro_serve_failures_total",
+                                    namespace=server.namespace))
+
+
 def _phase_latency(handles: list) -> dict[str, float]:
     """Submit-to-settle quantiles over the phase's own request handles."""
     arr = np.array([r.latency() for r in handles], dtype=np.float64)
@@ -233,18 +240,19 @@ def run_multi_table(profile: Profile | None = None,
         checks["swapped_namespace_v1_reproducible"] = bool(
             np.array_equal(old, refs_pre[swap_ns]))
         checks["zero_failures"] = all(
-            space.server.service.failures == 0 for space in front.registry)
+            _failures(space.server) == 0 for space in front.registry)
 
         pool_stats = front.pool.stats()
-        stats = front.stats()
         for name in names:
             space = front.namespace(name)
             rows.append({
                 "namespace": name, "kind": space.kind,
                 "queries": len(workloads[name]),
-                "served": stats["namespaces"][name]["service"]["served"],
+                "served": int(front.metrics.total(
+                    "repro_serve_served_total", namespace=name)),
                 "version": versions[name],
-                "refined": pool_stats["per_namespace"].get(name, 0),
+                "refined": int(front.metrics.total(
+                    "repro_pool_jobs_total", namespace=name)),
             })
 
     payload = {
@@ -372,7 +380,11 @@ def run_scale_out(profile: Profile | None = None,
                 cluster.estimate_batch(mixed[lo:lo + _WAVE])
             elapsed = time.perf_counter() - start
             qps[n] = len(mixed) / elapsed
-            stats = cluster.stats()
+            failures = int(cluster.metrics.total(
+                "repro_cluster_failures_total"))
+            unavailable = cluster.metrics.total(
+                "repro_cluster_unavailable_total")
+            sheds = int(cluster.metrics.total("repro_cluster_sheds_total"))
 
             if n == workers[-1]:
                 # Zero-copy swap propagation: republish every namespace
@@ -399,15 +411,13 @@ def run_scale_out(profile: Profile | None = None,
                         * refined.table.num_rows
                     post_swap_ok = post_swap_ok and bool(
                         np.array_equal(got_post, ref_post))
-            zero_failed = stats["failures"] == 0 \
-                and stats["unavailable"] == 0
             rows.append({"workers": n, "queries": len(mixed),
                          "qps": qps[n],
                          "namespaces": len(datasets),
                          "distinct_owners": len(set(placement.values())),
-                         "failures": stats["failures"],
-                         "sheds": stats["sheds"]})
-            checks[f"zero_failed_{n}w"] = zero_failed
+                         "failures": failures, "sheds": sheds})
+            checks[f"zero_failed_{n}w"] = failures == 0 \
+                and unavailable == 0
 
     # Overload segment: a saturating deadline burst against a
     # queue_depth-1 cluster.  Every rejected request must be a typed
@@ -430,11 +440,12 @@ def run_scale_out(profile: Profile | None = None,
                 shed += 1
             except Exception:               # noqa: BLE001 - counted below
                 other += 1
-        over_stats = overload.stats()
         shed_stats = {"burst": len(burst), "answered": ok, "shed": shed,
                       "untyped_errors": other,
-                      "failures": over_stats["failures"],
-                      "saturations": over_stats["saturations"]}
+                      "failures": int(overload.metrics.total(
+                          "repro_cluster_failures_total")),
+                      "saturations": int(overload.metrics.total(
+                          "repro_cluster_saturations_total"))}
     checks["parity_vs_single_process"] = parity_ok
     checks["post_swap_parity"] = post_swap_ok
     max_prop = max((p["propagation_ms"] for p in publishes), default=0.0)
@@ -575,12 +586,12 @@ def run_chaos(profile: Profile | None = None,
             err = server_a.observe(q0, float(wl.cardinalities[0]),
                                    estimate=float(ests[0]))
             checks["feedback_corruption_contained"] = \
-                err >= 10.0 and server_a.service.failures == 0
-            stats_a = server_a.modelops.stats()
+                err >= 10.0 and _failures(server_a) == 0
         rows.append({"fault": "poison-refinement", "action": "reject",
                      "observations": len(wl), "version": 1})
-        detail["shadow"] = {"verdict": stats_a["last_verdict"],
-                            "rejects": stats_a["rejects"]}
+        detail["shadow"] = {"verdict": server_a.modelops.last_verdict,
+                            "rejects": int(server_a.metrics.total(
+                                "repro_shadow_rejects_total"))}
 
         # ------------------------------------------------------------
         # 2. Tripwire rollback: the same poison published past a
@@ -650,16 +661,16 @@ def run_chaos(profile: Profile | None = None,
             req = server_b.submit(hot[0]) if hot else None
             if req is not None:
                 req.result(timeout=60.0)
+            warmed = int(server_b.metrics.total("repro_cache_warmed_total"))
             checks["warm_primes_cache"] = \
-                server_b.modelops.warmed > 0 and req is not None \
+                warmed > 0 and req is not None \
                 and req.from_cache \
                 and req.version == server_b.registry.version
             checks["zero_untyped_singleproc"] = \
-                server_a.service.failures == 0 \
-                and server_b.service.failures == 0
+                _failures(server_a) == 0 and _failures(server_b) == 0
             detail["tripwire"] = server_b.modelops.stats()
         rows.append({"fault": "drop-publish", "action": "retry+warm",
-                     "observations": server_b.modelops.warmed,
+                     "observations": warmed,
                      "version": server_b.registry.version})
 
     if include_cluster:
@@ -760,7 +771,8 @@ def run_chaos(profile: Profile | None = None,
                     for name in datasets)
                 stats = cluster.stats()
                 checks["cluster_zero_untyped"] = untyped == 0 \
-                    and stats["failures"] == 0
+                    and cluster.metrics.total(
+                        "repro_cluster_failures_total") == 0
                 detail["cluster"] = {
                     "restarts": supervisor.stats()["restarts"],
                     "restart_wait_s": restart_s,
@@ -942,7 +954,7 @@ def run_serving(profile: Profile | None = None,
         # The swap stream uses *fresh* queries (nothing cached), so both
         # the outgoing and the incoming snapshot serve real engine work.
         swap_wl = generate_inworkload(full, min(64, n_stream), rng)
-        failures_before = server.service.failures
+        failures_before = _failures(server)
         refine_thread = server.refine(background=True)
         swap_served = 0
         swap_versions: set[int] = set()
@@ -966,7 +978,7 @@ def run_serving(profile: Profile | None = None,
             swap_versions.add(req.version)
             swap_served += 1
         checks["swap_zero_failed"] = \
-            server.service.failures == failures_before
+            _failures(server) == failures_before
         checks["swap_spans_versions"] = len(swap_versions) >= 2 \
             and server.registry.version in swap_versions
         # No qps/latency/q-error cells: the swap stream is paced load,
@@ -1003,7 +1015,7 @@ def run_serving(profile: Profile | None = None,
 
         improvement = before.mean / max(after.mean, 1e-9)
         checks["qerror_improves"] = after.mean <= before.mean
-        checks["zero_failures"] = server.service.failures == 0
+        checks["zero_failures"] = _failures(server) == 0
         p99 = rows[0]["p99_ms"]
         checks["latency_sane"] = p99 < 2000.0
         qps_floor = 0.9 if profile.name == "ci" else 1.0
@@ -1085,7 +1097,7 @@ def run_serving(profile: Profile | None = None,
         "swap_served": swap_served,
         "swap_versions": sorted(swap_versions),
         "refinements": server.refinements,
-        "service": stats["service"],
+        "service": {**stats["service"], "failures": _failures(server)},
         "checks": checks,
         "skipped": skipped,
         "rows": rows,
@@ -1117,7 +1129,7 @@ def run_serving(profile: Profile | None = None,
             f"{server.feedback.threshold:.2f}; shifted q-error mean "
             f"{before.mean:.2f} -> {after.mean:.2f}; serving "
             f"{serving_qps:.0f} q/s vs engine {engine_qps:.0f} q/s; "
-            f"p99 {p99:.1f} ms; failures {server.service.failures}]; see "
+            f"p99 {p99:.1f} ms; failures {_failures(server)}]; see "
             f"{BENCH_SERVE_PATH if write_artifact else 'payload'}")
 
     return {"title": "Online serving: micro-batched estimates, hot-swap, "

@@ -14,7 +14,9 @@ Three instrument kinds, all thread-safe and cheap enough for hot paths:
 
 Instruments are grouped into labeled *families* (one family per metric
 name, one child per label-value tuple), mirroring the Prometheus data
-model.  :meth:`MetricsRegistry.snapshot` produces a plain-dict,
+model.  :meth:`MetricsRegistry.total` sums the series matching a label
+subset; it is how every serving count is read.
+:meth:`MetricsRegistry.snapshot` produces a plain-dict,
 pickle/JSON-friendly dump; :meth:`MetricsRegistry.ingest` adds a
 snapshot into a registry (optionally stamping extra labels such as
 ``worker="w0"``), which is how the cluster tier merges worker-process
@@ -286,11 +288,13 @@ class _Family:
     def value(self) -> float:
         return self._default.value
 
-    def total(self) -> float:
-        """Sum of all children (counters/gauges)."""
-        with self._lock:
-            children = list(self._children.values())
-        return sum(c.value for c in children)
+    def total(self, **where: object) -> float:
+        """Sum of the children (counters/gauges) whose labels match
+        ``where``; no ``where`` sums them all."""
+        want = {k: str(v) for k, v in where.items()}
+        return sum((child.value for labels, child in self.series()
+                    if all(labels.get(k) == v for k, v in want.items())),
+                   0.0)
 
     def series(self) -> list[tuple[dict[str, str], Counter | Gauge | Histogram]]:
         with self._lock:
@@ -343,6 +347,13 @@ class MetricsRegistry:
     def get_family(self, name: str) -> _Family | None:
         with self._lock:
             return self._families.get(name)
+
+    def total(self, name: str, **where: object) -> float:
+        """Sum of ``name``'s series whose labels match ``where`` (a
+        subset of the family's labels); 0.0 for a family never
+        registered.  The one way to read a serving count."""
+        fam = self.get_family(name)
+        return 0.0 if fam is None else fam.total(**where)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

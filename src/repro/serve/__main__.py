@@ -141,9 +141,11 @@ def _http_smoke(door, sqls: list[str]) -> list[str]:
                   f"status={status} body={body}")
 
             status, body, _ = await client.get("/status")
+            version = body.get("service", {}).get("service", {}) \
+                .get("model_version")
             check("status 200",
                   status == 200 and "front_door" in body
-                  and "service" in body, f"status={status}")
+                  and isinstance(version, int), f"status={status}")
 
             status, body, _ = await client.get("/nope")
             check("unknown route 404", status == 404, f"status={status}")
@@ -158,17 +160,37 @@ def _http_smoke(door, sqls: list[str]) -> list[str]:
             status, body, _ = await client.post("/estimate", {})
             check("missing sql 400", status == 400, f"status={status}")
 
+            status, body, _ = await client.post(
+                "/estimate_batch", {"sql": sqls[:1], "seed": 1.9})
+            check("non-integer seed 400", status == 400,
+                  f"status={status} body={body}")
+
+            async def raw_status(request: bytes) -> bytes:
+                reader, writer = await asyncio.open_connection(
+                    door.host, door.port)
+                try:
+                    writer.write(request)
+                    await writer.drain()
+                    return await asyncio.wait_for(reader.readline(),
+                                                  timeout=10)
+                finally:
+                    writer.close()
+
             # malformed JSON must map to a typed 400, not a hangup
-            reader, writer = await asyncio.open_connection(
-                door.host, door.port)
             raw = b"{not json"
-            writer.write(b"POST /estimate HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Length: %d\r\n\r\n" % len(raw) + raw)
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            line = await raw_status(
+                b"POST /estimate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(raw) + raw)
             check("malformed JSON 400", b" 400 " in line,
                   line.decode("latin1", "replace").strip())
-            writer.close()
+
+            # a negative length must not make the body read eat the
+            # buffered bytes of the next request
+            line = await raw_status(
+                b"GET /healthz HTTP/1.1\r\nContent-Length: -20\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\n\r\n")
+            check("negative Content-Length 400", b" 400 " in line,
+                  line.decode("latin1", "replace").strip())
 
             # a microscopic budget on a fresh query must miss, typed
             status, body, _ = await client.post(

@@ -120,7 +120,6 @@ def _worker_main(worker_id: str, conn, parent_end,
     buffers: dict[str, SharedSnapshot] = {}
     versions: dict[str, int] = {}
     rngs: dict[str, np.random.Generator] = {}
-    served = 0
     # Worker-local registry: fixed bucket layouts make these histograms
     # mergeable parent-side (ClusterEstimateService.merged_metrics).
     wm = MetricsRegistry()
@@ -225,7 +224,6 @@ def _worker_main(worker_id: str, conn, parent_end,
                 cards = compute_cardinalities(
                     estimator, [expand_query(estimator, q) for q in queries],
                     rng)
-                served += len(queries)
                 compute_s = time.perf_counter() - t0
                 wm_served.labels(namespace=namespace).inc(len(queries))
                 wm_batch.labels(namespace=namespace).observe(compute_s)
@@ -236,7 +234,7 @@ def _worker_main(worker_id: str, conn, parent_end,
             elif kind == "ping":
                 respond(req_id, "ok", {
                     "worker": worker_id, "pid": os.getpid(),
-                    "served": served, "versions": dict(versions)})
+                    "versions": dict(versions)})
             else:
                 respond(req_id, "err",
                         ValueError(f"unknown message kind {kind!r}"))
@@ -430,37 +428,6 @@ class ClusterEstimateService:
             "repro_cluster_stage_seconds",
             "Per-request time in each cluster stage",
             ("namespace", "stage"))
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters (read-only compatibility attributes)
-    # ------------------------------------------------------------------
-    @property
-    def served(self) -> int:
-        return int(self._c_served.value)
-
-    @property
-    def sheds(self) -> int:
-        return int(self._c_sheds.value)
-
-    @property
-    def failures(self) -> int:
-        return int(self._f_failures.total())
-
-    @property
-    def cancellations(self) -> int:
-        return int(self._c_cancel.value)
-
-    @property
-    def unavailable(self) -> int:
-        return int(self._c_unavail.value)
-
-    @property
-    def saturations(self) -> int:
-        return int(self._c_sat.value)
-
-    @property
-    def publishes(self) -> int:
-        return int(self._c_pub.value)
 
     # ------------------------------------------------------------------
     # Namespace registration
@@ -1192,10 +1159,4 @@ class ClusterEstimateService:
                 else self._supervisor.stats(),
                 "assignment": dict(self._assignment),
                 "versions": {space.name: space.version
-                             for space in self.registry},
-                "served": self.served, "sheds": self.sheds,
-                "failures": self.failures,
-                "cancellations": self.cancellations,
-                "unavailable": self.unavailable,
-                "saturations": self.saturations,
-                "publishes": self.publishes}
+                             for space in self.registry}}

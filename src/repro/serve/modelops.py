@@ -226,7 +226,6 @@ class ModelOps:
         self.rejects: list[dict] = []
         self.rollbacks: list[dict] = []
         self.last_verdict: dict | None = None
-        self.warmed = 0
         # Pre-swap serving accuracy, tracked across feedback drains (the
         # collector's own monitor resets on every drain, which is
         # exactly when the tripwire needs a pre-fault ceiling).
@@ -362,7 +361,6 @@ class ModelOps:
         except Exception:              # noqa: BLE001 - warming is advisory
             return
         if warmed:
-            self.warmed += warmed
             self._c_warmed.inc(warmed)
             self.server.events.emit("cache_warm",
                                     namespace=self.server.namespace,
@@ -374,8 +372,8 @@ class ModelOps:
             thread.join(timeout=timeout)
 
     def stats(self) -> dict:
-        return {"rejects": len(self.rejects),
-                "rollbacks": len(self.rollbacks),
-                "warmed": self.warmed,
-                "last_verdict": self.last_verdict,
+        # The counts (rejects, rollbacks, warmed entries) are the
+        # namespace's repro_{shadow_rejects,tripwire_rollbacks,
+        # cache_warmed}_total series; the records are on the instance.
+        return {"last_verdict": self.last_verdict,
                 "tripwire": self.tripwire.stats()}

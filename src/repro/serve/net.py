@@ -359,30 +359,6 @@ class HTTPFrontDoor:
             "repro_http_inflight", "requests inside the admission "
             "window").set_function(lambda: self._inflight)
 
-    # -- registry-backed wire stats (kept as read-only properties so the
-    # pre-obs `door.requests` / `door.status_counts` callers still work)
-    @property
-    def requests(self) -> int:
-        return int(self._c_requests.value)
-
-    @property
-    def served(self) -> int:
-        return int(self._c_served.value)
-
-    @property
-    def sheds(self) -> int:
-        return int(self._c_sheds.value)
-
-    @property
-    def disconnects(self) -> int:
-        return int(self._c_disconnects.value)
-
-    @property
-    def status_counts(self) -> dict[int, int]:
-        return {int(labels["status"]): int(child.value)
-                for labels, child in self._f_responses.series()
-                if child.value}
-
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "HTTPFrontDoor":
         self._server = await asyncio.start_server(
@@ -482,6 +458,10 @@ class HTTPFrontDoor:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        # Negative too: readexactly(-n) would take all but the last n
+        # buffered bytes, a pipelined next request included.
+        if length < 0:
             raise _EarlyResponse(400, {"error": "BadHeader",
                                        "detail": "bad Content-Length"})
         if length > self.max_body:
@@ -623,9 +603,11 @@ class HTTPFrontDoor:
         queries = [self.parser(s) if isinstance(s, str)
                    else self._bad_item() for s in sqls]
         seed = payload.get("seed")
-        if seed is not None:
-            seed = int(seed)
-        use_cache = bool(payload.get("use_cache", True))
+        if seed is not None and type(seed) is not int:  # no bool, no float
+            raise ValueError("field 'seed' must be a JSON integer")
+        use_cache = payload.get("use_cache", True)
+        if type(use_cache) is not bool:
+            raise ValueError("field 'use_cache' must be a JSON boolean")
         deadline_ms = self._deadline_from(payload,
                                           self.default_deadline_ms)
         await self._admit(deadline_ms)
@@ -659,14 +641,7 @@ class HTTPFrontDoor:
         return 200, {"ok": True,
                      "front_door": {
                          "inflight": self._inflight,
-                         "max_inflight": self.max_inflight,
-                         "requests": self.requests,
-                         "served": self.served,
-                         "sheds": self.sheds,
-                         "disconnects": self.disconnects,
-                         "status_counts": {str(k): v for k, v in
-                                           sorted(self.status_counts
-                                                  .items())}},
+                         "max_inflight": self.max_inflight},
                      "service": _jsonable(self.service.stats())}
 
     async def _h_healthz(self, payload: dict):

@@ -35,6 +35,7 @@ from collections import OrderedDict, deque
 
 import numpy as np
 
+from ..obs import EVENTS, MetricsRegistry
 from ..workload.predicate import routing_signature
 from .registry import ModelRegistry
 from .server import (AmbiguousNamespaceError, Namespace,  # noqa: F401
@@ -65,6 +66,7 @@ class RefinementJob:
         self._error: BaseException | None = None
 
     def _run(self) -> None:
+        """Run ``fn``; the pool settles the job once it is counted."""
         self.started_at = time.perf_counter()
         try:
             self._result = self.fn(*self.args)
@@ -72,7 +74,6 @@ class RefinementJob:
             self._error = exc
         finally:
             self.finished_at = time.perf_counter()
-            self._event.set()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
@@ -120,28 +121,23 @@ class RefinementPool:
         self._stop = False
         self._closing = False
         self._active = 0
-        self.completed = 0
-        self.failed = 0
-        self.per_namespace: dict[str, int] = {}
-        self.metrics = metrics
-        self._c_jobs = self._h_job = self._h_queue_wait = None
-        if metrics is not None:
-            self._c_jobs = metrics.counter(
-                "repro_pool_jobs_total", "Refinement-pool jobs finished",
-                ("namespace", "outcome"))
-            self._h_job = metrics.histogram(
-                "repro_pool_job_seconds", "Refinement job run time",
-                ("namespace",))
-            self._h_queue_wait = metrics.histogram(
-                "repro_pool_queue_wait_seconds",
-                "Time a refinement job waited for a pool worker",
-                ("namespace",))
-            metrics.gauge("repro_pool_active",
-                          "Refinement jobs currently running") \
-                .set_function(lambda: float(self._active))
-            metrics.gauge("repro_pool_pending",
-                          "Refinement jobs queued behind the workers") \
-                .set_function(lambda: float(self.pending()))
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_jobs = self.metrics.counter(
+            "repro_pool_jobs_total", "Refinement-pool jobs finished",
+            ("namespace", "outcome"))
+        self._h_job = self.metrics.histogram(
+            "repro_pool_job_seconds", "Refinement job run time",
+            ("namespace",))
+        self._h_queue_wait = self.metrics.histogram(
+            "repro_pool_queue_wait_seconds",
+            "Time a refinement job waited for a pool worker",
+            ("namespace",))
+        self.metrics.gauge("repro_pool_active",
+                           "Refinement jobs currently running") \
+            .set_function(lambda: float(self._active))
+        self.metrics.gauge("repro_pool_pending",
+                           "Refinement jobs queued behind the workers") \
+            .set_function(lambda: float(self.pending()))
 
     # ------------------------------------------------------------------
     def _spawn_workers_locked(self) -> None:
@@ -210,22 +206,20 @@ class RefinementPool:
             try:
                 job._run()
             finally:
+                # Counted before the job settles and before notify_all,
+                # so neither job.result() nor join() returns before the
+                # job shows in repro_pool_jobs_total.
+                outcome = "error" if job._error is not None else "ok"
                 with self._cond:
                     self._active -= 1
-                    self.completed += 1
-                    if job._error is not None:
-                        self.failed += 1
-                    self.per_namespace[job.namespace] = \
-                        self.per_namespace.get(job.namespace, 0) + 1
-                    self._cond.notify_all()
-                if self._c_jobs is not None:
-                    outcome = "error" if job._error is not None else "ok"
                     self._c_jobs.labels(namespace=job.namespace,
                                         outcome=outcome).inc()
                     self._h_job.labels(namespace=job.namespace).observe(
                         job.finished_at - job.started_at)
                     self._h_queue_wait.labels(namespace=job.namespace) \
                         .observe(job.started_at - job.submitted_at)
+                    job._event.set()
+                    self._cond.notify_all()
 
     def stop(self) -> None:
         """Stop workers; queued-but-unstarted jobs fail with RuntimeError."""
@@ -281,10 +275,7 @@ class RefinementPool:
         with self._cond:
             return {"workers": self.max_workers,
                     "active": self._active,
-                    "pending": sum(len(q) for q in self._queues.values()),
-                    "completed": self.completed,
-                    "failed": self.failed,
-                    "per_namespace": dict(self.per_namespace)}
+                    "pending": sum(len(q) for q in self._queues.values())}
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +405,6 @@ class RoutedEstimateService:
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False,
                  metrics=None, events=None):
-        from ..obs import EVENTS, MetricsRegistry
         self.registry = MultiTableRegistry()
         # One shared metrics registry + event log across namespaces: the
         # routed front door (and /metrics) sees every namespace's series

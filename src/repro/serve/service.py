@@ -19,14 +19,14 @@ compute cost from an EWMA of observed per-query latency and sheds, up
 front, any request whose *remaining* budget (deadline minus the queue
 wait already spent) cannot cover it — near-deadline queries fail fast
 instead of wasting engine time on answers that would arrive late
-(``budget_sheds`` in :meth:`EstimateService.stats`).
+(``repro_serve_budget_sheds_total``).
 
 Cancellation is abandonment: :meth:`EstimateRequest.cancel` (driven by
 the asyncio front door in :mod:`repro.serve.net` when a network caller
 disconnects or times out) settles the request immediately with
 :class:`RequestCancelledError`, and the worker drops cancelled requests
 at flush time — a dead client never occupies a batch slot or engine
-time (``cancellations`` in :meth:`EstimateService.stats`).
+time (``repro_serve_cancellations_total``).
 
 All estimates are answered from the
 :class:`~repro.serve.cache.ResultCache` when the active model version has
@@ -246,9 +246,9 @@ class EstimateService:
         # EWMA of per-query compute seconds; None until the first flush
         # is measured (no shedding before there is an observation).
         self._cost_per_query: float | None = None
-        # All counters live in the metrics registry (one shared registry
-        # across namespaces when routed); ``served`` & friends are
-        # read-only properties over the namespace-labeled children.
+        # Every count lives only in the metrics registry (one shared
+        # registry across namespaces when routed), namespace-labeled;
+        # read one with ``metrics.total(name, namespace=...)``.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EVENTS
         ns = self.namespace = registry.name
@@ -298,40 +298,6 @@ class EstimateService:
         m.gauge("repro_serve_model_version",
                 "Active model version in the registry", lab) \
             .labels(namespace=ns).set_function(lambda: self.registry.version)
-
-    # ------------------------------------------------------------------
-    # Registry-backed counters (kept as read-only attributes for
-    # backward compatibility with the pre-obs ``stats()`` surface).
-    # ------------------------------------------------------------------
-    @property
-    def served(self) -> int:
-        return int(self._c_served.value)
-
-    @property
-    def cache_served(self) -> int:
-        return int(self._c_cache.value)
-
-    @property
-    def failures(self) -> int:
-        return int(sum(child.value
-                       for labels, child in self._f_failures.series()
-                       if labels["namespace"] == self.namespace))
-
-    @property
-    def deadline_misses(self) -> int:
-        return int(self._c_deadline.value)
-
-    @property
-    def budget_sheds(self) -> int:
-        return int(self._c_sheds.value)
-
-    @property
-    def cancellations(self) -> int:
-        return int(self._c_cancel.value)
-
-    @property
-    def flushes(self) -> int:
-        return int(self._c_flushes.value)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -699,30 +665,11 @@ class EstimateService:
                 self.events.emit("cancel", namespace=self.namespace,
                                  stage="post_compute")
 
-    # ------------------------------------------------------------------
-    def latency_quantiles(self) -> dict[str, float]:
-        """p50/p99/mean of ``repro_serve_latency_seconds`` — the same
-        observations ``/metrics`` exports, read without copying them."""
-        hist = self._h_latency
-        if not hist.count:
-            return {"p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0}
-        return {"p50_ms": hist.percentile(0.5) * 1e3,
-                "p99_ms": hist.percentile(0.99) * 1e3,
-                "mean_ms": hist.sum / hist.count * 1e3}
-
     def stats(self) -> dict:
-        # Counters come straight from the metrics registry (the same
-        # series exposed on /metrics); time-valued keys carry explicit
-        # unit suffixes (``*_ms``, ``*_seconds``).
-        out = {"served": self.served, "cache_served": self.cache_served,
-               "failures": self.failures,
-               "deadline_misses": self.deadline_misses,
-               "budget_sheds": self.budget_sheds,
-               "cancellations": self.cancellations,
-               "flushes": self.flushes,
-               "model_version": self.registry.version,
-               "cost_ewma_seconds": self._cost_per_query,
-               **self.latency_quantiles()}
+        # State, not counts: those (and the latency histogram) are
+        # series in ``self.metrics``.  Time keys carry unit suffixes.
+        out = {"model_version": self.registry.version,
+               "cost_ewma_seconds": self._cost_per_query}
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         return out

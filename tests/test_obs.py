@@ -120,6 +120,23 @@ class TestCounterRace:
         assert fam.total() == 6000
         assert fam.labels(ns="ns0").value == 2000
 
+    def test_registry_total_sums_matching_series(self):
+        reg = MetricsRegistry()
+        fam = reg.counter("jobs_total", "t", labels=("ns", "outcome"))
+        fam.labels(ns="a", outcome="ok").inc(3)
+        fam.labels(ns="a", outcome="error").inc(1)
+        fam.labels(ns="b", outcome="ok").inc(5)
+        reg.counter("flushes_total", "t").inc(2)
+        assert reg.total("jobs_total") == 9.0                # no labels
+        assert reg.total("jobs_total", ns="a") == 4.0        # subset
+        assert reg.total("jobs_total", outcome="ok") == 8.0
+        assert reg.total("jobs_total", ns="b", outcome="error") == 0.0
+        assert reg.total("jobs_total", worker="w0") == 0.0   # not a label
+        assert reg.total("flushes_total") == 2.0             # unlabeled
+        missing = reg.total("never_registered_total", ns="a")
+        assert missing == 0.0 and isinstance(missing, float)
+        assert reg.get_family("never_registered_total") is None
+
 
 # ----------------------------------------------------------------------
 # Snapshot merge

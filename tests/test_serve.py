@@ -168,7 +168,7 @@ class TestEstimateService:
         first = service.estimate(query)
         second = service.estimate(query)
         assert first == second
-        assert service.cache_served == 1
+        assert service.metrics.total("repro_serve_cache_hits_total") == 1
         assert service.cache.hits == 1
 
     def test_microbatch_worker_matches_sync(self, uae, workload):
@@ -183,8 +183,9 @@ class TestEstimateService:
         sync = service.estimate_batch(queries, seed=3, use_cache=False)
         errs = qerrors(results, np.maximum(sync, 1.0))
         assert errs.max() < 5.0
-        assert service.served >= len(queries)
-        assert service.failures == 0
+        served = service.metrics.total("repro_serve_served_total")
+        assert served >= len(queries)
+        assert service.metrics.total("repro_serve_failures_total") == 0
 
     def test_deadline_expired_fails(self, uae, workload):
         registry = ModelRegistry(uae)
@@ -194,7 +195,7 @@ class TestEstimateService:
             request = service.submit(workload.queries[0], deadline_ms=0.0)
             with pytest.raises(TimeoutError):
                 request.result(timeout=10.0)
-        assert service.deadline_misses >= 1
+        assert service.metrics.total("repro_serve_deadline_misses_total") >= 1
 
     def test_deadline_expired_during_compute_fails(self, uae, workload):
         """A request whose budget lapses while the engine runs must fail,
@@ -213,7 +214,7 @@ class TestEstimateService:
             request = service.submit(workload.queries[0], deadline_ms=15.0)
             with pytest.raises(TimeoutError):
                 request.result(timeout=10.0)
-        assert service.deadline_misses >= 1
+        assert service.metrics.total("repro_serve_deadline_misses_total") >= 1
 
     def test_budget_shed_before_compute(self, uae, workload):
         """A request whose remaining budget is below the projected
@@ -243,9 +244,8 @@ class TestEstimateService:
             with pytest.raises(TimeoutError, match="shed before compute"):
                 doomed.result(timeout=10.0)
             assert safe.result(timeout=30.0) >= 0.0
-        assert service.budget_sheds >= 1
-        assert service.stats()["budget_sheds"] == service.budget_sheds
-        assert service.failures == 0
+        assert service.metrics.total("repro_serve_budget_sheds_total") >= 1
+        assert service.metrics.total("repro_serve_failures_total") == 0
 
     def test_stop_fails_pending(self, uae, workload):
         registry = ModelRegistry(uae)
@@ -273,7 +273,7 @@ class TestEstimateService:
             second = service.submit(workload.queries[1])    # same batch
             assert second.result(timeout=30.0) >= 0.0
             assert first.result(timeout=30.0) >= 0.0
-            assert service.flushes == 1
+            assert service.metrics.total("repro_serve_flushes_total") == 1
             assert service._worker.is_alive() and service.running
             assert service._c_callback_errors.value == 1
             # Already-settled handles guard the immediate call too.
@@ -388,7 +388,7 @@ class TestUAEServer:
             request = server.submit(workload.queries[0])
             request.result(timeout=30.0)
             versions.add(request.version)
-        assert server.service.failures == 0
+        assert server.metrics.total("repro_serve_failures_total") == 0
         assert server.registry.version == 2
         assert 2 in versions
 

@@ -259,7 +259,8 @@ class TestDispatchWindow:
             first = cluster.submit(queries[0])
             parked = [cluster.submit(q) for q in queries[1:4]]
             assert not first.deferred and all(r.deferred for r in parked)
-            assert cluster.saturations == 3 and handle.free == 0
+            assert cluster.metrics.total("repro_cluster_saturations_total") \
+                == 3 and handle.free == 0
             doomed = cluster.submit(queries[4], deadline_ms=30.0)
             assert parked[1].cancel()           # abandoned while parked
             with pytest.raises(LoadShedError):  # shed by the placer, on time
@@ -273,7 +274,9 @@ class TestDispatchWindow:
             assert order == [queries[0], queries[1], queries[3]]
             assert parked[2].result(timeout=5.0) == 0.0
             assert handle.free == 1 and not handle.parked
-            assert cluster.cancellations == 1 and cluster.sheds == 1
+            assert cluster.metrics.total(
+                "repro_cluster_cancellations_total") == 1
+            assert cluster.metrics.total("repro_cluster_sheds_total") == 1
         finally:
             cluster._snapshots.pop("tiny").unlink()
             assert handle.close() == []
@@ -364,7 +367,7 @@ class TestCluster:
             # Same stream again: the seeded path is deterministic.
             assert np.array_equal(cluster.estimate_batch(mixed, seed=4321),
                                   expected)
-            assert cluster.stats()["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0
 
     def test_publish_rebuilds_worker_from_shared_buffer(
             self, tiny_uae, second_uae, tiny_workload):
@@ -409,8 +412,8 @@ class TestCluster:
             # lived in the shared segment, not the dead process.
             assert np.array_equal(cluster.estimate_batch(mixed, seed=4321),
                                   expected)
-            assert cluster.stats()["unavailable"] > 0
-            assert cluster.stats()["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_unavailable_total") > 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0
 
     def test_worker_killed_mid_batch_fails_typed(
             self, tiny_uae, second_uae, tiny_workload, parity_setup):
@@ -440,7 +443,7 @@ class TestCluster:
             assert time.perf_counter() - t0 < 2.0
             assert np.array_equal(
                 cluster.estimate_batch(probes, seed=4321), expected)
-            assert cluster.stats()["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0
 
     def test_overload_sheds_typed_never_fails(
             self, tiny_uae, second_uae, tiny_workload):
@@ -458,7 +461,7 @@ class TestCluster:
                     shed += 1
             assert shed > 0
             assert shed + answered == len(burst)
-            assert cluster.stats()["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0
 
     def test_join_query_rejected_typed(self, tiny_uae, second_uae):
         from repro.joins import JoinQuery

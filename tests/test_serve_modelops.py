@@ -239,11 +239,10 @@ class TestModelOps:
         self.feed(server, workload)
         record = server.refine()
         server.modelops.join_warm(timeout=30.0)
-        assert server.modelops.warmed > 0
+        assert server.metrics.total("repro_cache_warmed_total") > 0
         hits = server.cache.hits
         server.estimate(hot)                           # primed for v2
         assert server.cache.hits == hits + 1
-        assert server.modelops.stats()["warmed"] == server.modelops.warmed
         assert record["version"] == 2
 
 

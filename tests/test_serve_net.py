@@ -148,7 +148,8 @@ class TestCancellation:
             # Drain: the worker's next flush (which skips the cancelled
             # request) has happened once the stats settle.
             deadline = time.perf_counter() + 5.0
-            while service.stats()["cancellations"] < 1:
+            while service.metrics.total(
+                    "repro_serve_cancellations_total") < 1:
                 assert time.perf_counter() < deadline
                 time.sleep(0.005)
             assert svc.cancelled == 1
@@ -354,7 +355,7 @@ class TestLoopNeverBlocks:
         with cluster:
             cluster.estimate_batch(queries[:4])     # warm the EWMA
             status, body, value, worst_lag, text = run(scenario())
-            assert cluster.stats()["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0
         assert status == 503 and body["error"] == "LoadShedError"
         assert value >= 0.0
         assert worst_lag < 0.05
@@ -401,7 +402,7 @@ class TestDeadlinePropagation:
         svc = AsyncEstimateService(server)
         with pytest.raises(TimeoutError):
             run(svc.submit(fresh_query(5), deadline_ms=0.01))
-        assert server.service.deadline_misses >= 1
+        assert server.metrics.total("repro_serve_deadline_misses_total") >= 1
 
     def test_router_layer_sheds_typed(self, routed):
         svc = AsyncEstimateService(routed)
@@ -548,10 +549,38 @@ class TestHTTPRoundTrips:
         healthz, status, body = run(scenario())
         assert healthz == {"ok": True}
         assert status == 200
-        assert body["front_door"]["served"] >= 1
+        assert server.metrics.total("repro_http_served_total") >= 1
         # Hot-swap visibility: the service payload carries the registry
         # version the estimates were answered at.
         assert str(server.registry.version) in json.dumps(body["service"])
+
+    def test_routed_status_serves_version_and_invalidations(self, routed):
+        """The two ``/status`` paths the benchmark harness reads,
+        ``service.namespaces.<ns>.service.model_version`` and
+        ``...service.cache.invalidations``, on a routed front."""
+        space = routed.namespace("tiny")
+        estimate = {"sql": "a = 1", "namespace": "tiny"}
+
+        async def scenario():
+            async with _DoorHarness(routed) as h:
+                await h.client.post("/estimate", estimate)
+                _, before, _ = await h.client.get("/status")
+                space.server.registry.publish(space.server.trainer)
+                await h.client.post("/estimate", estimate)
+                _, after, _ = await h.client.get("/status")
+                return before, after
+
+        before, after = run(scenario())
+
+        def path(body, ns):
+            return body["service"]["namespaces"][ns]["service"]
+
+        assert path(before, "tiny")["model_version"] == 1
+        assert path(after, "tiny")["model_version"] == 2 == space.version
+        assert path(after, "second")["model_version"] == 1
+        assert path(after, "tiny")["cache"]["invalidations"] \
+            == path(before, "tiny")["cache"]["invalidations"] + 1
+        assert path(after, "second")["cache"]["invalidations"] == 0
 
 
 class TestHTTPRejections:
@@ -589,6 +618,26 @@ class TestHTTPRejections:
         status, body, _ = run(scenario())
         assert status == 413
         assert body["error"] == "PayloadTooLarge"
+
+    def test_negative_content_length_is_400(self, server):
+        """A negative length must not read as "all but the last 20
+        buffered bytes": the pipelined second request is not swallowed
+        as a body, the first gets a typed 400."""
+        async def scenario():
+            async with _DoorHarness(server) as h:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", h.door.port)
+                writer.write(b"GET /healthz HTTP/1.1\r\n"
+                             b"Content-Length: -20\r\n\r\n"
+                             b"GET /healthz HTTP/1.1\r\n\r\n")
+                await writer.drain()
+                data = await asyncio.wait_for(reader.read(), timeout=10.0)
+                writer.close()
+                return data
+
+        data = run(scenario())
+        assert data.startswith(b"HTTP/1.1 400 ")
+        assert b"BadHeader" in data
 
     def test_missing_field_is_400(self, server):
         async def scenario():
@@ -737,6 +786,32 @@ class TestErrorMappingTable:
             if status == 503:
                 assert "retry-after" in headers
 
+    # /estimate_batch fields that are not the JSON type the contract
+    # names: bool("false") is True and int(1.9) == int(True) == 1, so
+    # coercing them would silently read the cache or pick a seed.
+    BAD_BATCH_FIELDS = [
+        {"seed": 1.9}, {"seed": True}, {"seed": "7"}, {"seed": [7]},
+        {"use_cache": "false"}, {"use_cache": 0}, {"use_cache": None},
+    ]
+
+    def test_batch_field_types_over_the_wire(self):
+        async def scenario():
+            async with _DoorHarness(_RaisingFront()) as h:
+                bad = [await h.client.post(
+                    "/estimate_batch", {"sql": ["a = 1"], **fields})
+                    for fields in self.BAD_BATCH_FIELDS]
+                good = await h.client.post(
+                    "/estimate_batch",
+                    {"sql": ["a = 1"], "seed": 7, "use_cache": False})
+                return bad, good
+
+        bad, good = run(scenario())
+        for (status, body, _), fields in zip(bad, self.BAD_BATCH_FIELDS):
+            assert status == 400, fields
+            assert body["error"] == "ValueError", fields
+            assert next(iter(fields)) in body["detail"], fields
+        assert good[0] == 200
+
     def test_shed_503_carries_retry_after(self):
         async def scenario():
             async with _DoorHarness(
@@ -787,7 +862,7 @@ class TestAdmissionControl:
                     ok_status, _, _ = await blocker
                     wait_status, _, _ = await waiter
                     await c2.close()
-                    sheds = h.door.sheds
+                    sheds = h.door.metrics.total("repro_http_sheds_total")
                     return (shed_status, shed_body, shed_headers,
                             ok_status, wait_status, sheds)
 
@@ -833,15 +908,17 @@ class TestDisconnectAbandonment:
                     writer.close()          # client walks away
                     await writer.wait_closed()
                     deadline = time.perf_counter() + 5.0
-                    while h.door.disconnects < 1:
+                    disconnects = h.door.metrics.total
+                    while disconnects("repro_http_disconnects_total") < 1:
                         assert time.perf_counter() < deadline
                         await asyncio.sleep(0.01)
                     gate.set()
                     deadline = time.perf_counter() + 5.0
-                    while srv.service.stats()["cancellations"] < 1:
+                    while srv.metrics.total(
+                            "repro_serve_cancellations_total") < 1:
                         assert time.perf_counter() < deadline
                         await asyncio.sleep(0.01)
-                    return h.door.disconnects
+                    return disconnects("repro_http_disconnects_total")
 
             disconnects = run(scenario())
         assert disconnects == 1

@@ -137,7 +137,8 @@ class TestRefinementPool:
             bad = pool.submit("a", lambda: 1 / 0)
             with pytest.raises(ZeroDivisionError):
                 bad.result(timeout=5.0)
-            assert pool.stats()["failed"] == 1
+            assert pool.metrics.total("repro_pool_jobs_total",
+                                      outcome="error") == 1
         finally:
             pool.stop()
 
@@ -175,8 +176,11 @@ class TestRefinementPool:
             # "hot" job, never behind its whole backlog.
             assert order.index("b-0") <= order.index("hot-2")
             assert order.index("c-0") <= order.index("hot-3")
-            per = pool.stats()["per_namespace"]
+            jobs = pool.metrics.total
+            per = {ns: jobs("repro_pool_jobs_total", namespace=ns)
+                   for ns in ("hot", "b", "c")}
             assert per == {"hot": 5, "b": 1, "c": 1}
+            assert jobs("repro_pool_jobs_total") == sum(per.values())
         finally:
             pool.stop()
 
@@ -219,7 +223,8 @@ class TestRefinementPool:
         assert pool.close(timeout=10.0)
         assert slow.result(timeout=5.0) == "done"
         assert tail.result(timeout=5.0) == "tail"
-        assert pool.stats()["failed"] == 0
+        assert pool.metrics.total("repro_pool_jobs_total",
+                                  outcome="error") == 0
         with pytest.raises(RuntimeError, match="pool is stopped"):
             pool.submit("a", lambda: 1)
 
@@ -261,9 +266,9 @@ class TestRoutedEstimateService:
                          + list(second_workload.queries[:3]))]
             values = [r.result(timeout=30.0) for r in requests]
         assert all(v >= 0.0 for v in values)
-        stats = front.stats()
-        assert stats["namespaces"]["tiny"]["service"]["served"] >= 3
-        assert stats["namespaces"]["second"]["service"]["served"] >= 3
+        served = front.metrics.total
+        assert served("repro_serve_served_total", namespace="tiny") >= 3
+        assert served("repro_serve_served_total", namespace="second") >= 3
 
     def test_unknown_target_raises_on_estimate(self, front):
         with pytest.raises(UnknownNamespaceError):
@@ -339,8 +344,11 @@ class TestRoutedEstimateService:
                 job.join(timeout=60.0)
         assert front.namespace("tiny").version == 2
         assert front.namespace("second").version == 2
-        per = front.pool.stats()["per_namespace"]
+        jobs = front.metrics.total
+        per = {ns: jobs("repro_pool_jobs_total", namespace=ns)
+               for ns in ("tiny", "second")}
         assert per == {"tiny": 1, "second": 1}
+        assert jobs("repro_pool_jobs_total") == sum(per.values())
 
     def test_join_namespace_serves_and_refines(self, front, tiny_schema,
                                                tiny_join):

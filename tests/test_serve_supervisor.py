@@ -222,7 +222,7 @@ class TestSupervisedCluster:
             assert np.array_equal(post, expected)
             stats = cluster.stats()
             assert stats["workers"]["w0"]["incarnation"] >= 1
-            assert stats["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0
             assert stats["supervisor"]["evictions"] == []
 
     def test_crash_loop_evicted_and_rebalanced(
@@ -258,4 +258,4 @@ class TestSupervisedCluster:
             a = self.wave(cluster, mixed, seed=55)
             b = self.wave(cluster, mixed, seed=55)
             assert np.array_equal(a, b)
-            assert cluster.stats()["failures"] == 0
+            assert cluster.metrics.total("repro_cluster_failures_total") == 0

@@ -431,17 +431,15 @@ class UAE(TrainableEstimator):
         model = self.model
         compiled = self.sampler.engine.compiled
         compiled.ensure_current()
-        x = np.repeat(compiled.wildcard_row, n, axis=0)
+        pre = np.repeat(compiled.wildcard_pre, n, axis=0)
         sampled = np.zeros((n, model.num_cols), dtype=np.int32)
         from ..nn.functional import softmax_np
         from .gumbel import hard_sample_np
-        for col in model.order:
-            h = compiled.hidden(x)
-            probs = softmax_np(compiled.column_logits(h, col))
+        for pos, col in enumerate(model.order):
+            probs = softmax_np(compiled.position_logits(pre, pos))
             codes = hard_sample_np(probs, rng)
             sampled[:, col] = codes
-            x[:, model.input_slices[col]] = \
-                model.encoders[col].encode_hard(codes)
+            pre += compiled.code_delta[col][codes]
         return self.fact.decode_rows(sampled)
 
     def sample_table(self, n: int, seed: int | None = None) -> Table:

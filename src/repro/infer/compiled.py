@@ -10,10 +10,19 @@ as flat, pre-transposed, contiguous float32 numpy arrays:
   plus the matching bias slice — the reference loop
   (``tests/reference/progressive.py``) pays a full ``weight * mask``
   product over *all* logits just to read one column;
-* the constant fully-wildcarded input row, its hidden state, and each
-  column's logits under full wildcarding.  Every progressive-sampling
-  batch starts from this state, so step 0 costs one cached row instead of
-  a batch-sized forward pass.
+* the input layer as *pre-activation deltas*: ``wildcard_pre`` is the
+  input layer's output ``[1, hidden]`` for the fully wildcarded row, and
+  ``code_delta[col][v]`` is how that output moves when column ``col``
+  goes from wildcard to code ``v``.  A sampled prefix's pre-activation
+  is therefore ``wildcard_pre`` plus one table row per sampled column,
+  whatever the encoder (binary, one-hot or embedding), so a sampling
+  step never re-multiplies the whole encoded input by ``W_in``;
+* each column's logits under full wildcarding, cached per version.
+
+:meth:`CompiledModel.position_logits` turns pre-activations into the
+logits of one sampling position and runs the residual blocks on the
+hidden-unit prefix that position can read (``ResMADE.hidden_prefix``,
+the sorted-degree property the fused trainer also uses).
 
 The fused/pre-transposed matrices come from each layer's
 ``MaskedLinear.fused_weight_t()`` cache — the same arrays the training
@@ -180,41 +189,68 @@ class CompiledModel:
         self.w_out = np.ascontiguousarray(fused_out.T, dtype=np.float32)
         self.b_out = out_bias
 
-        # Constant all-wildcard state: the value slots of every encoder are
-        # zeroed under a wildcard, so this row does not depend on embedding
-        # parameters — but the hidden state and logits do.
+        # Input layer as deltas from the all-wildcard row.  The value
+        # slots of every encoder are zeroed under a wildcard, so that row
+        # does not depend on embedding parameters — its pre-activation and
+        # the per-code deltas do.
         zero = np.zeros((1, model.num_cols), dtype=np.int64)
         wild = np.ones((1, model.num_cols), dtype=bool)
-        self.wildcard_row = model.encode_tuples(zero, wildcard=wild)
-        self.wildcard_hidden = self.hidden(self.wildcard_row)
+        wildcard_row = model.encode_tuples(zero, wildcard=wild)
+        self.wildcard_pre = wildcard_row @ self.w_in
+        self.wildcard_pre += self.b_in
+        self.code_delta: list[np.ndarray] = []
+        for col, enc in enumerate(model.encoders):
+            sl = model.input_slices[col]
+            codes = np.arange(model.domain_sizes[col])
+            diff = enc.encode_hard(codes) - wildcard_row[:, sl]
+            self.code_delta.append(np.ascontiguousarray(
+                diff @ self.w_in[sl], dtype=np.float32))
         self._wildcard_logits: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Forward passes (equivalent to the model's *_np reference methods)
     # ------------------------------------------------------------------
+    def _trunk(self, h: np.ndarray, k: int) -> np.ndarray:
+        """Residual blocks on the first ``k`` hidden units, in place on
+        the input-layer output ``h`` (``[n, k]``).  Units below ``k`` take
+        no input from units at or above it (sorted degrees), so the
+        restricted GEMMs compute the same values for those units."""
+        a = np.empty_like(h)
+        t = np.empty_like(h)
+        for w1, b1, w2, b2 in self.block_weights:
+            np.maximum(h, 0.0, out=a)
+            np.matmul(a, w1[:k, :k], out=t)
+            t += b1[:k]
+            np.maximum(t, 0.0, out=t)
+            np.matmul(t, w2[:k, :k], out=a)
+            a += b2[:k]
+            h += a
+        return h
+
     def hidden(self, x: np.ndarray) -> np.ndarray:
         """Trunk forward: encoded input ``[n, input_width]`` -> pre-ReLU
         final hidden state (matches ``ResMADE.hidden_np``)."""
         h = x @ self.w_in
         h += self.b_in
-        for w1, b1, w2, b2 in self.block_weights:
-            a = np.maximum(h, 0.0)
-            a = a @ w1
-            a += b1
-            np.maximum(a, 0.0, out=a)
-            a = a @ w2
-            a += b2
-            h += a
-        return h
+        return self._trunk(h, h.shape[1])
 
-    def column_logits(self, h: np.ndarray, col: int,
-                      relu_buf: np.ndarray | None = None) -> np.ndarray:
+    def position_logits(self, pre: np.ndarray, pos: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+        """Input-layer pre-activations ``[n, hidden]`` -> logits of the
+        column sampled at position ``pos``, computed on the hidden
+        prefix ``[0, hidden_prefix[pos])`` only.  ``pre`` is not
+        modified."""
+        k = int(self.model.hidden_prefix[pos])
+        col = self.model.order[pos]
+        h = self._trunk(np.array(pre[:, :k]), k)
+        np.maximum(h, 0.0, out=h)
+        logits = np.matmul(h, self.heads[col][:k], out=out)
+        logits += self.head_bias[col]
+        return logits
+
+    def column_logits(self, h: np.ndarray, col: int) -> np.ndarray:
         """Hidden state -> logits of one column via its pre-sliced head."""
-        if relu_buf is not None and relu_buf.shape == h.shape:
-            relu = np.maximum(h, 0.0, out=relu_buf)
-        else:
-            relu = np.maximum(h, 0.0)
-        logits = relu @ self.heads[col]
+        logits = np.maximum(h, 0.0) @ self.heads[col]
         logits += self.head_bias[col]
         return logits
 
@@ -229,6 +265,7 @@ class CompiledModel:
         """Logits ``[1, domain]`` of ``col`` for the all-wildcard input."""
         cached = self._wildcard_logits.get(col)
         if cached is None:
-            cached = self.column_logits(self.wildcard_hidden, col)
+            cached = self.position_logits(self.wildcard_pre,
+                                          self.model.position[col])
             self._wildcard_logits[col] = cached
         return cached

@@ -7,8 +7,8 @@ tests' oracle, ``tests/reference/progressive.py``), rebuilt around four
 ideas:
 
 1. **Compiled weights** (:class:`~repro.infer.compiled.CompiledModel`):
-   fused/pre-transposed matrices and per-column output heads, invalidated
-   by parameter version counters.
+   fused/pre-transposed matrices, per-column output heads and per-code
+   input-layer deltas, invalidated by parameter version counters.
 2. **Compiled constraints**
    (:class:`~repro.infer.constraints.CompiledConstraints`): the per-step
    per-query Python loop over constraint tuples becomes packed arrays.
@@ -19,14 +19,20 @@ ideas:
    version, so the first step costs O(queries) instead of
    O(queries x samples x network).  Later steps run the network on the
    set of *distinct* prefixes, which stays tiny while early (often
-   large-domain, factorized) columns are being sampled.
+   large-domain, factorized) columns are being sampled.  Each prefix
+   state carries its input-layer pre-activation ``[hidden]`` rather than
+   its encoded input: a split adds the sampled code's row of
+   ``code_delta`` to the parent's, so no step multiplies the full
+   encoded input by ``W_in``, and the trunk runs only on the hidden
+   units the next position can read (``ResMADE.hidden_prefix``).
 4. **Flat inverse-CDF sampling**: per-state CDFs are laid out in one
    monotone float64 array (per-segment offsets) so a single vectorised
    ``searchsorted`` draws every row's code — no ``[batch, domain]``
    comparison matrix, no per-row normalisation passes.
 
-Work buffers are pooled per (domain, dtype) and reused across steps and
-calls; sampled values are written into the encoded-input buffer in place.
+Logit, weight and CDF work buffers come from a
+:class:`~repro.nn.buffers.BufferPool` and are reused across steps and
+calls.
 """
 
 from __future__ import annotations
@@ -35,24 +41,10 @@ import time
 
 import numpy as np
 
+from ..nn.buffers import BufferPool
 from ..nn.made import ResMADE
 from .compiled import CompiledModel
 from .constraints import CompiledConstraints, compile_constraints
-
-
-class _BufferPool:
-    """Reusable 2-D work arrays keyed by (tag, columns, dtype)."""
-
-    def __init__(self):
-        self._arrays: dict[tuple[str, int, str], np.ndarray] = {}
-
-    def get(self, tag: str, rows: int, cols: int, dtype) -> np.ndarray:
-        key = (tag, cols, np.dtype(dtype).str)
-        arr = self._arrays.get(key)
-        if arr is None or arr.shape[0] < rows:
-            arr = np.empty((rows, cols), dtype=dtype)
-            self._arrays[key] = arr
-        return arr[:rows]
 
 
 class InferenceEngine:
@@ -61,7 +53,7 @@ class InferenceEngine:
     def __init__(self, model: ResMADE):
         self.model = model
         self.compiled = CompiledModel(model)
-        self._pool = _BufferPool()
+        self._pool = BufferPool()
         self._metrics = None
         self._m_batches = self._m_queries = self._m_seconds = None
 
@@ -142,7 +134,8 @@ class InferenceEngine:
         # maps each (query, sample) row to its current distinct prefix.
         state_of_row = np.repeat(np.arange(nq, dtype=np.int64), s)
         state_qi = np.arange(nq, dtype=np.int64)
-        x_states: np.ndarray | None = None    # [n_states, input_width]
+        # Input-layer pre-activation per state, [n_states, hidden].
+        pre_states = np.repeat(self.compiled.wildcard_pre, nq, axis=0)
         hist: dict[int, np.ndarray] = {}      # col -> per-state codes
         at_wildcard = True
 
@@ -157,12 +150,10 @@ class InferenceEngine:
                 e = self._wildcard_exp(col)            # [1, domain]
                 z = self._wildcard_z(col)              # [1]
             else:
-                h = self.compiled.hidden(x_states)
-                relu = np.maximum(h, 0.0, out=h)
-                logits = np.matmul(relu, self.compiled.heads[col],
-                                   out=self._pool.get("logits", n_states,
-                                                      domain, np.float32))
-                logits += self.compiled.head_bias[col]
+                logits = self.compiled.position_logits(
+                    pre_states, pos,
+                    out=self._pool.get("logits", n_states, domain,
+                                       np.float32))
                 logits -= logits.max(axis=1, keepdims=True)
                 e = np.exp(logits, out=logits)
                 z = e.sum(axis=1)
@@ -212,8 +203,8 @@ class InferenceEngine:
             flat_pos = np.searchsorted(cdf.ravel(), vals, side="left")
             key = np.minimum(flat_pos, state_of_row * domain + (domain - 1))
 
-            # Split states on the sampled code and write the encoding of
-            # each new distinct prefix into the input buffer in place.
+            # Split states on the sampled code.  A child's input-layer
+            # pre-activation is its parent's plus the sampled code's delta.
             new_states, state_of_row = np.unique(key, return_inverse=True)
             parent = new_states // domain
             codes = new_states % domain
@@ -221,13 +212,8 @@ class InferenceEngine:
             for prev_col in hist:
                 hist[prev_col] = hist[prev_col][parent]
             hist[col] = codes
-            if at_wildcard:
-                x_states = np.repeat(self.compiled.wildcard_row,
-                                     len(new_states), axis=0)
-            else:
-                x_states = x_states[parent]
-            x_states[:, model.input_slices[col]] = \
-                model.encoders[col].encode_hard(codes)
+            pre_states = pre_states[parent]
+            pre_states += self.compiled.code_delta[col][codes]
             at_wildcard = False
 
         per_sample = density.reshape(nq, s)

@@ -16,11 +16,10 @@ paths they replaced live under ``tests/reference/`` as the oracle for the
 ``tests/test_backend_matrix.py``).
 """
 
-from .fused import BufferPool, FusedDataLoss, TrunkGrads, trunk_backward, \
-    trunk_forward
+from .fused import FusedDataLoss, TrunkGrads, trunk_backward, trunk_forward
 from .dps_fused import FusedDPS
 
 __all__ = [
-    "BufferPool", "FusedDataLoss", "TrunkGrads", "trunk_backward",
+    "FusedDataLoss", "TrunkGrads", "trunk_backward",
     "trunk_forward", "FusedDPS",
 ]

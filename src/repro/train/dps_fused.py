@@ -58,11 +58,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..infer import compile_constraints
+from ..nn.buffers import BufferPool
 from ..nn.encoders import EmbeddingEncoder, OneHotEncoder
 from ..nn.functional import NEG_INF, sample_gumbel
 from ..nn.made import ResMADE
 from ..nn.tensor import Tensor
-from .fused import BufferPool, TrunkGrads, trunk_backward, trunk_forward
+from .fused import TrunkGrads, trunk_backward, trunk_forward
 
 
 class FusedDPS:

@@ -35,30 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.buffers import BufferPool
 from ..nn.made import ResMADE
 from ..nn.tensor import Tensor
-
-
-class BufferPool:
-    """Reusable 2-D float work arrays keyed by (tag, columns, dtype)."""
-
-    def __init__(self):
-        self._arrays: dict[tuple[str, int, str], np.ndarray] = {}
-
-    def get(self, tag: str, rows: int, cols: int,
-            dtype=np.float32) -> np.ndarray:
-        key = (tag, int(cols), np.dtype(dtype).str)
-        arr = self._arrays.get(key)
-        if arr is None or arr.shape[0] < rows:
-            arr = np.empty((max(int(rows), 1), int(cols)), dtype=dtype)
-            self._arrays[key] = arr
-        return arr[:rows]
-
-    def zeros(self, tag: str, rows: int, cols: int,
-              dtype=np.float32) -> np.ndarray:
-        arr = self.get(tag, rows, cols, dtype)
-        arr[...] = 0
-        return arr
 
 
 def trunk_forward(model: ResMADE, x: np.ndarray, pool: BufferPool,

@@ -9,25 +9,90 @@ join constraints), and full estimates agree draw-for-draw when both
 consume the same random stream.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.progressive import ProgressiveSampler
 from repro.infer import (BatchScheduler, CompiledModel, InferenceEngine,
                          compile_constraints)
 from repro.nn import Adam, ResMADE, Tensor
+from repro.nn.encoders import EmbeddingEncoder, OneHotEncoder
 
 from reference.progressive import _valid_matrix, estimate_batch_legacy
 
+# Model shapes the compiled input deltas and hidden-prefix trunk must
+# handle: every encoder kind, a non-natural autoregressive order, and a
+# hidden layer narrower than ``num_cols - 1`` (``hidden_prefix``
+# saturates at ``hidden`` before the last position).
+MODEL_SHAPES = {
+    "binary": dict(domains=[4, 6, 5, 3], hidden=24),
+    "onehot": dict(domains=[4, 6, 5, 3], hidden=24, encoding="onehot"),
+    "embedding": dict(domains=[4, 6, 5, 3], hidden=24,
+                      embedding_threshold=5, embedding_dim=4),
+    "permuted_order": dict(domains=[4, 6, 5, 3], hidden=24,
+                           order=[2, 0, 3, 1]),
+    "narrow_hidden": dict(domains=[4, 6, 5, 3, 4, 5, 3], hidden=4),
+}
 
-@pytest.fixture(scope="module")
-def model():
+
+@functools.lru_cache(maxsize=None)
+def shaped_model(shape: str) -> ResMADE:
+    """Seeded ResMADE of one ``MODEL_SHAPES`` entry, weights perturbed
+    away from their initialisation so conditionals are far from flat."""
+    kwargs = dict(MODEL_SHAPES[shape])
     rng = np.random.default_rng(0)
-    m = ResMADE([4, 6, 5, 3], hidden=24, num_blocks=2, rng=rng)
+    m = ResMADE(kwargs.pop("domains"), num_blocks=2, rng=rng, **kwargs)
     for p in m.parameters():
         p.data += rng.standard_normal(p.data.shape).astype(np.float32) * 0.3
         p.bump_version()
     return m
+
+
+def test_model_shapes_cover_their_cases():
+    assert any(isinstance(e, OneHotEncoder)
+               for e in shaped_model("onehot").encoders)
+    assert any(isinstance(e, EmbeddingEncoder)
+               for e in shaped_model("embedding").encoders)
+    assert shaped_model("permuted_order").order != [0, 1, 2, 3]
+    narrow = shaped_model("narrow_hidden")
+    assert narrow.input_layer.out_features < narrow.num_cols - 1
+    assert narrow.hidden_prefix[-2] == narrow.hidden_prefix[-1]
+
+
+@pytest.fixture(scope="module")
+def model():
+    return shaped_model("binary")
+
+
+def single_code_pre(model: ResMADE) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Input-layer output of the all-wildcard row and, per column, of
+    every row that sets only that column (straight from the model)."""
+    n = model.num_cols
+    w = model.input_layer.fused_weight_t()
+    b = model.input_layer.bias.data
+    wild = np.ones((1, n), dtype=bool)
+    x = model.encode_tuples(np.zeros((1, n), dtype=np.int64), wildcard=wild)
+    rows = []
+    for col, d in enumerate(model.domain_sizes):
+        codes = np.zeros((d, n), dtype=np.int64)
+        codes[:, col] = np.arange(d)
+        wc = np.ones((d, n), dtype=bool)
+        wc[:, col] = False
+        rows.append(model.encode_tuples(codes, wildcard=wc) @ w + b)
+    return x @ w + b, rows
+
+
+def assert_input_deltas_current(compiled: CompiledModel, model: ResMADE):
+    wildcard_pre, rows = single_code_pre(model)
+    np.testing.assert_allclose(compiled.wildcard_pre, wildcard_pre,
+                               atol=1e-5)
+    for col, pre in enumerate(rows):
+        np.testing.assert_allclose(compiled.code_delta[col],
+                                   pre - wildcard_pre, atol=1e-5)
 
 
 def fixed(mask):
@@ -94,6 +159,8 @@ class TestCompiledModel:
         compiled = CompiledModel(m)
         x = rng.standard_normal((4, m.input_width)).astype(np.float32)
         before = compiled.hidden(x).copy()
+        pre_before = compiled.wildcard_pre.copy()
+        delta_before = [d.copy() for d in compiled.code_delta]
         # One training step must invalidate the compiled snapshot.
         opt = Adam(m.parameters(), lr=0.1)
         m.forward(Tensor(x)).sum().backward()
@@ -102,6 +169,10 @@ class TestCompiledModel:
         after = compiled.hidden(x)
         assert not np.allclose(before, after)
         np.testing.assert_allclose(after, m.hidden_np(x), atol=1e-6)
+        assert not np.allclose(pre_before, compiled.wildcard_pre)
+        assert not all(np.allclose(a, b) for a, b
+                       in zip(delta_before, compiled.code_delta))
+        assert_input_deltas_current(compiled, m)
 
     def test_load_state_dict_invalidates(self):
         rng = np.random.default_rng(5)
@@ -109,11 +180,45 @@ class TestCompiledModel:
         m2 = ResMADE([3, 4], hidden=12, num_blocks=1,
                      rng=np.random.default_rng(6))
         compiled = CompiledModel(m1)
+        pre_before = compiled.wildcard_pre.copy()
         m1.load_state_dict(m2.state_dict())
         assert compiled.ensure_current()
         x = rng.standard_normal((3, m1.input_width)).astype(np.float32)
         np.testing.assert_allclose(compiled.hidden(x), m2.hidden_np(x),
                                    atol=1e-6)
+        assert not np.allclose(pre_before, compiled.wildcard_pre)
+        assert_input_deltas_current(compiled, m2)
+
+
+class TestPrefixStep:
+    """The engine's per-step forward: a prefix state's input-layer
+    pre-activation built from ``wildcard_pre`` + ``code_delta`` rows,
+    then ``position_logits`` on the hidden-unit prefix."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(MODEL_SHAPES)), st.data())
+    def test_prefix_walk_matches_full_forward(self, shape, data):
+        model = shaped_model(shape)
+        compiled = CompiledModel(model)
+        n, rows = model.num_cols, 3
+        codes = np.array(
+            [data.draw(st.lists(st.integers(0, d - 1), min_size=rows,
+                                max_size=rows))
+             for d in model.domain_sizes], dtype=np.int64).T
+        wildcard = np.ones((rows, n), dtype=bool)
+        pre = np.repeat(compiled.wildcard_pre, rows, axis=0)
+        w = model.input_layer.fused_weight_t()
+        for pos, col in enumerate(model.order):
+            x = model.encode_tuples(codes, wildcard=wildcard)
+            np.testing.assert_allclose(
+                pre, x @ w + model.input_layer.bias.data,
+                rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(
+                compiled.position_logits(pre, pos),
+                model.column_logits_np(model.hidden_np(x), col),
+                rtol=1e-5, atol=1e-5)
+            pre += compiled.code_delta[col][codes[:, col]]
+            wildcard[:, col] = False
 
 
 class TestCompiledConstraints:
@@ -187,7 +292,9 @@ class TestCompiledConstraints:
 
 
 class TestEngineEquivalence:
-    def test_estimates_match_legacy_draw_for_draw(self, model):
+    @pytest.mark.parametrize("shape", list(MODEL_SHAPES))
+    def test_estimates_match_legacy_draw_for_draw(self, shape):
+        model = shaped_model(shape)
         rng = np.random.default_rng(8)
         queries = make_queries(model, rng, 6)
         legacy = ProgressiveSampler(model, num_samples=200, seed=11)

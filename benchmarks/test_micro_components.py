@@ -13,6 +13,8 @@ from repro.data import make_toy
 from repro.data.schema import make_imdb
 from repro.joins import StarJoinSampler
 from repro.nn import Adam, ResMADE, Tensor, cross_entropy
+from repro.nn.trunk import trunk_forward
+from repro.train import FusedDataLoss
 from repro.workload import generate_inworkload
 
 
@@ -31,14 +33,24 @@ def batch(model):
 
 
 def test_forward_np(benchmark, model, batch):
+    """The shipped forward: trunk kernel plus the output layer."""
     x = model.encode_tuples(batch)
-    benchmark(model.forward_np, x)
+    out_l = model.output_layer
+
+    def forward():
+        h, _ = trunk_forward(model, x)
+        np.maximum(h, 0.0, out=h)
+        return h @ out_l.fused_weight_t() + out_l.bias.data
+    benchmark(forward)
 
 
 def test_forward_backward_tensor(benchmark, model, batch):
+    """The autograd graph (the REINFORCE ablation's forward)."""
+    x = Tensor(model.encode_tuples(batch))
+
     def step():
-        logits = model.forward_codes(batch)
-        loss = cross_entropy(model.logits_for(logits, 2), batch[:, 2])
+        logits = model.column_logits_from_hidden(model.hidden_tensor(x), 2)
+        loss = cross_entropy(logits, batch[:, 2])
         model.zero_grad()
         loss.backward()
     benchmark(step)
@@ -48,13 +60,10 @@ def test_training_step(benchmark, batch):
     rng = np.random.default_rng(2)
     model = ResMADE([100, 50, 20, 10, 5], hidden=64, num_blocks=2, rng=rng)
     opt = Adam(model.parameters(), lr=1e-3)
+    data_loss = FusedDataLoss(model)
 
     def step():
-        logits = model.forward_codes(batch)
-        loss = None
-        for c in range(model.num_cols):
-            term = cross_entropy(model.logits_for(logits, c), batch[:, c])
-            loss = term if loss is None else loss + term
+        loss = data_loss.loss(batch)
         opt.zero_grad()
         loss.backward()
         opt.step()

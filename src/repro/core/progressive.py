@@ -26,8 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..infer import BatchScheduler, CompiledModel, InferenceEngine
-from ..nn.functional import log_softmax_np
+from ..nn.functional import softmax_nll
 from ..nn.made import ResMADE
+from ..nn.trunk import trunk_forward
 
 
 class ProgressiveSampler:
@@ -105,55 +106,60 @@ class UniformSampler:
 
     Samples tuples uniformly from the query region and averages the model
     density times the region volume — higher variance than progressive
-    sampling on skewed data, kept for the ablation benchmark.  The forward
-    pass runs through the compiled model snapshot.
+    sampling on skewed data, kept for the ablation benchmark.  Reads the
+    caller's compiled snapshot (input deltas and column heads) and runs
+    the shared trunk kernel once over the sampled rows.
     """
 
-    def __init__(self, model: ResMADE, num_samples: int = 200, seed: int = 0):
-        self.model = model
-        self.compiled = CompiledModel(model)
+    def __init__(self, compiled: CompiledModel, num_samples: int = 200,
+                 seed: int = 0):
+        self.compiled = compiled
+        self.model = compiled.model
         self.num_samples = num_samples
         self.rng = np.random.default_rng(seed)
 
     def estimate(self, constraints: list) -> float:
         model = self.model
         s = self.num_samples
-        volume = 1.0
-        columns = []
-        for col in range(model.num_cols):
-            cons = constraints[col]
+        # Per queried column, the codes its draws come from.  A factorized
+        # column's region is the grid of valid (hi, lo) digit pairs, not
+        # the box of valid his times valid los, so the pair is drawn
+        # jointly from the grid's cells at the low digit's column.
+        cells: dict[int, np.ndarray] = {}
+        for col, cons in enumerate(constraints):
             if cons is None:
-                columns.append(None)
                 continue
             if cons[0] == "scaled":
                 raise NotImplementedError(
                     "UniformSampler does not support fanout-scaled columns; "
                     "use ProgressiveSampler for join estimation")
             if cons[0] == "lo":
-                mask = cons[1].any(axis=0)
-            else:
-                mask = cons[1]
-            valid_codes = np.flatnonzero(mask)
-            if len(valid_codes) == 0:
+                cells.pop(col - 1, None)
+            cells[col] = np.flatnonzero(cons[1])
+            if len(cells[col]) == 0:
                 return 0.0
-            volume *= len(valid_codes)
-            columns.append(valid_codes)
-        codes = np.zeros((s, model.num_cols), dtype=np.int64)
-        wildcard = np.zeros((s, model.num_cols), dtype=bool)
-        for col, valid_codes in enumerate(columns):
-            if valid_codes is None:
-                wildcard[:, col] = True
+        volume = 1.0
+        codes = {}
+        for col, valid in cells.items():
+            volume *= len(valid)
+            drawn = self.rng.choice(valid, size=s)
+            if constraints[col][0] == "lo":
+                codes[col - 1], codes[col] = np.divmod(
+                    drawn, constraints[col][1].shape[1])
             else:
-                codes[:, col] = self.rng.choice(valid_codes, size=s)
+                codes[col] = drawn
         # Model density of each sampled point, with wildcards marginalised
         # by the wildcard-trained network.
-        self.compiled.ensure_current()
-        x = model.encode_tuples(codes, wildcard=wildcard)
-        logits = self.compiled.all_logits(x)
+        compiled = self.compiled
+        compiled.ensure_current()
+        pre = np.repeat(compiled.wildcard_pre, s, axis=0)
+        for col, drawn in codes.items():
+            pre += compiled.code_delta[col][drawn]
+        h, _ = trunk_forward(model, pre=pre)
+        np.maximum(h, 0.0, out=h)
         logp = np.zeros(s, dtype=np.float64)
-        for col, valid_codes in enumerate(columns):
-            if valid_codes is None:
-                continue
-            lp = log_softmax_np(model.logits_for_np(logits, col))
-            logp += lp[np.arange(s), codes[:, col]]
+        for col, drawn in codes.items():
+            logits = h @ compiled.heads[col]
+            logits += compiled.head_bias[col]
+            logp -= softmax_nll(logits, drawn)
         return float(np.clip(np.exp(logp).mean() * volume, 0.0, 1.0))

@@ -409,7 +409,8 @@ class UAE(TrainableEstimator):
 
     def estimate_uniform(self, query: Query, num_samples: int = 200) -> float:
         """Uniform-sampling inference (Eq. 4) for the sampler ablation."""
-        uniform = UniformSampler(self.model, num_samples=num_samples,
+        uniform = UniformSampler(self.sampler.engine.compiled,
+                                 num_samples=num_samples,
                                  seed=self.config.seed + 3)
         constraints = self.fact.expand_masks(query.masks(self.table))
         return self._clamp_card(uniform.estimate(constraints))
@@ -544,6 +545,9 @@ class UAE(TrainableEstimator):
         return self.model.size_bytes()
 
     def loglikelihood(self, codes: np.ndarray) -> float:
-        """Mean log-likelihood of raw-table code rows (diagnostics)."""
+        """Mean log-likelihood of raw-table code rows (diagnostics): the
+        data loss's forward with nothing wildcarded."""
+        from ..train import FusedDataLoss
         model_codes = self.fact.encode_rows(np.asarray(codes, dtype=np.int32))
-        return float(-self.model.nll_np(model_codes).mean())
+        nll, _ = FusedDataLoss(self.model).forward(model_codes)
+        return float(-nll)

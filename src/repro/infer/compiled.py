@@ -1,10 +1,8 @@
 """Compiled inference view of a :class:`~repro.nn.made.ResMADE` model.
 
-:class:`CompiledModel` materialises everything the hot sampling loop needs
-as flat, pre-transposed, contiguous float32 numpy arrays:
+:class:`CompiledModel` holds what only inference needs, as contiguous
+float32 numpy arrays:
 
-* the fused ``weight * mask`` matrix of every masked layer, transposed to
-  ``[in, out]`` so each forward matmul is a plain row-major GEMM;
 * per-column *output heads*: the slice of the fused output projection that
   produces one column's logits, pre-transposed to ``[hidden, domain]``,
   plus the matching bias slice — the reference loop
@@ -20,14 +18,12 @@ as flat, pre-transposed, contiguous float32 numpy arrays:
 * each column's logits under full wildcarding, cached per version.
 
 :meth:`CompiledModel.position_logits` turns pre-activations into the
-logits of one sampling position and runs the residual blocks on the
-hidden-unit prefix that position can read (``ResMADE.hidden_prefix``,
-the sorted-degree property the fused trainer also uses).
-
-The fused/pre-transposed matrices come from each layer's
-``MaskedLinear.fused_weight_t()`` cache — the same arrays the training
-engine's hand-written kernels (:mod:`repro.train`) consume, so training
-steps and inference snapshots never duplicate the ``weight * mask``
+logits of one sampling position: the shared trunk kernel
+(:func:`repro.nn.trunk.trunk_forward`, the one the training kernels
+run) on the hidden-unit prefix that position can read
+(``ResMADE.hidden_prefix``), then that column's head.  The trunk reads
+each layer's ``MaskedLinear.fused_weight_t()`` cache directly, so
+training steps and inference never duplicate the ``weight * mask``
 product for one parameter version.
 
 Invalidation contract
@@ -46,6 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.made import ResMADE
+from ..nn.trunk import trunk_forward
 
 # ----------------------------------------------------------------------
 # Flat snapshot buffer layout
@@ -163,19 +160,6 @@ class CompiledModel:
 
     def _compile(self) -> None:
         model = self.model
-        self.w_in = np.ascontiguousarray(
-            model.input_layer.fused_weight_t(), dtype=np.float32)
-        self.b_in = model.input_layer.bias.data
-        self.block_weights: list[tuple[np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]] = []
-        for block in model.blocks:
-            self.block_weights.append((
-                np.ascontiguousarray(block.fc1.fused_weight_t(),
-                                     dtype=np.float32),
-                block.fc1.bias.data,
-                np.ascontiguousarray(block.fc2.fused_weight_t(),
-                                     dtype=np.float32),
-                block.fc2.bias.data))
         fused_out = model.output_layer.fused_weight()
         out_bias = model.output_layer.bias.data
         self.heads: list[np.ndarray] = []
@@ -186,54 +170,29 @@ class CompiledModel:
                                                    dtype=np.float32))
             self.head_bias.append(np.ascontiguousarray(out_bias[sl],
                                                        dtype=np.float32))
-        self.w_out = np.ascontiguousarray(fused_out.T, dtype=np.float32)
-        self.b_out = out_bias
 
         # Input layer as deltas from the all-wildcard row.  The value
         # slots of every encoder are zeroed under a wildcard, so that row
         # does not depend on embedding parameters — its pre-activation and
         # the per-code deltas do.
+        w_in = model.input_layer.fused_weight_t()
         zero = np.zeros((1, model.num_cols), dtype=np.int64)
         wild = np.ones((1, model.num_cols), dtype=bool)
         wildcard_row = model.encode_tuples(zero, wildcard=wild)
-        self.wildcard_pre = wildcard_row @ self.w_in
-        self.wildcard_pre += self.b_in
+        self.wildcard_pre = wildcard_row @ w_in
+        self.wildcard_pre += model.input_layer.bias.data
         self.code_delta: list[np.ndarray] = []
         for col, enc in enumerate(model.encoders):
             sl = model.input_slices[col]
             codes = np.arange(model.domain_sizes[col])
             diff = enc.encode_hard(codes) - wildcard_row[:, sl]
             self.code_delta.append(np.ascontiguousarray(
-                diff @ self.w_in[sl], dtype=np.float32))
+                diff @ w_in[sl], dtype=np.float32))
         self._wildcard_logits: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    # Forward passes (equivalent to the model's *_np reference methods)
+    # Forward: the shared trunk kernel plus one column head
     # ------------------------------------------------------------------
-    def _trunk(self, h: np.ndarray, k: int) -> np.ndarray:
-        """Residual blocks on the first ``k`` hidden units, in place on
-        the input-layer output ``h`` (``[n, k]``).  Units below ``k`` take
-        no input from units at or above it (sorted degrees), so the
-        restricted GEMMs compute the same values for those units."""
-        a = np.empty_like(h)
-        t = np.empty_like(h)
-        for w1, b1, w2, b2 in self.block_weights:
-            np.maximum(h, 0.0, out=a)
-            np.matmul(a, w1[:k, :k], out=t)
-            t += b1[:k]
-            np.maximum(t, 0.0, out=t)
-            np.matmul(t, w2[:k, :k], out=a)
-            a += b2[:k]
-            h += a
-        return h
-
-    def hidden(self, x: np.ndarray) -> np.ndarray:
-        """Trunk forward: encoded input ``[n, input_width]`` -> pre-ReLU
-        final hidden state (matches ``ResMADE.hidden_np``)."""
-        h = x @ self.w_in
-        h += self.b_in
-        return self._trunk(h, h.shape[1])
-
     def position_logits(self, pre: np.ndarray, pos: int,
                         out: np.ndarray | None = None) -> np.ndarray:
         """Input-layer pre-activations ``[n, hidden]`` -> logits of the
@@ -242,24 +201,11 @@ class CompiledModel:
         modified."""
         k = int(self.model.hidden_prefix[pos])
         col = self.model.order[pos]
-        h = self._trunk(np.array(pre[:, :k]), k)
+        h, _ = trunk_forward(self.model, pre=pre, width=k)
         np.maximum(h, 0.0, out=h)
         logits = np.matmul(h, self.heads[col][:k], out=out)
         logits += self.head_bias[col]
         return logits
-
-    def column_logits(self, h: np.ndarray, col: int) -> np.ndarray:
-        """Hidden state -> logits of one column via its pre-sliced head."""
-        logits = np.maximum(h, 0.0) @ self.heads[col]
-        logits += self.head_bias[col]
-        return logits
-
-    def all_logits(self, x: np.ndarray) -> np.ndarray:
-        """Full forward (matches ``ResMADE.forward_np``)."""
-        h = np.maximum(self.hidden(x), 0.0)
-        out = h @ self.w_out
-        out += self.b_out
-        return out
 
     def wildcard_logits(self, col: int) -> np.ndarray:
         """Logits ``[1, domain]`` of ``col`` for the all-wildcard input."""

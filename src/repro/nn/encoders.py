@@ -9,14 +9,13 @@ dense input vector.  Two strategies are implemented:
   numbers of distinct values (Section 4.6).
 * :class:`OneHotEncoder` — kept for the encoding ablation.
 
-Every encoder exposes the same three operations so the model and the
-differentiable sampler can be agnostic to the choice:
-
-* ``encode_hard(codes, wildcard)`` — numpy path for integer codes, with a
-  wildcard indicator slot appended (Naru-style wildcard skipping).
-* ``encode_soft(weights)`` — differentiable path for a soft one-hot
-  distribution over the domain (used by Gumbel-Softmax sampling); returns
-  ``weights @ CodeMatrix`` so gradients flow into the sample.
+Every encoder exposes ``encode_hard(codes, wildcard)``: integer codes to
+value slots, with a wildcard indicator slot appended (Naru-style wildcard
+skipping).  Every encoder is linear in a soft one-hot sample ``y`` over
+the domain (one-hot copies ``y``, binary is ``y @ code_matrix``,
+embedding is ``y @ table``); the fused DPS kernel
+(:mod:`repro.train.dps_fused`) writes those soft encodings and their
+gradients by hand.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .modules import Embedding, Module
-from .tensor import Tensor, concatenate
 
 
 def binary_code_matrix(domain_size: int) -> np.ndarray:
@@ -54,12 +52,6 @@ class ColumnEncoder(Module):
                     wildcard: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def encode_soft(self, weights: Tensor) -> Tensor:
-        raise NotImplementedError
-
-    def forward(self, codes: np.ndarray) -> Tensor:  # pragma: no cover
-        return Tensor(self.encode_hard(codes))
-
 
 class BinaryEncoder(ColumnEncoder):
     def __init__(self, domain_size: int):
@@ -80,13 +72,6 @@ class BinaryEncoder(ColumnEncoder):
             out[wc, :self.value_width] = 0.0
         return out
 
-    def encode_soft(self, weights: Tensor) -> Tensor:
-        """``weights``: differentiable ``[batch, domain]`` soft one-hot."""
-        values = weights @ Tensor(self.code_matrix)
-        batch = weights.shape[0]
-        zeros = Tensor(np.zeros((batch, 1), dtype=np.float32))
-        return concatenate([values, zeros], axis=-1)
-
 
 class OneHotEncoder(ColumnEncoder):
     def __init__(self, domain_size: int):
@@ -103,11 +88,6 @@ class OneHotEncoder(ColumnEncoder):
             out[wc, :self.value_width] = 0.0
             out[:, -1] = wc
         return out
-
-    def encode_soft(self, weights: Tensor) -> Tensor:
-        batch = weights.shape[0]
-        zeros = Tensor(np.zeros((batch, 1), dtype=np.float32))
-        return concatenate([weights, zeros], axis=-1)
 
 
 class EmbeddingEncoder(ColumnEncoder):
@@ -131,19 +111,6 @@ class EmbeddingEncoder(ColumnEncoder):
             out[:, -1] = wc
             out[wc, :self.value_width] = 0.0
         return out
-
-    def encode_hard_tensor(self, codes: np.ndarray) -> Tensor:
-        """Differentiable hard lookup (used in the data-loss forward pass so
-        that the embedding table itself trains)."""
-        values = self.table(codes)
-        zeros = Tensor(np.zeros((len(np.asarray(codes)), 1), dtype=np.float32))
-        return concatenate([values, zeros], axis=-1)
-
-    def encode_soft(self, weights: Tensor) -> Tensor:
-        values = self.table.soft_lookup(weights)
-        batch = weights.shape[0]
-        zeros = Tensor(np.zeros((batch, 1), dtype=np.float32))
-        return concatenate([values, zeros], axis=-1)
 
 
 def make_encoder(domain_size: int, rng: np.random.Generator,

@@ -30,25 +30,29 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def log_softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax for plain numpy arrays.
-
-    The inference paths (uniform sampling, numpy NLL evaluation) all need
-    the same shifted-``exp``/``log`` composition; this is the single shared
-    implementation.
-    """
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    norm = np.exp(shifted).sum(axis=axis, keepdims=True)
-    shifted -= np.log(norm)
-    return shifted
-
-
 def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax for plain numpy arrays."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
+
+
+def softmax_nll(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-row ``-log softmax(logits)[target]`` as float64.
+
+    Stable (max-shifted); overwrites ``logits`` with the softmax.  The
+    one softmax cross-entropy forward outside the autograd graph: the
+    fused data loss (:class:`repro.train.FusedDataLoss`) runs it per
+    column, and the uniform sampler per queried column.
+    """
+    ridx = np.arange(len(logits))
+    logits -= logits.max(axis=1, keepdims=True)
+    target_shift = logits[ridx, target].astype(np.float64)
+    np.exp(logits, out=logits)
+    z = logits.sum(axis=1)
+    logits /= z[:, None]
+    return np.log(z) - target_shift
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

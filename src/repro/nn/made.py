@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoders import ColumnEncoder, EmbeddingEncoder, make_encoder
+from .encoders import ColumnEncoder, make_encoder
 from .modules import MaskedLinear, Module
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
 
 def input_degrees(widths: list[int]) -> np.ndarray:
@@ -42,9 +42,8 @@ def hidden_degrees(num_units: int, num_cols: int) -> np.ndarray:
     masks only compare degrees — and the sorted layout makes the units a
     position may depend on a contiguous *prefix*: everything relevant to
     sampling position ``p`` lives in hidden units ``[0, k)`` with
-    ``k = count(degree < p)``.  The fused training kernels
-    (:mod:`repro.train`) exploit this to shrink every per-step GEMM to
-    the prefix that can actually carry gradient.
+    ``k = count(degree < p)``.  The trunk kernel (:mod:`repro.nn.trunk`)
+    exploits this to shrink every per-position GEMM to that prefix.
     """
     top = max(num_cols - 1, 1)
     return np.sort(np.arange(num_units, dtype=np.int64) % top)
@@ -175,43 +174,9 @@ class ResMADE(Module):
             parts.append(enc.encode_hard(codes[:, c], wc))
         return np.concatenate(parts, axis=1)
 
-    def encode_tuples_tensor(self, codes: np.ndarray,
-                             wildcard: np.ndarray | None = None) -> Tensor:
-        """Differentiable encode: embedding tables join the graph."""
-        codes = np.asarray(codes)
-        parts: list[Tensor] = []
-        for c, enc in enumerate(self.encoders):
-            wc = None if wildcard is None else wildcard[:, c]
-            if isinstance(enc, EmbeddingEncoder) and wc is None:
-                parts.append(enc.encode_hard_tensor(codes[:, c]))
-            else:
-                parts.append(Tensor(enc.encode_hard(codes[:, c], wc)))
-        return concatenate(parts, axis=-1)
-
     # ------------------------------------------------------------------
-    # Forward passes
-    # ------------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        """Encoded input ``[batch, input_width]`` -> all logits."""
-        h = self.input_layer(x)
-        for block in self.blocks:
-            h = block(h)
-        return self.output_layer(h.relu())
-
-    def forward_codes(self, codes: np.ndarray,
-                      wildcard: np.ndarray | None = None) -> Tensor:
-        return self.forward(self.encode_tuples_tensor(codes, wildcard))
-
-    def logits_for(self, all_logits: Tensor, col: int) -> Tensor:
-        return all_logits[:, self.logit_slices[col]]
-
-    def logits_for_np(self, all_logits: np.ndarray, col: int) -> np.ndarray:
-        return all_logits[:, self.logit_slices[col]]
-
-    # ------------------------------------------------------------------
-    # Column-sliced paths: progressive sampling at step ``i`` only needs
-    # the logits of column ``i``, and the output projection dominates the
-    # cost, so slicing it is a large win.
+    # Graph forward, for the REINFORCE ablation only.  Every other path
+    # runs the numpy trunk kernel (:mod:`repro.nn.trunk`).
     # ------------------------------------------------------------------
     def hidden_tensor(self, x: Tensor) -> Tensor:
         """Differentiable trunk: encoded input -> pre-ReLU final hidden."""
@@ -223,39 +188,3 @@ class ResMADE(Module):
     def column_logits_from_hidden(self, h: Tensor, col: int) -> Tensor:
         """Project hidden state to just column ``col``'s logits."""
         return self.output_layer.forward_rows(h.relu(), self.logit_slices[col])
-
-    def hidden_np(self, x: np.ndarray) -> np.ndarray:
-        h = x @ self.input_layer.fused_weight_t()
-        h += self.input_layer.bias.data
-        for block in self.blocks:
-            a = np.maximum(h, 0.0)
-            a = a @ block.fc1.fused_weight_t() + block.fc1.bias.data
-            np.maximum(a, 0.0, out=a)
-            a = a @ block.fc2.fused_weight_t() + block.fc2.bias.data
-            h = h + a
-        return h
-
-    def column_logits_np(self, h: np.ndarray, col: int) -> np.ndarray:
-        sl = self.logit_slices[col]
-        w = self.output_layer.fused_weight()[sl]
-        return np.maximum(h, 0.0) @ w.T + self.output_layer.bias.data[sl]
-
-    # ------------------------------------------------------------------
-    # Fast inference path (no gradients)
-    # ------------------------------------------------------------------
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Pure-numpy forward for inference-time progressive sampling."""
-        h = np.maximum(self.hidden_np(x), 0.0)
-        return h @ self.output_layer.fused_weight_t() \
-            + self.output_layer.bias.data
-
-    def nll_np(self, codes: np.ndarray) -> np.ndarray:
-        """Per-row negative log-likelihood (numpy, for evaluation)."""
-        from .functional import log_softmax_np
-        x = self.encode_tuples(codes)
-        logits = self.forward_np(x)
-        total = np.zeros(len(codes), dtype=np.float64)
-        for c in range(self.num_cols):
-            logp = log_softmax_np(self.logits_for_np(logits, c))
-            total -= logp[np.arange(len(codes)), codes[:, c]]
-        return total

@@ -116,12 +116,13 @@ class MaskedLinear(Module):
 
     The fused product ``weight * mask`` is cached (together with its
     transpose) and invalidated through the weight tensor's version counter,
-    which optimizer steps and checkpoint loads bump — so neither the
-    training forward nor the numpy inference paths pay the elementwise
-    multiply on every call.  This cache is the single source of fused
-    weights for every fast path: the autograd forward below, the
-    inference snapshot (:class:`repro.infer.CompiledModel`), and the
-    hand-written training kernels (:mod:`repro.train`).
+    which optimizer steps and checkpoint loads bump — so no forward pays
+    the elementwise multiply on every call.  This cache is the single
+    source of fused weights: the ResMADE trunk kernel
+    (:mod:`repro.nn.trunk`, which inference, both fused training losses
+    and the NLL evaluation run), the inference snapshot's heads and
+    input deltas (:class:`repro.infer.CompiledModel`), and the autograd
+    forward below (the REINFORCE ablation and the tests' oracle).
     """
 
     def __init__(self, in_features: int, out_features: int,

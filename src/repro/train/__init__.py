@@ -1,9 +1,9 @@
 """Compiled hybrid-training engine (the training fast path).
 
-Mirror of the PR 1 inference engine for the *training* side of the paper
-(Sections 4.3-4.5): hand-fused forward/backward kernels over the masked
-layers' cached fused weights, pooled activation and gradient buffers, and
-float32 discipline end to end.
+Mirror of the inference engine for the *training* side of the paper
+(Sections 4.3-4.5): hand-fused forward/backward kernels around the shared
+ResMADE trunk (:mod:`repro.nn.trunk`), pooled activation and gradient
+buffers, and float32 discipline end to end.
 
 * :class:`FusedDataLoss` — one fused pass for the data NLL (Eq. 2),
   replacing the per-column ``F.cross_entropy`` graph;
@@ -16,10 +16,7 @@ paths they replaced live under ``tests/reference/`` as the oracle for the
 ``tests/test_backend_matrix.py``).
 """
 
-from .fused import FusedDataLoss, TrunkGrads, trunk_backward, trunk_forward
+from .fused import FusedDataLoss
 from .dps_fused import FusedDPS
 
-__all__ = [
-    "FusedDataLoss", "TrunkGrads", "trunk_backward",
-    "trunk_forward", "FusedDPS",
-]
+__all__ = ["FusedDataLoss", "FusedDPS"]

@@ -63,7 +63,7 @@ from ..nn.encoders import EmbeddingEncoder, OneHotEncoder
 from ..nn.functional import NEG_INF, sample_gumbel
 from ..nn.made import ResMADE
 from ..nn.tensor import Tensor
-from .fused import TrunkGrads, trunk_backward, trunk_forward
+from ..nn.trunk import TrunkGrads, trunk_backward, trunk_forward
 
 
 class FusedDPS:
@@ -120,7 +120,7 @@ class FusedDPS:
                 logits = out_l.bias.data[sl].reshape(1, -1)
             else:
                 h, acts = trunk_forward(model, wild_row if rows == 1 else x,
-                                        pool, f"q.t{pos}", width=k)
+                                        width=k, pool=pool, tag=f"q.t{pos}")
                 fr = pool.get(f"q.fr{pos}", rows, k)
                 np.maximum(h, 0.0, out=fr)
                 logits = pool.get(f"q.lg{pos}", rows, domain)

@@ -2,9 +2,12 @@
 (and of the planner's star-schema connectivity rule).
 
 ``src/repro`` ships one implementation of each — the compiled inference
-engine and the fused training kernels.  The loops they replaced live
-here, unchanged, as the oracle the parity tests compare against:
+engine and the fused training kernels, all on one ResMADE forward
+(:mod:`repro.nn.trunk`).  The code they replaced lives here as the
+oracle the parity tests compare against:
 
+* :mod:`reference.made` — the ResMADE numpy forward, graph forward and
+  differentiable encodings (the trunk kernel's oracle);
 * :mod:`reference.progressive` — progressive sampling (Section 4.2);
 * :mod:`reference.dps` — differentiable progressive sampling with
   Gumbel-Softmax (Algorithm 2);

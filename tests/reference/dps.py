@@ -19,6 +19,8 @@ from repro.infer import compile_constraints
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concatenate
 
+from .made import encode_soft
+
 
 def estimate_batch_legacy(dps, constraint_lists: list[list]) -> Tensor:
     """The original autograd-graph loop (reference implementation)."""
@@ -76,7 +78,7 @@ def estimate_batch_legacy(dps, constraint_lists: list[list]) -> Tensor:
         log_cond = F.log_softmax(masked_logits, axis=-1)
         y = gs_sample(log_cond, dps.temperature, dps.rng)
         hard_hi[col] = np.argmax(y.data, axis=-1)
-        segments[col] = model.encoders[col].encode_soft(y)
+        segments[col] = encode_soft(model.encoders[col], y)
 
     est = density.reshape(n_queries, s).mean(axis=1)
     return est

@@ -16,6 +16,8 @@ import numpy as np
 
 from repro.core.gumbel import hard_sample_np
 
+from .made import column_logits_np, hidden_np
+
 
 def _softmax_np(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -52,8 +54,8 @@ def estimate_batch_legacy(sampler, constraint_lists: list[list],
         if not queried[col]:
             continue
         valid, gain = _valid_matrix(model, constraint_lists, col, s, sampled)
-        h = model.hidden_np(x)
-        logits = model.column_logits_np(h, col)
+        h = hidden_np(model, x)
+        logits = column_logits_np(model, h, col)
         probs = _softmax_np(logits)
         weight = valid if gain is None else valid * gain
         in_region = (probs * weight).sum(axis=1)

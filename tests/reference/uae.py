@@ -7,8 +7,8 @@ Everything else — model construction, RNG streams, ``fit`` /
 computed.  That is what lets ``tests/test_backend_matrix.py`` and
 ``tests/test_train_engine.py`` hold the fused kernels to the 1e-4
 contract over whole seeded fits.  The ``data_loss`` body is the
-per-column ``F.cross_entropy`` branch moved unchanged out of
-``UAE.data_loss``.
+per-column ``F.cross_entropy`` branch moved out of ``UAE.data_loss``; its
+graph forward is :func:`reference.made.forward_codes`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 from .dps import estimate_batch_legacy
+from .made import forward_codes, logits_for
 
 
 class ReferenceUAE(UAE):
@@ -27,10 +28,10 @@ class ReferenceUAE(UAE):
         n = len(batch_codes)
         frac = self.rng.uniform(0.0, self.config.wildcard_max_frac, size=(n, 1))
         wildcard = self.rng.random((n, self.model.num_cols)) < frac
-        logits = self.model.forward_codes(batch_codes, wildcard=wildcard)
+        logits = forward_codes(self.model, batch_codes, wildcard=wildcard)
         loss: Tensor | None = None
         for col in range(self.model.num_cols):
-            term = F.cross_entropy(self.model.logits_for(logits, col),
+            term = F.cross_entropy(logits_for(self.model, logits, col),
                                    batch_codes[:, col])
             loss = term if loss is None else loss + term
         return loss

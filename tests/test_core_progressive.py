@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.progressive import ProgressiveSampler, UniformSampler
+from repro.infer import CompiledModel
 from repro.nn import ResMADE
+
+from reference.made import nll_np
 
 
 def exact_region_mass(model: ResMADE, masks: list) -> float:
@@ -17,7 +20,7 @@ def exact_region_mass(model: ResMADE, masks: list) -> float:
     domains = model.domain_sizes
     grids = np.meshgrid(*[np.arange(d) for d in domains], indexing="ij")
     tuples = np.stack([g.reshape(-1) for g in grids], axis=1)
-    nll = model.nll_np(tuples)
+    nll = nll_np(model, tuples)
     probs = np.exp(-nll)
     keep = np.ones(len(tuples), dtype=bool)
     for col, mask in enumerate(masks):
@@ -130,7 +133,7 @@ class TestScaledConstraints:
         domains = small_model.domain_sizes
         grids = np.meshgrid(*[np.arange(d) for d in domains], indexing="ij")
         tuples = np.stack([g.reshape(-1) for g in grids], axis=1)
-        probs = np.exp(-small_model.nll_np(tuples))
+        probs = np.exp(-nll_np(small_model, tuples))
         exact = float((probs * gain[tuples[:, 0]]).sum())
         assert est == pytest.approx(exact, rel=0.1)
 
@@ -140,16 +143,42 @@ class TestUniformSampler:
         masks = [np.array([True, True, True, False]),
                  np.array([True, True, False]), None]
         exact = exact_region_mass(small_model, masks)
-        uniform = UniformSampler(small_model, num_samples=6000, seed=12)
+        uniform = UniformSampler(CompiledModel(small_model), num_samples=6000,
+                                 seed=12)
         est = uniform.estimate([fixed(masks[0]), fixed(masks[1]), None])
         assert est == pytest.approx(exact, rel=0.35, abs=0.05)
 
+    def test_factorized_range_integrates_the_grid_not_its_box(self):
+        """A factorized column's region is its grid of valid (hi, lo)
+        cells.  Sampling the low digit from the union of the grid's rows
+        integrates the bounding box instead: on this 3 x 8 grid and range
+        [5, 14) that is 16 cells, not 9."""
+        rng = np.random.default_rng(21)
+        model = ResMADE([3, 8], hidden=16, num_blocks=1, rng=rng)
+        for p in model.parameters():
+            p.data += rng.standard_normal(p.data.shape).astype(np.float32) \
+                * 0.3
+            p.bump_version()
+        grid = np.zeros(24, dtype=bool)
+        grid[5:14] = True
+        grid = grid.reshape(3, 8)
+        exact = float(np.exp(-nll_np(model, np.argwhere(grid))).sum())
+        box = grid.any(axis=1)[:, None] & grid.any(axis=0)[None, :]
+        box_mass = float(np.exp(-nll_np(model, np.argwhere(box))).sum())
+        assert abs(box_mass - exact) > 0.1
+        uniform = UniformSampler(CompiledModel(model), num_samples=20000,
+                                 seed=22)
+        est = uniform.estimate([fixed(grid.any(axis=1)), ("lo", grid)])
+        assert est == pytest.approx(exact, rel=0.05)
+
     def test_empty_region(self, small_model):
-        uniform = UniformSampler(small_model, num_samples=10, seed=13)
+        uniform = UniformSampler(CompiledModel(small_model), num_samples=10,
+                                 seed=13)
         assert uniform.estimate([fixed(np.zeros(4, bool)), None, None]) == 0.0
 
     def test_rejects_scaled(self, small_model):
-        uniform = UniformSampler(small_model, num_samples=10, seed=14)
+        uniform = UniformSampler(CompiledModel(small_model), num_samples=10,
+                                 seed=14)
         with pytest.raises(NotImplementedError):
             uniform.estimate([("scaled", np.ones(4, bool), np.ones(4)),
                               None, None])

@@ -10,6 +10,8 @@ from repro.workload import (LabeledWorkload, Predicate, Query,
                             generate_inworkload, qerrors, summarize,
                             true_cardinality)
 
+from reference.made import nll_np
+
 FAST = dict(hidden=24, num_blocks=1, est_samples=64, dps_samples=4,
             batch_size=128, query_batch_size=8, seed=0)
 
@@ -48,6 +50,13 @@ class TestDataTraining:
         uae.fit(epochs=3, mode="data")
         after = uae.loglikelihood(toy_table.codes[:400])
         assert after > before
+
+    def test_loglikelihood_matches_reference_nll(self, toy_table):
+        uae = UAE(toy_table, **FAST)
+        uae.fit(epochs=1, mode="data")
+        codes = toy_table.codes[:300]
+        expected = -nll_np(uae.model, uae.fact.encode_rows(codes)).mean()
+        assert uae.loglikelihood(codes) == pytest.approx(expected, rel=1e-5)
 
     def test_history_records_epochs(self, toy_table):
         uae = UAE(toy_table, **FAST)
@@ -150,8 +159,8 @@ class TestClone:
         uae.fit(epochs=2, mode="data")
         copy = uae.clone()
         x = toy_table.codes[:50]
-        np.testing.assert_allclose(uae.model.nll_np(uae.fact.encode_rows(x)),
-                                   copy.model.nll_np(copy.fact.encode_rows(x)),
+        np.testing.assert_allclose(nll_np(uae.model, uae.fact.encode_rows(x)),
+                                   nll_np(copy.model, copy.fact.encode_rows(x)),
                                    atol=1e-5)
 
     def test_clone_is_independent(self, toy_table):
@@ -159,7 +168,7 @@ class TestClone:
         copy = uae.clone()
         copy.fit(epochs=1, mode="data")
         x = uae.fact.encode_rows(toy_table.codes[:20])
-        assert not np.allclose(uae.model.nll_np(x), copy.model.nll_np(x))
+        assert not np.allclose(nll_np(uae.model, x), nll_np(copy.model, x))
 
 
 class TestPersistence:

@@ -1,27 +1,31 @@
 """Equivalence tests: compiled inference engine vs the reference numpy
 loop (``tests/reference/progressive.py``, "legacy" below).
 
-The engine must be a *semantics-preserving* rewrite: compiled model
-forwards match ``hidden_np``/``column_logits_np``/``forward_np`` to float
-tolerance, compiled constraints match the reference ``_valid_matrix``
-expansion exactly (including factorized ``"lo"`` columns and fanout-scaled
-join constraints), and full estimates agree draw-for-draw when both
-consume the same random stream.
+The engine must be a *semantics-preserving* rewrite: the shared trunk
+kernel and the compiled heads match the reference forwards
+(``tests/reference/made.py``) to float tolerance, compiled constraints
+match the reference ``_valid_matrix`` expansion exactly (including
+factorized ``"lo"`` columns and fanout-scaled join constraints), and
+full estimates agree draw-for-draw when both consume the same random
+stream.
 """
 
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.progressive import ProgressiveSampler
 from repro.infer import (BatchScheduler, CompiledModel, InferenceEngine,
                          compile_constraints)
 from repro.nn import Adam, ResMADE, Tensor
+from repro.nn.buffers import BufferPool
 from repro.nn.encoders import EmbeddingEncoder, OneHotEncoder
+from repro.nn.trunk import trunk_forward
 
+from reference import made as ref
 from reference.progressive import _valid_matrix, estimate_batch_legacy
 
 # Model shapes the compiled input deltas and hidden-prefix trunk must
@@ -117,40 +121,53 @@ def make_queries(model, rng, n):
     return queries
 
 
+def input_pre(model: ResMADE, x: np.ndarray) -> np.ndarray:
+    """Input-layer pre-activation of encoded rows ``x``."""
+    return x @ model.input_layer.fused_weight_t() + model.input_layer.bias.data
+
+
 class TestCompiledModel:
     def test_hidden_matches_reference(self, model):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((7, model.input_width)).astype(np.float32)
-        compiled = CompiledModel(model)
-        np.testing.assert_allclose(compiled.hidden(x), model.hidden_np(x),
-                                   atol=1e-6)
+        h, acts = trunk_forward(model, x)
+        assert acts is None
+        np.testing.assert_allclose(h, ref.hidden_np(model, x), atol=1e-6)
 
     def test_column_logits_match_reference(self, model):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, model.input_width)).astype(np.float32)
         compiled = CompiledModel(model)
-        h = model.hidden_np(x)
+        pre = input_pre(model, x)
+        h = ref.hidden_np(model, x)
         for col in range(model.num_cols):
-            np.testing.assert_allclose(compiled.column_logits(h.copy(), col),
-                                       model.column_logits_np(h, col),
-                                       atol=1e-6)
+            np.testing.assert_allclose(
+                compiled.position_logits(pre, model.position[col]),
+                ref.column_logits_np(model, h, col), atol=1e-6)
 
     def test_all_logits_match_forward_np(self, model):
+        """The column heads tile the output layer: the full-width trunk
+        plus every head is the reference full forward."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal((6, model.input_width)).astype(np.float32)
         compiled = CompiledModel(model)
-        np.testing.assert_allclose(compiled.all_logits(x),
-                                   model.forward_np(x), atol=1e-6)
+        h, _ = trunk_forward(model, x)
+        fr = np.maximum(h, 0.0)
+        logits = np.concatenate(
+            [fr @ compiled.heads[col] + compiled.head_bias[col]
+             for col in range(model.num_cols)], axis=1)
+        np.testing.assert_allclose(logits, ref.forward_np(model, x),
+                                   atol=1e-6)
 
     def test_wildcard_logits_match_reference(self, model):
         compiled = CompiledModel(model)
         zero = np.zeros((1, model.num_cols), dtype=np.int64)
         wild = np.ones((1, model.num_cols), dtype=bool)
         x = model.encode_tuples(zero, wildcard=wild)
-        h = model.hidden_np(x)
+        h = ref.hidden_np(model, x)
         for col in range(model.num_cols):
             np.testing.assert_allclose(compiled.wildcard_logits(col),
-                                       model.column_logits_np(h, col),
+                                       ref.column_logits_np(model, h, col),
                                        atol=1e-6)
 
     def test_version_invalidation_on_optimizer_step(self):
@@ -158,17 +175,17 @@ class TestCompiledModel:
         m = ResMADE([3, 4], hidden=12, num_blocks=1, rng=rng)
         compiled = CompiledModel(m)
         x = rng.standard_normal((4, m.input_width)).astype(np.float32)
-        before = compiled.hidden(x).copy()
+        before = compiled.wildcard_logits(1).copy()
         pre_before = compiled.wildcard_pre.copy()
         delta_before = [d.copy() for d in compiled.code_delta]
         # One training step must invalidate the compiled snapshot.
         opt = Adam(m.parameters(), lr=0.1)
-        m.forward(Tensor(x)).sum().backward()
+        ref.forward(m, Tensor(x)).sum().backward()
         opt.step()
         assert compiled.ensure_current()  # recompiled
-        after = compiled.hidden(x)
+        after = compiled.wildcard_logits(1)
         assert not np.allclose(before, after)
-        np.testing.assert_allclose(after, m.hidden_np(x), atol=1e-6)
+        assert_wildcard_logits_current(compiled, m)
         assert not np.allclose(pre_before, compiled.wildcard_pre)
         assert not all(np.allclose(a, b) for a, b
                        in zip(delta_before, compiled.code_delta))
@@ -183,17 +200,26 @@ class TestCompiledModel:
         pre_before = compiled.wildcard_pre.copy()
         m1.load_state_dict(m2.state_dict())
         assert compiled.ensure_current()
-        x = rng.standard_normal((3, m1.input_width)).astype(np.float32)
-        np.testing.assert_allclose(compiled.hidden(x), m2.hidden_np(x),
-                                   atol=1e-6)
+        assert_wildcard_logits_current(compiled, m2)
         assert not np.allclose(pre_before, compiled.wildcard_pre)
         assert_input_deltas_current(compiled, m2)
+
+
+def assert_wildcard_logits_current(compiled: CompiledModel, model: ResMADE):
+    zero = np.zeros((1, model.num_cols), dtype=np.int64)
+    wild = np.ones((1, model.num_cols), dtype=bool)
+    h = ref.hidden_np(model, model.encode_tuples(zero, wildcard=wild))
+    for col in range(model.num_cols):
+        np.testing.assert_allclose(compiled.wildcard_logits(col),
+                                   ref.column_logits_np(model, h, col),
+                                   atol=1e-6)
 
 
 class TestPrefixStep:
     """The engine's per-step forward: a prefix state's input-layer
     pre-activation built from ``wildcard_pre`` + ``code_delta`` rows,
-    then ``position_logits`` on the hidden-unit prefix."""
+    then ``position_logits`` on the hidden-unit prefix, against the
+    reference full forward."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(MODEL_SHAPES)), st.data())
@@ -207,18 +233,53 @@ class TestPrefixStep:
              for d in model.domain_sizes], dtype=np.int64).T
         wildcard = np.ones((rows, n), dtype=bool)
         pre = np.repeat(compiled.wildcard_pre, rows, axis=0)
-        w = model.input_layer.fused_weight_t()
         for pos, col in enumerate(model.order):
             x = model.encode_tuples(codes, wildcard=wildcard)
-            np.testing.assert_allclose(
-                pre, x @ w + model.input_layer.bias.data,
-                rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(pre, input_pre(model, x),
+                                       rtol=1e-5, atol=1e-5)
             np.testing.assert_allclose(
                 compiled.position_logits(pre, pos),
-                model.column_logits_np(model.hidden_np(x), col),
+                ref.column_logits_np(model, ref.hidden_np(model, x), col),
                 rtol=1e-5, atol=1e-5)
             pre += compiled.code_delta[col][codes[:, col]]
             wildcard[:, col] = False
+
+
+class TestTrunkKernel:
+    """One kernel, three ways in: with stored activations (the training
+    kernels), without (inference), and through ``position_logits``.
+    All three must agree to the bit at every position."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["binary", "onehot", "embedding"]),
+           st.integers(3, 7), st.integers(2, 12), st.integers(0, 2 ** 16),
+           st.integers(1, 9))
+    @example("embedding", 7, 3, 1, 4)     # hidden < num_cols - 1
+    def test_modes_agree_bit_for_bit(self, encoding, num_cols, hidden,
+                                     seed, rows):
+        rng = np.random.default_rng(seed)
+        domains = rng.integers(2, 9, size=num_cols).tolist()
+        model = ResMADE(domains, hidden=hidden, num_blocks=2, rng=rng,
+                        encoding=encoding, embedding_dim=3,
+                        order=rng.permutation(num_cols).tolist())
+        for p in model.parameters():
+            p.data += rng.standard_normal(p.data.shape).astype(np.float32)
+            p.bump_version()
+        compiled = CompiledModel(model)
+        codes = np.stack([rng.integers(0, d, rows) for d in domains], axis=1)
+        wildcard = rng.random((rows, num_cols)) < 0.5
+        pre = input_pre(model, model.encode_tuples(codes, wildcard))
+        pool = BufferPool()
+        for pos, col in enumerate(model.order):
+            k = int(model.hidden_prefix[pos])
+            stored, acts = trunk_forward(model, pre=pre, width=k, pool=pool,
+                                         tag=f"p{pos}")
+            scratch, _ = trunk_forward(model, pre=pre, width=k)
+            assert len(acts) == len(model.blocks)
+            assert np.array_equal(stored, scratch)
+            fr = np.maximum(stored, 0.0)
+            logits = fr @ compiled.heads[col][:k] + compiled.head_bias[col]
+            assert np.array_equal(logits, compiled.position_logits(pre, pos))
 
 
 class TestCompiledConstraints:
@@ -373,7 +434,7 @@ class TestEngineEquivalence:
         # Asymmetric loss so column marginals actually move.
         scale = Tensor(rng.standard_normal((1, m.total_logits))
                        .astype(np.float32))
-        (m.forward(Tensor(x)) * scale).sum().backward()
+        (ref.forward(m, Tensor(x)) * scale).sum().backward()
         opt.step()
         after = engine.estimate(q)
         reference = estimate_batch_legacy(

@@ -10,6 +10,9 @@ from repro.nn.encoders import (BinaryEncoder, EmbeddingEncoder, OneHotEncoder,
                                binary_code_matrix, make_encoder)
 from repro.nn.made import (hidden_degrees, input_degrees, mask_between,
                            output_degrees)
+from repro.train import FusedDataLoss
+
+from reference import made as ref
 
 RNG = np.random.default_rng(5)
 
@@ -66,7 +69,7 @@ class TestEncoders:
         y = np.zeros((2, 6), dtype=np.float32)
         y[0, 3] = 1.0
         y[1, 5] = 1.0
-        soft = enc.encode_soft(Tensor(y)).data
+        soft = ref.encode_soft(enc, Tensor(y)).data
         hard = enc.encode_hard(np.array([3, 5]))
         np.testing.assert_allclose(soft, hard, atol=1e-6)
 
@@ -79,7 +82,7 @@ class TestEncoders:
         enc = EmbeddingEncoder(5, 3, RNG)
         y = np.zeros((1, 5), dtype=np.float32)
         y[0, 2] = 1.0
-        np.testing.assert_allclose(enc.encode_soft(Tensor(y)).data,
+        np.testing.assert_allclose(ref.encode_soft(enc, Tensor(y)).data,
                                    enc.encode_hard(np.array([2])), atol=1e-5)
 
     def test_make_encoder_dispatch(self):
@@ -106,20 +109,20 @@ class TestAutoregressiveProperty:
         target = rng.integers(0, n)
         altered = codes.copy()
         altered[:, target] = (altered[:, target] + 1) % domains[target]
-        base = model.forward_np(model.encode_tuples(codes))
-        pert = model.forward_np(model.encode_tuples(altered))
+        base = ref.forward_np(model, model.encode_tuples(codes))
+        pert = ref.forward_np(model, model.encode_tuples(altered))
         for col in range(target + 1):
             np.testing.assert_allclose(
-                model.logits_for_np(base, col),
-                model.logits_for_np(pert, col), atol=1e-5,
+                ref.logits_for(model, base, col),
+                ref.logits_for(model, pert, col), atol=1e-5,
                 err_msg=f"col {col} leaked from col {target}")
 
     def test_later_columns_do_depend_on_earlier(self):
         model = ResMADE([4, 4, 4], hidden=32, num_blocks=2,
                         rng=np.random.default_rng(1))
         codes = np.array([[0, 0, 0], [3, 0, 0]])
-        out = model.forward_np(model.encode_tuples(codes))
-        col1 = model.logits_for_np(out, 1)
+        out = ref.forward_np(model, model.encode_tuples(codes))
+        col1 = ref.logits_for(model, out, 1)
         assert np.abs(col1[0] - col1[1]).max() > 1e-6
 
     def test_first_column_is_constant(self):
@@ -127,8 +130,8 @@ class TestAutoregressiveProperty:
         model = ResMADE([5, 3], hidden=16, num_blocks=1,
                         rng=np.random.default_rng(2))
         codes = np.array([[0, 0], [4, 2], [2, 1]])
-        out = model.forward_np(model.encode_tuples(codes))
-        col0 = model.logits_for_np(out, 0)
+        out = ref.forward_np(model, model.encode_tuples(codes))
+        col0 = ref.logits_for(model, out, 0)
         assert np.abs(col0 - col0[0]).max() < 1e-6
 
 
@@ -138,19 +141,19 @@ class TestForwardPaths:
                         rng=np.random.default_rng(3))
         codes = RNG.integers(0, [4, 6, 3], size=(7, 3))
         x = model.encode_tuples(codes)
-        np.testing.assert_allclose(model.forward(Tensor(x)).data,
-                                   model.forward_np(x), atol=1e-4)
+        np.testing.assert_allclose(ref.forward(model, Tensor(x)).data,
+                                   ref.forward_np(model, x), atol=1e-4)
 
     def test_column_sliced_forward_agrees(self):
         model = ResMADE([4, 6, 3], hidden=24, num_blocks=1,
                         rng=np.random.default_rng(4))
         codes = RNG.integers(0, [4, 6, 3], size=(5, 3))
         x = model.encode_tuples(codes)
-        full = model.forward_np(x)
-        h = model.hidden_np(x)
+        full = ref.forward_np(model, x)
+        h = ref.hidden_np(model, x)
         for col in range(3):
-            np.testing.assert_allclose(model.column_logits_np(h, col),
-                                       model.logits_for_np(full, col),
+            np.testing.assert_allclose(ref.column_logits_np(model, h, col),
+                                       ref.logits_for(model, full, col),
                                        atol=1e-4)
 
     def test_column_sliced_tensor_path_agrees(self):
@@ -158,26 +161,29 @@ class TestForwardPaths:
                         rng=np.random.default_rng(5))
         codes = RNG.integers(0, [4, 5], size=(3, 2))
         x = Tensor(model.encode_tuples(codes))
-        full = model.forward(x)
+        full = ref.forward(model, x)
         h = model.hidden_tensor(x)
         for col in range(2):
             np.testing.assert_allclose(
                 model.column_logits_from_hidden(h, col).data,
-                model.logits_for(full, col).data, atol=1e-4)
+                ref.logits_for(model, full, col).data, atol=1e-4)
 
     def test_nll_matches_manual(self):
         model = ResMADE([3, 4], hidden=16, num_blocks=1,
                         rng=np.random.default_rng(6))
         codes = np.array([[1, 2], [0, 3]])
-        nll = model.nll_np(codes)
-        logits = model.forward_np(model.encode_tuples(codes))
+        nll = ref.nll_np(model, codes)
+        logits = ref.forward_np(model, model.encode_tuples(codes))
         manual = np.zeros(2)
         for c, domain in enumerate([3, 4]):
-            lg = model.logits_for_np(logits, c)
+            lg = ref.logits_for(model, logits, c)
             lg = lg - lg.max(axis=1, keepdims=True)
             logp = lg - np.log(np.exp(lg).sum(axis=1, keepdims=True))
             manual -= logp[np.arange(2), codes[:, c]]
         np.testing.assert_allclose(nll, manual, atol=1e-6)
+        # The shipped NLL forward (the data loss's) on the same rows.
+        mean_nll, _ = FusedDataLoss(model).forward(codes)
+        assert mean_nll == pytest.approx(manual.mean(), rel=1e-5)
 
     def test_rejects_empty_domain_list(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ from repro.data import make_toy
 from repro.nn import ResMADE
 from repro.workload import generate_inworkload, qerrors
 
+from reference import made as ref
+
 
 class TestOrderedMADE:
     def test_rejects_non_permutation(self):
@@ -22,22 +24,22 @@ class TestOrderedMADE:
         rng = np.random.default_rng(1)
         codes = np.stack([rng.integers(0, 4, 6) for _ in range(3)], axis=1)
 
-        out = model.forward_np(model.encode_tuples(codes))
-        col2 = model.logits_for_np(out, 2)
+        out = ref.forward_np(model, model.encode_tuples(codes))
+        col2 = ref.logits_for(model, out, 2)
         assert np.abs(col2 - col2[0]).max() < 1e-6  # first in order
 
         # Column 0 (position 1) must ignore column 1 (position 2).
         altered = codes.copy()
         altered[:, 1] = (altered[:, 1] + 1) % 4
-        pert = model.forward_np(model.encode_tuples(altered))
-        np.testing.assert_allclose(model.logits_for_np(out, 0),
-                                   model.logits_for_np(pert, 0), atol=1e-5)
+        pert = ref.forward_np(model, model.encode_tuples(altered))
+        np.testing.assert_allclose(ref.logits_for(model, out, 0),
+                                   ref.logits_for(model, pert, 0), atol=1e-5)
         # ...but column 1 (position 2) does depend on column 0.
         altered0 = codes.copy()
         altered0[:, 0] = (altered0[:, 0] + 1) % 4
-        pert0 = model.forward_np(model.encode_tuples(altered0))
-        assert np.abs(model.logits_for_np(out, 1)
-                      - model.logits_for_np(pert0, 1)).max() > 1e-7
+        pert0 = ref.forward_np(model, model.encode_tuples(altered0))
+        assert np.abs(ref.logits_for(model, out, 1)
+                      - ref.logits_for(model, pert0, 1)).max() > 1e-7
 
     def test_progressive_sampling_with_order(self):
         """The sampler must still be unbiased under a permuted order."""
@@ -52,7 +54,7 @@ class TestOrderedMADE:
         # Exact enumeration of the model joint.
         grids = np.meshgrid(*[np.arange(d) for d in [4, 3, 5]], indexing="ij")
         tuples = np.stack([g.reshape(-1) for g in grids], axis=1)
-        probs = np.exp(-model.nll_np(tuples))
+        probs = np.exp(-ref.nll_np(model, tuples))
         keep = np.ones(len(tuples), dtype=bool)
         for col, mask in enumerate(masks):
             keep &= mask[tuples[:, col]]
@@ -67,7 +69,7 @@ class TestOrderedMADE:
                         rng=np.random.default_rng(4), order=[1, 0])
         grids = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
         tuples = np.stack([g.reshape(-1) for g in grids], axis=1)
-        total = np.exp(-model.nll_np(tuples)).sum()
+        total = np.exp(-ref.nll_np(model, tuples)).sum()
         assert total == pytest.approx(1.0, abs=1e-3)
 
 

@@ -19,6 +19,7 @@ from repro.nn import functional as F
 from repro.serve import RoutedEstimateService, UAEServer
 from repro.train import FusedDataLoss, FusedDPS
 
+from reference import made as ref
 from reference.dps import estimate_batch_legacy
 from reference.parity import collect_grads, gradient_parity, max_grad_diff
 from reference.uae import UAE_CLASS
@@ -27,9 +28,10 @@ FAST = dict(hidden=24, num_blocks=1, est_samples=32, dps_samples=4,
             batch_size=128, query_batch_size=8, seed=0)
 
 
-def small_model(seed: int = 0) -> ResMADE:
+def small_model(seed: int = 0, **kwargs) -> ResMADE:
     rng = np.random.default_rng(seed)
-    model = ResMADE([5, 7, 4, 6], hidden=16, num_blocks=2, rng=rng)
+    model = ResMADE([5, 7, 4, 6], hidden=16, num_blocks=2, rng=rng,
+                    embedding_dim=3, **kwargs)
     for p in model.parameters():
         p.data += rng.standard_normal(p.data.shape).astype(np.float32) * 0.2
         p.bump_version()
@@ -74,28 +76,69 @@ def directional_fd(loss_fn, params, direction, eps):
     return (hi - lo) / (2.0 * eps)
 
 
+def assert_data_loss_matches_legacy(model, codes, wc) -> dict:
+    """Fused data loss vs the reference graph: same loss, gradients to
+    1e-4.  Returns the fused gradients."""
+    legacy = None
+    logits = ref.forward_codes(model, codes, wildcard=wc)
+    for col in range(model.num_cols):
+        term = F.cross_entropy(ref.logits_for(model, logits, col),
+                               codes[:, col])
+        legacy = term if legacy is None else legacy + term
+    model.zero_grad()
+    legacy.backward()
+    legacy_grads = collect_grads(model)
+
+    fused = FusedDataLoss(model).loss(codes, wc)
+    assert fused.item() == pytest.approx(legacy.item(), rel=1e-5)
+    model.zero_grad()
+    fused.backward()
+    fused_grads = collect_grads(model)
+    assert max_grad_diff(legacy_grads, fused_grads) < 1e-4
+    return fused_grads
+
+
 class TestFusedDataLoss:
     def test_matches_legacy_loss_and_grads(self):
         model = small_model()
         codes = batch_codes(model, 64)
         wc = np.random.default_rng(2).random((64, 4)) < 0.4
 
-        legacy = None
-        logits = model.forward_codes(codes, wildcard=wc)
-        for col in range(model.num_cols):
-            term = F.cross_entropy(model.logits_for(logits, col),
-                                   codes[:, col])
-            legacy = term if legacy is None else legacy + term
-        model.zero_grad()
-        legacy.backward()
-        legacy_grads = collect_grads(model)
+        assert_data_loss_matches_legacy(model, codes, wc)
 
-        fused = FusedDataLoss(model).loss(codes, wc)
-        assert fused.item() == pytest.approx(legacy.item(), rel=1e-5)
+    def test_embedding_tables_match_legacy(self):
+        """Embedding tables get the gradient of the rows their
+        non-wildcarded entries looked up, as in the reference graph."""
+        model = small_model(2, encoding="embedding")
+        codes = batch_codes(model, 64)
+        wc = np.random.default_rng(3).random((64, 4)) < 0.4
+        grads = assert_data_loss_matches_legacy(model, codes, wc)
+        for c in model.order[:-1]:        # the last column feeds no logit
+            enc = model.encoders[c]
+            name = f"encoders.{c}.table.weight"
+            seen = np.unique(codes[~wc[:, c], c])
+            unseen = np.setdiff1d(np.arange(enc.domain_size), seen)
+            assert np.abs(grads[name][seen]).sum(axis=1).min() > 0
+            assert not grads[name][unseen].any()
+
+    def test_embedding_table_finite_difference(self):
+        model = small_model(4, encoding="embedding")
+        codes = batch_codes(model, 32)
+        wc = np.random.default_rng(6).random((32, 4)) < 0.3
+        loss = FusedDataLoss(model).loss(codes, wc)
         model.zero_grad()
-        fused.backward()
-        fused_grads = collect_grads(model)
-        assert max_grad_diff(legacy_grads, fused_grads) < 1e-4
+        loss.backward()
+        tables = [enc.table.weight for enc in model.encoders]
+        rng = np.random.default_rng(7)
+        direction = [rng.standard_normal(t.data.shape).astype(np.float32)
+                     for t in tables]
+        analytic = sum(float((t.grad * d).sum())
+                       for t, d in zip(tables, direction))
+        numeric = directional_fd(
+            lambda: FusedDataLoss(model).forward(codes, wc)[0],
+            tables, direction, eps=2e-3)
+        assert abs(analytic) > 1e-3
+        assert numeric == pytest.approx(analytic, rel=0.03, abs=1e-4)
 
     def test_finite_difference(self):
         model = small_model(3)
@@ -250,6 +293,15 @@ class TestUAEBackends:
         sels = wl.selectivities(toy_table.num_rows)[:6]
         report = gradient_parity(make, codes, constraints, sels)
         assert report["passed"], report
+
+    def test_embedding_tables_train(self, toy_table):
+        uae = UAE(toy_table, **dict(FAST, encoding="embedding",
+                                    embedding_dim=4))
+        tables = [enc.table.weight for enc in uae.model.encoders]
+        before = [t.data.copy() for t in tables]
+        uae.fit(epochs=2, mode="data")
+        for c in uae.model.order[:-1]:    # the last column feeds no logit
+            assert np.abs(tables[c].data - before[c]).max() > 0
 
     @pytest.mark.parametrize("backend", ["engine", "legacy"])
     def test_fit_deterministic_per_backend(self, toy_table, toy_workloads,

@@ -229,8 +229,7 @@ def run_open_loop(profile: Profile | None = None,
     # cache_capacity=1 + a round-robin pool of distinct queries: every
     # request pays real engine compute, so the knee reflects the
     # estimator, not the result cache.
-    server = UAEServer(uae, cache_capacity=1, max_batch=32,
-                       max_wait_ms=2.0, seed=7)
+    server = UAEServer(uae, cache_capacity=1, max_batch=32, seed=7)
     rows: list[dict] = []
     checks: dict[str, bool] = {}
 

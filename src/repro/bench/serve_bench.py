@@ -134,7 +134,7 @@ def run_multi_table(profile: Profile | None = None,
                       query_batch_size=profile.query_batch_size)
 
     front = RoutedEstimateService(
-        pool_workers=1, max_batch=32, max_wait_ms=2.0, seed=7,
+        pool_workers=1, max_batch=32, seed=7,
         refine_epochs=max(4, profile.query_epochs // 2))
     n_each = max(16, profile.serve_stream_queries // 2)
     workloads: dict[str, object] = {}
@@ -347,7 +347,7 @@ def run_scale_out(profile: Profile | None = None,
     parity_slice = mixed[:min(len(mixed), _PROBES * len(datasets))]
 
     # Single-process reference for the parity slice.
-    front = RoutedEstimateService(max_batch=32, max_wait_ms=2.0, seed=7)
+    front = RoutedEstimateService(max_batch=32, seed=7)
     for name in datasets:
         front.add_table(estimators[name])
     with front:
@@ -560,9 +560,8 @@ def run_chaos(profile: Profile | None = None,
                       params={"magnitude": 25.0})
         cfg_a = ModelOpsConfig(reject_ratio=1.5, min_probes=4,
                                cooldown_s=0.0, warm_top_n=0)
-        server_a = UAEServer(uae, refine_epochs=2, max_batch=32,
-                             max_wait_ms=2.0, seed=7, chaos=plan_a,
-                             modelops=cfg_a)
+        server_a = UAEServer(uae, refine_epochs=2, max_batch=32, seed=7,
+                             chaos=plan_a, modelops=cfg_a)
         with server_a:
             ests = server_a.estimate_batch(wl.queries)
             for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
@@ -605,8 +604,7 @@ def run_chaos(profile: Profile | None = None,
                                tripwire_min_obs=6, cooldown_s=0.0,
                                warm_top_n=16)
         server_b = UAEServer(uae.clone(), refine_epochs=2, max_batch=32,
-                             max_wait_ms=2.0, seed=7, chaos=plan_b,
-                             modelops=cfg_b)
+                             seed=7, chaos=plan_b, modelops=cfg_b)
         with server_b:
             ests = server_b.estimate_batch(wl.queries)
             for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
@@ -876,7 +874,7 @@ def run_serving(profile: Profile | None = None,
         window=max(64, n_shift), capacity=2 * n_shift,
         min_observations=min(32, n_shift), quantile=0.9, threshold=3.0)
     server = UAEServer(uae, feedback=feedback, refine_epochs=12,
-                       data_epochs=3, max_batch=32, max_wait_ms=2.0, seed=7)
+                       data_epochs=3, max_batch=32, seed=7)
     rows: list[dict] = []
     checks: dict[str, bool] = {}
 

@@ -86,7 +86,7 @@ def _build_http_front(profile):
               query_batch_size=profile.query_batch_size, seed=0)
     uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
     workload = generate_inworkload(table, 32, np.random.default_rng(5))
-    server = UAEServer(uae, max_batch=32, max_wait_ms=2.0, seed=7)
+    server = UAEServer(uae, max_batch=32, seed=7)
     return server, [str(q) for q in workload.queries]
 
 

@@ -305,11 +305,12 @@ class HTTPFrontDoor:
     """JSON-over-HTTP wire protocol for an :class:`AsyncEstimateService`.
 
     See the module docstring for endpoints and the error table.
-    ``max_inflight`` bounds concurrently admitted estimate requests:
-    when the window is full, requests carrying a deadline shed
-    immediately (503 + Retry-After) and deadline-free requests wait
-    (pure backpressure).  ``GET /status`` and ``GET /healthz`` bypass
-    admission so the door stays observable under overload.
+    ``max_inflight`` bounds concurrently admitted POST requests (a
+    ``/feedback`` deadline counts for admission only): when the window
+    is full, requests carrying a deadline shed immediately (503 +
+    Retry-After) and deadline-free requests wait (pure backpressure).
+    ``GET /status`` and ``GET /healthz`` bypass admission so the door
+    stays observable under overload.
     """
 
     def __init__(self, service: AsyncEstimateService, *,
@@ -629,12 +630,20 @@ class HTTPFrontDoor:
         truth = payload.get("true_cardinality")
         if truth is None:
             raise ValueError("missing required field 'true_cardinality'")
+        truth = checked_cardinality(truth, "true_cardinality")
         estimate = payload.get("estimate")
-        qerror = await self.service.observe(
-            query, checked_cardinality(truth, "true_cardinality"),
-            estimate=None if estimate is None
-            else checked_cardinality(estimate, "estimate"),
-            namespace=payload.get("namespace"))
+        if estimate is not None:
+            estimate = checked_cardinality(estimate, "estimate")
+        # Holds an executor thread (and runs an estimate when none is
+        # given), so it is admitted like /estimate_batch.
+        await self._admit(self._deadline_from(payload,
+                                              self.default_deadline_ms))
+        try:
+            qerror = await self.service.observe(
+                query, truth, estimate=estimate,
+                namespace=payload.get("namespace"))
+        finally:
+            await self._release()
         return 200, {"ok": True, "qerror": float(qerror)}
 
     async def _h_status(self, payload: dict):

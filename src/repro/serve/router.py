@@ -397,11 +397,14 @@ class RoutedEstimateService:
     what makes the isolation invariant (a hot-swap in namespace A never
     perturbs namespace B's per-version seeded answers) hold by
     construction.
+
+    ``max_wait_ms`` is ignored and not forwarded (the micro-batchers have
+    no batching window); the benchmark's frozen front spec still passes it.
     """
 
     def __init__(self, *, pool_workers: int = 1, cache_capacity: int = 8192,
                  keep_versions: int = 3, max_batch: int = 32,
-                 max_wait_ms: float = 2.0, seed: int = 0,
+                 max_wait_ms: float | None = None, seed: int = 0,
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False,
                  metrics=None, events=None):
@@ -416,7 +419,7 @@ class RoutedEstimateService:
         self._seed = int(seed)
         self._defaults = dict(cache_capacity=cache_capacity,
                               keep_versions=keep_versions,
-                              max_batch=max_batch, max_wait_ms=max_wait_ms,
+                              max_batch=max_batch,
                               refine_epochs=refine_epochs,
                               data_epochs=data_epochs,
                               auto_refine=auto_refine,

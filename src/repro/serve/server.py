@@ -82,14 +82,15 @@ class Namespace:
 
 
 class UAEServer:
-    """Registry + service + cache + feedback, wired into one loop."""
+    """Registry + service + cache + feedback, wired into one loop; single
+    submits take the service's work-conserving micro-batcher (up to
+    ``max_batch`` queries per flush, no batching window)."""
 
     def __init__(self, estimator: UAE, *, feedback: FeedbackCollector | None = None,
                  cache_capacity: int = 8192, keep_versions: int = 3,
-                 max_batch: int = 32, max_wait_ms: float = 2.0,
-                 refine_epochs: int = 8, data_epochs: int = 3,
-                 auto_refine: bool = False, seed: int = 0,
-                 namespace: str = "default", pool=None,
+                 max_batch: int = 32, refine_epochs: int = 8,
+                 data_epochs: int = 3, auto_refine: bool = False,
+                 seed: int = 0, namespace: str = "default", pool=None,
                  expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None,
                  chaos: ChaosPlan | None = None, modelops=None):
@@ -121,8 +122,7 @@ class UAEServer:
         self.events = events if events is not None else EVENTS
         estimator.metrics = self.metrics
         self.service = EstimateService(self.registry, self.cache,
-                                       max_batch=max_batch,
-                                       max_wait_ms=max_wait_ms, seed=seed,
+                                       max_batch=max_batch, seed=seed,
                                        expander=expander, scale=scale,
                                        metrics=self.metrics,
                                        events=self.events)

@@ -2,23 +2,25 @@
 
 Requests arrive one at a time (``submit`` / ``estimate``) or in bulk
 (``estimate_batch``).  Single requests are queued and flushed by a
-background worker in micro-batches — up to ``max_batch`` queries or
-``max_wait_ms`` of queueing, whichever comes first — through the
-inference engine's signature-grouping
-:class:`~repro.infer.BatchScheduler`, so a stream of independent queries
-gets the same amortised matmuls as an offline batch.  Each flush captures
-one :class:`~repro.serve.registry.ModelVersion` from the registry and
-uses it end to end: a hot-swap between flushes changes which snapshot the
-*next* flush sees, never the one in progress.
+background worker in micro-batches through the inference engine's
+signature-grouping :class:`~repro.infer.BatchScheduler`, so a stream of
+independent queries gets the same amortised matmuls as an offline batch.
+The batcher is work-conserving: the moment the worker is free it
+flushes whatever is queued (up to ``max_batch`` queries), so batches
+form from engine busy time — requests that arrive while one flush
+computes make up the next — and a lone request never waits on a timer.
+Each flush captures one :class:`~repro.serve.registry.ModelVersion`
+from the registry and uses it end to end: a hot-swap between flushes
+changes which snapshot the *next* flush sees, never the one in
+progress.
 
-Deadlines are per-request serving budgets: the worker flushes early when
-the tightest deadline in the queue is about to expire, and a request
-whose budget lapses before compute completes fails with ``TimeoutError``
-instead of silently returning late.  The flush also projects the batch's
-compute cost from an EWMA of observed per-query latency and sheds, up
-front, any request whose *remaining* budget (deadline minus the queue
-wait already spent) cannot cover it — near-deadline queries fail fast
-instead of wasting engine time on answers that would arrive late
+Deadlines are per-request serving budgets: a request whose budget lapses
+before compute completes fails with ``TimeoutError`` instead of silently
+returning late.  The flush also projects the batch's compute cost from
+an EWMA of observed per-query latency and sheds, up front, any request
+whose *remaining* budget (deadline minus the queue wait already spent)
+cannot cover it — near-deadline queries fail fast instead of wasting
+engine time on answers that would arrive late
 (``repro_serve_budget_sheds_total``).
 
 Cancellation is abandonment: :meth:`EstimateRequest.cancel` (driven by
@@ -212,10 +214,11 @@ def compute_cardinalities(model, constraint_lists: list[list], rng,
 
 
 class EstimateService:
-    """Sync + deadline-aware micro-batching API over a model registry."""
+    """Sync + deadline-aware micro-batching API over a model registry;
+    work-conserving, with no batching window (see the module docstring)."""
 
     def __init__(self, registry: ModelRegistry, cache: ResultCache | None = None,
-                 *, max_batch: int = 32, max_wait_ms: float = 2.0,
+                 *, max_batch: int = 32,
                  seed: int = 0, expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None):
         self.registry = registry
@@ -229,7 +232,6 @@ class EstimateService:
         self.expander = expander
         self.scale = None if scale is None else float(scale)
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1e3
         self._rng = np.random.default_rng(seed)
         # Hot-signature tracker feeding post-swap cache warming
         # (repro.serve.modelops): cache key -> [hit count, query].
@@ -533,30 +535,15 @@ class EstimateService:
                 self._flush(batch)
 
     def _gather(self) -> list[EstimateRequest]:
-        """Collect a micro-batch: first request opens a window that closes
-        at ``max_wait``, ``max_batch`` requests, or the tightest deadline
-        (minus compute headroom), whichever is first."""
+        """Work-conserving: wait for a request (``stop()`` notifies), then
+        take everything already queued, up to ``max_batch``, at once."""
         with self._cond:
             while not self._pending and not self._stop.is_set():
-                self._cond.wait(timeout=0.1)
+                self._cond.wait()
             if self._stop.is_set():
                 return []
-            batch = [self._pending.popleft()]
-            window_end = time.perf_counter() + self.max_wait
-            while len(batch) < self.max_batch:
-                now = time.perf_counter()
-                close_at = window_end
-                for req in batch:
-                    if req.deadline is not None:
-                        close_at = min(close_at, req.deadline - self.max_wait)
-                remaining = close_at - now
-                if remaining <= 0:
-                    break
-                if not self._pending:
-                    self._cond.wait(timeout=remaining)
-                while self._pending and len(batch) < self.max_batch:
-                    batch.append(self._pending.popleft())
-            return batch
+            return [self._pending.popleft()
+                    for _ in range(min(len(self._pending), self.max_batch))]
 
     def _flush(self, batch: list[EstimateRequest]) -> None:
         snap = self.registry.active()

@@ -338,8 +338,7 @@ class TestMetricsOverHTTP:
                 await client.close()
                 await door.stop()
 
-        with UAEServer(tiny_uae, max_batch=8, max_wait_ms=1.0,
-                       seed=7) as server:
+        with UAEServer(tiny_uae, max_batch=8, seed=7) as server:
             text, dump = asyncio.run(scenario(server))
 
         # The estimate served just before the scrape must be visible.

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import UAE
-from repro.serve import (EstimateService, FeedbackCollector, ModelRegistry,
-                         ResultCache, UAEServer)
+from repro.serve import (EstimateRequest, EstimateService,
+                         FeedbackCollector, ModelRegistry, ResultCache,
+                         UAEServer)
 from repro.workload import RollingQErrorMonitor, qerrors
 
 
@@ -173,8 +174,7 @@ class TestEstimateService:
 
     def test_microbatch_worker_matches_sync(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, ResultCache(), max_batch=8,
-                                  max_wait_ms=5.0)
+        service = EstimateService(registry, ResultCache(), max_batch=8)
         queries = list(workload.queries[:12])
         with service:
             requests = [service.submit(q) for q in queries]
@@ -189,8 +189,7 @@ class TestEstimateService:
 
     def test_deadline_expired_fails(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None, max_batch=4,
-                                  max_wait_ms=1.0)
+        service = EstimateService(registry, cache=None, max_batch=4)
         with service:
             request = service.submit(workload.queries[0], deadline_ms=0.0)
             with pytest.raises(TimeoutError):
@@ -201,8 +200,7 @@ class TestEstimateService:
         """A request whose budget lapses while the engine runs must fail,
         not silently return late."""
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None, max_batch=4,
-                                  max_wait_ms=1.0)
+        service = EstimateService(registry, cache=None, max_batch=4)
         original = service._compute
 
         def slow_compute(*args, **kwargs):
@@ -222,8 +220,7 @@ class TestEstimateService:
         counted), while deadline-free requests in the same flush still
         get real answers."""
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None, max_batch=8,
-                                  max_wait_ms=1.0)
+        service = EstimateService(registry, cache=None, max_batch=8)
         original = service._compute
 
         def slow_compute(*args, **kwargs):
@@ -262,15 +259,18 @@ class TestEstimateService:
         closed loop does) used to propagate out of the flush: the
         micro-batcher thread died and its batch-mates never settled."""
         service = EstimateService(ModelRegistry(uae), cache=None,
-                                  max_batch=2, max_wait_ms=500.0)
+                                  max_batch=2)
 
         def boom(request):
             raise RuntimeError("Event loop is closed")
 
         with service:
-            first = service.submit(workload.queries[0])
-            first.add_done_callback(boom)
-            second = service.submit(workload.queries[1])    # same batch
+            # Holding the (reentrant) condition keeps the worker from
+            # gathering until both are queued: one two-request flush.
+            with service._cond:
+                first = service.submit(workload.queries[0])
+                first.add_done_callback(boom)
+                second = service.submit(workload.queries[1])
             assert second.result(timeout=30.0) >= 0.0
             assert first.result(timeout=30.0) >= 0.0
             assert service.metrics.total("repro_serve_flushes_total") == 1
@@ -280,13 +280,78 @@ class TestEstimateService:
             first.add_done_callback(boom)
             assert service._c_callback_errors.value == 2
 
+    def test_gather_never_waits_on_a_timer(self, uae, workload):
+        """Work-conserving: queued requests are taken at once (up to
+        ``max_batch``), and the idle wait has no timeout — ``stop()``'s
+        notify is what wakes it."""
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_batch=2)
+        waits = []
+        waiting = threading.Event()
+
+        class SpyCondition(threading.Condition):
+            def wait(self, timeout=None):
+                waits.append(timeout)
+                waiting.set()
+                return super().wait(timeout)
+
+        service._cond = SpyCondition()
+        reqs = [EstimateRequest(q, [], None, None)
+                for q in workload.queries[:4]]
+        service._pending.append(reqs[0])
+        assert service._gather() == reqs[:1]
+        service._pending.extend(reqs[1:])
+        assert service._gather() == reqs[1:3]
+        assert service._gather() == reqs[3:]
+        assert waits == []
+        got = []
+        idle = threading.Thread(target=lambda: got.append(service._gather()),
+                                daemon=True)
+        idle.start()
+        assert waiting.wait(timeout=10.0)
+        service.stop()
+        idle.join(timeout=10.0)
+        assert got == [[]] and waits == [None]
+
+    @pytest.mark.parametrize("max_batch, sizes", [(32, [1, 3]),
+                                                  (2, [1, 2, 1])])
+    def test_batches_form_from_engine_busy_time(self, uae, workload,
+                                                max_batch, sizes):
+        """A first submit flushes alone; submits made while its compute
+        runs make up the next flush (split at ``max_batch``)."""
+        service = EstimateService(ModelRegistry(uae), cache=None,
+                                  max_batch=max_batch)
+        gate = threading.Event()
+        entered = threading.Event()
+        computed = []
+        orig = service._compute
+
+        def gated(snap, constraint_lists, seed=None):
+            computed.append(len(constraint_lists))
+            entered.set()
+            assert gate.wait(timeout=10.0)
+            return orig(snap, constraint_lists, seed)
+
+        service._compute = gated
+        with service:
+            first = service.submit(workload.queries[0])
+            assert entered.wait(timeout=10.0)
+            rest = [service.submit(q) for q in workload.queries[1:4]]
+            gate.set()
+            for request in [first, *rest]:
+                assert request.result(timeout=30.0) >= 0.0
+        assert computed == sizes
+        assert service.metrics.total("repro_serve_flushes_total") == \
+            len(sizes)
+        assert service._h_batch.count == len(sizes)
+        assert service._h_batch.max == max(sizes)
+
     def test_dead_worker_is_respawned_never_computed_on_caller(
             self, uae, workload):
         """Never started: inline on the caller.  Started and died: the
         next submit respawns the worker — the caller may be an event
         loop and must not run the engine."""
-        service = EstimateService(ModelRegistry(uae), cache=None,
-                                  max_wait_ms=1.0)
+        service = EstimateService(ModelRegistry(uae), cache=None)
         threads = []
         orig = service._compute
 

@@ -34,10 +34,9 @@ FRONTS = ["server", "routed",
 @pytest.fixture(params=FRONTS)
 def front(request, tiny_uae):
     if request.param == "server":
-        built = UAEServer(tiny_uae.clone(), namespace="tiny",
-                          max_wait_ms=1.0, seed=7)
+        built = UAEServer(tiny_uae.clone(), namespace="tiny", seed=7)
     elif request.param == "routed":
-        built = RoutedEstimateService(max_wait_ms=1.0, seed=7)
+        built = RoutedEstimateService(seed=7)
         built.add_table(tiny_uae.clone())
     else:
         built = ClusterEstimateService(workers=1, seed=7)

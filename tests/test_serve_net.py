@@ -49,7 +49,7 @@ def run(coro):
 
 @pytest.fixture
 def server(tiny_uae):
-    with UAEServer(tiny_uae, max_batch=16, max_wait_ms=1.0, seed=7) as srv:
+    with UAEServer(tiny_uae, max_batch=16, seed=7) as srv:
         yield srv
 
 
@@ -104,8 +104,7 @@ class TestCancellation:
         abandoned is *pending* — queued behind the worker.  Cancelling
         it settles the handle on the spot and the flush drops it: the
         engine never sees its constraints."""
-        with UAEServer(tiny_uae, max_batch=16, max_wait_ms=1.0,
-                       seed=7) as srv:
+        with UAEServer(tiny_uae, max_batch=16, seed=7) as srv:
             service = srv.service
             gate = threading.Event()
             entered = threading.Event()
@@ -693,8 +692,8 @@ class TestHTTPRejections:
                     "/feedback", {"sql": "a = 1", "true_cardinality": 1e300})
                 return bad, good
 
-        with UAEServer(tiny_uae.clone(), max_batch=16, max_wait_ms=1.0,
-                       seed=7, modelops=True) as srv:
+        with UAEServer(tiny_uae.clone(), max_batch=16, seed=7,
+                       modelops=True) as srv:
             bad, good = run(scenario(srv))
             for (status, body, _), sent in zip(bad, bodies):
                 assert status == 400, sent
@@ -828,8 +827,7 @@ class TestAdmissionControl:
         """max_inflight=1 + a gated compute: the second deadlined
         request is shed typed (503 semantics) before touching the
         service; a deadline-free request waits instead."""
-        with UAEServer(tiny_uae, max_batch=4, max_wait_ms=1.0,
-                       seed=7) as srv:
+        with UAEServer(tiny_uae, max_batch=4, seed=7) as srv:
             gate = threading.Event()
             entered = threading.Event()
             orig = srv.service._compute
@@ -875,14 +873,61 @@ class TestAdmissionControl:
         assert wait_status == 200
         assert sheds == 1
 
+    def test_feedback_takes_an_admission_slot(self, tiny_uae):
+        """A /feedback post holds an executor thread (and, without an
+        estimate, runs one), so the window counts it: when full, a
+        deadlined post sheds typed and records nothing; a deadline-free
+        one waits for the slot, then lands."""
+        with UAEServer(tiny_uae, max_batch=4, seed=7) as srv:
+            gate = threading.Event()
+            entered = threading.Event()
+            orig = srv.service._compute
+
+            def gated(snap, constraint_lists, seed=None):
+                entered.set()
+                assert gate.wait(timeout=10.0)
+                return orig(snap, constraint_lists, seed)
+
+            srv.service._compute = gated
+
+            async def scenario():
+                async with _DoorHarness(srv, max_inflight=1) as h:
+                    blocker = asyncio.ensure_future(h.client.post(
+                        "/estimate", {"sql": "a = 1 AND b = 1"}))
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, entered.wait, 10.0)
+                    c2 = AsyncHTTPClient("127.0.0.1", h.door.port)
+                    shed = await c2.post(
+                        "/feedback", {"sql": "a = 2", "true_cardinality": 7,
+                                      "estimate": 5, "deadline_ms": 5000})
+                    observed_after_shed = srv.feedback.stats()["observed"]
+                    waiter = asyncio.ensure_future(c2.post(
+                        "/feedback", {"sql": "a = 3",
+                                      "true_cardinality": 9}))
+                    await asyncio.sleep(0.05)
+                    assert not waiter.done()
+                    gate.set()
+                    ok_status, _, _ = await blocker
+                    wait_status, _, _ = await waiter
+                    await c2.close()
+                    return shed, observed_after_shed, ok_status, wait_status
+
+            (shed_status, shed_body, shed_headers), observed_after_shed, \
+                ok_status, wait_status = run(scenario())
+            assert shed_status == 503
+            assert shed_body["error"] == "LoadShedError"
+            assert "retry-after" in shed_headers
+            assert observed_after_shed == 0
+            assert ok_status == 200 and wait_status == 200
+            assert [c for _, c in srv.feedback._buffer] == [9.0]
+
 
 class TestDisconnectAbandonment:
     def test_client_disconnect_cancels_inflight_work(self, tiny_uae):
         """Closing the socket mid-request translates into query
         abandonment: the service counts a cancellation, and the engine
         never runs (or its answer is discarded) for the dead client."""
-        with UAEServer(tiny_uae, max_batch=4, max_wait_ms=1.0,
-                       seed=7) as srv:
+        with UAEServer(tiny_uae, max_batch=4, seed=7) as srv:
             gate = threading.Event()
             entered = threading.Event()
             orig = srv.service._compute

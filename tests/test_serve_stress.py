@@ -84,8 +84,7 @@ class TestEstimateServiceStress:
         trainer = tiny_uae.clone()
         registry = ModelRegistry(trainer, keep_versions=8)
         cache = ResultCache(capacity=512)
-        service = EstimateService(registry, cache, max_batch=8,
-                                  max_wait_ms=1.0)
+        service = EstimateService(registry, cache, max_batch=8)
         computed: dict[int, set] = defaultdict(set)
         record_lock = threading.Lock()
         original = service._compute

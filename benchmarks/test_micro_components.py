@@ -1,8 +1,9 @@
 """Micro-benchmarks for the hot components (pytest-benchmark proper).
 
 These time the individual kernels the experiments are built from —
-useful for spotting regressions in the autodiff engine, the samplers, and
-the join machinery.
+useful for spotting regressions in the trunk kernel, the training step,
+the samplers, and the join machinery.  Only what ships is timed: the
+autograd graph is the tests' oracle, not a training path.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from repro.core import UAE, DifferentiableProgressiveSampler, ProgressiveSampler
 from repro.data import make_toy
 from repro.data.schema import make_imdb
 from repro.joins import StarJoinSampler
-from repro.nn import Adam, ResMADE, Tensor, cross_entropy
+from repro.nn import Adam, ResMADE
 from repro.nn.trunk import trunk_forward
 from repro.train import FusedDataLoss
 from repro.workload import generate_inworkload
@@ -44,16 +45,16 @@ def test_forward_np(benchmark, model, batch):
     benchmark(forward)
 
 
-def test_forward_backward_tensor(benchmark, model, batch):
-    """The autograd graph (the REINFORCE ablation's forward)."""
-    x = Tensor(model.encode_tuples(batch))
-
-    def step():
-        logits = model.column_logits_from_hidden(model.hidden_tensor(x), 2)
-        loss = cross_entropy(logits, batch[:, 2])
-        model.zero_grad()
-        loss.backward()
-    benchmark(step)
+def test_hybrid_uae_step(benchmark):
+    """One hybrid optimizer step of Algorithm 3 (data NLL + lambda *
+    DPS q-error), as ``UAE.fit`` runs it."""
+    table = make_toy(rows=2000, num_cols=5, max_domain=20)
+    uae = UAE(table, hidden=64, num_blocks=2, batch_size=512,
+              query_batch_size=16, dps_samples=8, seed=0)
+    prepared = uae._prepare_workload(
+        generate_inworkload(table, 32, np.random.default_rng(4)))
+    benchmark(uae._step, "hybrid", uae.model_codes, uae.config.batch_size,
+              prepared)
 
 
 def test_training_step(benchmark, batch):
@@ -63,9 +64,8 @@ def test_training_step(benchmark, batch):
     data_loss = FusedDataLoss(model)
 
     def step():
-        loss = data_loss.loss(batch)
         opt.zero_grad()
-        loss.backward()
+        data_loss.loss(batch)
         opt.step()
     benchmark(step)
 
@@ -83,7 +83,7 @@ def test_dps_forward_backward(benchmark, model):
     def step():
         est = dps.estimate_batch([masks])
         model.zero_grad()
-        est.sum().backward()
+        dps.accumulate_grad(np.ones_like(est))   # d sum(est)
     benchmark(step)
 
 

@@ -57,25 +57,11 @@ def _time_steps(uae: UAE, prepared: dict, mode: str, reps: int) -> float:
     """Mean seconds per optimizer step for one training mode."""
     rows = uae.model_codes
     batch = min(uae.config.batch_size, len(rows))
-
-    def one_step():
-        loss = None
-        if mode in ("data", "hybrid"):
-            idx = uae.rng.integers(0, len(rows), batch)
-            loss = uae.data_loss(rows[idx])
-        if mode in ("query", "hybrid"):
-            q_loss = uae._query_step_loss(prepared)
-            scale = uae.config.lam if mode == "hybrid" else 1.0
-            loss = q_loss * scale if loss is None else loss + q_loss * scale
-        uae.optimizer.zero_grad()
-        loss.backward()
-        uae.optimizer.step()
-
     for _ in range(_WARMUP):
-        one_step()
+        uae._step(mode, rows, batch, prepared)
     start = time.perf_counter()
     for _ in range(reps):
-        one_step()
+        uae._step(mode, rows, batch, prepared)
     return (time.perf_counter() - start) / reps
 
 

@@ -1,13 +1,11 @@
 """The paper's primary contribution: UAE and its samplers."""
 
-from .gumbel import gs_sample, gs_sample_from_logits, hard_sample_np
 from .progressive import ProgressiveSampler, UniformSampler
 from .dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
 from .uae import UAE, UAEConfig
 from .ensemble import PartitionedUAE
 
 __all__ = [
-    "gs_sample", "gs_sample_from_logits", "hard_sample_np",
     "ProgressiveSampler", "UniformSampler",
     "DifferentiableProgressiveSampler", "ScoreFunctionSampler",
     "UAE", "UAEConfig", "PartitionedUAE",

@@ -22,6 +22,10 @@ Per Algorithm 2:
 Factorized low digits use the *hard* argmax of the high digit's soft sample
 to pick the conditional mask — a straight-through-style approximation (the
 mask choice itself carries no gradient).
+
+Both samplers build no autograd graph: ``estimate_batch`` returns an
+array, and ``accumulate_grad(g_est)`` adds the gradient of
+``sum(g_est * est)`` (or its score-function estimate) into ``.grad``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..infer import compile_constraints
-from ..nn import functional as F
+from ..nn.buffers import BufferPool
+from ..nn.functional import NEG_INF, hard_sample_np, softmax_np
 from ..nn.made import ResMADE
-from ..nn.tensor import Tensor, concatenate, stack
+from ..nn.trunk import trunk_forward
+from ..train import FusedDPS
+from ..train.fused import network_backward
 
 
 class DifferentiableProgressiveSampler:
@@ -53,36 +60,43 @@ class DifferentiableProgressiveSampler:
         self.num_samples = num_samples
         self.temperature = temperature
         self.rng = np.random.default_rng(seed)
-        self._fused = None
+        self._fused = FusedDPS(model)
 
-    def estimate_batch(self, constraint_lists: list[list]) -> Tensor:
+    def estimate_batch(self, constraint_lists: list[list]) -> np.ndarray:
         """Differentiable selectivity estimates ``[num_queries]``."""
-        if self._fused is None:
-            from ..train.dps_fused import FusedDPS
-            self._fused = FusedDPS(self.model)
         return self._fused.estimate_batch(
             constraint_lists, self.num_samples, self.temperature, self.rng)
+
+    def accumulate_grad(self, g_est: np.ndarray) -> None:
+        """Add ``sum(g_est * est)``'s gradient for the last batch."""
+        self._fused.accumulate_grad(g_est)
 
 
 class ScoreFunctionSampler:
     """REINFORCE / score-function alternative to DPS (paper Section 4.3).
 
     Kept for the gradient-estimator ablation: the paper argues SF has higher
-    variance than Gumbel-Softmax.  The implementation draws hard samples and
-    returns both the (non-differentiable) per-query estimates and the
-    surrogate loss ``sum(stop_grad(weight) * log P(z))`` whose gradient is
-    the score-function estimator of the query loss.
+    variance than Gumbel-Softmax.  :meth:`estimate_batch` draws *hard*
+    samples on the trunk kernel; :meth:`accumulate_grad` writes
+    ``sum_r w_r * grad log P_valid(z_r)`` with the detached weight
+    ``w_r = g_est[q(r)] / S * density_r``: a row-weighted, region-masked
+    softmax cross-entropy, in one pass over the *final* encoded input
+    (MADE masks make a column's logits blind to later positions).  The
+    graph surrogate it replaced is the tests' oracle.
     """
 
     def __init__(self, model: ResMADE, num_samples: int = 8, seed: int = 0):
         self.model = model
         self.num_samples = num_samples
         self.rng = np.random.default_rng(seed)
+        self.pool = BufferPool()
+        self._state: tuple | None = None
 
-    def surrogate(self, constraint_lists: list[list],
-                  true_sels: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Returns (surrogate loss tensor, detached selectivity estimates)."""
+    def estimate_batch(self, constraint_lists: list[list]) -> np.ndarray:
+        """Hard-sampled selectivity estimates ``[num_queries]`` (float64);
+        the samples stay here for :meth:`accumulate_grad`."""
         model = self.model
+        out_l = model.output_layer
         n_queries = len(constraint_lists)
         s = self.num_samples
         batch = n_queries * s
@@ -91,15 +105,12 @@ class ScoreFunctionSampler:
         last_pos = max((model.position[c] for c in range(model.num_cols)
                         if queried[c]), default=-1)
 
-        zero_codes = np.zeros((batch, model.num_cols), dtype=np.int64)
-        all_wild = np.ones((batch, model.num_cols), dtype=bool)
-        x_np = model.encode_tuples(zero_codes, wildcard=all_wild)
-        segments = [Tensor(x_np[:, model.input_slices[c]])
-                    for c in range(model.num_cols)]
-
+        x = model.encode_tuples(
+            np.zeros((batch, model.num_cols), dtype=np.int64),
+            wildcard=np.ones((batch, model.num_cols), dtype=bool))
         density = np.ones(batch, dtype=np.float64)
-        log_prob_terms: list[Tensor] = []
         hard: dict[int, np.ndarray] = {}
+        sampled: list[tuple[int, np.ndarray, np.ndarray]] = []
         compiled = compile_constraints(constraint_lists, model.domain_sizes)
 
         for pos in range(last_pos + 1):
@@ -111,53 +122,57 @@ class ScoreFunctionSampler:
                 raise NotImplementedError(
                     "the REINFORCE ablation does not support fanout-scaled "
                     "join columns; use the Gumbel-Softmax estimator")
-            x = concatenate(segments, axis=-1)
-            h = model.hidden_tensor(x)
-            logits = model.column_logits_from_hidden(h, col)
-            probs_np = _softmax_np(logits.data)
-            in_region = (probs_np * valid).sum(axis=1)
+            k = int(model.hidden_prefix[pos])
+            sl = model.logit_slices[col]
+            h, _ = trunk_forward(model, x, width=k)
+            np.maximum(h, 0.0, out=h)
+            probs = softmax_np(h @ out_l.fused_weight_t()[:k, sl]
+                               + out_l.bias.data[sl])
+            truncated = probs * valid
+            in_region = truncated.sum(axis=1)
             density *= in_region
             if pos == last_pos:
                 break
-            truncated = probs_np * valid
-            mass = truncated.sum(axis=1, keepdims=True)
-            bad = mass[:, 0] <= 0
-            if bad.any():
-                fb = valid[bad].astype(np.float64)
-                fb[fb.sum(axis=1) == 0] = 1.0
-                truncated[bad] = fb / fb.sum(axis=1, keepdims=True)
-                mass = truncated.sum(axis=1, keepdims=True)
-            truncated /= np.maximum(mass, 1e-30)
-            cdf = np.cumsum(truncated, axis=1)
-            cdf /= cdf[:, -1:]
-            codes = np.minimum((self.rng.random((batch, 1)) > cdf).sum(axis=1),
-                               probs_np.shape[1] - 1)
+            # A row with no mass left has density 0: any code will do.
+            truncated[in_region <= 0] = 1.0
+            codes = hard_sample_np(truncated, self.rng)
             hard[col] = codes
-            # log P_theta(z_col | prefix), differentiable w.r.t. theta.
-            logp = F.log_softmax(F.masked_fill(logits, ~valid), axis=-1)
-            log_prob_terms.append(logp.take_along_last(
-                codes.reshape(-1, 1)).reshape(batch))
-            enc = model.encoders[col].encode_hard(codes)
-            segments[col] = Tensor(enc)
+            sampled.append((col, valid, codes))
+            x[:, model.input_slices[col]] = \
+                model.encoders[col].encode_hard(codes)
 
-        est = density.reshape(n_queries, s).mean(axis=1)
-        # Per-sample REINFORCE weight: d qerror / d estimate, detached.
-        eps = 1e-9
-        true = np.maximum(true_sels, eps)
-        est_c = np.maximum(est, eps)
-        dq = np.where(est_c >= true, 1.0 / true, -true / est_c ** 2)
-        weight = np.repeat(dq / s, s) * density
-        if not log_prob_terms:
-            return Tensor(np.zeros(1, dtype=np.float32)), est
-        total_logp = log_prob_terms[0]
-        for term in log_prob_terms[1:]:
-            total_logp = total_logp + term
-        surrogate = (total_logp * Tensor(weight.astype(np.float32))).sum() \
-            * (1.0 / n_queries)
-        return surrogate, est
+        self._state = (x, sampled, density)
+        return density.reshape(n_queries, s).mean(axis=1)
 
+    def accumulate_grad(self, g_est: np.ndarray) -> None:
+        """Add the score-function gradient for the last batch, weighting
+        each sample by ``g_est`` of its query (``dL/d est``)."""
+        state, self._state = self._state, None
+        if state is None or not state[1]:
+            return
+        x, sampled, density = state
+        model = self.model
+        pool = self.pool
+        out_l = model.output_layer
+        s = self.num_samples
+        n = len(x)
+        # sum(w * log P(z)) is a cross-entropy weighted by -w.
+        weight = (np.repeat(np.asarray(g_est, dtype=np.float64) / s, s)
+                  * -density).astype(np.float32)
 
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+        h, acts = trunk_forward(model, x, pool=pool, tag="sf")
+        fr = pool.get("sf.fr", n, out_l.in_features)
+        np.maximum(h, 0.0, out=fr)
+        grad_logits = pool.zeros("sf.logits", n, out_l.out_features)
+        ridx = np.arange(n)
+        for col, valid, codes in sampled:
+            sl = model.logit_slices[col]
+            # d CE / d logits = softmax(masked) - onehot(z), valid only.
+            logits = fr @ out_l.fused_weight_t()[:, sl] + out_l.bias.data[sl]
+            logits[~valid] = NEG_INF
+            g = softmax_np(logits)
+            g[ridx, codes] -= 1.0
+            g *= valid
+            g *= weight[:, None]
+            grad_logits[:, sl] = g
+        network_backward(model, pool, "sf", x, acts, fr, grad_logits)

@@ -11,6 +11,9 @@ One ResMADE model, one set of weights, two information sources:
 The class also implements Section 4.5's incremental ingestion: new tuples
 refine the model through the data loss, new (shifted) query workloads
 through the query loss, no retraining from scratch.
+
+Every optimizer step runs :meth:`UAE._step`, which builds no autograd
+graph: each loss term writes its own scaled gradient (:mod:`repro.train`).
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ import numpy as np
 from ..data.encoding import ColumnFactorization
 from ..data.table import Table
 from ..estimators.base import TrainableEstimator
-from ..nn import functional as F
+from ..nn.functional import hard_sample_np, softmax_np
 from ..nn.made import ResMADE
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor
+from ..train import DISCREPANCIES, FusedDataLoss, discrepancy
 from ..workload.predicate import LabeledWorkload, Query
 from .dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
 from .progressive import ProgressiveSampler, UniformSampler
+
+GRADIENT_ESTIMATORS = ("gumbel", "reinforce")
 
 
 @dataclass
@@ -58,7 +63,7 @@ class UAEConfig:
     lam: float = 1e-4
     lr_decay: float = 1.0   # per-epoch multiplicative LR decay
     wildcard_max_frac: float = 0.5
-    discrepancy: str = "qerror"
+    discrepancy: str = "qerror"         # or "mse" / "msle" (ablation)
     gradient_estimator: str = "gumbel"  # or "reinforce" (ablation)
     column_order: str = "natural"       # or "random" (ordering ablation)
     grad_clip: float | None = 8.0
@@ -76,6 +81,11 @@ class UAE(TrainableEstimator):
         config = config or UAEConfig()
         if overrides:
             config = replace(config, **overrides)
+        for field, allowed in (("discrepancy", DISCREPANCIES),
+                               ("gradient_estimator", GRADIENT_ESTIMATORS)):
+            value = getattr(config, field)
+            if value not in allowed:
+                raise ValueError(f"unknown {field} {value!r}: not in {allowed}")
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.fact = ColumnFactorization(table, threshold=config.factor_threshold,
@@ -84,8 +94,9 @@ class UAE(TrainableEstimator):
         self.model_codes = self.fact.encode_rows(table.codes)
         self.history: list[dict[str, float]] = []
         # Optional repro.obs.MetricsRegistry: when set (e.g. by
-        # UAEServer), fit() records per-step counters/latency under
-        # repro_train_*{mode=...}.  Not carried by snapshot()/clone().
+        # UAEServer), every training step records its count and latency
+        # under repro_train_*{mode=...}.  Not carried by
+        # snapshot()/clone().
         self.metrics = None
 
     def _init_model_stack(self, order: list[int] | None) -> None:
@@ -109,7 +120,7 @@ class UAE(TrainableEstimator):
         self.sf = ScoreFunctionSampler(self.model,
                                        num_samples=config.dps_samples,
                                        seed=config.seed + 2)
-        self._fused_data = None  # lazy FusedDataLoss
+        self._fused_data = FusedDataLoss(self.model)
 
     def _build_order(self, strategy: str) -> list[int] | None:
         """Column-ordering strategies (paper Section 4.2 / Naru, MADE).
@@ -135,11 +146,10 @@ class UAE(TrainableEstimator):
     # ------------------------------------------------------------------
     # Losses
     # ------------------------------------------------------------------
-    def data_loss(self, batch_codes: np.ndarray) -> Tensor:
-        """Eq. 2 with Naru-style wildcard dropout for skipping support.
-
-        Runs the hand-fused forward/backward kernel
-        (:class:`repro.train.FusedDataLoss`).  The original per-column
+    def data_loss(self, batch_codes: np.ndarray) -> float:
+        """Eq. 2 with Naru-style wildcard dropout for skipping support:
+        adds its gradient into ``.grad`` and returns its value, through
+        :class:`repro.train.FusedDataLoss`.  The original per-column
         ``F.cross_entropy`` graph is the tests' oracle
         (``tests/reference/uae.py``): it consumes the wildcard-dropout
         RNG identically and agrees on gradients to float32 rounding.
@@ -147,29 +157,19 @@ class UAE(TrainableEstimator):
         n = len(batch_codes)
         frac = self.rng.uniform(0.0, self.config.wildcard_max_frac, size=(n, 1))
         wildcard = self.rng.random((n, self.model.num_cols)) < frac
-        if self._fused_data is None:
-            from ..train import FusedDataLoss
-            self._fused_data = FusedDataLoss(self.model)
         return self._fused_data.loss(batch_codes, wildcard)
 
-    def _discrepancy(self, est: Tensor, true_sels: np.ndarray) -> Tensor:
-        kind = self.config.discrepancy
-        if kind == "qerror":
-            return F.qerror_loss(est, true_sels)
-        if kind == "mse":
-            return F.mse_loss(est, true_sels)
-        if kind == "msle":
-            return F.msle_loss(est, true_sels)
-        raise ValueError(f"unknown discrepancy {kind!r}")
-
-    def query_loss(self, constraints: list[list],
-                   true_sels: np.ndarray) -> Tensor:
-        """Eq. 5 through DPS (or the REINFORCE surrogate for the ablation)."""
-        if self.config.gradient_estimator == "reinforce":
-            surrogate, _ = self.sf.surrogate(constraints, true_sels)
-            return surrogate
-        est = self.dps.estimate_batch(constraints)
-        return self._discrepancy(est, true_sels)
+    def query_loss(self, constraints: list[list], true_sels: np.ndarray,
+                   scale: float = 1.0) -> float:
+        """Eq. 5 through DPS (or REINFORCE for the ablation): adds
+        ``scale`` times its gradient into ``.grad``, returns its value."""
+        sampler = self.sf if self.config.gradient_estimator == "reinforce" \
+            else self.dps
+        est = sampler.estimate_batch(constraints)
+        value, g_est = discrepancy(self.config.discrepancy, est, true_sels,
+                                   scale)
+        sampler.accumulate_grad(g_est)
+        return value
 
     # ------------------------------------------------------------------
     # Training (Algorithm 3)
@@ -207,44 +207,18 @@ class UAE(TrainableEstimator):
         stale_epochs = 0
         base_lr = self.optimizer.lr
 
-        step_counter = step_timer = None
-        if self.metrics is not None:
-            step_counter = self.metrics.counter(
-                "repro_train_steps_total", "Optimizer steps taken",
-                ("mode",)).labels(mode=mode)
-            step_timer = self.metrics.histogram(
-                "repro_train_step_seconds", "Wall time per optimizer step",
-                ("mode",)).labels(mode=mode)
-
         for epoch in range(epochs):
             self.optimizer.lr = base_lr * self.config.lr_decay ** epoch
-            epoch_data, epoch_query, count = 0.0, 0.0, 0
+            epoch_data, epoch_query = 0.0, 0.0
             for _ in range(steps):
-                step_t0 = time.perf_counter() if step_timer is not None \
-                    else 0.0
-                loss: Tensor | None = None
-                if mode in ("data", "hybrid"):
-                    idx = self.rng.integers(0, len(rows),
-                                            self.config.batch_size)
-                    loss = self.data_loss(rows[idx])
-                    epoch_data += loss.item()
-                if mode in ("query", "hybrid"):
-                    q_loss = self._query_step_loss(prepared)
-                    epoch_query += q_loss.item()
-                    scale = self.config.lam if mode == "hybrid" else 1.0
-                    loss = q_loss * scale if loss is None \
-                        else loss + q_loss * scale
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                count += 1
-                if step_timer is not None:
-                    step_timer.observe(time.perf_counter() - step_t0)
-                    step_counter.inc()
+                data, query = self._step(mode, rows, self.config.batch_size,
+                                         prepared)
+                epoch_data += data
+                epoch_query += query
             record = {
                 "epoch": len(self.history),
-                "data_loss": epoch_data / count,
-                "query_loss": epoch_query / count,
+                "data_loss": epoch_data / steps,
+                "query_loss": epoch_query / steps,
                 "mode": mode,
             }
             if validation is not None:
@@ -289,13 +263,38 @@ class UAE(TrainableEstimator):
         return {"constraints": constraints,
                 "sels": sels.astype(np.float64)}
 
-    def _query_step_loss(self, prepared: dict) -> Tensor:
-        n = len(prepared["constraints"])
-        take = min(self.config.query_batch_size, n)
-        idx = self.rng.choice(n, size=take, replace=False)
-        constraints = [prepared["constraints"][i] for i in idx]
-        sels = prepared["sels"][idx]
-        return self.query_loss(constraints, sels)
+    def _step(self, mode: str, rows: np.ndarray | None, batch: int,
+              prepared: dict | None) -> tuple[float, float]:
+        """One optimizer step of Algorithm 3: the data term on ``batch``
+        rows drawn from ``rows`` (modes ``data``/``hybrid``), then the
+        query term on queries drawn from ``prepared`` (``query``, or
+        ``hybrid`` scaled by lambda).  Returns both unscaled loss values
+        (0.0 when not run); records ``repro_train_*{mode}`` when
+        ``self.metrics`` is set."""
+        start = time.perf_counter()
+        self.optimizer.zero_grad()
+        data = query = 0.0
+        if mode != "query":
+            idx = self.rng.integers(0, len(rows), batch)
+            data = self.data_loss(rows[idx])
+        if mode != "data":
+            n = len(prepared["constraints"])
+            idx = self.rng.choice(n, size=min(self.config.query_batch_size, n),
+                                  replace=False)
+            query = self.query_loss(
+                [prepared["constraints"][i] for i in idx],
+                prepared["sels"][idx],
+                scale=self.config.lam if mode == "hybrid" else 1.0)
+        self.optimizer.step()
+        if self.metrics is not None:
+            self.metrics.histogram(
+                "repro_train_step_seconds", "Wall time per optimizer step",
+                ("mode",)).labels(mode=mode).observe(
+                    time.perf_counter() - start)
+            self.metrics.counter(
+                "repro_train_steps_total", "Optimizer steps taken",
+                ("mode",)).labels(mode=mode).inc()
+        return data, query
 
     # ------------------------------------------------------------------
     # Incremental ingestion (Section 4.5)
@@ -304,17 +303,11 @@ class UAE(TrainableEstimator):
         """Refine on freshly inserted tuples via the data loss only."""
         new_model_codes = self.fact.encode_rows(
             np.asarray(new_codes, dtype=np.int32))
+        batch = min(self.config.batch_size, len(new_model_codes))
         steps = max(1, int(np.ceil(len(new_model_codes)
                                    / self.config.batch_size)))
-        for _ in range(epochs):
-            for _ in range(steps):
-                idx = self.rng.integers(0, len(new_model_codes),
-                                        min(self.config.batch_size,
-                                            len(new_model_codes)))
-                loss = self.data_loss(new_model_codes[idx])
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
+        for _ in range(epochs * steps):
+            self._step("data", new_model_codes, batch, None)
         self.model_codes = np.vstack([self.model_codes, new_model_codes])
         self.table = self.table.append_rows(new_codes)
         return self
@@ -345,12 +338,8 @@ class UAE(TrainableEstimator):
                     "sels": np.asarray(true_sels, dtype=np.float64)}
         steps = max(1, len(prepared["constraints"])
                     // self.config.query_batch_size)
-        for _ in range(epochs):
-            for _ in range(steps):
-                loss = self._query_step_loss(prepared)
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
+        for _ in range(epochs * steps):
+            self._step("query", None, 0, prepared)
         return self
 
     # ------------------------------------------------------------------
@@ -434,8 +423,6 @@ class UAE(TrainableEstimator):
         compiled.ensure_current()
         pre = np.repeat(compiled.wildcard_pre, n, axis=0)
         sampled = np.zeros((n, model.num_cols), dtype=np.int32)
-        from ..nn.functional import softmax_np
-        from .gumbel import hard_sample_np
         for pos, col in enumerate(model.order):
             probs = softmax_np(compiled.position_logits(pre, pos))
             codes = hard_sample_np(probs, rng)
@@ -547,7 +534,6 @@ class UAE(TrainableEstimator):
     def loglikelihood(self, codes: np.ndarray) -> float:
         """Mean log-likelihood of raw-table code rows (diagnostics): the
         data loss's forward with nothing wildcarded."""
-        from ..train import FusedDataLoss
         model_codes = self.fact.encode_rows(np.asarray(codes, dtype=np.int32))
         nll, _ = FusedDataLoss(self.model).forward(model_codes)
         return float(-nll)

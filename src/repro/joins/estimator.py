@@ -104,18 +104,11 @@ class UAEJoin(FragmentCardinality):
             "constraints": [self._constraints(q) for q in workload.queries],
             "sels": workload.cardinalities / self.join_size,
         }
-        rows = self.uae.model_codes
-        steps = max(1, int(np.ceil(len(rows) / self.uae.config.batch_size)))
-        for _ in range(epochs):
-            for _ in range(steps):
-                idx = self.uae.rng.integers(0, len(rows),
-                                            self.uae.config.batch_size)
-                loss = self.uae.data_loss(rows[idx])
-                q_loss = self.uae._query_step_loss(prepared)
-                total = loss + q_loss * self.uae.config.lam
-                self.uae.optimizer.zero_grad()
-                total.backward()
-                self.uae.optimizer.step()
+        uae = self.uae
+        rows = uae.model_codes
+        steps = max(1, int(np.ceil(len(rows) / uae.config.batch_size)))
+        for _ in range(epochs * steps):
+            uae._step("hybrid", rows, uae.config.batch_size, prepared)
         return self
 
     # ------------------------------------------------------------------

@@ -7,8 +7,7 @@ masked autoregressive networks (:mod:`repro.nn.made`), per-column encoders
 """
 
 from .tensor import Tensor, add_constant, concatenate, ones, stack, tensor, where, zeros
-from .functional import (cross_entropy, log_softmax, masked_fill, mse_loss,
-                         msle_loss, qerror_loss, sample_gumbel, softmax)
+from .functional import hard_sample_np, mse_loss, sample_gumbel
 from .modules import (Dropout, Embedding, LayerNorm, Linear, MaskedLinear,
                       Module, ReLU, Sequential)
 from .made import ResMADE
@@ -17,8 +16,7 @@ from .optim import SGD, Adam
 __all__ = [
     "Tensor", "tensor", "zeros", "ones", "concatenate", "stack", "where",
     "add_constant",
-    "softmax", "log_softmax", "cross_entropy", "masked_fill", "qerror_loss",
-    "mse_loss", "msle_loss", "sample_gumbel",
+    "hard_sample_np", "sample_gumbel", "mse_loss",
     "Module", "Linear", "MaskedLinear", "ReLU", "Sequential", "Embedding",
     "LayerNorm", "Dropout",
     "ResMADE",

@@ -1,33 +1,16 @@
-"""Composite differentiable functions used by the UAE model.
-
-Everything here is built from the primitive ops in :mod:`repro.nn.tensor`, so
-gradients flow automatically.  The numerically sensitive pieces (softmax,
-log-softmax) subtract a *detached* running maximum, the standard
-stabilisation that does not change the mathematical gradient.
+"""Numpy softmax helpers, Gumbel noise and categorical sampling for the
+shipped kernels, plus ``mse_loss`` on the autograd graph (the MSCN
+baseline's loss).  The graph softmax family the kernels replaced lives
+in ``tests/reference/functional.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add_constant, where
+from .tensor import Tensor
 
 NEG_INF = -1e9  # Finite stand-in for -inf so softmax stays NaN-free.
-
-
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shift = logits.data.max(axis=axis, keepdims=True)
-    shifted = add_constant(logits, -shift)
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shift = logits.data.max(axis=axis, keepdims=True)
-    shifted = add_constant(logits, -shift)
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
 def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -36,6 +19,21 @@ def softmax_np(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
+
+
+def hard_sample_np(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Categorical sample per row via inverse CDF (vectorised).
+
+    ``probs``: ``[batch, k]`` non-negative rows (normalised here); returns
+    int codes.  Draws one uniform per row from ``rng``.  Used where no
+    gradient flows through the draw: ``UAE.sample_tuples`` and the
+    REINFORCE sampler.
+    """
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((len(probs), 1))
+    idx = (u > cdf).sum(axis=1)
+    return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)
 
 
 def softmax_nll(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -53,22 +51,6 @@ def softmax_nll(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     z = logits.sum(axis=1)
     logits /= z[:, None]
     return np.log(z) - target_shift
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer ``targets`` under ``logits``.
-
-    ``logits``: ``[batch, num_classes]``; ``targets``: ``[batch]`` ints.
-    """
-    logp = log_softmax(logits, axis=-1)
-    picked = logp.take_along_last(np.asarray(targets).reshape(-1, 1))
-    return -picked.mean()
-
-
-def nll_from_logprobs(logp: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood given precomputed log-probs."""
-    picked = logp.take_along_last(np.asarray(targets).reshape(-1, 1))
-    return -picked.mean()
 
 
 def sample_gumbel(shape, rng: np.random.Generator, eps: float = 1e-20,
@@ -95,40 +77,7 @@ def sample_gumbel(shape, rng: np.random.Generator, eps: float = 1e-20,
     return u
 
 
-def masked_fill(logits: Tensor, invalid: np.ndarray, value: float = NEG_INF) -> Tensor:
-    """Set ``logits`` to ``value`` where ``invalid`` is True (constant mask).
-
-    Used to zero-out probabilities outside a query region (Algorithm 2,
-    line 7) without breaking differentiability at the valid positions.
-    """
-    fill = Tensor(np.full(logits.shape, value, dtype=np.float32))
-    return where(~np.asarray(invalid, dtype=bool), logits, fill)
-
-
-def qerror_loss(est: Tensor, true_sel: np.ndarray, eps: float = 1e-9) -> Tensor:
-    """Mean Q-error (Eq. 6) between estimated and true selectivities.
-
-    ``est`` is a differentiable tensor of selectivities in [0, 1];
-    ``true_sel`` is the constant ground truth.  Q-error is
-    ``max(sel/est, est/sel)`` clamped below at 1; its subgradient is well
-    defined everywhere except the kink, which is fine for SGD.
-    """
-    true = Tensor(np.maximum(np.asarray(true_sel, dtype=np.float32), eps))
-    est = est.clamp(low=eps)
-    ratio = est / true
-    inverse = true / est
-    q = ratio.maximum(inverse)
-    return q.mean()
-
-
 def mse_loss(est: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error against a constant target."""
     diff = est - Tensor(np.asarray(target, dtype=np.float32))
-    return (diff * diff).mean()
-
-
-def msle_loss(est: Tensor, target: np.ndarray, eps: float = 1e-9) -> Tensor:
-    """Mean squared log error — a smoother alternative discrepancy."""
-    target = np.maximum(np.asarray(target, dtype=np.float32), eps)
-    diff = est.clamp(low=eps).log() - Tensor(np.log(target))
     return (diff * diff).mean()

@@ -173,18 +173,3 @@ class ResMADE(Module):
             wc = None if wildcard is None else wildcard[:, c]
             parts.append(enc.encode_hard(codes[:, c], wc))
         return np.concatenate(parts, axis=1)
-
-    # ------------------------------------------------------------------
-    # Graph forward, for the REINFORCE ablation only.  Every other path
-    # runs the numpy trunk kernel (:mod:`repro.nn.trunk`).
-    # ------------------------------------------------------------------
-    def hidden_tensor(self, x: Tensor) -> Tensor:
-        """Differentiable trunk: encoded input -> pre-ReLU final hidden."""
-        h = self.input_layer(x)
-        for block in self.blocks:
-            h = block(h)
-        return h
-
-    def column_logits_from_hidden(self, h: Tensor, col: int) -> Tensor:
-        """Project hidden state to just column ``col``'s logits."""
-        return self.output_layer.forward_rows(h.relu(), self.logit_slices[col])

@@ -8,15 +8,19 @@ buffers, and float32 discipline end to end.
 * :class:`FusedDataLoss` — one fused pass for the data NLL (Eq. 2),
   replacing the per-column ``F.cross_entropy`` graph;
 * :class:`FusedDPS` — the vectorized differentiable-progressive-sampling
-  step (Algorithm 2) behind ``DifferentiableProgressiveSampler``.
+  step (Algorithm 2) behind ``DifferentiableProgressiveSampler``;
+* :func:`discrepancy` — the query loss's q-error / MSE / MSLE and its
+  gradient w.r.t. the estimates, in closed form.
 
-These are the only training kernels ``UAE`` runs.  The original autograd
-paths they replaced live under ``tests/reference/`` as the oracle for the
-1e-4 gradient-parity contract (``tests/test_train_engine.py``,
-``tests/test_backend_matrix.py``).
+No autograd graph is built: each loss writes ``scale * dL/dtheta``
+straight into the parameters' ``.grad``, and ``UAE._step`` adds the data
+term and the lambda-scaled query term before ``optimizer.step()``.  The
+autograd paths they replaced live under ``tests/reference/`` as the
+oracle for the 1e-4 gradient-parity contract.
 """
 
 from .fused import FusedDataLoss
 from .dps_fused import FusedDPS
+from .discrepancy import DISCREPANCIES, discrepancy
 
-__all__ = ["FusedDataLoss", "FusedDPS"]
+__all__ = ["FusedDataLoss", "FusedDPS", "DISCREPANCIES", "discrepancy"]

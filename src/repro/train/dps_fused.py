@@ -46,11 +46,10 @@ cancel in every softmax, so with a shared seed the two agree to float32
 rounding (gradient diff < 1e-4; asserted by
 ``tests/test_train_engine.py`` and ``tests/test_backend_matrix.py``).
 
-Like :class:`~repro.train.fused.FusedDataLoss`, ``estimate_batch``
-returns a ``Tensor`` (shape ``[num_queries]``) whose ``_backward``
-closure runs the fused pass, so discrepancy losses compose on top in the
-ordinary autograd graph.  Buffers are pooled; at most one estimate may be
-in flight per instance.
+``estimate_batch`` returns an array and keeps the chain's state;
+``accumulate_grad(g_est)`` consumes it, adding ``sum(g_est * est)``'s
+gradient into ``.grad``.  Buffers are pooled; at most one estimate may
+be in flight per instance.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from ..nn.buffers import BufferPool
 from ..nn.encoders import EmbeddingEncoder, OneHotEncoder
 from ..nn.functional import NEG_INF, sample_gumbel
 from ..nn.made import ResMADE
-from ..nn.tensor import Tensor
 from ..nn.trunk import TrunkGrads, trunk_backward, trunk_forward
 
 
@@ -72,10 +70,12 @@ class FusedDPS:
     def __init__(self, model: ResMADE):
         self.model = model
         self.pool = BufferPool()
+        self._state: dict | None = None
 
     # ------------------------------------------------------------------
     def estimate_batch(self, constraint_lists: list[list], num_samples: int,
-                       temperature: float, rng: np.random.Generator) -> Tensor:
+                       temperature: float, rng: np.random.Generator
+                       ) -> np.ndarray:
         """Differentiable selectivity estimates ``[num_queries]``."""
         model = self.model
         pool = self.pool
@@ -87,8 +87,9 @@ class FusedDPS:
                    for c in range(model.num_cols)]
         last_pos = max((model.position[c] for c in range(model.num_cols)
                         if queried[c]), default=-1)
+        self._state = None
         if last_pos < 0:
-            return Tensor(np.ones(nq, dtype=np.float32))
+            return np.ones(nq, dtype=np.float32)
         positions = [p for p in range(last_pos + 1)
                      if queried[model.order[p]]]
         compiled = compile_constraints(constraint_lists, model.domain_sizes)
@@ -183,15 +184,17 @@ class FusedDPS:
             x[:, sl_in.stop - 1] = 0.0     # column no longer wildcard
             step["y"] = y
 
-        est = density.reshape(nq, s).mean(axis=1)
-        state = {"steps": steps, "x": x, "wild_row": wild_row, "n": n,
-                 "s": s, "inv_tau": inv_tau}
-        out = Tensor(est, requires_grad=True)
-        out._backward = lambda: self._backward(state, out.grad)
-        return out
+        self._state = {"steps": steps, "x": x, "wild_row": wild_row,
+                       "n": n, "s": s, "inv_tau": inv_tau}
+        return density.reshape(nq, s).mean(axis=1)
 
     # ------------------------------------------------------------------
-    def _backward(self, state: dict, g_est: np.ndarray) -> None:
+    def accumulate_grad(self, g_est: np.ndarray) -> None:
+        """Add ``sum(g_est * est)``'s gradient for the last batch (none
+        when no column was queried: the estimate is constant)."""
+        state, self._state = self._state, None
+        if state is None:
+            return
         model = self.model
         pool = self.pool
         steps, x, n, s = state["steps"], state["x"], state["n"], state["s"]

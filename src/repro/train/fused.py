@@ -12,11 +12,10 @@ parameter ``.grad`` buffers.  That forward is also the one NLL
 evaluation in ``src/``: ``UAE.loglikelihood`` runs
 :meth:`FusedDataLoss.forward` with nothing wildcarded.
 
-The public entry point, :meth:`FusedDataLoss.loss`, still returns a
-:class:`~repro.nn.tensor.Tensor`, so callers compose it with graph-built
-losses (``loss = data + lam * query``) and call ``backward()`` exactly as
-on a graph-built loss — the node's ``_backward`` closure runs the fused pass
-when the graph reaches it.
+:meth:`FusedDataLoss.loss` runs forward and backward in one call: it
+adds ``scale * dL/dtheta`` into the parameters' ``.grad`` and returns
+the loss value; no graph node outlives it.  Its backward from
+``dL/dlogits`` (:func:`network_backward`) also serves REINFORCE.
 
 Gradient contract: identical math to ``ReferenceUAE.data_loss`` under
 ``tests/reference/`` (per-column softmax cross-entropy over the same
@@ -27,9 +26,7 @@ float32 rounding —
 assert max abs diff < 1e-4.
 
 Activation storage is pooled: buffers persist across steps keyed by role,
-so steady-state training steps allocate almost nothing.  Consequence: at
-most one fused loss may be in flight (forward done, backward pending) per
-``FusedDataLoss`` instance — exactly how ``UAE.fit`` uses it.
+so steady-state training steps allocate almost nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from ..nn.buffers import BufferPool
 from ..nn.encoders import EmbeddingEncoder
 from ..nn.functional import softmax_nll
 from ..nn.made import ResMADE
-from ..nn.tensor import Tensor
 from ..nn.trunk import TrunkGrads, trunk_backward, trunk_forward
 
 
@@ -81,47 +77,21 @@ class FusedDataLoss:
         return total, (codes, wildcard, x, acts, fr, logits)
 
     def loss(self, batch_codes: np.ndarray,
-             wildcard: np.ndarray | None = None) -> Tensor:
-        """Scalar data-NLL tensor whose backward runs the fused pass."""
-        total, state = self.forward(batch_codes, wildcard)
-        out = Tensor(np.asarray(total, dtype=np.float32),
-                     requires_grad=True)
-        out._backward = lambda: self._backward(state, float(out.grad))
-        return out
-
-    def _backward(self, state: tuple, scale: float) -> None:
-        codes, wildcard, x, acts, fr, grad_logits = state
-        n = len(codes)
-        model = self.model
-        pool = self.pool
-        out_l = model.output_layer
-        in_l = model.input_layer
-        hidden = out_l.in_features
+             wildcard: np.ndarray | None = None,
+             scale: float = 1.0) -> float:
+        """Add ``scale`` times the data-NLL gradient into ``.grad``;
+        return the loss value (at float32, as it is reported)."""
+        total, (codes, wildcard, x, acts, fr, grad_logits) = \
+            self.forward(batch_codes, wildcard)
         if scale != 1.0:
             grad_logits *= np.float32(scale)
-
-        gw_out = pool.get("d.gw_out", out_l.out_features, hidden)
-        np.matmul(grad_logits.T, fr, out=gw_out)
-        gw_out *= out_l.mask
-        out_l.weight._accumulate(gw_out)
-        out_l.bias._accumulate(grad_logits.sum(axis=0))
-
-        gh = pool.get("d.gh", n, hidden)
-        np.matmul(grad_logits, out_l.fused_weight(), out=gh)
-        gh *= fr > 0
-        grads = TrunkGrads(model, pool, "d.tg")
-        gh0 = trunk_backward(model, gh, acts, grads, pool, "d.tb")
-        grads.flush()
-
-        gw_in = pool.get("d.gw_in", in_l.out_features, in_l.in_features)
-        np.matmul(gh0.T, x, out=gw_in)
-        gw_in *= in_l.mask
-        in_l.weight._accumulate(gw_in)
-        in_l.bias._accumulate(gh0.sum(axis=0))
-
+        model = self.model
+        gh0 = network_backward(model, self.pool, "d", x, acts, fr,
+                               grad_logits)
         # An embedding column's value slots are the table rows its
         # non-wildcarded entries looked up (zeros under a wildcard), so
         # those rows receive dL/dx on the slots.
+        in_l = model.input_layer
         for c, enc in enumerate(model.encoders):
             if not isinstance(enc, EmbeddingEncoder):
                 continue
@@ -131,3 +101,36 @@ class FusedDataLoss:
             g_table = np.zeros_like(enc.table.weight.data)
             np.add.at(g_table, codes[rows, c], g_vals)
             enc.table.weight._accumulate(g_table)
+        return float(np.float32(total))
+
+
+def network_backward(model: ResMADE, pool: BufferPool, tag: str,
+                     x: np.ndarray, acts: list[tuple], fr: np.ndarray,
+                     grad_logits: np.ndarray) -> np.ndarray:
+    """Accumulate the output-head, trunk and input-layer gradients of a
+    full-width forward (input ``x``, trunk ``acts``, ReLU'd hidden
+    ``fr``) from ``dL/dlogits``; returns ``dL/d`` input pre-activation."""
+    n = len(x)
+    out_l = model.output_layer
+    in_l = model.input_layer
+    hidden = out_l.in_features
+
+    gw_out = pool.get(f"{tag}.gw_out", out_l.out_features, hidden)
+    np.matmul(grad_logits.T, fr, out=gw_out)
+    gw_out *= out_l.mask
+    out_l.weight._accumulate(gw_out)
+    out_l.bias._accumulate(grad_logits.sum(axis=0))
+
+    gh = pool.get(f"{tag}.gh", n, hidden)
+    np.matmul(grad_logits, out_l.fused_weight(), out=gh)
+    gh *= fr > 0
+    grads = TrunkGrads(model, pool, f"{tag}.tg")
+    gh0 = trunk_backward(model, gh, acts, grads, pool, f"{tag}.tb")
+    grads.flush()
+
+    gw_in = pool.get(f"{tag}.gw_in", in_l.out_features, in_l.in_features)
+    np.matmul(gh0.T, x, out=gw_in)
+    gw_in *= in_l.mask
+    in_l.weight._accumulate(gw_in)
+    in_l.bias._accumulate(gh0.sum(axis=0))
+    return gh0

@@ -6,11 +6,14 @@ engine and the fused training kernels, all on one ResMADE forward
 (:mod:`repro.nn.trunk`).  The code they replaced lives here as the
 oracle the parity tests compare against:
 
-* :mod:`reference.made` — the ResMADE numpy forward, graph forward and
-  differentiable encodings (the trunk kernel's oracle);
+* :mod:`reference.made` — the ResMADE numpy forward, graph forward
+  (``hidden_tensor``) and differentiable encodings (the trunk kernel's
+  oracle);
 * :mod:`reference.progressive` — progressive sampling (Section 4.2);
 * :mod:`reference.dps` — differentiable progressive sampling with
-  Gumbel-Softmax (Algorithm 2);
+  Gumbel-Softmax (Algorithm 2), and the graph REINFORCE surrogate;
+* :mod:`reference.gumbel` — graph Gumbel-Softmax sampling (Algorithm 1);
+* :mod:`reference.losses` — graph q-error / MSLE discrepancies;
 * :mod:`reference.uae` — ``ReferenceUAE``, a ``UAE`` whose data NLL
   (Eq. 2) and query loss run the two loops above;
 * :mod:`reference.parity` — gradient-comparison helpers;

@@ -1,4 +1,5 @@
-"""The Gumbel-Softmax trick (paper Algorithm 1, "GS-Sampling").
+"""The Gumbel-Softmax trick (paper Algorithm 1, "GS-Sampling") on the
+autograd graph: the reference DPS loop's sampler.
 
 Given a categorical distribution ``pi`` (here: the model's predicted
 conditional ``P_theta(Z_i | .)`` restricted to a query region), draws a
@@ -8,15 +9,19 @@ conditional ``P_theta(Z_i | .)`` restricted to a query region), draws a
 
 The Gumbel noise ``g`` enters the graph as a constant, so gradients flow
 from the sample back into ``pi`` — this is precisely what lets the deep
-autoregressive model learn from queries (Section 4.3).
+autoregressive model learn from queries (Section 4.3).  The fused DPS
+kernel (:class:`repro.train.FusedDPS`) inlines the same draw.  Moved
+here from ``repro.core.gumbel``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn.functional import log_softmax, sample_gumbel, softmax
-from ..nn.tensor import Tensor, add_constant
+from repro.nn.functional import sample_gumbel
+from repro.nn.tensor import Tensor, add_constant
+
+from .functional import log_softmax, softmax
 
 
 def gs_sample(log_probs: Tensor, tau: float,
@@ -43,16 +48,3 @@ def gs_sample_from_logits(logits: Tensor, tau: float,
                           rng: np.random.Generator) -> Tensor:
     """Same as :func:`gs_sample` but normalises raw logits first."""
     return gs_sample(log_softmax(logits, axis=-1), tau, rng)
-
-
-def hard_sample_np(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Non-differentiable categorical sample via inverse CDF (vectorised).
-
-    ``probs``: ``[batch, k]`` rows summing to ~1; returns int codes.
-    Used on the inference path where gradients are not needed.
-    """
-    cdf = np.cumsum(probs, axis=1)
-    cdf /= cdf[:, -1:]
-    u = rng.random((len(probs), 1))
-    idx = (u > cdf).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1).astype(np.int64)

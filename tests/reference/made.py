@@ -7,7 +7,8 @@ engine's ``position_logits``, the fused data loss, ``UAE.loglikelihood``
 — is checked against.  Moved here from ``ResMADE.hidden_np`` /
 ``column_logits_np`` / ``forward_np`` / ``nll_np`` / ``logits_for_np``,
 ``ResMADE.forward`` / ``forward_codes`` / ``encode_tuples_tensor`` /
-``logits_for``, and the encoders' ``encode_soft`` /
+``logits_for`` / ``hidden_tensor`` / ``column_logits_from_hidden``, and
+the encoders' ``encode_soft`` /
 ``EmbeddingEncoder.encode_hard_tensor``; functions take the model (or
 encoder) as their first argument.  :func:`encode_hard_tensor` routes an
 embedding column's lookups through the graph for every non-wildcarded
@@ -78,9 +79,22 @@ def nll_np(model: ResMADE, codes: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Autograd-graph forward
 # ----------------------------------------------------------------------
+def hidden_tensor(model: ResMADE, x: Tensor) -> Tensor:
+    """Differentiable trunk: encoded input -> pre-ReLU final hidden."""
+    h = model.input_layer(x)
+    for block in model.blocks:
+        h = block(h)
+    return h
+
+
+def column_logits_from_hidden(model: ResMADE, h: Tensor, col: int) -> Tensor:
+    """Project hidden state to just column ``col``'s logits."""
+    return model.output_layer.forward_rows(h.relu(), model.logit_slices[col])
+
+
 def forward(model: ResMADE, x: Tensor) -> Tensor:
     """Differentiable encoded input -> all logits."""
-    return model.output_layer(model.hidden_tensor(x).relu())
+    return model.output_layer(hidden_tensor(model, x).relu())
 
 
 def encode_hard_tensor(enc: ColumnEncoder, codes: np.ndarray,

@@ -52,17 +52,14 @@ def gradient_parity(make_uae: Callable[[str], "object"],
     losses: dict[tuple[str, str], float] = {}
     for backend in ("legacy", "engine"):
         uae = make_uae(backend)
-        loss = uae.data_loss(np.asarray(batch_codes))
         uae.model.zero_grad()
-        loss.backward()
+        losses[("data", backend)] = uae.data_loss(np.asarray(batch_codes))
         grads[("data", backend)] = collect_grads(uae.model)
-        losses[("data", backend)] = loss.item()
 
-        qloss = uae.query_loss(constraints, np.asarray(true_sels))
         uae.model.zero_grad()
-        qloss.backward()
+        losses[("query", backend)] = uae.query_loss(constraints,
+                                                    np.asarray(true_sels))
         grads[("query", backend)] = collect_grads(uae.model)
-        losses[("query", backend)] = qloss.item()
 
     data_diff = max_grad_diff(grads[("data", "legacy")],
                               grads[("data", "engine")])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.gumbel import hard_sample_np
+from repro.nn.functional import hard_sample_np
 
 from .made import column_logits_np, hidden_np
 

@@ -77,6 +77,33 @@ def test_trained_weights_agree_across_train_backends(trained, train_backend):
                                    atol=CONTRACT, err_msg=name)
 
 
+def hybrid_gradients(source, table, workload, **overrides) -> dict:
+    """Per backend: the data-term and query-term gradients at
+    ``source``'s weights, both backends consuming the same draws."""
+    queries = workload.queries[:6]
+    constraints = [source.fact.expand_masks(q.masks(table))
+                   for q in queries]
+    sels = workload.selectivities(table.num_rows)[:6]
+    codes = source.model_codes[
+        np.random.default_rng(7).integers(0, len(source.model_codes), 64)]
+
+    grads = {}
+    for backend in BACKENDS:
+        uae = UAE_CLASS[backend](table, **FAST, **overrides)
+        uae.model.load_state_dict(source.model.state_dict())
+        # Pin the wildcard-dropout draws so both backends consume the
+        # random stream draw for draw (the DPS Gumbel stream is already
+        # aligned: both estimators are freshly built from the same seed).
+        uae.rng = np.random.default_rng(99)
+        uae.model.zero_grad()
+        uae.data_loss(codes)
+        data_grads = collect_grads(uae.model)
+        uae.model.zero_grad()
+        uae.query_loss(constraints, sels)
+        grads[backend] = (data_grads, collect_grads(uae.model))
+    return grads
+
+
 @pytest.mark.parametrize("train_backend", BACKENDS)
 @pytest.mark.parametrize("grad_backend", BACKENDS)
 def test_gradients_agree_at_trained_weights(trained, tiny_table,
@@ -85,32 +112,20 @@ def test_gradients_agree_at_trained_weights(trained, tiny_table,
     """Gradient parity holds at *every* cell's operating point, not just
     at init: whichever backend trained the weights, both backends
     compute the same hybrid gradient there (< 1e-4)."""
-    source = trained[train_backend]
-    queries = tiny_workload.queries[:6]
-    constraints = [source.fact.expand_masks(q.masks(tiny_table))
-                   for q in queries]
-    sels = tiny_workload.selectivities(tiny_table.num_rows)[:6]
-    codes = source.model_codes[
-        np.random.default_rng(7).integers(0, len(source.model_codes), 64)]
-
-    grads = {}
-    for backend in BACKENDS:
-        uae = UAE_CLASS[backend](tiny_table, **FAST)
-        uae.model.load_state_dict(source.model.state_dict())
-        # Pin the wildcard-dropout draws so both backends consume the
-        # random stream draw for draw (the DPS Gumbel stream is already
-        # aligned: both estimators are freshly built from the same seed).
-        uae.rng = np.random.default_rng(99)
-        loss = uae.data_loss(codes)
-        uae.model.zero_grad()
-        loss.backward()
-        data_grads = collect_grads(uae.model)
-        qloss = uae.query_loss(constraints, sels)
-        uae.model.zero_grad()
-        qloss.backward()
-        grads[backend] = (data_grads, collect_grads(uae.model))
-
+    grads = hybrid_gradients(trained[train_backend], tiny_table,
+                             tiny_workload)
     ref_data, ref_query = grads["legacy"]
     got_data, got_query = grads[grad_backend]
     assert max_grad_diff(got_data, ref_data) < CONTRACT
     assert max_grad_diff(got_query, ref_query) < CONTRACT
+
+
+@pytest.mark.parametrize("discrepancy", ["mse", "msle"])
+def test_discrepancy_gradients_agree_at_trained_weights(
+        trained, tiny_table, tiny_workload, discrepancy):
+    """The same parity under the other two query discrepancies (graph
+    loss vs closed form), at the engine-trained weights."""
+    grads = hybrid_gradients(trained["engine"], tiny_table, tiny_workload,
+                             discrepancy=discrepancy)
+    for ref, got in zip(grads["legacy"], grads["engine"]):
+        assert max_grad_diff(got, ref) < CONTRACT

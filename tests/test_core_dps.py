@@ -12,7 +12,7 @@ import pytest
 from repro.core.dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
 from repro.core.progressive import ProgressiveSampler
 from repro.nn import ResMADE
-from repro.nn import functional as F
+from repro.train import discrepancy
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,15 @@ def fixed(mask):
     return ("fixed", np.asarray(mask, dtype=bool))
 
 
+def qerror_step(sampler, constraint_lists, true_sels):
+    """Estimate, then add the mean q-error's gradient (closed form
+    through ``sampler.accumulate_grad``); returns the loss value."""
+    est = sampler.estimate_batch(constraint_lists)
+    value, g_est = discrepancy("qerror", est, true_sels)
+    sampler.accumulate_grad(g_est)
+    return value
+
+
 @pytest.fixture
 def constraints():
     return [fixed([True, True, False, False]),
@@ -41,14 +50,14 @@ class TestEstimates:
         reference = hard.estimate(constraints)
         dps = DifferentiableProgressiveSampler(model, num_samples=2000,
                                                temperature=0.2, seed=2)
-        soft = dps.estimate_batch([constraints]).data[0]
+        soft = dps.estimate_batch([constraints])[0]
         # Low temperature -> soft samples are close to hard one-hots.
         assert soft == pytest.approx(reference, rel=0.3, abs=0.02)
 
     def test_no_constraints_returns_one(self, model):
         dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=3)
         out = dps.estimate_batch([[None, None, None]])
-        np.testing.assert_allclose(out.data, 1.0)
+        np.testing.assert_allclose(out, 1.0)
 
     def test_batch_shape(self, model, constraints):
         dps = DifferentiableProgressiveSampler(model, num_samples=4, seed=4)
@@ -65,9 +74,7 @@ class TestGradients:
         """Backprop through DPS must touch input, block and output weights."""
         model.zero_grad()
         dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=5)
-        est = dps.estimate_batch([constraints])
-        loss = F.qerror_loss(est, np.array([0.3]))
-        loss.backward()
+        qerror_step(dps, [constraints], np.array([0.3]))
         for name, param in [("input", model.input_layer.weight),
                             ("block", model.blocks[0].fc1.weight),
                             ("output", model.output_layer.weight)]:
@@ -84,12 +91,10 @@ class TestGradients:
         opt = Adam(local.parameters(), lr=5e-3)
         first = None
         for step in range(60):
-            est = dps.estimate_batch([constraints])
-            loss = F.qerror_loss(est, target)
-            if first is None:
-                first = loss.item()
             opt.zero_grad()
-            loss.backward()
+            loss = qerror_step(dps, [constraints], target)
+            if first is None:
+                first = loss
             opt.step()
         final_est = ProgressiveSampler(local, num_samples=2000,
                                        seed=8).estimate(constraints)
@@ -102,9 +107,9 @@ class TestGradients:
         gain = 1.0 / (np.arange(4) + 1.0)
         model.zero_grad()
         dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=9)
-        est = dps.estimate_batch([[("scaled", np.ones(4, bool), gain),
-                                   fixed([True, False, True]), None]])
-        F.qerror_loss(est, np.array([0.1])).backward()
+        qerror_step(dps, [[("scaled", np.ones(4, bool), gain),
+                           fixed([True, False, True]), None]],
+                    np.array([0.1]))
         assert model.output_layer.weight.grad is not None
         assert np.isfinite(model.output_layer.weight.grad).all()
 
@@ -116,7 +121,7 @@ class TestGradients:
         # Run one batch each and inspect the recorded hard argmax spread —
         # the estimates should both be finite and in [0, 1].
         for sampler in (soft, hard):
-            est = sampler.estimate_batch([constraints]).data
+            est = sampler.estimate_batch([constraints])
             assert np.isfinite(est).all()
             assert (est >= 0).all() and (est <= 1.0 + 1e-5).all()
 
@@ -125,15 +130,14 @@ class TestScoreFunction:
     def test_surrogate_produces_gradients(self, model, constraints):
         model.zero_grad()
         sf = ScoreFunctionSampler(model, num_samples=8, seed=11)
-        surrogate, est = sf.surrogate([constraints], np.array([0.3]))
-        assert est.shape == (1,)
-        surrogate.backward()
+        qerror_step(sf, [constraints], np.array([0.3]))
         assert model.output_layer.weight.grad is not None
         assert np.isfinite(model.output_layer.weight.grad).all()
 
     def test_estimates_match_hard_sampler(self, model, constraints):
         sf = ScoreFunctionSampler(model, num_samples=3000, seed=12)
-        _, est = sf.surrogate([constraints], np.array([0.3]))
+        est = sf.estimate_batch([constraints])
+        assert est.shape == (1,)
         reference = ProgressiveSampler(model, num_samples=3000,
                                        seed=13).estimate(constraints)
         assert est[0] == pytest.approx(reference, rel=0.25, abs=0.02)
@@ -141,5 +145,5 @@ class TestScoreFunction:
     def test_rejects_scaled_constraints(self, model):
         sf = ScoreFunctionSampler(model, num_samples=4, seed=14)
         with pytest.raises(NotImplementedError):
-            sf.surrogate([[("scaled", np.ones(4, bool), np.ones(4)),
-                           None, None]], np.array([0.5]))
+            sf.estimate_batch([[("scaled", np.ones(4, bool), np.ones(4)),
+                                None, None]])

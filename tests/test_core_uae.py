@@ -1,6 +1,8 @@
 """Tests for the UAE estimator: training modes, incremental ingestion,
 estimation API, configuration."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             uae.fit(epochs=1, mode="query")
 
-    def test_bad_discrepancy(self, toy_table, toy_workloads):
-        uae = UAE(toy_table, **FAST, discrepancy="nope")
-        with pytest.raises(ValueError):
-            uae.fit(epochs=1, workload=toy_workloads["train"], mode="query")
+    def test_bad_discrepancy(self, toy_table):
+        """Rejected when the model is built, not at the first query step."""
+        with pytest.raises(ValueError, match="discrepancy"):
+            UAE(toy_table, **FAST, discrepancy="nope")
+
+    def test_misspelled_gradient_estimator_rejected_at_build(self, toy_table):
+        """A typo must not silently train with Gumbel-Softmax."""
+        with pytest.raises(ValueError, match="gradient_estimator"):
+            UAE(toy_table, **FAST, gradient_estimator="reinfroce")
 
 
 class TestDataTraining:
@@ -109,6 +116,28 @@ class TestHybridAndQueryTraining:
         uae = UAE(toy_table, **FAST, discrepancy="mse")
         uae.fit(epochs=1, workload=toy_workloads["train"], mode="query")
         assert np.isfinite(uae.history[-1]["query_loss"])
+
+
+class TestNoGraph:
+    def test_training_leaves_no_cyclic_garbage(self, tiny_table,
+                                               tiny_workload):
+        """No step builds an autograd graph, so none leaves a reference
+        cycle for the cyclic collector: hybrid fit, Section 4.5
+        refinement and the REINFORCE ablation all free their state by
+        reference counting alone."""
+        hybrid = UAE(tiny_table, **FAST)
+        refined = UAE(tiny_table, **FAST)
+        reinforce = UAE(tiny_table, **FAST, gradient_estimator="reinforce")
+        gc.collect()
+        gc.disable()
+        try:
+            hybrid.fit(epochs=2, workload=tiny_workload, mode="hybrid")
+            refined.ingest_data(tiny_table.codes[:300], epochs=2)
+            refined.ingest_queries(tiny_workload, epochs=2)
+            reinforce.fit(epochs=1, workload=tiny_workload, mode="query")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEstimation:

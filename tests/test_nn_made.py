@@ -162,10 +162,10 @@ class TestForwardPaths:
         codes = RNG.integers(0, [4, 5], size=(3, 2))
         x = Tensor(model.encode_tuples(codes))
         full = ref.forward(model, x)
-        h = model.hidden_tensor(x)
+        h = ref.hidden_tensor(model, x)
         for col in range(2):
             np.testing.assert_allclose(
-                model.column_logits_from_hidden(h, col).data,
+                ref.column_logits_from_hidden(model, h, col).data,
                 ref.logits_for(model, full, col).data, atol=1e-4)
 
     def test_nll_matches_manual(self):

@@ -75,8 +75,8 @@ def test_dps_estimates_bounded_and_finite(domains, seed):
         constraints.append(("fixed", mask))
     dps = DifferentiableProgressiveSampler(model, num_samples=6, seed=seed)
     est = dps.estimate_batch([constraints])
-    assert np.isfinite(est.data).all()
-    assert (est.data >= 0).all() and (est.data <= 1.0 + 1e-4).all()
+    assert np.isfinite(est).all()
+    assert (est >= 0).all() and (est <= 1.0 + 1e-4).all()
 
 
 @settings(max_examples=10, deadline=None)

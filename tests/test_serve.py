@@ -479,6 +479,28 @@ class TestUAEServer:
         assert trainer.optimizer is not optimizer_before
         assert trainer.optimizer.lr == optimizer_before.lr
 
+    def test_refine_steps_recorded_on_metrics(self, tiny_table, workload):
+        """Section 4.5 refinement steps count on /metrics like fit's: the
+        staged rows' data steps under mode="data", the feedback's query
+        steps under mode="query"."""
+        trainer = UAE(tiny_table, hidden=16, num_blocks=1, est_samples=24,
+                      dps_samples=4, batch_size=128, query_batch_size=8,
+                      seed=1)
+        server = UAEServer(trainer, refine_epochs=3, data_epochs=2, seed=8)
+        server.stage_data(tiny_table.codes[:300])
+        for q, tru in zip(workload.queries[:16], workload.cardinalities[:16]):
+            server.observe(q, tru, estimate=100.0 * tru)
+        server.refine()
+        # data: 2 epochs x ceil(300 / 128); query: 3 epochs x 16 // 8.
+        assert server.metrics.total("repro_train_steps_total",
+                                    mode="data") == 2 * 3
+        assert server.metrics.total("repro_train_steps_total",
+                                    mode="query") == 3 * 2
+        assert server.metrics.total("repro_train_steps_total",
+                                    mode="hybrid") == 0
+        text = server.metrics.render()
+        assert 'repro_train_step_seconds_count{mode="query"} 6' in text
+
     def test_stage_data_ingested_on_refine(self, tiny_table, workload):
         trainer = UAE(tiny_table, hidden=16, num_blocks=1, est_samples=24,
                       dps_samples=4, batch_size=128, query_batch_size=8,

@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from repro.core import UAE
-from repro.core.dps import DifferentiableProgressiveSampler
+from repro.core.dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
 from repro.core.progressive import ProgressiveSampler
 from repro.nn import ResMADE
-from repro.nn import functional as F
 from repro.serve import RoutedEstimateService, UAEServer
-from repro.train import FusedDataLoss, FusedDPS
+from repro.train import FusedDataLoss, FusedDPS, discrepancy
 
+from reference import functional as F
 from reference import made as ref
-from reference.dps import estimate_batch_legacy
+from reference.dps import estimate_batch_legacy, surrogate_legacy
+from reference.losses import qerror_loss
 from reference.parity import collect_grads, gradient_parity, max_grad_diff
 from reference.uae import UAE_CLASS
 
@@ -46,11 +47,20 @@ CONSTRAINTS = [fixed([1, 1, 0, 1, 0]), fixed([0, 1, 1, 0, 1, 1, 0]),
                None, fixed([1, 0, 0, 1, 1, 1])]
 
 
-def dps_estimate(dps, backend, constraint_lists):
-    """``dps``'s seeded stream through the reference loop or the kernel."""
+def dps_qerror_grads(dps, backend, constraint_lists, true_sels):
+    """``dps``'s seeded stream through the reference loop (graph
+    q-error, ``backward()``) or the kernel (closed-form q-error,
+    ``dps.accumulate_grad``): returns the estimates and the parameter
+    gradients."""
+    dps.model.zero_grad()
     if backend == "legacy":
-        return estimate_batch_legacy(dps, constraint_lists)
-    return dps.estimate_batch(constraint_lists)
+        est = estimate_batch_legacy(dps, constraint_lists)
+        qerror_loss(est, true_sels).backward()
+        est = est.data
+    else:
+        est = dps.estimate_batch(constraint_lists)
+        dps.accumulate_grad(discrepancy("qerror", est, true_sels)[1])
+    return est.copy(), collect_grads(dps.model)
 
 
 def batch_codes(model: ResMADE, n: int, seed: int = 1) -> np.ndarray:
@@ -89,10 +99,9 @@ def assert_data_loss_matches_legacy(model, codes, wc) -> dict:
     legacy.backward()
     legacy_grads = collect_grads(model)
 
-    fused = FusedDataLoss(model).loss(codes, wc)
-    assert fused.item() == pytest.approx(legacy.item(), rel=1e-5)
     model.zero_grad()
-    fused.backward()
+    fused = FusedDataLoss(model).loss(codes, wc)
+    assert fused == pytest.approx(legacy.item(), rel=1e-5)
     fused_grads = collect_grads(model)
     assert max_grad_diff(legacy_grads, fused_grads) < 1e-4
     return fused_grads
@@ -125,9 +134,8 @@ class TestFusedDataLoss:
         model = small_model(4, encoding="embedding")
         codes = batch_codes(model, 32)
         wc = np.random.default_rng(6).random((32, 4)) < 0.3
-        loss = FusedDataLoss(model).loss(codes, wc)
         model.zero_grad()
-        loss.backward()
+        FusedDataLoss(model).loss(codes, wc)
         tables = [enc.table.weight for enc in model.encoders]
         rng = np.random.default_rng(7)
         direction = [rng.standard_normal(t.data.shape).astype(np.float32)
@@ -146,9 +154,8 @@ class TestFusedDataLoss:
         wc = np.random.default_rng(5).random((32, 4)) < 0.3
         fused = FusedDataLoss(model)
 
-        loss = fused.loss(codes, wc)
         model.zero_grad()
-        loss.backward()
+        fused.loss(codes, wc)
         params = list(model.parameters())
         rng = np.random.default_rng(9)
         direction = [rng.standard_normal(p.data.shape).astype(np.float32)
@@ -156,7 +163,7 @@ class TestFusedDataLoss:
         analytic = sum(float((p.grad * d).sum())
                        for p, d in zip(params, direction))
         numeric = directional_fd(
-            lambda: FusedDataLoss(model).loss(codes, wc).item(),
+            lambda: FusedDataLoss(model).forward(codes, wc)[0],
             params, direction, eps=2e-3)
         assert numeric == pytest.approx(analytic, rel=0.03, abs=2e-3)
 
@@ -166,10 +173,10 @@ class TestFusedDataLoss:
         wc = np.zeros((16, 4), dtype=bool)
         fused = FusedDataLoss(model)
         model.zero_grad()
-        fused.loss(codes, wc).backward()
+        fused.loss(codes, wc)
         base = collect_grads(model)
         model.zero_grad()
-        (FusedDataLoss(model).loss(codes, wc) * 2.0).backward()
+        FusedDataLoss(model).loss(codes, wc, scale=2.0)
         doubled = collect_grads(model)
         for name in base:
             np.testing.assert_allclose(doubled[name], 2.0 * base[name],
@@ -183,12 +190,12 @@ class TestFusedDataLoss:
         first = batch_codes(model, 16, seed=11)
         second = batch_codes(model, 16, seed=12)
         model.zero_grad()
-        fused.loss(first, wc).backward()     # warm the pool
+        fused.loss(first, wc)                # warm the pool
         model.zero_grad()
-        fused.loss(second, wc).backward()
+        fused.loss(second, wc)
         pooled = collect_grads(model)
         model.zero_grad()
-        FusedDataLoss(model).loss(second, wc).backward()
+        FusedDataLoss(model).loss(second, wc)
         fresh = collect_grads(model)
         assert max_grad_diff(pooled, fresh) == 0.0
 
@@ -200,12 +207,9 @@ class TestFusedDPS:
         for backend in ("legacy", "engine"):
             dps = DifferentiableProgressiveSampler(
                 model, num_samples=8, temperature=1.0, seed=42)
-            est = dps_estimate(dps, backend,
-                               [CONSTRAINTS, CONSTRAINTS[:2] + [None, None]])
-            loss = F.qerror_loss(est, np.array([0.2, 0.4]))
-            model.zero_grad()
-            loss.backward()
-            results[backend] = (est.data.copy(), collect_grads(model))
+            results[backend] = dps_qerror_grads(
+                dps, backend, [CONSTRAINTS, CONSTRAINTS[:2] + [None, None]],
+                np.array([0.2, 0.4]))
         np.testing.assert_allclose(results["legacy"][0],
                                    results["engine"][0], atol=1e-5)
         assert max_grad_diff(results["legacy"][1],
@@ -219,29 +223,26 @@ class TestFusedDPS:
             # Fresh identically-seeded RNG per evaluation: the estimate
             # is then a deterministic, differentiable function of the
             # weights (Gumbel noise enters as a constant).
-            est = fused.estimate_batch([CONSTRAINTS], 8, 1.0,
-                                       np.random.default_rng(13))
-            return est
+            return fused.estimate_batch([CONSTRAINTS], 8, 1.0,
+                                        np.random.default_rng(13))
 
         est = forward()
         model.zero_grad()
-        est.sum().backward()
+        fused.accumulate_grad(np.ones_like(est))   # d sum(est)
         params = list(model.parameters())
         rng = np.random.default_rng(14)
         direction = [rng.standard_normal(p.data.shape).astype(np.float32)
                      for p in params]
         analytic = sum(float((p.grad * d).sum())
                        for p, d in zip(params, direction))
-        numeric = directional_fd(lambda: float(forward().data.sum()),
+        numeric = directional_fd(lambda: float(forward().sum()),
                                  params, direction, eps=2e-3)
         assert numeric == pytest.approx(analytic, rel=0.05, abs=5e-4)
 
     def test_gradients_reach_all_layers(self):
         model = small_model(10)
         dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=3)
-        model.zero_grad()
-        est = dps.estimate_batch([CONSTRAINTS])
-        F.qerror_loss(est, np.array([0.3])).backward()
+        dps_qerror_grads(dps, "engine", [CONSTRAINTS], np.array([0.3]))
         for name, param in [("input", model.input_layer.weight),
                             ("block", model.blocks[0].fc1.weight),
                             ("output", model.output_layer.weight)]:
@@ -257,10 +258,8 @@ class TestFusedDPS:
         for backend in ("legacy", "engine"):
             dps = DifferentiableProgressiveSampler(
                 model, num_samples=8, seed=21)
-            est = dps_estimate(dps, backend, cls)
-            model.zero_grad()
-            F.qerror_loss(est, np.array([0.15])).backward()
-            grads[backend] = collect_grads(model)
+            _, grads[backend] = dps_qerror_grads(dps, backend, cls,
+                                                 np.array([0.15]))
         assert max_grad_diff(grads["legacy"], grads["engine"]) < 1e-4
 
     def test_unknown_backend_rejected(self):
@@ -275,7 +274,50 @@ class TestFusedDPS:
         model = small_model(16)
         dps = DifferentiableProgressiveSampler(model, num_samples=4, seed=1)
         out = dps.estimate_batch([[None] * 4])
-        np.testing.assert_allclose(out.data, 1.0)
+        np.testing.assert_allclose(out, 1.0)
+        model.zero_grad()
+        dps.accumulate_grad(np.ones_like(out))   # a constant: nothing to add
+        assert all(p.grad is None for p in model.parameters())
+
+
+class TestScoreFunction:
+    """The REINFORCE gradient (``ScoreFunctionSampler.accumulate_grad``, on the
+    trunk kernel) vs the graph surrogate it replaced
+    (``reference.dps.surrogate_legacy``): same seed, same hard draws,
+    gradients within the 1e-4 contract."""
+
+    @pytest.mark.parametrize("encoding", ["binary", "onehot", "embedding"])
+    def test_matches_legacy_surrogate(self, encoding):
+        model = small_model(17, encoding=encoding)
+        cls = [CONSTRAINTS, CONSTRAINTS[:2] + [None, fixed([0, 1, 1, 1, 0, 1])]]
+        true = np.array([0.3, 0.2])
+        legacy_sf = ScoreFunctionSampler(model, num_samples=16, seed=5)
+        surrogate, legacy_est = surrogate_legacy(legacy_sf, cls, true)
+        model.zero_grad()
+        surrogate.backward()
+        legacy = collect_grads(model)
+
+        sf = ScoreFunctionSampler(model, num_samples=16, seed=5)
+        est = sf.estimate_batch(cls)
+        model.zero_grad()
+        sf.accumulate_grad(discrepancy("qerror", est, true)[1])
+        engine = collect_grads(model)
+
+        np.testing.assert_allclose(est, legacy_est, rtol=1e-5, atol=1e-7)
+        # Both consumed the uniform stream draw for draw.
+        assert sf.rng.random() == legacy_sf.rng.random()
+        assert max(np.abs(g).max() for g in engine.values()) > 1e-2
+        assert max_grad_diff(legacy, engine) < 1e-4
+
+    def test_single_queried_column_has_no_gradient(self):
+        """Nothing is sampled before the last queried column, so the
+        score-function estimator has no term (as the surrogate)."""
+        model = small_model(18)
+        sf = ScoreFunctionSampler(model, num_samples=4, seed=6)
+        est = sf.estimate_batch([[None, CONSTRAINTS[1], None, None]])
+        model.zero_grad()
+        sf.accumulate_grad(discrepancy("qerror", est, np.array([0.4]))[1])
+        assert all(p.grad is None for p in model.parameters())
 
 
 class TestUAEBackends:

@@ -508,6 +508,7 @@ class UAE(TrainableEstimator):
         snap._init_model_stack(list(self.model.order))
         snap.model.load_state_dict(self.model.state_dict())
         snap.history = list(self.history)
+        snap.metrics = None
         snap.sampler.engine.compiled.ensure_current()
         return snap
 

@@ -9,6 +9,10 @@
   additionally materialises a uniform row sample and feeds the query's
   sample *bitmap* through its own branch — the hybrid-by-features approach
   the paper contrasts with UAE's unified training.
+
+The set-MLP runs in numpy with a hand-written backward of its MSE loss
+(no autograd graph); ``tests/test_estimators_mscn.py`` holds it to the
+graph oracle in ``tests/reference/mscn.py``.
 """
 
 from __future__ import annotations
@@ -16,16 +20,32 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.table import Table
-from ..nn import Adam, Linear, Module, Tensor
-from ..nn import functional as F
+from ..nn import Adam, Linear, Module
 from ..workload.predicate import SUPPORTED_OPS, LabeledWorkload, Query
 from .base import TrainableEstimator
 
 _OP_INDEX = {op: i for i, op in enumerate(SUPPORTED_OPS)}
 
 
+def _affine(layer: Linear, x: np.ndarray) -> np.ndarray:
+    return x @ layer.weight.data.T + layer.bias.data
+
+
+def _relu(z: np.ndarray) -> np.ndarray:
+    return z * (z > 0)
+
+
+def _affine_grads(layer: Linear, x: np.ndarray, g: np.ndarray) -> None:
+    """Accumulate the weight and bias gradients of ``_affine(layer, x)``
+    for the upstream gradient ``g``.  ``(x^T g)^T`` rather than ``g^T x``:
+    the graph oracle's product order, so trained weights match it to the
+    bit."""
+    layer.weight._accumulate((x.T @ g).T)
+    layer.bias._accumulate(g.sum(axis=0))
+
+
 class _SetMLP(Module):
-    """Shared predicate MLP -> mean pool -> output MLP."""
+    """Shared predicate MLP -> masked mean pool -> output MLP -> sigmoid."""
 
     def __init__(self, pred_dim: int, hidden: int, extra_dim: int,
                  rng: np.random.Generator):
@@ -36,26 +56,56 @@ class _SetMLP(Module):
         self.out_fc1 = Linear(merged, hidden, rng)
         self.out_fc2 = Linear(hidden, 1, rng)
 
-    def forward(self, pred_feats: Tensor, pred_mask: np.ndarray,
-                extra: Tensor | None = None) -> Tensor:
-        b, p, d = pred_feats.shape
-        flat = pred_feats.reshape(b * p, d)
-        h = self.pred_fc2(self.pred_fc1(flat).relu()).relu()
-        h = h * Tensor(pred_mask.reshape(b * p, 1).astype(np.float32))
-        pooled = h.reshape(b, p, -1).sum(axis=1)
-        counts = np.maximum(pred_mask.sum(axis=1, keepdims=True), 1.0)
-        pooled = pooled * Tensor((1.0 / counts).astype(np.float32))
+    def forward(self, feats: np.ndarray, mask: np.ndarray,
+                extra: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """Predictions ``[b]`` in (0, 1) and the activations
+        :meth:`accumulate_grad` reads."""
+        b, p, d = feats.shape
+        x = feats.reshape(b * p, d)
+        a1 = _relu(_affine(self.pred_fc1, x))
+        a2 = _relu(_affine(self.pred_fc2, a1))
+        keep = mask.reshape(b * p, 1).astype(np.float32)
+        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        inv = (1.0 / counts).astype(np.float32)
+        merged = (a2 * keep).reshape(b, p, -1).sum(axis=1) * inv
+        side = None
         if self.extra_fc is not None:
-            if extra is None:
-                raise ValueError("extra branch configured but no input given")
-            pooled = _concat(pooled, self.extra_fc(extra).relu())
-        out = self.out_fc2(self.out_fc1(pooled).relu())
-        return out.reshape(b).sigmoid()
+            side = _relu(_affine(self.extra_fc, extra))
+            merged = np.concatenate([merged, side], axis=-1)
+        o1 = _relu(_affine(self.out_fc1, merged))
+        pred = 1.0 / (1.0 + np.exp(-_affine(self.out_fc2, o1).reshape(b)))
+        return pred, (x, a1, a2, keep, inv, extra, side, merged, o1, pred)
 
+    def accumulate_grad(self, acts: tuple, grad: np.ndarray) -> None:
+        """Accumulate every parameter gradient for ``dL/dpred = grad``."""
+        x, a1, a2, keep, inv, extra, side, merged, o1, pred = acts
+        g = (grad * pred * (1.0 - pred)).reshape(-1, 1)
+        _affine_grads(self.out_fc2, o1, g)
+        g = (g @ self.out_fc2.weight.data) * (o1 > 0)
+        _affine_grads(self.out_fc1, merged, g)
+        g = g @ self.out_fc1.weight.data
+        if side is not None:
+            hidden = self.pred_fc2.out_features
+            _affine_grads(self.extra_fc, extra, g[:, hidden:] * (side > 0))
+            g = g[:, :hidden]
+        # Mean pool: every predicate slot of query i gets row i / count,
+        # padding slots nothing.
+        g = np.repeat(g * inv, len(x) // len(g), axis=0) * keep * (a2 > 0)
+        _affine_grads(self.pred_fc2, a1, g)
+        g = (g @ self.pred_fc2.weight.data) * (a1 > 0)
+        _affine_grads(self.pred_fc1, x, g)
 
-def _concat(a: Tensor, b: Tensor) -> Tensor:
-    from ..nn.tensor import concatenate
-    return concatenate([a, b], axis=-1)
+    def mse_loss(self, feats: np.ndarray, mask: np.ndarray,
+                 extra: np.ndarray | None, target: np.ndarray) -> float:
+        """Mean squared error of the predictions against ``target``:
+        accumulates its gradient and returns its value."""
+        pred, acts = self.forward(feats, mask, extra)
+        diff = pred - target
+        scale = np.float32(1.0 / len(diff))
+        grad = diff * scale
+        grad += grad                       # d(diff^2)/d(diff) = 2 diff
+        self.accumulate_grad(acts, grad)
+        return float((diff * diff).sum() * scale)
 
 
 class MSCNBase(TrainableEstimator):
@@ -71,7 +121,10 @@ class MSCNBase(TrainableEstimator):
         self.rng = np.random.default_rng(seed)
         self.pred_dim = table.num_cols + len(SUPPORTED_OPS) + 1
         self.net = _SetMLP(self.pred_dim, hidden, self._extra_dim(), self.rng)
+        # Predictions are log-cardinalities over ``_log_norm``, clipped
+        # to ``[0, _max_card]`` (the join baseline resets both).
         self._log_norm = np.log(table.num_rows + 1.0)
+        self._max_card = table.num_rows
 
     def _extra_dim(self) -> int:
         return 0
@@ -114,11 +167,10 @@ class MSCNBase(TrainableEstimator):
             order = self.rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 idx = order[start:start + self.batch_size]
-                extra_t = None if extra is None else Tensor(extra[idx])
-                pred = self.net(Tensor(feats[idx]), mask[idx], extra_t)
-                loss = F.mse_loss(pred, target[idx])
                 optimizer.zero_grad()
-                loss.backward()
+                self.net.mse_loss(feats[idx], mask[idx],
+                                  None if extra is None else extra[idx],
+                                  target[idx])
                 optimizer.step()
         return self
 
@@ -127,11 +179,9 @@ class MSCNBase(TrainableEstimator):
 
     def estimate_many(self, queries: list[Query]) -> np.ndarray:
         feats, mask = self._featurize(queries)
-        extra = self._extra_features(queries)
-        extra_t = None if extra is None else Tensor(extra)
-        pred = self.net(Tensor(feats), mask, extra_t).data.astype(np.float64)
-        cards = np.exp(pred * self._log_norm) - 1.0
-        return np.clip(cards, 0.0, self.table.num_rows)
+        pred, _ = self.net.forward(feats, mask, self._extra_features(queries))
+        cards = np.exp(pred.astype(np.float64) * self._log_norm) - 1.0
+        return np.clip(cards, 0.0, self._max_card)
 
     def size_bytes(self) -> int:
         return self.net.size_bytes()

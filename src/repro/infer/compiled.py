@@ -29,12 +29,13 @@ product for one parameter version.
 Invalidation contract
 ---------------------
 Compiled artifacts derive from parameter *values*, so the cache is keyed on
-the tuple of parameter version counters (see ``Tensor.version``).  Optimizer
-steps (:class:`~repro.nn.optim.SGD` / :class:`~repro.nn.optim.Adam`) and
-``Module.load_state_dict`` bump versions; any code mutating ``Tensor.data``
-in place must call ``bump_version()``.  ``ensure_current()`` recompiles
-lazily on the next use after a bump — training and estimation can therefore
-interleave freely (Section 4.5 ingestion) without stale reads.
+the tuple of parameter version counters (see ``Parameter.version``).
+Optimizer steps (:class:`~repro.nn.optim.Adam`) and
+``Module.load_state_dict`` bump versions; any code mutating
+``Parameter.data`` in place must call ``bump_version()``.
+``ensure_current()`` recompiles lazily on the next use after a bump —
+training and estimation can therefore interleave freely (Section 4.5
+ingestion) without stale reads.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class CompiledModel:
     def __init__(self, model: ResMADE):
         self.model = model
         # The module tree is fixed once built (training mutates
-        # ``Tensor.data`` and bumps ``version`` in place), so flatten it
+        # ``Parameter.data`` and bumps ``version`` in place), so flatten it
         # once: walking ``Module.parameters()`` per engine call costs ~5 %
         # of single-query CPU.
         self._params = list(model.parameters())

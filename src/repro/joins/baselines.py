@@ -118,6 +118,7 @@ class MSCNJoin(_JoinSampleMixin):
                                 epochs=epochs, seed=seed)
         # Normalise against the full outer join size, not the sample size.
         self.net._log_norm = np.log(self.join_size + 1.0)
+        self.net._max_card = self.join_size
 
     def fit(self, workload: LabeledJoinWorkload, **kwargs) -> "MSCNJoin":
         flat = [self._flat_query(q) for q in workload.queries]
@@ -128,14 +129,7 @@ class MSCNJoin(_JoinSampleMixin):
         return float(self.estimate_many([query])[0])
 
     def estimate_many(self, queries: list[JoinQuery]) -> np.ndarray:
-        flat = [self._flat_query(q) for q in queries]
-        feats, mask = self.net._featurize(flat)
-        extra = self.net._extra_features(flat)
-        from ..nn import Tensor
-        pred = self.net.net(Tensor(feats), mask,
-                            Tensor(extra)).data.astype(np.float64)
-        cards = np.exp(pred * self.net._log_norm) - 1.0
-        return np.clip(cards, 0.0, self.join_size)
+        return self.net.estimate_many([self._flat_query(q) for q in queries])
 
     def size_bytes(self) -> int:
         return self.net.size_bytes()

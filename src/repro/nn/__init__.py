@@ -1,24 +1,23 @@
-"""From-scratch neural-network substrate (autodiff, layers, MADE, optim).
+"""From-scratch neural-network substrate (parameters, layers, MADE, optim).
 
-This package replaces PyTorch for the reproduction: reverse-mode autodiff
-over numpy (:mod:`repro.nn.tensor`), a module system (:mod:`repro.nn.modules`),
-masked autoregressive networks (:mod:`repro.nn.made`), per-column encoders
-(:mod:`repro.nn.encoders`) and optimisers (:mod:`repro.nn.optim`).
+This package replaces PyTorch for the reproduction: array parameters and
+layers (:mod:`repro.nn.modules`), masked autoregressive networks
+(:mod:`repro.nn.made`) and their shared forward kernel
+(:mod:`repro.nn.trunk`), per-column encoders (:mod:`repro.nn.encoders`)
+and the Adam optimiser (:mod:`repro.nn.optim`).  There is no autograd
+graph: every forward and backward is written by hand over numpy arrays.
+The graph the hand-written gradients are checked against lives in
+``tests/reference/``.
 """
 
-from .tensor import Tensor, add_constant, concatenate, ones, stack, tensor, where, zeros
-from .functional import hard_sample_np, mse_loss, sample_gumbel
-from .modules import (Dropout, Embedding, LayerNorm, Linear, MaskedLinear,
-                      Module, ReLU, Sequential)
+from .functional import hard_sample_np, sample_gumbel
+from .modules import Embedding, Linear, MaskedLinear, Module, Parameter
 from .made import ResMADE
-from .optim import SGD, Adam
+from .optim import Adam
 
 __all__ = [
-    "Tensor", "tensor", "zeros", "ones", "concatenate", "stack", "where",
-    "add_constant",
-    "hard_sample_np", "sample_gumbel", "mse_loss",
-    "Module", "Linear", "MaskedLinear", "ReLU", "Sequential", "Embedding",
-    "LayerNorm", "Dropout",
+    "hard_sample_np", "sample_gumbel",
+    "Parameter", "Module", "Linear", "MaskedLinear", "Embedding",
     "ResMADE",
-    "SGD", "Adam",
+    "Adam",
 ]

@@ -1,14 +1,11 @@
 """Numpy softmax helpers, Gumbel noise and categorical sampling for the
-shipped kernels, plus ``mse_loss`` on the autograd graph (the MSCN
-baseline's loss).  The graph softmax family the kernels replaced lives
+shipped kernels.  The graph softmax family the kernels replaced lives
 in ``tests/reference/functional.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .tensor import Tensor
 
 NEG_INF = -1e9  # Finite stand-in for -inf so softmax stays NaN-free.
 
@@ -75,9 +72,3 @@ def sample_gumbel(shape, rng: np.random.Generator, eps: float = 1e-20,
     np.log(u, out=u)
     np.negative(u, out=u)
     return u
-
-
-def mse_loss(est: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = est - Tensor(np.asarray(target, dtype=np.float32))
-    return (diff * diff).mean()

@@ -11,13 +11,6 @@ def kaiming_uniform(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.n
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def xavier_uniform(shape: tuple, fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform init."""
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def zeros(shape: tuple) -> np.ndarray:
     """All-zero float32 parameter array (bias init)."""
     return np.zeros(shape, dtype=np.float32)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .encoders import ColumnEncoder, make_encoder
 from .modules import MaskedLinear, Module
-from .tensor import Tensor
 
 
 def input_degrees(widths: list[int]) -> np.ndarray:
@@ -70,7 +69,8 @@ def mask_between(in_deg: np.ndarray, out_deg: np.ndarray,
 
 
 class ResidualBlock(Module):
-    """ReLU -> MaskedLinear -> ReLU -> MaskedLinear with a skip connection."""
+    """ReLU -> MaskedLinear -> ReLU -> MaskedLinear with a skip connection
+    (the trunk kernel, :mod:`repro.nn.trunk`, runs it)."""
 
     def __init__(self, dim: int, degrees: np.ndarray, rng: np.random.Generator):
         self.fc1 = MaskedLinear(dim, dim, rng)
@@ -78,11 +78,6 @@ class ResidualBlock(Module):
         mask = mask_between(degrees, degrees)
         self.fc1.set_mask(mask)
         self.fc2.set_mask(mask)
-
-    def forward(self, x: Tensor) -> Tensor:
-        h = self.fc1(x.relu())
-        h = self.fc2(h.relu())
-        return x + h
 
 
 class ResMADE(Module):

@@ -1,8 +1,11 @@
-"""Neural-network module system: parameters, layers, containers.
+"""Neural-network module system: parameters and layers.
 
-A tiny analogue of ``torch.nn`` sufficient for ResMADE and MSCN.  Modules own
-:class:`~repro.nn.tensor.Tensor` parameters with ``requires_grad=True``;
-``Module.parameters()`` walks the tree so optimisers can update everything.
+A tiny analogue of ``torch.nn`` holding what ResMADE and MSCN ship.
+A :class:`Parameter` is a float32 array with a gradient buffer and a
+version counter; ``Module.parameters()`` walks the tree so optimisers
+can update everything.  Layers own parameters but no forward: every
+shipped forward and backward is written by hand over the arrays
+(:mod:`repro.nn.trunk`, :mod:`repro.train`, the MSCN estimators).
 """
 
 from __future__ import annotations
@@ -12,36 +15,63 @@ from typing import Iterator
 import numpy as np
 
 from . import init
-from .tensor import Tensor
+
+
+class Parameter:
+    """A trainable float32 array, its gradient and a version counter."""
+
+    __slots__ = ("data", "grad", "version", "_grad_buf")
+
+    def __init__(self, data: np.ndarray):
+        self.data = np.asarray(data, dtype=np.float32)
+        self.grad: np.ndarray | None = None
+        # Monotonic counter bumped whenever ``data`` is mutated in place
+        # (optimizer steps, checkpoint loads).  Caches derived from the
+        # parameter value — fused masked weights, compiled inference
+        # models — compare versions instead of array contents.  Code that
+        # mutates ``data`` directly must call :meth:`bump_version`.
+        self.version = 0
+        # Pooled gradient storage: ``zero_grad`` drops ``grad`` but keeps
+        # this buffer, so a parameter reuses one array across training
+        # steps instead of allocating a fresh gradient every step.
+        # Consequence: a reference to ``p.grad`` taken before
+        # ``zero_grad`` is overwritten by the next step — copy it if it
+        # must outlive the step.
+        self._grad_buf: np.ndarray | None = None
+
+    def bump_version(self) -> None:
+        """Mark ``data`` as mutated so value-derived caches invalidate."""
+        self.version += 1
+
+    def zero_grad(self) -> None:
+        self.grad = None
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one gradient contribution (the first lands in the pool)."""
+        if self.grad is None:
+            buf = self._grad_buf
+            if buf is None or buf.shape != self.data.shape \
+                    or buf.dtype != self.data.dtype:
+                buf = self._grad_buf = np.empty_like(self.data)
+            np.copyto(buf, grad)
+            self.grad = buf
+        else:
+            self.grad += grad
 
 
 class Module:
     """Base class; subclasses register parameters/submodules as attributes."""
 
-    def parameters(self) -> Iterator[Tensor]:
-        seen: set[int] = set()
-        for value in self.__dict__.values():
-            if isinstance(value, Tensor) and value.requires_grad:
-                if id(value) not in seen:
-                    seen.add(id(value))
-                    yield value
-            elif isinstance(value, Module):
-                yield from value.parameters()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.parameters()
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        if id(item) not in seen:
-                            seen.add(id(item))
-                            yield item
+    def parameters(self) -> Iterator[Parameter]:
+        for _, param in self._iter_named_params(""):
+            yield param
 
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return sum(p.data.size for p in self.parameters())
 
     def size_bytes(self) -> int:
         """Model footprint: 4 bytes per float32 parameter."""
@@ -49,28 +79,24 @@ class Module:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Flat name → array mapping, for checkpoint save/restore."""
-        out: dict[str, np.ndarray] = {}
-        self._collect_state("", out)
-        return out
+        return {key: param.data.copy()
+                for key, param in self._iter_named_params("")}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = {}
-        self._collect_state("", own)
-        missing = set(own) - set(state)
+        named = list(self._iter_named_params(""))
+        missing = {key for key, _ in named} - set(state)
         if missing:
             raise KeyError(f"state dict missing keys: {sorted(missing)}")
-        for key, tensor_ref in self._iter_named_params(""):
-            tensor_ref.data = np.array(state[key], dtype=np.float32)
-            tensor_ref.bump_version()
-
-    def _collect_state(self, prefix: str, out: dict[str, np.ndarray]) -> None:
-        for key, tensor_ref in self._iter_named_params(prefix):
-            out[key] = tensor_ref.data.copy()
+        for key, param in named:
+            param.data = np.array(state[key], dtype=np.float32)
+            param.bump_version()
 
     def _iter_named_params(self, prefix: str):
+        """``(dotted name, parameter)`` in attribute order, submodules
+        (and lists of them) recursively."""
         for name, value in self.__dict__.items():
             path = f"{prefix}{name}"
-            if isinstance(value, Tensor) and value.requires_grad:
+            if isinstance(value, Parameter):
                 yield path, value
             elif isinstance(value, Module):
                 yield from value._iter_named_params(path + ".")
@@ -78,14 +104,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item._iter_named_params(f"{path}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{path}.{i}", item
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
-
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class Linear(Module):
@@ -95,45 +113,32 @@ class Linear(Module):
                  rng: np.random.Generator, bias: bool = True):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(
-            init.kaiming_uniform((out_features, in_features), in_features, rng),
-            requires_grad=True)
-        self.bias = (Tensor(init.zeros((out_features,)), requires_grad=True)
-                     if bias else None)
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        self.weight = Parameter(
+            init.kaiming_uniform((out_features, in_features), in_features, rng))
+        self.bias = Parameter(init.zeros((out_features,))) if bias else None
 
 
-class MaskedLinear(Module):
+class MaskedLinear(Linear):
     """Linear layer whose weight is elementwise-multiplied by a fixed mask.
 
     The mask enforces MADE's autoregressive property: entry ``[o, i]`` is 1
     iff output unit ``o`` may depend on input unit ``i``.
 
     The fused product ``weight * mask`` is cached (together with its
-    transpose) and invalidated through the weight tensor's version counter,
-    which optimizer steps and checkpoint loads bump — so no forward pays
-    the elementwise multiply on every call.  This cache is the single
-    source of fused weights: the ResMADE trunk kernel
-    (:mod:`repro.nn.trunk`, which inference, both fused training losses
-    and the NLL evaluation run), the inference snapshot's heads and
-    input deltas (:class:`repro.infer.CompiledModel`), and the autograd
-    forward below (the REINFORCE ablation and the tests' oracle).
+    transpose) and invalidated through the weight parameter's version
+    counter, which optimizer steps and checkpoint loads bump — so no
+    forward pays the elementwise multiply on every call.  This cache is
+    the single source of fused weights: the ResMADE trunk kernel
+    (:mod:`repro.nn.trunk`, which inference, both fused training losses,
+    the REINFORCE ablation and the NLL evaluation run) and the inference
+    snapshot's heads and input deltas (:class:`repro.infer.CompiledModel`).
+    A gradient reaches ``weight`` only through the mask, so the kernels
+    multiply their weight gradients by it.
     """
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, bias: bool = True):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Tensor(
-            init.kaiming_uniform((out_features, in_features), in_features, rng),
-            requires_grad=True)
-        self.bias = (Tensor(init.zeros((out_features,)), requires_grad=True)
-                     if bias else None)
+        super().__init__(in_features, out_features, rng, bias)
         self.mask = np.ones((out_features, in_features), dtype=np.float32)
         self._fused: np.ndarray | None = None
         self._fused_t: np.ndarray | None = None
@@ -164,72 +169,6 @@ class MaskedLinear(Module):
         self._refresh_fused()
         return self._fused_t
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.forward_rows(x, slice(None))
-
-    def forward_rows(self, x: Tensor, rows: slice) -> Tensor:
-        """Affine map restricted to output units ``rows``.
-
-        Forward uses the cached fused weight; backward applies the mask to
-        the weight gradient directly — identical math to multiplying
-        ``weight * mask`` inside the graph, without the per-call product.
-        The fast closure assumes the usual ``[batch, features]`` input;
-        higher-rank inputs take the explicit graph (general broadcasting
-        gradients).
-        """
-        if x.ndim != 2:
-            masked = (self.weight * Tensor(self.mask))[rows]
-            out = x @ masked.T
-            if self.bias is not None:
-                out = out + self.bias[rows]
-            return out
-        fused = self.fused_weight()[rows]
-        data = x.data @ fused.T
-        bias = self.bias
-        if bias is not None:
-            data = data + bias.data[rows]
-        layer, weight = self, self.weight
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def make(out: Tensor):
-            def backward():
-                if x.requires_grad:
-                    x._accumulate(out.grad @ fused)
-                if weight.requires_grad:
-                    rows_grad = (out.grad.T @ x.data) * layer.mask[rows]
-                    if rows == slice(None):
-                        grad_w = rows_grad
-                    else:
-                        grad_w = np.zeros_like(weight.data)
-                        grad_w[rows] = rows_grad
-                    weight._accumulate(grad_w)
-                if bias is not None and bias.requires_grad:
-                    rows_grad = out.grad.sum(axis=0)
-                    if rows == slice(None):
-                        grad_b = rows_grad
-                    else:
-                        grad_b = np.zeros_like(bias.data)
-                        grad_b[rows] = rows_grad
-                    bias._accumulate(grad_b)
-            return backward
-
-        return Tensor._make(data, parents, make)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Sequential(Module):
-    def __init__(self, *layers: Module):
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
 
 class Embedding(Module):
     """Lookup table mapping integer codes to dense vectors.
@@ -241,50 +180,4 @@ class Embedding(Module):
     def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator):
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self.weight = Tensor(init.normal((num_embeddings, dim), 0.1, rng),
-                             requires_grad=True)
-
-    def forward(self, codes: np.ndarray) -> Tensor:
-        return self.weight.gather_rows(np.asarray(codes, dtype=np.int64))
-
-    def soft_lookup(self, weights: Tensor) -> Tensor:
-        """Differentiable lookup with a soft one-hot ``weights`` matrix.
-
-        ``weights``: ``[batch, num_embeddings]`` — e.g. a Gumbel-Softmax
-        sample — returns ``weights @ table``.
-        """
-        return weights @ self.weight
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
-
-
-class Dropout(Module):
-    """Inverted dropout; active only when ``training`` is True."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng
-        self.training = True
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = (self.rng.random(x.shape) >= self.p).astype(np.float32)
-        return x * Tensor(keep / (1.0 - self.p))
+        self.weight = Parameter(init.normal((num_embeddings, dim), 0.1, rng))

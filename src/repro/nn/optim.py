@@ -1,10 +1,10 @@
-"""Optimisers: SGD (with momentum) and Adam.
+"""The Adam optimiser over :class:`~repro.nn.modules.Parameter` arrays.
 
-Both optimizers update parameters **in place** through preallocated
-per-parameter scratch buffers — a training step allocates no fresh arrays
-— and expose ``state_dict``/``load_state_dict`` so callers (e.g.
-``UAE.fit`` early stopping) can snapshot and restore moments alongside
-model weights.
+Adam updates parameters **in place** through preallocated per-parameter
+scratch buffers — a training step allocates no fresh arrays — and
+exposes ``state_dict``/``load_state_dict`` so callers (e.g. ``UAE.fit``
+early stopping) can snapshot and restore moments alongside model
+weights.
 
 Gradient clipping (Adam's ``grad_clip``) scales by the **global** L2 norm
 across every parameter, the standard ``clip_grad_norm_`` semantics: all
@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .modules import Parameter
 
 
 class Optimizer:
     """Base optimizer: holds parameters and clears gradients."""
 
     def __init__(self, params, lr: float):
-        self.params: list[Tensor] = list(params)
+        self.params: list[Parameter] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
@@ -61,42 +61,6 @@ class Optimizer:
             for p in self.params:
                 if p.grad is not None:
                     p.grad *= scale
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and decay."""
-
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v, s in zip(self.params, self._velocity, self._scratch):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                np.multiply(p.data, self.weight_decay, out=s)
-                s += grad
-                grad = s
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            np.multiply(grad, self.lr, out=s)
-            p.data -= s
-            p.bump_version()
-
-    def state_dict(self) -> dict:
-        return {"velocity": [v.copy() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        for v, src in zip(self._velocity, state["velocity"]):
-            np.copyto(v, src)
 
 
 class Adam(Optimizer):

@@ -23,11 +23,11 @@ import numpy as np
 
 from repro.infer import compile_constraints
 from repro.nn.functional import softmax_np
-from repro.nn.tensor import Tensor, concatenate
 
 from . import functional as F
 from .gumbel import gs_sample
 from .made import column_logits_from_hidden, encode_soft, hidden_tensor
+from .tensor import Tensor, add_constant, concatenate
 
 
 def estimate_batch_legacy(dps, constraint_lists: list[list]) -> Tensor:
@@ -79,7 +79,6 @@ def estimate_batch_legacy(dps, constraint_lists: list[list]) -> Tensor:
         # scaling stays unbiased under DPS too.
         masked_logits = F.masked_fill(logits, ~valid)
         if gain is not None:
-            from repro.nn.tensor import add_constant
             masked_logits = add_constant(
                 masked_logits,
                 np.log(np.maximum(gain, 1e-30)).astype(np.float32))

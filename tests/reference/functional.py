@@ -3,7 +3,7 @@
 ``softmax``, ``log_softmax``, ``cross_entropy`` and ``masked_fill``
 moved here unchanged from ``repro.nn.functional`` once no shipped path
 built a graph over them.  Built from the primitive ops in
-:mod:`repro.nn.tensor`, so gradients flow automatically; the
+:mod:`reference.tensor`, so gradients flow automatically; the
 numerically sensitive pieces subtract a *detached* running maximum, the
 standard stabilisation that does not change the mathematical gradient.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.functional import NEG_INF
-from repro.nn.tensor import Tensor, add_constant, where
+
+from .tensor import Tensor, add_constant, where
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:

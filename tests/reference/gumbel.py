@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.functional import sample_gumbel
-from repro.nn.tensor import Tensor, add_constant
 
 from .functional import log_softmax, softmax
+from .tensor import Tensor, add_constant
 
 
 def gs_sample(log_probs: Tensor, tau: float,

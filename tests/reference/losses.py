@@ -1,9 +1,8 @@
-"""Graph-built query-loss discrepancies: the oracle for
-:func:`repro.train.discrepancy`.
+"""Graph-built losses: the oracle for :func:`repro.train.discrepancy`
+and for the MSCN baselines' hand-written MSE backward.
 
-``qerror_loss`` and ``msle_loss`` moved here unchanged from
-``repro.nn.functional``; ``mse_loss`` still ships there (the MSCN
-baseline trains on it).  The closed form mirrors these float32 ops in
+``qerror_loss``, ``msle_loss`` and ``mse_loss`` moved here unchanged from
+``repro.nn.functional``.  The closed form mirrors these float32 ops in
 order, so ``tests/test_nn_functional.py`` holds it to them bit for bit.
 """
 
@@ -11,8 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import mse_loss
-from repro.nn.tensor import Tensor
+from .tensor import Tensor
+
+
+def mse_loss(est: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target."""
+    diff = est - Tensor(np.asarray(target, dtype=np.float32))
+    return (diff * diff).mean()
 
 
 def qerror_loss(est: Tensor, true_sel: np.ndarray, eps: float = 1e-9) -> Tensor:

@@ -22,7 +22,10 @@ import numpy as np
 from repro.nn.encoders import (BinaryEncoder, ColumnEncoder,
                                EmbeddingEncoder, OneHotEncoder)
 from repro.nn.made import ResMADE
-from repro.nn.tensor import Tensor, concatenate
+
+from .modules import (embedding, masked_linear, masked_linear_rows,
+                      residual_block, soft_lookup)
+from .tensor import Tensor, concatenate
 
 
 # ----------------------------------------------------------------------
@@ -81,20 +84,21 @@ def nll_np(model: ResMADE, codes: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 def hidden_tensor(model: ResMADE, x: Tensor) -> Tensor:
     """Differentiable trunk: encoded input -> pre-ReLU final hidden."""
-    h = model.input_layer(x)
+    h = masked_linear(model.input_layer, x)
     for block in model.blocks:
-        h = block(h)
+        h = residual_block(block, h)
     return h
 
 
 def column_logits_from_hidden(model: ResMADE, h: Tensor, col: int) -> Tensor:
     """Project hidden state to just column ``col``'s logits."""
-    return model.output_layer.forward_rows(h.relu(), model.logit_slices[col])
+    return masked_linear_rows(model.output_layer, h.relu(),
+                              model.logit_slices[col])
 
 
 def forward(model: ResMADE, x: Tensor) -> Tensor:
     """Differentiable encoded input -> all logits."""
-    return model.output_layer(hidden_tensor(model, x).relu())
+    return masked_linear(model.output_layer, hidden_tensor(model, x).relu())
 
 
 def encode_hard_tensor(enc: ColumnEncoder, codes: np.ndarray,
@@ -108,7 +112,7 @@ def encode_hard_tensor(enc: ColumnEncoder, codes: np.ndarray,
         else np.asarray(wildcard, dtype=bool)
     keep = Tensor((~wc).astype(np.float32)[:, None])
     flag = Tensor(wc.astype(np.float32)[:, None])
-    return concatenate([enc.table(codes) * keep, flag], axis=-1)
+    return concatenate([embedding(enc.table, codes) * keep, flag], axis=-1)
 
 
 def encode_tuples_tensor(model: ResMADE, codes: np.ndarray,
@@ -133,6 +137,6 @@ def encode_soft(enc: ColumnEncoder, weights: Tensor) -> Tensor:
     elif isinstance(enc, BinaryEncoder):
         values = weights @ Tensor(enc.code_matrix)
     else:
-        values = enc.table.soft_lookup(weights)
+        values = soft_lookup(enc.table, weights)
     zeros = Tensor(np.zeros((weights.shape[0], 1), dtype=np.float32))
     return concatenate([values, zeros], axis=-1)

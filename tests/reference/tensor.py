@@ -1,13 +1,15 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays: the oracle
+every hand-written gradient in ``src/`` is checked against.
 
-This module is the substrate that replaces PyTorch in this reproduction.  It
-implements a :class:`Tensor` wrapper around ``numpy.ndarray`` with a dynamic
-computation graph and reverse-mode gradients, supporting everything the UAE
-model needs: broadcasting arithmetic, matrix multiplication, reductions,
+Moved here from ``repro.nn.tensor``.  :class:`Tensor` wraps a
+``numpy.ndarray`` with a dynamic computation graph and reverse-mode
+gradients: broadcasting arithmetic, matrix multiplication, reductions,
 softmax-style compositions, gather/scatter indexing, concatenation and
-masking.  Gradients flow through every op exactly as they would in a standard
-deep-learning framework, which is what makes differentiable progressive
-sampling (paper Section 4.3) implementable here.
+masking.  :func:`leaf` lets a graph read a shipped
+:class:`~repro.nn.modules.Parameter`: every gradient contribution the
+graph sends to the leaf is passed straight to ``Parameter._accumulate``,
+so an oracle backward fills the same ``.grad`` buffers the hand-written
+kernels do, summed in the same order.
 
 Design notes
 ------------
@@ -24,6 +26,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from repro.nn.modules import Parameter
 
 DEFAULT_DTYPE = np.float32
 
@@ -59,7 +63,7 @@ class Tensor:
     """A numpy-backed tensor that records operations for backpropagation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name",
-                 "version", "_grad_buf")
+                 "_grad_buf")
 
     def __init__(self, data, requires_grad: bool = False, _prev: Sequence["Tensor"] = (),
                  name: str = ""):
@@ -69,23 +73,9 @@ class Tensor:
         self._backward: Callable[[], None] | None = None
         self._prev: tuple[Tensor, ...] = tuple(_prev)
         self.name = name
-        # Monotonic counter bumped whenever ``data`` is mutated in place
-        # (optimizer steps, checkpoint loads).  Caches derived from the
-        # parameter value — fused masked weights, compiled inference
-        # models — compare versions instead of array contents.  Code that
-        # mutates ``data`` directly must call :meth:`bump_version`.
-        self.version = 0
-        # Pooled gradient storage: ``zero_grad`` drops ``grad`` but keeps
-        # this buffer, so long-lived tensors (parameters) reuse one array
-        # across training steps instead of allocating a fresh gradient
-        # every ``backward``.  Consequence: a reference to ``p.grad``
-        # taken before ``zero_grad`` is overwritten by the next backward —
-        # copy it if it must outlive the step.
+        # Pooled gradient storage, as on ``Parameter``: ``zero_grad``
+        # drops ``grad`` but keeps this buffer.
         self._grad_buf: np.ndarray | None = None
-
-    def bump_version(self) -> None:
-        """Mark ``data`` as mutated so value-derived caches invalidate."""
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -526,6 +516,23 @@ class Tensor:
             return backward
 
         return Tensor._make(data, (self,), make)
+
+
+class _Leaf(Tensor):
+    """A graph leaf over a :class:`Parameter` (see :func:`leaf`)."""
+
+    __slots__ = ("param",)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        self.param._accumulate(grad)
+
+
+def leaf(param: Parameter) -> Tensor:
+    """A graph leaf sharing ``param.data`` whose gradient contributions
+    go straight to ``param._accumulate``, each as the graph sends it."""
+    out = _Leaf(param.data, requires_grad=True)
+    out.param = param
+    return out
 
 
 # ----------------------------------------------------------------------

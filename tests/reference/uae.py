@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import UAE
-from repro.nn.tensor import Tensor
 
 from . import functional as F
 from .dps import estimate_batch_legacy
 from .losses import GRAPH_DISCREPANCY
 from .made import forward_codes, logits_for
+from .tensor import Tensor
 
 
 def backward_scaled(loss: Tensor, scale: float) -> float:

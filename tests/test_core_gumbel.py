@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.nn.functional import hard_sample_np
-from repro.nn.tensor import Tensor
 
 from reference.gumbel import gs_sample, gs_sample_from_logits
+from reference.tensor import Tensor
 
 
 class TestGumbelSoftmax:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core import UAE, UAEConfig
-from repro.estimators import Naru
+from repro.estimators import MSCNBase, MSCNSampling, Naru
+from repro.obs import MetricsRegistry
 from repro.workload import (LabeledWorkload, Predicate, Query,
                             generate_inworkload, qerrors, summarize,
                             true_cardinality)
@@ -123,11 +124,13 @@ class TestNoGraph:
                                                tiny_workload):
         """No step builds an autograd graph, so none leaves a reference
         cycle for the cyclic collector: hybrid fit, Section 4.5
-        refinement and the REINFORCE ablation all free their state by
-        reference counting alone."""
+        refinement, the REINFORCE ablation and the MSCN baselines all
+        free their state by reference counting alone."""
         hybrid = UAE(tiny_table, **FAST)
         refined = UAE(tiny_table, **FAST)
         reinforce = UAE(tiny_table, **FAST, gradient_estimator="reinforce")
+        mscn = [cls(tiny_table, epochs=2, batch_size=8, seed=0)
+                for cls in (MSCNBase, MSCNSampling)]
         gc.collect()
         gc.disable()
         try:
@@ -135,6 +138,8 @@ class TestNoGraph:
             refined.ingest_data(tiny_table.codes[:300], epochs=2)
             refined.ingest_queries(tiny_workload, epochs=2)
             reinforce.fit(epochs=1, workload=tiny_workload, mode="query")
+            for est in mscn:
+                est.fit(tiny_workload)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -264,6 +269,12 @@ class TestPersistence:
         uae.fit(epochs=1, mode="data")
         assert snap.sampler.engine.compiled.ensure_current() is False
         assert uae.sampler.engine.compiled.ensure_current() is True
+
+    def test_snapshot_does_not_share_metrics(self, tiny_table):
+        """A served snapshot never records into its trainer's registry."""
+        uae = UAE(tiny_table, **FAST)
+        uae.metrics = MetricsRegistry()
+        assert uae.snapshot().metrics is None
 
 
 class TestIncremental:

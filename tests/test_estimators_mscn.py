@@ -5,8 +5,15 @@ import pytest
 
 from repro.data import Table
 from repro.estimators import MSCNBase, MSCNSampling
-from repro.workload import (WorkloadConfig, generate_inworkload,
+from repro.workload import (Query, WorkloadConfig, generate_inworkload,
                             generate_random, qerrors)
+
+from reference.losses import mse_loss
+from reference.mscn import set_mlp_forward
+from reference.parity import collect_grads, max_grad_diff
+from reference.tensor import Tensor
+
+CONTRACT = 1e-4          # the documented parity tolerance (README/ROADMAP)
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +93,41 @@ class TestTraining:
         base = MSCNBase(table, epochs=1)
         plus = MSCNSampling(table, epochs=1)
         assert plus.size_bytes() > base.size_bytes()
+
+
+class TestGradientParity:
+    """The hand-written set-MLP backward against the graph oracle."""
+
+    @pytest.mark.parametrize("cls", [MSCNBase, MSCNSampling],
+                             ids=["base", "sampling"])
+    def test_matches_graph_oracle(self, cls, table, workloads):
+        train = workloads["train"]
+        # Trained weights (live ReLUs on every layer) and a batch mixing
+        # one-predicate queries with longer ones, so padded predicate
+        # slots and the mean pool's per-query counts both matter.
+        est = cls(table, epochs=2, seed=0).fit(train)
+        queries = ([Query(q.predicates[:1]) for q in train.queries[:3]]
+                   + train.queries[3:12])
+        feats, mask = est._featurize(queries)
+        assert (mask.sum(axis=1) == 1).any() and (mask == 0).any()
+        extra = est._extra_features(queries)
+        target = np.random.default_rng(2).random(len(queries),
+                                                 dtype=np.float32)
+
+        est.net.zero_grad()
+        loss = est.net.mse_loss(feats, mask, extra, target)
+        hand = collect_grads(est.net)
+        est.net.zero_grad()
+        pred = set_mlp_forward(est.net, Tensor(feats), mask,
+                               None if extra is None else Tensor(extra))
+        graph_loss = mse_loss(pred, target)
+        graph_loss.backward()
+        oracle = collect_grads(est.net)
+
+        assert sorted(hand) == sorted(oracle)
+        assert ("extra_fc.weight" in hand) == (cls is MSCNSampling)
+        assert all(np.abs(g).max() > 0 for g in hand.values())
+        assert max_grad_diff(hand, oracle) < CONTRACT
+        assert loss == pytest.approx(graph_loss.item(), abs=CONTRACT)
+        np.testing.assert_allclose(est.net.forward(feats, mask, extra)[0],
+                                   pred.data, atol=CONTRACT)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import ResMADE, Tensor
+from repro.nn import ResMADE
 from repro.nn.encoders import (BinaryEncoder, EmbeddingEncoder, OneHotEncoder,
                                binary_code_matrix, make_encoder)
 from repro.nn.made import (hidden_degrees, input_degrees, mask_between,
@@ -13,6 +13,7 @@ from repro.nn.made import (hidden_degrees, input_degrees, mask_between,
 from repro.train import FusedDataLoss
 
 from reference import made as ref
+from reference.tensor import Tensor
 
 RNG = np.random.default_rng(5)
 

@@ -1,57 +1,29 @@
-"""Optimizer tests: descent on quadratics, momentum, Adam bias correction."""
+"""Optimizer tests: descent on quadratics, Adam bias correction, clipping.
+
+Losses are built on the reference graph over ``leaf(p)``, so each
+``backward()`` fills the :class:`Parameter`'s ``.grad`` as a shipped
+kernel would.
+"""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Tensor
+from repro.nn import Adam, Parameter
+
+from reference.tensor import Tensor, leaf
 
 
-def quadratic_loss(param: Tensor) -> Tensor:
-    return ((param - 3.0) ** 2).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.zeros(4), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        for _ in range(200):
-            loss = quadratic_loss(p)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, 3.0, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = Tensor(np.zeros(1), requires_grad=True)
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                loss = quadratic_loss(p)
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-            return abs(p.data[0] - 3.0)
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = Tensor(np.full(3, 10.0), requires_grad=True)
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
-        # Zero loss gradient: only decay acts.
-        loss = (p * 0.0).sum()
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        assert np.all(np.abs(p.data) < 10.0)
-
-    def test_empty_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+def quadratic_loss(param: Parameter) -> Tensor:
+    return ((leaf(param) - 3.0) ** 2).sum()
 
 
 class TestAdam:
+    def test_empty_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
     def test_converges_on_quadratic(self):
-        p = Tensor(np.full(4, -5.0), requires_grad=True)
+        p = Parameter(np.full(4, -5.0))
         opt = Adam([p], lr=0.3)
         for _ in range(300):
             loss = quadratic_loss(p)
@@ -62,18 +34,18 @@ class TestAdam:
 
     def test_first_step_size_close_to_lr(self):
         """Bias correction makes the first Adam step ~lr in magnitude."""
-        p = Tensor(np.array([10.0]), requires_grad=True)
+        p = Parameter(np.array([10.0]))
         opt = Adam([p], lr=0.5)
-        loss = (p * 1.0).sum()
+        loss = (leaf(p) * 1.0).sum()
         opt.zero_grad()
         loss.backward()
         opt.step()
         assert abs(10.0 - p.data[0]) == pytest.approx(0.5, rel=1e-3)
 
     def test_grad_clip_limits_update(self):
-        p = Tensor(np.zeros(1), requires_grad=True)
+        p = Parameter(np.zeros(1))
         opt = Adam([p], lr=0.1, grad_clip=1.0)
-        loss = (p * 1e6).sum()
+        loss = (leaf(p) * 1e6).sum()
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -81,8 +53,8 @@ class TestAdam:
         assert abs(p.data[0]) <= 0.2
 
     def test_skips_params_without_grad(self):
-        used = Tensor(np.zeros(1), requires_grad=True)
-        unused = Tensor(np.ones(1), requires_grad=True)
+        used = Parameter(np.zeros(1))
+        unused = Parameter(np.ones(1))
         opt = Adam([used, unused], lr=0.1)
         loss = quadratic_loss(used)
         opt.zero_grad()
@@ -94,10 +66,11 @@ class TestAdam:
         """Clipping scales every gradient by one shared factor, so the
         relative step sizes between parameters are preserved (per-tensor
         clipping would silently rebalance layer learning rates)."""
-        a = Tensor(np.zeros(1), requires_grad=True)
-        b = Tensor(np.zeros(1), requires_grad=True)
+        a = Parameter(np.zeros(1))
+        b = Parameter(np.zeros(1))
         opt = Adam([a, b], lr=0.1, grad_clip=1.0)
-        loss = (a * 30.0).sum() + (b * 40.0).sum()   # global norm 50
+        # Global norm 50.
+        loss = (leaf(a) * 30.0).sum() + (leaf(b) * 40.0).sum()
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -106,16 +79,16 @@ class TestAdam:
         np.testing.assert_allclose(b.grad, 40.0 / 50.0, rtol=1e-5)
 
     def test_grad_clip_noop_below_threshold(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
+        p = Parameter(np.zeros(2))
         opt = Adam([p], lr=0.1, grad_clip=10.0)
-        loss = (p * 1.0).sum()
+        loss = (leaf(p) * 1.0).sum()
         opt.zero_grad()
         loss.backward()
         opt.step()
         np.testing.assert_allclose(p.grad, 1.0)
 
     def test_state_dict_roundtrip(self):
-        p = Tensor(np.full(3, 5.0), requires_grad=True)
+        p = Parameter(np.full(3, 5.0))
         opt = Adam([p], lr=0.1)
         for _ in range(3):
             loss = quadratic_loss(p)
@@ -143,22 +116,3 @@ class TestAdam:
         loss.backward()
         opt.step()
         np.testing.assert_array_equal(snap["m"][0], snap["m"][0].copy())
-
-
-class TestSGDState:
-    def test_state_dict_roundtrip(self):
-        p = Tensor(np.full(2, 4.0), requires_grad=True)
-        opt = SGD([p], lr=0.05, momentum=0.9)
-        for _ in range(3):
-            loss = quadratic_loss(p)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        snap = opt.state_dict()
-        for _ in range(2):
-            loss = quadratic_loss(p)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        opt.load_state_dict(snap)
-        np.testing.assert_array_equal(opt._velocity[0], snap["velocity"][0])

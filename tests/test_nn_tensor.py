@@ -1,13 +1,15 @@
-"""Gradient and semantics checks for the autodiff engine."""
+"""Gradient and semantics checks for the autodiff engine the reference
+paths (``tests/reference/``) build their graphs on."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import (Tensor, add_constant, concatenate, stack, where,
-                             zeros)
 from tests.conftest import numeric_gradient
+
+from reference.tensor import (Tensor, add_constant, concatenate, ones, stack,
+                              where, zeros)
 
 RNG = np.random.default_rng(0)
 
@@ -211,7 +213,6 @@ class TestGraphMechanics:
 
     def test_zeros_ones_helpers(self):
         assert zeros((2, 2)).data.sum() == 0
-        from repro.nn.tensor import ones
         assert ones((2, 2)).data.sum() == 4
 
 

@@ -9,13 +9,14 @@ autograd graph is the tests' oracle, not a training path.
 import numpy as np
 import pytest
 
-from repro.core import UAE, DifferentiableProgressiveSampler, ProgressiveSampler
+from repro.core import UAE
 from repro.data import make_toy
 from repro.data.schema import make_imdb
+from repro.infer import InferenceEngine
 from repro.joins import StarJoinSampler
 from repro.nn import Adam, ResMADE
 from repro.nn.trunk import trunk_forward
-from repro.train import FusedDataLoss
+from repro.train import FusedDataLoss, FusedDPS
 from repro.workload import generate_inworkload
 
 
@@ -72,16 +73,16 @@ def test_training_step(benchmark, batch):
 
 def test_progressive_sampling(benchmark, model):
     masks = [("fixed", np.arange(d) < d // 2) for d in model.domain_sizes]
-    sampler = ProgressiveSampler(model, num_samples=128, seed=0)
-    benchmark(sampler.estimate, masks)
+    engine, rng = InferenceEngine(model), np.random.default_rng(0)
+    benchmark(engine.estimate_batch, [masks], 128, rng)
 
 
 def test_dps_forward_backward(benchmark, model):
     masks = [("fixed", np.arange(d) < d // 2) for d in model.domain_sizes]
-    dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=0)
+    dps, rng = FusedDPS(model), np.random.default_rng(0)
 
     def step():
-        est = dps.estimate_batch([masks])
+        est = dps.estimate_batch([masks], 8, 1.0, rng)
         model.zero_grad()
         dps.accumulate_grad(np.ones_like(est))   # d sum(est)
     benchmark(step)

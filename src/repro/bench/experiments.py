@@ -306,7 +306,6 @@ def sweep_temperature(profile: Profile | None = None,
     rows = []
     for tau in values:
         refined = base.clone(temperature=tau)
-        refined.dps.temperature = tau
         refined.ingest_queries(setup["train"], epochs=profile.query_epochs)
         err = summarize(refined.estimate_many(setup["test_in"].queries),
                         setup["test_in"].cardinalities)
@@ -394,7 +393,6 @@ def estimation_latency(profile: Profile | None = None,
     for est in estimators:
         latency = est.latency_seconds(queries)
         rows.append({"model": est.name, "ms_per_query": latency * 1e3})
-    rows.sort(key=lambda r: r["ms_per_query"])
     return {"title": "Figure 5(2): estimation latency on DMV "
                      f"(profile={profile.name})",
             "columns": ["model", "ms_per_query"], "rows": rows}

@@ -1,8 +1,10 @@
 """Inference-engine latency/throughput microbenchmark.
 
-Measures ``ProgressiveSampler.estimate_batch`` (the compiled engine) and
-the scheduler-grouped ``estimate_many`` path over one seeded DMV
-workload, and A/B-gates the cost of the engine's metrics instrumentation.
+Measures ``InferenceEngine.estimate_batch`` (the compiled engine) and
+the scheduler-grouped ``BatchScheduler.estimate_many`` path (what
+``UAE.cardinalities`` runs), each called directly, over one seeded DMV
+workload, and A/B-gates the cost of the engine's metrics
+instrumentation.
 Agreement with the reference loop is a tier-1 contract
 (``tests/test_infer_engine.py``), not a bench row.
 
@@ -21,8 +23,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ..core import UAE
-from ..core.progressive import ProgressiveSampler
 from ..data import load
+from ..infer import InferenceEngine
 from ..workload import generate_inworkload
 from .profiles import Profile, current_profile
 from .reporting import RESULTS_DIR
@@ -40,17 +42,20 @@ _LATENCY_QUERIES = {"small": 16, "bench": 64, "paper": 256}
 OBS_OVERHEAD_PCT = 7.0
 
 
-def _time_batches(sampler: ProgressiveSampler, constraints: list[list],
-                  batch_queries: int) -> float:
+def _time_batches(engine: InferenceEngine, constraints: list[list],
+                  batch_queries: int, num_samples: int,
+                  rng: np.random.Generator) -> float:
     """Wall-clock seconds for chunked ``estimate_batch``."""
     start = time.perf_counter()
     for lo in range(0, len(constraints), batch_queries):
-        sampler.estimate_batch(constraints[lo:lo + batch_queries])
+        engine.estimate_batch(constraints[lo:lo + batch_queries],
+                              num_samples, rng)
     return time.perf_counter() - start
 
 
-def _measure_obs_overhead(sampler: ProgressiveSampler,
+def _measure_obs_overhead(engine: InferenceEngine,
                           constraints: list[list], batch_queries: int,
+                          num_samples: int, rng: np.random.Generator,
                           reps: int = 5) -> tuple[float, float]:
     """Median wall-clock for the engine path with metrics off vs on.
 
@@ -59,17 +64,17 @@ def _measure_obs_overhead(sampler: ProgressiveSampler,
     """
     from ..obs import MetricsRegistry
 
-    engine = sampler.engine
     plain: list[float] = []
     instrumented: list[float] = []
     try:
         for _ in range(reps):
             engine.metrics = None
-            plain.append(_time_batches(sampler, constraints,
-                                       batch_queries))
+            plain.append(_time_batches(engine, constraints, batch_queries,
+                                       num_samples, rng))
             engine.metrics = MetricsRegistry()
-            instrumented.append(_time_batches(sampler, constraints,
-                                              batch_queries))
+            instrumented.append(_time_batches(engine, constraints,
+                                              batch_queries, num_samples,
+                                              rng))
     finally:
         engine.metrics = None
     return float(np.median(plain)), float(np.median(instrumented))
@@ -86,30 +91,29 @@ def run_infer_latency(profile: Profile | None = None,
               est_samples=profile.est_samples, seed=0)
     rng = np.random.default_rng(1234)
     workload = generate_inworkload(table, n_queries, rng)
-    constraints = [uae.fact.expand_masks(q.masks(table))
-                   for q in workload.queries]
+    constraints = [uae.constraints(q) for q in workload.queries]
 
-    engine = ProgressiveSampler(uae.model, num_samples=profile.est_samples,
-                                seed=5)
+    samples = profile.est_samples
+    engine = InferenceEngine(uae.model)
+    rng = np.random.default_rng(5)
     # Warm the path (buffer pools for every chunk's shapes, compiled
     # caches, BLAS threads, the allocator) on one untimed pass so the
     # measured loop is steady-state.
-    _time_batches(engine, constraints, batch_queries)
-    engine.rng = np.random.default_rng(99)
-    timings = {"engine": _time_batches(engine, constraints, batch_queries)}
+    _time_batches(engine, constraints, batch_queries, samples, rng)
+    rng = np.random.default_rng(99)
+    timings = {"engine": _time_batches(engine, constraints, batch_queries,
+                                       samples, rng)}
 
-    scheduled = ProgressiveSampler(uae.model, num_samples=profile.est_samples,
-                                   seed=5)
-    scheduled.estimate_many(constraints)
-    scheduled.rng = np.random.default_rng(99)
+    scheduler = uae.scheduler         # over its own engine
+    scheduler.estimate_many(constraints, samples, np.random.default_rng(5))
     start = time.perf_counter()
-    scheduled.estimate_many(constraints)
+    scheduler.estimate_many(constraints, samples, np.random.default_rng(99))
     timings["engine+scheduler"] = time.perf_counter() - start
 
     # Observability must stay effectively free on the hot path: A/B the
     # engine with its registry attached vs detached and gate the delta.
     plain_s, instr_s = _measure_obs_overhead(
-        engine, constraints, batch_queries)
+        engine, constraints, batch_queries, samples, rng)
     obs_overhead_pct = (instr_s / plain_s - 1.0) * 100.0
     checks = {"obs_overhead": obs_overhead_pct <= OBS_OVERHEAD_PCT}
 

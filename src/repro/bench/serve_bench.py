@@ -401,14 +401,9 @@ def run_scale_out(profile: Profile | None = None,
                         continue
                     got_post = cluster.estimate_batch(sub, seed=_SEED)
                     refined = estimators[name]
-                    constraints = [
-                        refined.fact.expand_masks(q.masks(refined.table))
-                        for q in sub]
-                    sels = refined.sampler.scheduler.estimate_many(
-                        constraints, refined.sampler.num_samples,
+                    ref_post = refined.cardinalities(
+                        [refined.constraints(q) for q in sub],
                         np.random.default_rng(_SEED))
-                    ref_post = np.clip(sels, 0.0, 1.0) \
-                        * refined.table.num_rows
                     post_swap_ok = post_swap_ok and bool(
                         np.array_equal(got_post, ref_post))
             rows.append({"workers": n, "queries": len(mixed),
@@ -910,12 +905,13 @@ def run_serving(profile: Profile | None = None,
         # Plain engine batching over the identical stream: the
         # no-serving-subsystem baseline (chunked estimate_batch, as in
         # the BENCH_infer latency bench).
-        sampler = v1.model.sampler
-        constraints = [v1.model.fact.expand_masks(q.masks(base))
-                       for q in stream]
+        model = v1.model
+        constraints = [model.constraints(q) for q in stream]
         start = time.perf_counter()
         for lo in range(0, len(constraints), 8):
-            sampler.estimate_batch(constraints[lo:lo + 8])
+            model.engine.estimate_batch(constraints[lo:lo + 8],
+                                        model.config.est_samples,
+                                        model.est_rng)
         engine_qps = len(stream) / (time.perf_counter() - start)
 
         # Drift threshold: degradation relative to the steady state

@@ -1,12 +1,11 @@
-"""The paper's primary contribution: UAE and its samplers."""
+"""The paper's primary contribution: UAE and its ablation samplers."""
 
-from .progressive import ProgressiveSampler, UniformSampler
-from .dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
+from .progressive import UniformSampler
+from .dps import ScoreFunctionSampler
 from .uae import UAE, UAEConfig
 from .ensemble import PartitionedUAE
 
 __all__ = [
-    "ProgressiveSampler", "UniformSampler",
-    "DifferentiableProgressiveSampler", "ScoreFunctionSampler",
+    "UniformSampler", "ScoreFunctionSampler",
     "UAE", "UAEConfig", "PartitionedUAE",
 ]

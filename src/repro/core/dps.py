@@ -1,6 +1,6 @@
 """Differentiable Progressive Sampling (paper Algorithm 2).
 
-The inference-time sampler in :mod:`repro.core.progressive` draws *hard*
+The inference-time sampler (:mod:`repro.infer`) draws *hard*
 categorical samples, through which gradients cannot flow (Figure 2(2) of the
 paper).  DPS replaces every hard draw with a Gumbel-Softmax sample
 (Algorithm 1): a *continuous* soft one-hot vector ``y_i`` whose encoding
@@ -23,9 +23,15 @@ Factorized low digits use the *hard* argmax of the high digit's soft sample
 to pick the conditional mask — a straight-through-style approximation (the
 mask choice itself carries no gradient).
 
-Both samplers build no autograd graph: ``estimate_batch`` returns an
-array, and ``accumulate_grad(g_est)`` adds the gradient of
-``sum(g_est * est)`` (or its score-function estimate) into ``.grad``.
+DPS runs as the hand-fused training kernel
+(:class:`repro.train.FusedDPS`), which :meth:`repro.core.UAE.query_loss`
+drives with its config's ``dps_samples`` and ``temperature``; the
+graph-built loop is the tests' oracle (``tests/reference/dps.py``), and
+both consume the Gumbel stream identically.  This module keeps the
+score-function alternative for the gradient-estimator ablation.
+Neither builds an autograd graph: ``estimate_batch`` returns an array,
+and ``accumulate_grad(g_est)`` adds the gradient of ``sum(g_est * est)``
+(or its score-function estimate) into ``.grad``.
 """
 
 from __future__ import annotations
@@ -37,39 +43,7 @@ from ..nn.buffers import BufferPool
 from ..nn.functional import NEG_INF, hard_sample_np, softmax_np
 from ..nn.made import ResMADE
 from ..nn.trunk import trunk_forward
-from ..train import FusedDPS
 from ..train.fused import network_backward
-
-
-class DifferentiableProgressiveSampler:
-    """Batched DPS over model-column constraint lists.
-
-    Runs the hand-fused training kernel
-    (:class:`repro.train.dps_fused.FusedDPS`): persistent input buffer,
-    step-0 wildcard dedup, one hand-written backward.  The original
-    graph-built loop is the tests' oracle
-    (``tests/reference/dps.py``); both consume the Gumbel stream
-    identically, so a shared seed gives draw-for-draw agreement.
-    """
-
-    def __init__(self, model: ResMADE, num_samples: int = 8,
-                 temperature: float = 1.0, seed: int = 0):
-        if num_samples < 1:
-            raise ValueError("need at least one sample")
-        self.model = model
-        self.num_samples = num_samples
-        self.temperature = temperature
-        self.rng = np.random.default_rng(seed)
-        self._fused = FusedDPS(model)
-
-    def estimate_batch(self, constraint_lists: list[list]) -> np.ndarray:
-        """Differentiable selectivity estimates ``[num_queries]``."""
-        return self._fused.estimate_batch(
-            constraint_lists, self.num_samples, self.temperature, self.rng)
-
-    def accumulate_grad(self, g_est: np.ndarray) -> None:
-        """Add ``sum(g_est * est)``'s gradient for the last batch."""
-        self._fused.accumulate_grad(g_est)
 
 
 class ScoreFunctionSampler:

@@ -27,13 +27,14 @@ import numpy as np
 from ..data.encoding import ColumnFactorization
 from ..data.table import Table
 from ..estimators.base import TrainableEstimator
+from ..infer import BatchScheduler, InferenceEngine
 from ..nn.functional import hard_sample_np, softmax_np
 from ..nn.made import ResMADE
 from ..nn.optim import Adam
-from ..train import DISCREPANCIES, FusedDataLoss, discrepancy
+from ..train import DISCREPANCIES, FusedDataLoss, FusedDPS, discrepancy
 from ..workload.predicate import LabeledWorkload, Query
-from .dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
-from .progressive import ProgressiveSampler, UniformSampler
+from .dps import ScoreFunctionSampler
+from .progressive import UniformSampler
 
 GRADIENT_ESTIMATORS = ("gumbel", "reinforce")
 
@@ -86,6 +87,8 @@ class UAE(TrainableEstimator):
             value = getattr(config, field)
             if value not in allowed:
                 raise ValueError(f"unknown {field} {value!r}: not in {allowed}")
+        if config.dps_samples < 1:
+            raise ValueError("dps_samples must be at least 1")
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.fact = ColumnFactorization(table, threshold=config.factor_threshold,
@@ -100,8 +103,9 @@ class UAE(TrainableEstimator):
         self.metrics = None
 
     def _init_model_stack(self, order: list[int] | None) -> None:
-        """Model, optimizer, and samplers (shared by ``__init__`` and the
-        lightweight :meth:`snapshot` path)."""
+        """Model, optimizer, kernels and sampling streams (shared by
+        ``__init__`` and the lightweight :meth:`snapshot` path).  The
+        inference engine is built on first use (:attr:`engine`)."""
         config = self.config
         self.model = ResMADE(self.fact.model_domains, hidden=config.hidden,
                              num_blocks=config.num_blocks, rng=self.rng,
@@ -111,16 +115,28 @@ class UAE(TrainableEstimator):
                              order=order)
         self.optimizer = Adam(self.model.parameters(), lr=config.lr,
                               grad_clip=config.grad_clip)
-        self.sampler = ProgressiveSampler(self.model,
-                                          num_samples=config.est_samples,
-                                          seed=config.seed + 1)
-        self.dps = DifferentiableProgressiveSampler(
-            self.model, num_samples=config.dps_samples,
-            temperature=config.temperature, seed=config.seed + 2)
+        # Seeded streams: progressive-sampling estimation and DPS draws.
+        self.est_rng = np.random.default_rng(config.seed + 1)
+        self.dps_rng = np.random.default_rng(config.seed + 2)
+        self._scheduler: BatchScheduler | None = None
+        self._fused_dps = FusedDPS(self.model)
         self.sf = ScoreFunctionSampler(self.model,
                                        num_samples=config.dps_samples,
                                        seed=config.seed + 2)
         self._fused_data = FusedDataLoss(self.model)
+
+    @property
+    def scheduler(self) -> BatchScheduler:
+        """The scheduler over this model's compiled engine, both built on
+        first use: constructing a UAE does not pay for the weight
+        snapshot."""
+        if self._scheduler is None:
+            self._scheduler = BatchScheduler(InferenceEngine(self.model))
+        return self._scheduler
+
+    @property
+    def engine(self) -> InferenceEngine:
+        return self.scheduler.engine
 
     def _build_order(self, strategy: str) -> list[int] | None:
         """Column-ordering strategies (paper Section 4.2 / Naru, MADE).
@@ -163,10 +179,15 @@ class UAE(TrainableEstimator):
                    scale: float = 1.0) -> float:
         """Eq. 5 through DPS (or REINFORCE for the ablation): adds
         ``scale`` times its gradient into ``.grad``, returns its value."""
-        sampler = self.sf if self.config.gradient_estimator == "reinforce" \
-            else self.dps
-        est = sampler.estimate_batch(constraints)
-        value, g_est = discrepancy(self.config.discrepancy, est, true_sels,
+        config = self.config
+        if config.gradient_estimator == "reinforce":
+            sampler = self.sf
+            est = sampler.estimate_batch(constraints)
+        else:
+            sampler = self._fused_dps
+            est = sampler.estimate_batch(constraints, config.dps_samples,
+                                         config.temperature, self.dps_rng)
+        value, g_est = discrepancy(config.discrepancy, est, true_sels,
                                    scale)
         sampler.accumulate_grad(g_est)
         return value
@@ -257,8 +278,7 @@ class UAE(TrainableEstimator):
         return float(qerrors(estimates, truths).mean())
 
     def _prepare_workload(self, workload: LabeledWorkload) -> dict:
-        constraints = [self.fact.expand_masks(q.masks(self.table))
-                       for q in workload.queries]
+        constraints = [self.constraints(q) for q in workload.queries]
         sels = workload.selectivities(self.table.num_rows)
         return {"constraints": constraints,
                 "sels": sels.astype(np.float64)}
@@ -345,64 +365,62 @@ class UAE(TrainableEstimator):
     # ------------------------------------------------------------------
     # Estimation
     # ------------------------------------------------------------------
-    def estimate_selectivity(self, query: Query) -> float:
-        constraints = self.fact.expand_masks(query.masks(self.table))
-        return self.sampler.estimate(constraints)
+    def constraints(self, query: Query) -> list:
+        """``query`` as per-model-column constraints (see
+        :meth:`ColumnFactorization.expand_masks`)."""
+        return self.fact.expand_masks(query.masks(self.table))
+
+    def cardinalities(self, constraint_lists: list[list],
+                      rng: np.random.Generator | None = None,
+                      scale: float | None = None) -> np.ndarray:
+        """Progressive-sampling cardinalities for constraint lists: the
+        one estimation path, run by ``estimate`` / ``estimate_many``,
+        :class:`repro.joins.UAEJoin`, the serving tier and the cluster
+        workers (``estimate_interval`` makes the same scheduler call
+        with the standard error).
+
+        Runs the signature-grouping scheduler on ``rng`` (default: this
+        estimator's own stream).  A table estimate clips the selectivity
+        to [0, 1] and multiplies by ``table.num_rows``; a ``scale`` (a
+        join's ``|J|``) replaces the row count and clips only below, as
+        the sample-selectivity estimand is not bounded by the sample
+        table's row count.
+        """
+        sels = self.scheduler.estimate_many(
+            constraint_lists, self.config.est_samples,
+            self.est_rng if rng is None else rng)
+        if scale is not None:
+            return np.maximum(sels, 0.0) * scale
+        return np.clip(sels, 0.0, 1.0) * self.table.num_rows
 
     def estimate(self, query: Query) -> float:
-        return self._clamp_card(self.estimate_selectivity(query))
+        return float(self.cardinalities([self.constraints(query)])[0])
 
     def estimate_interval(self, query: Query,
                           z: float = 1.96) -> tuple[float, float, float]:
         """Cardinality estimate with a normal-approximation confidence
         interval from the progressive-sampling Monte-Carlo error."""
-        constraints = self.fact.expand_masks(query.masks(self.table))
-        sel, err = self.sampler.estimate_with_error(constraints)
+        sels, errs = self.scheduler.estimate_many(
+            [self.constraints(query)], self.config.est_samples, self.est_rng,
+            with_error=True)
+        sel, err = float(sels[0]), float(errs[0])
         n = self.table.num_rows
         low = max((sel - z * err) * n, 0.0)
         high = min((sel + z * err) * n, float(n))
         return sel * n, low, high
 
-    def estimate_many(self, queries: list[Query],
-                      batch_queries: int | None = None) -> np.ndarray:
-        """Batched estimation through the inference engine's scheduler.
-
-        Queries are grouped by queried-column signature so each group runs
-        only the autoregressive steps it needs; ``batch_queries`` caps the
-        per-call group size (default: the scheduler's row budget).
-        """
-        if not queries:
-            return np.zeros(0, dtype=np.float64)
-        constraints = [self.fact.expand_masks(q.masks(self.table))
-                       for q in queries]
-        sels = self.estimate_constraints_many(constraints,
-                                              batch_queries=batch_queries)
-        return np.clip(sels, 0.0, 1.0) * self.table.num_rows
-
-    def estimate_constraints_many(self, constraint_lists: list[list],
-                                  batch_queries: int | None = None
-                                  ) -> np.ndarray:
-        """Scheduled selectivity estimates for raw constraint lists."""
-        if not constraint_lists:
-            return np.zeros(0, dtype=np.float64)
-        if batch_queries is not None:
-            base = self.sampler.scheduler
-            scheduler = type(base)(
-                self.sampler.engine,
-                max_rows=batch_queries * self.sampler.num_samples,
-                min_group_size=base.min_group_size,
-                coalesce_rows=base.coalesce_rows)
-            return scheduler.estimate_many(
-                constraint_lists, self.sampler.num_samples, self.sampler.rng)
-        return self.sampler.estimate_many(constraint_lists)
+    def estimate_many(self, queries: list[Query]) -> np.ndarray:
+        """Batched estimation: queries are grouped by queried-column
+        signature so each group runs only the autoregressive steps it
+        needs."""
+        return self.cardinalities([self.constraints(q) for q in queries])
 
     def estimate_uniform(self, query: Query, num_samples: int = 200) -> float:
         """Uniform-sampling inference (Eq. 4) for the sampler ablation."""
-        uniform = UniformSampler(self.sampler.engine.compiled,
+        uniform = UniformSampler(self.engine.compiled,
                                  num_samples=num_samples,
                                  seed=self.config.seed + 3)
-        constraints = self.fact.expand_masks(query.masks(self.table))
-        return self._clamp_card(uniform.estimate(constraints))
+        return self._clamp_card(uniform.estimate(self.constraints(query)))
 
     # ------------------------------------------------------------------
     # Database generation (paper Section 6: the generative nature of UAE-Q
@@ -419,7 +437,7 @@ class UAE(TrainableEstimator):
         rng = np.random.default_rng(self.config.seed + 17 if seed is None
                                     else seed)
         model = self.model
-        compiled = self.sampler.engine.compiled
+        compiled = self.engine.compiled
         compiled.ensure_current()
         pre = np.repeat(compiled.wildcard_pre, n, axis=0)
         sampled = np.zeros((n, model.num_cols), dtype=np.int32)
@@ -509,7 +527,7 @@ class UAE(TrainableEstimator):
         snap.model.load_state_dict(self.model.state_dict())
         snap.history = list(self.history)
         snap.metrics = None
-        snap.sampler.engine.compiled.ensure_current()
+        snap.engine.compiled.ensure_current()
         return snap
 
     def swap_weights(self, state: dict[str, np.ndarray]) -> "UAE":

@@ -1,6 +1,6 @@
 """The progressive-sampling inference engine.
 
-The one shipped implementation behind ``ProgressiveSampler``: the same
+The one shipped implementation behind ``UAE.cardinalities``: the same
 Monte-Carlo estimator (paper Section 4.2) and the same random-variate
 consumption order as the reference numpy loop it replaced (now the
 tests' oracle, ``tests/reference/progressive.py``), rebuilt around four

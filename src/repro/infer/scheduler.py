@@ -14,12 +14,10 @@ Grouping only pays when groups are big enough to amortise its fixed costs
 (one constraint compilation and one engine dispatch per group).  Diverse
 workloads — e.g. the DMV bench mix, where most signatures appear once —
 used to run *slower* grouped than plainly batched.  Groups smaller than
-``min_group_size`` are therefore coalesced, in submission order, into
+:data:`MIN_GROUP_SIZE` are therefore coalesced, in submission order, into
 mixed chunks that run through a single ``estimate_batch`` call each; large
-groups keep the exact per-signature execution (and its single-query-path
-reproducibility).  Set ``min_group_size=1`` to force full grouping,
-e.g. when bit-reproducibility against the solo path matters more than
-throughput.
+groups keep the exact per-signature execution.  A single query is a
+one-query mixed chunk: the same engine call as estimating it alone.
 """
 
 from __future__ import annotations
@@ -29,20 +27,22 @@ import numpy as np
 from .constraints import compile_constraints
 from .engine import InferenceEngine
 
+#: row budget (queries x samples) of one same-signature chunk
+MAX_ROWS = 8192
+#: signature groups smaller than this run in mixed chunks
+MIN_GROUP_SIZE = 4
+#: row budget of one mixed chunk.  Mixed chunks pay the union of their
+#: queries' columns at every step, so they peak at a much smaller
+#: working set than same-signature chunks (~8 queries x 128 samples
+#: measured best on the DMV bench mix).
+COALESCE_ROWS = 1024
+
 
 class BatchScheduler:
     """Signature-grouping scheduler over an :class:`InferenceEngine`."""
 
-    def __init__(self, engine: InferenceEngine, max_rows: int = 8192,
-                 min_group_size: int = 4, coalesce_rows: int = 1024):
+    def __init__(self, engine: InferenceEngine):
         self.engine = engine
-        self.max_rows = int(max_rows)
-        self.min_group_size = int(min_group_size)
-        # Mixed chunks pay the union of their queries' columns at every
-        # step, so they peak at a much smaller working set than
-        # same-signature chunks (~8 queries x 128 samples measured best
-        # on the DMV bench mix).
-        self.coalesce_rows = int(coalesce_rows)
 
     def plan(self, constraint_lists: list[list]) -> list[list[int]]:
         """Group query indices by queried-column signature."""
@@ -61,19 +61,19 @@ class BatchScheduler:
         errs = np.empty(n, dtype=np.float64) if with_error else None
         if n == 0:
             return (out, errs) if with_error else out
-        chunk_queries = max(1, self.max_rows // max(num_samples, 1))
+        chunk_queries = max(1, MAX_ROWS // max(num_samples, 1))
 
         grouped: list[list[int]] = []
         coalesced: list[int] = []
         for group in self.plan(constraint_lists):
-            if len(group) >= self.min_group_size:
+            if len(group) >= MIN_GROUP_SIZE:
                 grouped.append(group)
             else:
                 coalesced.extend(group)
         coalesced.sort()
 
         mixed_chunk = max(1, min(chunk_queries,
-                                 self.coalesce_rows // max(num_samples, 1)))
+                                 COALESCE_ROWS // max(num_samples, 1)))
         for start in range(0, len(coalesced), mixed_chunk):
             idx = coalesced[start:start + mixed_chunk]
             chunk = [constraint_lists[i] for i in idx]

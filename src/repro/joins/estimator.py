@@ -115,9 +115,8 @@ class UAEJoin(FragmentCardinality):
     # Estimation
     # ------------------------------------------------------------------
     def estimate(self, query: JoinQuery) -> float:
-        constraints = self._constraints(query)
-        sel = self.uae.sampler.estimate(constraints)
-        return float(max(sel, 0.0) * self.join_size)
+        return float(self.uae.cardinalities([self._constraints(query)],
+                                            scale=self.join_size)[0])
 
     def constraint_expander(self):
         """Serving-layer hook: ``expander(model, query) -> constraints``.
@@ -133,8 +132,7 @@ class UAEJoin(FragmentCardinality):
             return self._constraints(query)
         return expand
 
-    def estimate_many(self, queries: list[JoinQuery],
-                      batch_queries: int | None = None) -> np.ndarray:
+    def estimate_many(self, queries: list[JoinQuery]) -> np.ndarray:
         """Batched join estimation through the engine's scheduler.
 
         The fanout-scaled constraint lists are grouped by queried-column
@@ -142,10 +140,8 @@ class UAEJoin(FragmentCardinality):
         queried, so a group shares both its predicate columns and its
         downscaling columns.
         """
-        constraints = [self._constraints(q) for q in queries]
-        sels = self.uae.estimate_constraints_many(constraints,
-                                                  batch_queries=batch_queries)
-        return np.maximum(sels, 0.0) * self.join_size
+        return self.uae.cardinalities([self._constraints(q) for q in queries],
+                                      scale=self.join_size)
 
     def size_bytes(self) -> int:
         return self.uae.size_bytes()

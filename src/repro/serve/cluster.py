@@ -64,7 +64,7 @@ import numpy as np
 
 from .placement import HashRing, WorkerUnavailableError
 from .router import MultiTableRegistry, Namespace, group_by_namespace
-from .service import EstimateRequest, compute_cardinalities, expand_query
+from .service import EstimateRequest
 from .snapshot import HAVE_SHARED_MEMORY, SharedSnapshot
 
 
@@ -159,8 +159,8 @@ def _worker_main(worker_id: str, conn, parent_end,
                 buf = SharedSnapshot.attach(shm_name)
                 version, state = buf.read(timeout=5.0)
                 estimator.model.load_state_dict(state)
-                estimator.sampler.engine.compiled.ensure_current()
-                estimator.sampler.engine.metrics = wm
+                estimator.engine.compiled.ensure_current()
+                estimator.engine.metrics = wm
                 stale = buffers.pop(namespace, None)
                 if stale is not None:
                     stale.close()
@@ -180,7 +180,7 @@ def _worker_main(worker_id: str, conn, parent_end,
                 # the new weights: the in-process invalidation contract,
                 # driven across the process boundary by one flat buffer.
                 models[namespace].model.load_state_dict(state)
-                models[namespace].sampler.engine.compiled.ensure_current()
+                models[namespace].engine.compiled.ensure_current()
                 versions[namespace] = version
                 respond(req_id, "ok",
                         (version, time.perf_counter() - t0))
@@ -221,9 +221,8 @@ def _worker_main(worker_id: str, conn, parent_end,
                 t0 = time.perf_counter()
                 rng = np.random.default_rng(seed) if seed is not None \
                     else rngs[namespace]
-                cards = compute_cardinalities(
-                    estimator, [expand_query(estimator, q) for q in queries],
-                    rng)
+                cards = estimator.cardinalities(
+                    [estimator.constraints(q) for q in queries], rng)
                 compute_s = time.perf_counter() - t0
                 wm_served.labels(namespace=namespace).inc(len(queries))
                 wm_batch.labels(namespace=namespace).observe(compute_s)

@@ -568,9 +568,7 @@ class RoutedEstimateService:
         off a refinement."""
         started = {}
         for space in self.registry:
-            if not space.server.feedback.should_refine():
-                continue
-            result = space.server.refine(background=background)
+            result = space.server.maintain(background=background)
             if result is not None:
                 started[space.name] = result
         return started

@@ -12,8 +12,9 @@ snapshots of it.  The loop:
    ``maintain`` (or ``refine``) drains the feedback into
    ``UAE.ingest_queries`` on the trainer — Section 4.5's query-driven
    refinement — and publishes a new snapshot;
-4. ``ingest_data`` does the data half: new tuples refine the trainer via
-   the data loss, then publish.
+4. ``stage_data`` does the data half: inserted tuples wait for the next
+   refinement, which runs ``UAE.ingest_data`` on them before the query
+   half, so both reach serving in one gated publish.
 
 Refinement can run inline (deterministic, used by tests) or in a
 background thread (``refine(background=True)``): serving continues on the
@@ -297,12 +298,15 @@ class UAEServer:
                          drift=self.feedback.drift(),
                          threshold=self.feedback.threshold)
 
-    def maintain(self) -> dict | None:
-        """One inline maintenance step: refine iff drift says so."""
+    def maintain(self, background: bool = False
+                 ) -> dict | threading.Thread | None:
+        """One maintenance step: refine iff drift says so, counting the
+        trigger.  Returns what :meth:`refine` returns, ``None`` when
+        there is no drift."""
         if not self.feedback.should_refine():
             return None
         self._drift_triggered()
-        return self.refine()
+        return self.refine(background=background)
 
     def stage_data(self, new_codes: np.ndarray) -> None:
         """Buffer inserted tuples for the next refinement.
@@ -486,26 +490,6 @@ class UAEServer:
             self.refinements.append(record)
             self._c_rollbacks.inc()
             self.events.emit("rollback", namespace=self.namespace,
-                             version=mv.version, source=mv.source)
-            return record
-
-    def ingest_data(self, new_codes: np.ndarray,
-                    epochs: int | None = None) -> dict:
-        """Data half of Section 4.5: refine on inserted tuples, publish."""
-        with self._refine_lock:
-            start = time.perf_counter()
-            self.trainer.ingest_data(new_codes,
-                                     epochs=epochs or self.data_epochs)
-            mv = self.registry.publish(self.trainer, source="data-refine")
-            record = {"version": mv.version, "source": mv.source,
-                      "rows": int(len(new_codes)),
-                      "seconds": time.perf_counter() - start}
-            self.refinements.append(record)
-            self._c_refine.inc()
-            self._h_refine.observe(record["seconds"])
-            self._c_swaps.labels(namespace=self.namespace,
-                                 source=mv.source).inc()
-            self.events.emit("swap_publish", namespace=self.namespace,
                              version=mv.version, source=mv.source)
             return record
 

@@ -187,32 +187,6 @@ class EstimateRequest:
         return self.completed_at - self.submitted_at
 
 
-def expand_query(model, query, expander=None) -> list:
-    """``query`` as the engine's per-column constraint list (an
-    ``expander(model, query)`` replaces mask expansion for joins)."""
-    if expander is not None:
-        return expander(model, query)
-    return model.fact.expand_masks(query.masks(model.table))
-
-
-def compute_cardinalities(model, constraint_lists: list[list], rng,
-                          scale: float | None = None) -> np.ndarray:
-    """Scheduler-grouped progressive sampling, clipped and scaled to
-    cardinalities — the one formula the in-process service and the
-    cluster workers both run, which is what makes their seeded answers
-    bit-identical."""
-    sampler = model.sampler
-    sels = sampler.scheduler.estimate_many(
-        constraint_lists, sampler.num_samples, rng)
-    if scale is not None:
-        # Join namespaces: match UAEJoin.estimate_many exactly — lower
-        # clip only, scaled by the outer join's size (the
-        # sample-selectivity estimand is not bounded by the sample
-        # table's row count the way a base table's is).
-        return np.maximum(sels, 0.0) * scale
-    return np.clip(sels, 0.0, 1.0) * model.table.num_rows
-
-
 class EstimateService:
     """Sync + deadline-aware micro-batching API over a model registry;
     work-conserving, with no batching window (see the module docstring)."""
@@ -514,19 +488,21 @@ class EstimateService:
                          error=type(exc).__name__, detail=str(exc))
 
     def _expand(self, snap: ModelVersion, query: Query) -> list:
-        return expand_query(snap.model, query, self.expander)
+        if self.expander is not None:
+            return self.expander(snap.model, query)
+        return snap.model.constraints(query)
 
     def _compute(self, snap: ModelVersion, constraint_lists: list[list],
                  seed: int | None = None) -> np.ndarray:
         rng = self._rng if seed is None else np.random.default_rng(seed)
         with self._engine_lock:
-            engine = snap.model.sampler.scheduler.engine
+            engine = snap.model.engine
             if engine.metrics is not self.metrics:
                 # Each snapshot owns its engine; point it at the
                 # service registry so batch-loop metrics aggregate here.
                 engine.metrics = self.metrics
-            return compute_cardinalities(snap.model, constraint_lists, rng,
-                                         self.scale)
+            return snap.model.cardinalities(constraint_lists, rng,
+                                            self.scale)
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():

@@ -8,7 +8,7 @@ buffers, and float32 discipline end to end.
 * :class:`FusedDataLoss` — one fused pass for the data NLL (Eq. 2),
   replacing the per-column ``F.cross_entropy`` graph;
 * :class:`FusedDPS` — the vectorized differentiable-progressive-sampling
-  step (Algorithm 2) behind ``DifferentiableProgressiveSampler``;
+  step (Algorithm 2) that ``UAE.query_loss`` runs;
 * :func:`discrepancy` — the query loss's q-error / MSE / MSLE and its
   gradient w.r.t. the estimates, in closed form.
 

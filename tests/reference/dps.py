@@ -7,10 +7,9 @@ score-function sampler's hand-written backward
 (:class:`repro.core.dps.ScoreFunctionSampler`) are checked against —
 estimates draw for draw, gradients to 1e-4 — by
 ``tests/test_train_engine.py`` and ``tests/test_backend_matrix.py``.
-:func:`estimate_batch_legacy` moved here unchanged from
-``DifferentiableProgressiveSampler.estimate_batch_legacy``; it reads
-``model``, ``num_samples``, ``temperature`` and the seeded ``rng`` off a
-:class:`repro.core.dps.DifferentiableProgressiveSampler`.
+:func:`estimate_batch_legacy` takes the same arguments as
+:meth:`repro.train.FusedDPS.estimate_batch` plus the ``model``, and
+consumes the seeded Gumbel ``rng`` in the same order.
 :func:`surrogate_legacy` moved here from ``ScoreFunctionSampler.surrogate``
 (its private softmax helper swapped for ``softmax_np``, the same
 computation) and reads ``model``, ``num_samples`` and ``rng`` off a
@@ -30,11 +29,12 @@ from .made import column_logits_from_hidden, encode_soft, hidden_tensor
 from .tensor import Tensor, add_constant, concatenate
 
 
-def estimate_batch_legacy(dps, constraint_lists: list[list]) -> Tensor:
+def estimate_batch_legacy(model, constraint_lists: list[list],
+                          num_samples: int, temperature: float,
+                          rng: np.random.Generator) -> Tensor:
     """The original autograd-graph loop (reference implementation)."""
-    model = dps.model
     n_queries = len(constraint_lists)
-    s = dps.num_samples
+    s = num_samples
     batch = n_queries * s
 
     queried = [any(cl[c] is not None for cl in constraint_lists)
@@ -83,7 +83,7 @@ def estimate_batch_legacy(dps, constraint_lists: list[list]) -> Tensor:
                 masked_logits,
                 np.log(np.maximum(gain, 1e-30)).astype(np.float32))
         log_cond = F.log_softmax(masked_logits, axis=-1)
-        y = gs_sample(log_cond, dps.temperature, dps.rng)
+        y = gs_sample(log_cond, temperature, rng)
         hard_hi[col] = np.argmax(y.data, axis=-1)
         segments[col] = encode_soft(model.encoders[col], y)
 

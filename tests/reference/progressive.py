@@ -3,11 +3,9 @@ per-row numpy loop.
 
 The oracle the compiled inference engine (:mod:`repro.infer`) is checked
 against, draw for draw, by ``tests/test_infer_engine.py`` and
-``tests/test_backend_matrix.py``.  Moved here unchanged from
-``ProgressiveSampler.estimate_batch_legacy`` / ``._valid_matrix``; it
-reads ``model``, ``num_samples`` and the seeded ``rng`` off a
-:class:`repro.core.progressive.ProgressiveSampler` and never touches
-that sampler's engine.
+``tests/test_backend_matrix.py``.  It takes the same arguments as
+:meth:`repro.infer.InferenceEngine.estimate_batch` plus the ``model``,
+and consumes the seeded ``rng`` in the same order.
 """
 
 from __future__ import annotations
@@ -25,13 +23,13 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def estimate_batch_legacy(sampler, constraint_lists: list[list],
+def estimate_batch_legacy(model, constraint_lists: list[list],
+                          num_samples: int, rng: np.random.Generator,
                           with_error: bool = False):
     """The original per-row numpy loop, kept as the reference the
     compiled engine is validated (and benchmarked) against."""
-    model = sampler.model
     n_queries = len(constraint_lists)
-    s = sampler.num_samples
+    s = num_samples
     batch = n_queries * s
 
     # Which columns are queried by at least one query in the batch;
@@ -77,7 +75,7 @@ def estimate_batch_legacy(sampler, constraint_lists: list[list],
             truncated[dead] = fallback
             mass = truncated.sum(axis=1, keepdims=True)
         truncated = truncated / np.maximum(mass, 1e-30)
-        codes = hard_sample_np(truncated, sampler.rng)
+        codes = hard_sample_np(truncated, rng)
         sampled[col] = codes
         enc = model.encoders[col].encode_hard(codes)
         x[:, model.input_slices[col]] = enc

@@ -50,7 +50,9 @@ class ReferenceUAE(UAE):
                    scale: float = 1.0) -> float:
         if self.config.gradient_estimator == "reinforce":
             return super().query_loss(constraints, true_sels, scale)
-        est = estimate_batch_legacy(self.dps, constraints)
+        est = estimate_batch_legacy(self.model, constraints,
+                                    self.config.dps_samples,
+                                    self.config.temperature, self.dps_rng)
         loss = GRAPH_DISCREPANCY[self.config.discrepancy](est, true_sels)
         return backward_scaled(loss, scale)
 

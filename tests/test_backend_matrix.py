@@ -15,7 +15,7 @@ estimates and gradients.
 import numpy as np
 import pytest
 
-from repro.core.progressive import ProgressiveSampler
+from repro.infer import InferenceEngine
 from reference.parity import collect_grads, max_grad_diff
 from reference.progressive import estimate_batch_legacy
 from reference.uae import UAE_CLASS
@@ -46,9 +46,10 @@ def matrix_estimates(trained, tiny_table, tiny_workload):
         constraints = [uae.fact.expand_masks(q.masks(tiny_table))
                        for q in queries]
         for ib in BACKENDS:
-            sampler = ProgressiveSampler(uae.model, num_samples=64, seed=17)
-            sels = estimate_batch_legacy(sampler, constraints) \
-                if ib == "legacy" else sampler.estimate_batch(constraints)
+            rng = np.random.default_rng(17)
+            sels = estimate_batch_legacy(uae.model, constraints, 64, rng) \
+                if ib == "legacy" else InferenceEngine(
+                    uae.model).estimate_batch(constraints, 64, rng)
             cells[(tb, ib)] = np.clip(sels, 0.0, 1.0) * tiny_table.num_rows
     return cells
 

@@ -81,6 +81,24 @@ class TestExperimentRegistry:
         assert len(setup["train"]) == SMALL.train_queries
         assert len(setup["test_in"]) == SMALL.test_queries
 
+    def test_fig5_latency_rows_keep_estimator_order(self, monkeypatch):
+        """Rows follow the fixed estimator list, not the measured
+        timings: runs with bit-identical models list them identically."""
+        from repro.bench.experiments import estimation_latency
+        from repro.estimators.base import CardinalityEstimator
+        timed = []
+
+        def fake_latency(self, queries, repeats=1):
+            timed.append(self.name)
+            return 1.0 / len(timed)         # each later one is faster
+        monkeypatch.setattr(CardinalityEstimator, "latency_seconds",
+                            fake_latency)
+        rows = estimation_latency(SMALL)["rows"]
+        assert [r["model"] for r in rows] == timed
+        assert timed[0] == "UAE" and len(timed) == 8
+        assert [r["ms_per_query"] for r in rows] == \
+            [1e3 / (i + 1) for i in range(len(timed))]
+
     def test_columns_layout(self):
         assert SINGLE_TABLE_COLUMNS[0] == "model"
         assert "in_max" in SINGLE_TABLE_COLUMNS

@@ -9,10 +9,11 @@ the query loss through the sampled chain into every model parameter
 import numpy as np
 import pytest
 
-from repro.core.dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
-from repro.core.progressive import ProgressiveSampler
+from repro.core import UAE
+from repro.core.dps import ScoreFunctionSampler
+from repro.infer import InferenceEngine
 from repro.nn import ResMADE
-from repro.train import discrepancy
+from repro.train import FusedDPS, discrepancy
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +29,25 @@ def fixed(mask):
     return ("fixed", np.asarray(mask, dtype=bool))
 
 
-def qerror_step(sampler, constraint_lists, true_sels):
-    """Estimate, then add the mean q-error's gradient (closed form
+def qerror_step(sampler, constraint_lists, true_sels, *draws):
+    """Estimate (``draws`` are the rest of ``estimate_batch``'s
+    arguments), then add the mean q-error's gradient (closed form
     through ``sampler.accumulate_grad``); returns the loss value."""
-    est = sampler.estimate_batch(constraint_lists)
+    est = sampler.estimate_batch(constraint_lists, *draws)
     value, g_est = discrepancy("qerror", est, true_sels)
     sampler.accumulate_grad(g_est)
     return value
+
+
+def hard_estimate(model, constraints, num_samples, seed):
+    """Progressive-sampling selectivity of one query on the engine."""
+    return float(InferenceEngine(model).estimate_batch(
+        [constraints], num_samples, np.random.default_rng(seed))[0])
+
+
+def draws(num_samples, seed, temperature=1.0):
+    """``FusedDPS.estimate_batch``'s sampling arguments, freshly seeded."""
+    return num_samples, temperature, np.random.default_rng(seed)
 
 
 @pytest.fixture
@@ -46,35 +59,33 @@ def constraints():
 
 class TestEstimates:
     def test_agrees_with_hard_sampler(self, model, constraints):
-        hard = ProgressiveSampler(model, num_samples=4000, seed=1)
-        reference = hard.estimate(constraints)
-        dps = DifferentiableProgressiveSampler(model, num_samples=2000,
-                                               temperature=0.2, seed=2)
-        soft = dps.estimate_batch([constraints])[0]
+        reference = hard_estimate(model, constraints, 4000, seed=1)
+        soft = FusedDPS(model).estimate_batch(
+            [constraints], *draws(2000, seed=2, temperature=0.2))[0]
         # Low temperature -> soft samples are close to hard one-hots.
         assert soft == pytest.approx(reference, rel=0.3, abs=0.02)
 
     def test_no_constraints_returns_one(self, model):
-        dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=3)
-        out = dps.estimate_batch([[None, None, None]])
+        out = FusedDPS(model).estimate_batch([[None, None, None]],
+                                             *draws(8, seed=3))
         np.testing.assert_allclose(out, 1.0)
 
     def test_batch_shape(self, model, constraints):
-        dps = DifferentiableProgressiveSampler(model, num_samples=4, seed=4)
-        out = dps.estimate_batch([constraints, constraints])
+        out = FusedDPS(model).estimate_batch([constraints, constraints],
+                                             *draws(4, seed=4))
         assert out.shape == (2,)
 
-    def test_invalid_sample_count(self, model):
+    def test_invalid_sample_count(self, tiny_table):
         with pytest.raises(ValueError):
-            DifferentiableProgressiveSampler(model, num_samples=0)
+            UAE(tiny_table, dps_samples=0)
 
 
 class TestGradients:
     def test_gradients_reach_all_layers(self, model, constraints):
         """Backprop through DPS must touch input, block and output weights."""
         model.zero_grad()
-        dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=5)
-        qerror_step(dps, [constraints], np.array([0.3]))
+        qerror_step(FusedDPS(model), [constraints], np.array([0.3]),
+                    *draws(8, seed=5))
         for name, param in [("input", model.input_layer.weight),
                             ("block", model.blocks[0].fc1.weight),
                             ("output", model.output_layer.weight)]:
@@ -86,18 +97,17 @@ class TestGradients:
         from repro.nn import Adam
         rng = np.random.default_rng(6)
         local = ResMADE([4, 3, 5], hidden=24, num_blocks=1, rng=rng)
-        dps = DifferentiableProgressiveSampler(local, num_samples=16, seed=7)
+        dps, stream = FusedDPS(local), draws(16, seed=7)
         target = np.array([0.05])
         opt = Adam(local.parameters(), lr=5e-3)
         first = None
         for step in range(60):
             opt.zero_grad()
-            loss = qerror_step(dps, [constraints], target)
+            loss = qerror_step(dps, [constraints], target, *stream)
             if first is None:
                 first = loss
             opt.step()
-        final_est = ProgressiveSampler(local, num_samples=2000,
-                                       seed=8).estimate(constraints)
+        final_est = hard_estimate(local, constraints, 2000, seed=8)
         first_q = max(first, 1.0)
         final_q = max(final_est / target[0], target[0] / max(final_est, 1e-9))
         assert final_q < first_q, (
@@ -106,22 +116,18 @@ class TestGradients:
     def test_scaled_constraint_gradients(self, model):
         gain = 1.0 / (np.arange(4) + 1.0)
         model.zero_grad()
-        dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=9)
-        qerror_step(dps, [[("scaled", np.ones(4, bool), gain),
-                           fixed([True, False, True]), None]],
-                    np.array([0.1]))
+        qerror_step(FusedDPS(model), [[("scaled", np.ones(4, bool), gain),
+                                       fixed([True, False, True]), None]],
+                    np.array([0.1]), *draws(8, seed=9))
         assert model.output_layer.weight.grad is not None
         assert np.isfinite(model.output_layer.weight.grad).all()
 
     def test_temperature_changes_sample_softness(self, model, constraints):
-        soft = DifferentiableProgressiveSampler(model, num_samples=64,
-                                                temperature=5.0, seed=10)
-        hard = DifferentiableProgressiveSampler(model, num_samples=64,
-                                                temperature=0.1, seed=10)
         # Run one batch each and inspect the recorded hard argmax spread —
         # the estimates should both be finite and in [0, 1].
-        for sampler in (soft, hard):
-            est = sampler.estimate_batch([constraints])
+        for temperature in (5.0, 0.1):
+            est = FusedDPS(model).estimate_batch(
+                [constraints], *draws(64, seed=10, temperature=temperature))
             assert np.isfinite(est).all()
             assert (est >= 0).all() and (est <= 1.0 + 1e-5).all()
 
@@ -138,8 +144,7 @@ class TestScoreFunction:
         sf = ScoreFunctionSampler(model, num_samples=3000, seed=12)
         est = sf.estimate_batch([constraints])
         assert est.shape == (1,)
-        reference = ProgressiveSampler(model, num_samples=3000,
-                                       seed=13).estimate(constraints)
+        reference = hard_estimate(model, constraints, 3000, seed=13)
         assert est[0] == pytest.approx(reference, rel=0.25, abs=0.02)
 
     def test_rejects_scaled_constraints(self, model):

@@ -62,11 +62,11 @@ class TestEstimation:
         # Count component calls by monkey-counting estimate invocations.
         calls = []
         for model in fitted.partitions:
-            original = model.estimate_selectivity
+            original = model.estimate
             def wrapped(query, _orig=original, _m=model):
                 calls.append(_m)
                 return _orig(query)
-            model.estimate_selectivity = wrapped
+            model.estimate = wrapped
         fitted.estimate(q)
         assert len(calls) == 1
 

@@ -35,13 +35,14 @@ class TestConfidenceIntervals:
         table, model = trained
         rng = np.random.default_rng(1)
         query = generate_inworkload(table, 1, rng).queries[0]
-        constraints = model.fact.expand_masks(query.masks(table))
+        constraints = model.constraints(query)
 
-        from repro.core import ProgressiveSampler
-        few = ProgressiveSampler(model.model, num_samples=16, seed=0)
-        many = ProgressiveSampler(model.model, num_samples=1024, seed=0)
-        _, err_few = few.estimate_with_error(constraints)
-        _, err_many = many.estimate_with_error(constraints)
+        from repro.infer import InferenceEngine
+        engine = InferenceEngine(model.model)
+        _, (err_few,) = engine.estimate_batch(
+            [constraints], 16, np.random.default_rng(0), with_error=True)
+        _, (err_many,) = engine.estimate_batch(
+            [constraints], 1024, np.random.default_rng(0), with_error=True)
         assert err_many <= err_few * 1.1
 
     def test_point_query_zero_variance(self, trained):

@@ -8,8 +8,8 @@ the exact region mass (it is unbiased — paper Section 4.2).
 import numpy as np
 import pytest
 
-from repro.core.progressive import ProgressiveSampler, UniformSampler
-from repro.infer import CompiledModel
+from repro.core.progressive import UniformSampler
+from repro.infer import CompiledModel, InferenceEngine
 from repro.nn import ResMADE
 
 from reference.made import nll_np
@@ -43,36 +43,43 @@ def fixed(mask):
     return ("fixed", np.asarray(mask, dtype=bool))
 
 
+def estimate_batch(model, constraint_lists, num_samples, seed):
+    """Seeded progressive-sampling selectivities on the engine."""
+    return InferenceEngine(model).estimate_batch(
+        constraint_lists, num_samples, np.random.default_rng(seed))
+
+
+def estimate(model, constraints, num_samples, seed) -> float:
+    return float(estimate_batch(model, [constraints], num_samples, seed)[0])
+
+
 class TestUnbiasedness:
     def test_converges_to_exact_mass(self, small_model):
         masks = [np.array([True, True, False, False]),
                  np.array([True, False, True]),
                  np.array([False, True, True, True, False])]
         exact = exact_region_mass(small_model, masks)
-        sampler = ProgressiveSampler(small_model, num_samples=4000, seed=1)
-        estimate = sampler.estimate([fixed(m) for m in masks])
-        assert estimate == pytest.approx(exact, rel=0.1)
+        est = estimate(small_model, [fixed(m) for m in masks], 4000, seed=1)
+        assert est == pytest.approx(exact, rel=0.1)
 
     def test_full_region_is_one(self, small_model):
         masks = [np.ones(4, bool), np.ones(3, bool), np.ones(5, bool)]
-        sampler = ProgressiveSampler(small_model, num_samples=500, seed=2)
-        estimate = sampler.estimate([fixed(m) for m in masks])
-        assert estimate == pytest.approx(1.0, abs=1e-5)
+        est = estimate(small_model, [fixed(m) for m in masks], 500, seed=2)
+        assert est == pytest.approx(1.0, abs=1e-5)
 
     def test_empty_region_is_zero(self, small_model):
         masks = [np.zeros(4, bool), None, None]
-        sampler = ProgressiveSampler(small_model, num_samples=100, seed=3)
-        assert sampler.estimate([fixed(masks[0]), None, None]) == 0.0
+        assert estimate(small_model, [fixed(masks[0]), None, None], 100,
+                        seed=3) == 0.0
 
     def test_wildcard_columns_marginalised(self, small_model):
         """Constraining only column 0 must match the exact marginal mass."""
         mask0 = np.array([True, False, False, True])
         exact = exact_region_mass(small_model, [mask0, None, None])
-        sampler = ProgressiveSampler(small_model, num_samples=2000, seed=4)
-        estimate = sampler.estimate([fixed(mask0), None, None])
+        est = estimate(small_model, [fixed(mask0), None, None], 2000, seed=4)
         # Only needs one forward pass (first queried col is last queried);
         # the wildcard marginalisation is learned, so allow looser tolerance.
-        assert estimate == pytest.approx(exact, rel=0.35, abs=0.05)
+        assert est == pytest.approx(exact, rel=0.35, abs=0.05)
 
 
 class TestBatching:
@@ -84,19 +91,15 @@ class TestBatching:
                      rng.random(5) < 0.7]
             masks = [m if m.any() else np.ones_like(m) for m in masks]
             queries.append([fixed(m) for m in masks])
-        batch_sampler = ProgressiveSampler(small_model, num_samples=3000,
-                                           seed=6)
-        batched = batch_sampler.estimate_batch(queries)
+        batched = estimate_batch(small_model, queries, 3000, seed=6)
         for i, constraints in enumerate(queries):
-            solo = ProgressiveSampler(small_model, num_samples=3000,
-                                      seed=7 + i).estimate(constraints)
+            solo = estimate(small_model, constraints, 3000, seed=7 + i)
             assert batched[i] == pytest.approx(solo, rel=0.25, abs=0.02)
 
     def test_mixed_wildcards_in_batch(self, small_model):
         q1 = [fixed(np.array([True, False, True, True])), None, None]
         q2 = [None, None, fixed(np.array([True, True, False, False, True]))]
-        sampler = ProgressiveSampler(small_model, num_samples=1500, seed=8)
-        out = sampler.estimate_batch([q1, q2])
+        out = estimate_batch(small_model, [q1, q2], 1500, seed=8)
         assert out.shape == (2,)
         assert (out >= 0).all() and (out <= 1).all()
 
@@ -106,29 +109,26 @@ class TestScaledConstraints:
         """A constant gain g must multiply the estimate by exactly g."""
         mask = np.ones(4, dtype=bool)
         gain = np.full(4, 0.25)
-        plain = ProgressiveSampler(small_model, num_samples=800, seed=9)
-        base = plain.estimate([fixed(np.array([True, True, False, False])),
-                               None, None])
-        scaled = ProgressiveSampler(small_model, num_samples=800, seed=9)
-        est = scaled.estimate([
+        base = estimate(small_model,
+                        [fixed(np.array([True, True, False, False])),
+                         None, None], 800, seed=9)
+        est = estimate(small_model, [
             ("scaled", mask, gain),
             None,
             fixed(np.array([True, True, False, False, True])),
-        ])
+        ], 800, seed=9)
         # E[0.25 * 1(region)] = 0.25 * P(region)
-        ref = ProgressiveSampler(small_model, num_samples=3000, seed=10)
-        unscaled = ref.estimate([
+        unscaled = estimate(small_model, [
             fixed(mask), None,
-            fixed(np.array([True, True, False, False, True]))])
+            fixed(np.array([True, True, False, False, True]))], 3000, seed=10)
         assert est == pytest.approx(0.25 * unscaled, rel=0.15)
         assert base >= 0  # smoke: plain path still works
 
     def test_value_dependent_gain(self, small_model):
         """E[g(X)] for g = 1/(code+1) against exact enumeration."""
         gain = 1.0 / (np.arange(4) + 1.0)
-        sampler = ProgressiveSampler(small_model, num_samples=4000, seed=11)
-        est = sampler.estimate([("scaled", np.ones(4, bool), gain),
-                                None, None])
+        est = estimate(small_model, [("scaled", np.ones(4, bool), gain),
+                                     None, None], 4000, seed=11)
         # Exact: sum_v P(X0 = v) * g(v).
         domains = small_model.domain_sizes
         grids = np.meshgrid(*[np.arange(d) for d in domains], indexing="ij")

@@ -159,7 +159,7 @@ class TestEstimation:
 
     def test_estimate_many_matches_single(self, trained, toy_workloads):
         queries = toy_workloads["test_in"].queries[:4]
-        batched = trained.estimate_many(queries, batch_queries=4)
+        batched = trained.estimate_many(queries)
         for i, query in enumerate(queries):
             solo = trained.estimate(query)
             # Same model, different sample draws: expect agreement.
@@ -173,10 +173,50 @@ class TestEstimation:
         out = trained.estimate_many([])
         assert out.shape == (0,)
         assert out.dtype == np.float64
-        out = trained.estimate_constraints_many([])
+        out = trained.cardinalities([])
         assert out.shape == (0,)
-        # The batched-chunking path must handle it too.
-        assert trained.estimate_many([], batch_queries=4).shape == (0,)
+
+    def test_every_estimate_runs_the_seeded_stream(self, toy_table,
+                                                    toy_workloads):
+        """``estimate``, ``estimate_interval`` and ``estimate_many`` draw
+        from one ``seed + 1`` stream, and a single estimate is exactly
+        the one-query engine call on it."""
+        from repro.infer import InferenceEngine
+        queries = toy_workloads["test_in"].queries[:6]
+        uae = UAE(toy_table, **FAST)
+        uae.fit(epochs=1, mode="data")
+        engine = InferenceEngine(uae.model)
+        rng = np.random.default_rng(FAST["seed"] + 1)
+        samples, n = FAST["est_samples"], toy_table.num_rows
+        for q in queries[:3]:
+            sel = engine.estimate_batch([uae.constraints(q)], samples, rng)
+            assert uae.estimate(q) == sel[0] * n
+        sel, err = engine.estimate_batch([uae.constraints(queries[3])],
+                                         samples, rng, with_error=True)
+        est, low, _ = uae.estimate_interval(queries[3])
+        assert est == sel[0] * n
+        assert low == max((sel[0] - 1.96 * err[0]) * n, 0.0)
+        sels = engine.estimate_batch(
+            [uae.constraints(q) for q in queries[4:]], samples, rng)
+        np.testing.assert_array_equal(uae.estimate_many(queries[4:]),
+                                      sels * n)
+
+    def test_engine_is_built_on_first_estimate(self, toy_table,
+                                               toy_workloads, monkeypatch):
+        import repro.core.uae as uae_module
+        built = []
+        engine_cls = uae_module.InferenceEngine
+        monkeypatch.setattr(uae_module, "InferenceEngine",
+                            lambda model: built.append(model)
+                            or engine_cls(model))
+        uae = UAE(toy_table, **FAST)
+        assert built == []
+        query = toy_workloads["test_in"].queries[0]
+        uae.estimate(query)
+        uae.estimate_many([query, query])
+        assert built == [uae.model]
+        assert len(uae.snapshot().estimate_many([query])) == 1
+        assert len(built) == 2
 
     def test_uniform_estimator_path(self, trained, toy_table, toy_workloads):
         query = toy_workloads["test_in"].queries[0]
@@ -222,12 +262,12 @@ class TestPersistence:
         constraints = [uae.fact.expand_masks(q.masks(toy_table))
                        for q in queries]
         rng_a = np.random.default_rng(77)
-        original = uae.sampler.engine.estimate_batch(constraints, 64, rng_a)
+        original = uae.engine.estimate_batch(constraints, 64, rng_a)
         path = str(tmp_path / "uae.npz")
         uae.save(path)
         loaded = UAE.load(path, toy_table)
         rng_b = np.random.default_rng(77)
-        restored = loaded.sampler.engine.estimate_batch(constraints, 64,
+        restored = loaded.engine.estimate_batch(constraints, 64,
                                                         rng_b)
         np.testing.assert_array_equal(original, restored)
 
@@ -239,21 +279,21 @@ class TestPersistence:
         query = toy_workloads["test_in"].queries[0]
         constraints = [uae.fact.expand_masks(query.masks(toy_table))]
         # Warm the compiled engine on the *initial* weights.
-        compiled = uae.sampler.engine.compiled
+        compiled = uae.engine.compiled
         compiled.ensure_current()
         versions_before = tuple(p.version for p in uae.model.parameters())
         rng = np.random.default_rng(5)
-        stale = uae.sampler.engine.estimate_batch(constraints, 128, rng)
+        stale = uae.engine.estimate_batch(constraints, 128, rng)
 
         uae.model.load_state_dict(other.model.state_dict())
         versions_after = tuple(p.version for p in uae.model.parameters())
         assert all(a > b for a, b in zip(versions_after, versions_before))
         # The warm engine recompiles and serves the new weights...
-        fresh = uae.sampler.engine.estimate_batch(
+        fresh = uae.engine.estimate_batch(
             constraints, 128, np.random.default_rng(5))
         assert compiled.ensure_current() is False  # already recompiled
         # ...matching the donor model bit for bit under the same draws.
-        reference = other.sampler.engine.estimate_batch(
+        reference = other.engine.estimate_batch(
             constraints, 128, np.random.default_rng(5))
         np.testing.assert_array_equal(fresh, reference)
         assert not np.array_equal(stale, fresh)
@@ -261,14 +301,14 @@ class TestPersistence:
     def test_snapshot_is_warm_and_detached(self, toy_table, toy_workloads):
         uae = UAE(toy_table, **FAST)
         uae.fit(epochs=1, mode="data")
-        uae.sampler.engine.compiled.ensure_current()  # warm the source too
+        uae.engine.compiled.ensure_current()  # warm the source too
         snap = uae.snapshot()
         # Snapshot compiled eagerly; further training of the source does
         # not touch it.
-        assert snap.sampler.engine.compiled.ensure_current() is False
+        assert snap.engine.compiled.ensure_current() is False
         uae.fit(epochs=1, mode="data")
-        assert snap.sampler.engine.compiled.ensure_current() is False
-        assert uae.sampler.engine.compiled.ensure_current() is True
+        assert snap.engine.compiled.ensure_current() is False
+        assert uae.engine.compiled.ensure_current() is True
 
     def test_snapshot_does_not_share_metrics(self, tiny_table):
         """A served snapshot never records into its trainer's registry."""

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.progressive import ProgressiveSampler
 from repro.infer import (BatchScheduler, CompiledModel, InferenceEngine,
                          compile_constraints)
+from repro.infer import scheduler as scheduler_module
 from repro.nn import Adam, MaskedLinear, ResMADE
 from repro.nn.buffers import BufferPool
 from repro.nn.encoders import EmbeddingEncoder, OneHotEncoder
@@ -354,26 +354,34 @@ class TestCompiledConstraints:
         np.testing.assert_array_equal(w.astype(bool), grid[hi])
 
 
+def engine_estimate(model, constraint_lists, num_samples, seed, **kwargs):
+    """Estimates from a fresh engine on a fresh stream seeded ``seed``."""
+    return InferenceEngine(model).estimate_batch(
+        constraint_lists, num_samples, np.random.default_rng(seed), **kwargs)
+
+
+def legacy_estimate(model, constraint_lists, num_samples, seed, **kwargs):
+    """The reference loop on a fresh stream seeded ``seed``."""
+    return estimate_batch_legacy(model, constraint_lists, num_samples,
+                                 np.random.default_rng(seed), **kwargs)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("shape", list(MODEL_SHAPES))
     def test_estimates_match_legacy_draw_for_draw(self, shape):
         model = shaped_model(shape)
         rng = np.random.default_rng(8)
         queries = make_queries(model, rng, 6)
-        legacy = ProgressiveSampler(model, num_samples=200, seed=11)
-        engine = ProgressiveSampler(model, num_samples=200, seed=11)
-        a = estimate_batch_legacy(legacy, queries)
-        b = engine.estimate_batch(queries)
+        a = legacy_estimate(model, queries, 200, seed=11)
+        b = engine_estimate(model, queries, 200, seed=11)
         # Same seed -> same uniform stream -> near bit-identical estimates.
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
 
     def test_with_error_matches_legacy(self, model):
         rng = np.random.default_rng(9)
         queries = make_queries(model, rng, 3)
-        legacy = ProgressiveSampler(model, num_samples=64, seed=13)
-        engine = ProgressiveSampler(model, num_samples=64, seed=13)
-        a, ae = estimate_batch_legacy(legacy, queries, with_error=True)
-        b, be = engine.estimate_batch(queries, with_error=True)
+        a, ae = legacy_estimate(model, queries, 64, seed=13, with_error=True)
+        b, be = engine_estimate(model, queries, 64, seed=13, with_error=True)
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(ae, be, rtol=1e-3, atol=1e-7)
 
@@ -386,10 +394,8 @@ class TestEngineEquivalence:
               fixed(np.array([True, True, False, True, True])), None]
         q2 = [fixed(np.array([True, False, True, True])), None, None,
               fixed(np.array([True, False, True]))]
-        legacy = ProgressiveSampler(model, num_samples=300, seed=17)
-        engine = ProgressiveSampler(model, num_samples=300, seed=17)
-        a = estimate_batch_legacy(legacy, [q1, q2])
-        b = engine.estimate_batch([q1, q2])
+        a = legacy_estimate(model, [q1, q2], 300, seed=17)
+        b = engine_estimate(model, [q1, q2], 300, seed=17)
         np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-7)
 
     def test_scaled_constraints_match_legacy(self, model):
@@ -397,16 +403,13 @@ class TestEngineEquivalence:
         q = [fixed(np.array([True, True, False, False])),
              ("scaled", np.ones(6, dtype=bool), gain),
              fixed(np.array([False, True, True, True, False])), None]
-        legacy = ProgressiveSampler(model, num_samples=400, seed=19)
-        engine = ProgressiveSampler(model, num_samples=400, seed=19)
-        a = estimate_batch_legacy(legacy, [q])
-        b = engine.estimate_batch([q])
+        a = legacy_estimate(model, [q], 400, seed=19)
+        b = engine_estimate(model, [q], 400, seed=19)
         np.testing.assert_allclose(a, b, rtol=1e-3, atol=1e-7)
 
     def test_empty_region_is_zero(self, model):
         q = [fixed(np.zeros(4, dtype=bool)), None, None, None]
-        engine = ProgressiveSampler(model, num_samples=50, seed=21)
-        assert engine.estimate(q) == 0.0
+        assert engine_estimate(model, [q], 50, seed=21)[0] == 0.0
 
     def test_no_constraints_is_one(self, model):
         engine = InferenceEngine(model)
@@ -418,19 +421,17 @@ class TestEngineEquivalence:
         """One queried column never touches the batched network path."""
         mask = np.array([True, False, True, False])
         q = [fixed(mask), None, None, None]
-        legacy = ProgressiveSampler(model, num_samples=500, seed=29)
-        engine = ProgressiveSampler(model, num_samples=500, seed=29)
-        np.testing.assert_allclose(estimate_batch_legacy(legacy, [q])[0],
-                                   engine.estimate(q),
+        np.testing.assert_allclose(legacy_estimate(model, [q], 500, seed=29),
+                                   engine_estimate(model, [q], 500, seed=29),
                                    rtol=1e-5, atol=1e-8)
 
     def test_engine_tracks_training_updates(self, model):
         """Estimates follow the weights across an optimizer step."""
         rng = np.random.default_rng(31)
         m = ResMADE([4, 3], hidden=16, num_blocks=1, rng=rng)
-        engine = ProgressiveSampler(m, num_samples=400, seed=37)
+        engine, stream = InferenceEngine(m), np.random.default_rng(37)
         q = [fixed(np.array([True, False, False, True])), None]
-        before = engine.estimate(q)
+        before = engine.estimate_batch([q], 400, stream)[0]
         opt = Adam(m.parameters(), lr=0.3)
         x = rng.standard_normal((8, m.input_width)).astype(np.float32)
         # Asymmetric loss so column marginals actually move.
@@ -438,9 +439,8 @@ class TestEngineEquivalence:
                        .astype(np.float32))
         (ref.forward(m, Tensor(x)) * scale).sum().backward()
         opt.step()
-        after = engine.estimate(q)
-        reference = estimate_batch_legacy(
-            ProgressiveSampler(m, num_samples=4000, seed=41), [q])[0]
+        after = engine.estimate_batch([q], 400, stream)[0]
+        reference = legacy_estimate(m, [q], 4000, seed=41)[0]
         assert after == pytest.approx(reference, rel=0.2, abs=0.02)
         assert before != after
 
@@ -449,11 +449,10 @@ class TestScheduler:
     def test_matches_per_query_estimates(self, model):
         rng = np.random.default_rng(43)
         queries = make_queries(model, rng, 7)
-        sampler = ProgressiveSampler(model, num_samples=2000, seed=47)
-        many = sampler.estimate_many(queries)
+        many = BatchScheduler(InferenceEngine(model)).estimate_many(
+            queries, 2000, np.random.default_rng(47))
         for i, q in enumerate(queries):
-            solo = ProgressiveSampler(model, num_samples=2000,
-                                      seed=53 + i).estimate(q)
+            solo = engine_estimate(model, [q], 2000, seed=53 + i)[0]
             assert many[i] == pytest.approx(solo, rel=0.25, abs=0.02)
 
     def test_groups_by_signature(self, model):
@@ -464,10 +463,11 @@ class TestScheduler:
         plan = scheduler.plan([q_a, q_b, q_a, q_b, q_b])
         assert sorted(sorted(g) for g in plan) == [[0, 2], [1, 3, 4]]
 
-    def test_chunking_respects_row_budget(self, model):
+    def test_chunking_respects_row_budget(self, model, monkeypatch):
         q = [fixed(np.ones(4, dtype=bool)), None, None, None]
+        monkeypatch.setattr(scheduler_module, "MAX_ROWS", 20)
         engine = InferenceEngine(model)
-        scheduler = BatchScheduler(engine, max_rows=20)
+        scheduler = BatchScheduler(engine)
         rng = np.random.default_rng(59)
         out = scheduler.estimate_many([q] * 9, num_samples=10, rng=rng)
         assert out.shape == (9,)
@@ -497,7 +497,8 @@ class TestScheduler:
             scheduler.engine.estimate_batch = original
         return out, calls
 
-    def test_small_groups_coalesce_into_mixed_batches(self, model):
+    def test_small_groups_coalesce_into_mixed_batches(self, model,
+                                                      monkeypatch):
         """Singleton signatures run as one mixed engine batch, not one
         dispatch per signature (the BENCH_infer scheduler regression)."""
         rng = np.random.default_rng(63)
@@ -510,34 +511,35 @@ class TestScheduler:
             if sig not in sigs:
                 sigs.add(sig)
                 distinct.append(q)
-        engine = InferenceEngine(model)
-        coalescing = BatchScheduler(engine, min_group_size=4)
-        out_c, calls_c = self._count_engine_calls(coalescing, distinct)
+        scheduler = BatchScheduler(InferenceEngine(model))
+        monkeypatch.setattr(scheduler_module, "MIN_GROUP_SIZE", 4)
+        out_c, calls_c = self._count_engine_calls(scheduler, distinct)
         assert len(calls_c) == 1 and calls_c[0] == len(distinct)
-        grouped = BatchScheduler(engine, min_group_size=1)
-        out_g, calls_g = self._count_engine_calls(grouped, distinct)
+        monkeypatch.setattr(scheduler_module, "MIN_GROUP_SIZE", 1)
+        out_g, calls_g = self._count_engine_calls(scheduler, distinct)
         assert len(calls_g) == len(distinct)
         assert out_c.shape == out_g.shape == (len(distinct),)
         assert np.all((out_c >= 0) & (out_c <= 1))
 
-    def test_coalesced_estimates_match_solo(self, model):
+    def test_coalesced_estimates_match_solo(self, model, monkeypatch):
         rng = np.random.default_rng(69)
         queries = make_queries(model, rng, 5)
+        monkeypatch.setattr(scheduler_module, "MIN_GROUP_SIZE", 10)
         engine = InferenceEngine(model)
-        scheduler = BatchScheduler(engine, min_group_size=10)  # coalesce all
+        scheduler = BatchScheduler(engine)          # coalesces all
         many = scheduler.estimate_many(queries, 600,
                                        np.random.default_rng(71))
         for i, q in enumerate(queries):
-            solo = ProgressiveSampler(model, num_samples=600,
-                                      seed=73 + i).estimate(q)
+            solo = engine_estimate(model, [q], 600, seed=73 + i)[0]
             assert many[i] == pytest.approx(solo, rel=0.25, abs=0.02)
 
-    def test_coalesce_row_budget_splits_chunks(self, model):
+    def test_coalesce_row_budget_splits_chunks(self, model, monkeypatch):
         rng = np.random.default_rng(75)
         queries = make_queries(model, rng, 8)
+        monkeypatch.setattr(scheduler_module, "MIN_GROUP_SIZE", 100)
+        monkeypatch.setattr(scheduler_module, "COALESCE_ROWS", 3 * 32)
         engine = InferenceEngine(model)
-        scheduler = BatchScheduler(engine, min_group_size=100,
-                                   coalesce_rows=3 * 32)
+        scheduler = BatchScheduler(engine)
         out, calls = self._count_engine_calls(scheduler, queries,
                                               num_samples=32)
         assert out.shape == (8,)

@@ -326,7 +326,8 @@ def serving_front(imdb_join):
     """Fresh front door per test: hot-swap tests mutate the namespace."""
     join = copy.copy(imdb_join)
     join.uae = imdb_join.uae.clone()
-    front = RoutedEstimateService(pool_workers=1, refine_epochs=1, seed=3)
+    front = RoutedEstimateService(pool_workers=1, refine_epochs=1,
+                                  data_epochs=1, seed=3)
     space = front.add_join(join, namespace="imdb")
     return front, space, join
 
@@ -416,7 +417,8 @@ class TestServingCardinalityProvider:
         provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
         before = provider.prefetch(SERVING_QUERY)
         v1 = space.version
-        space.server.ingest_data(join.sample_table.codes[:80], epochs=1)
+        space.server.stage_data(join.sample_table.codes[:80])
+        space.server.refine()
         assert space.version > v1
         after = provider.prefetch(SERVING_QUERY)
         assert provider.invalidations == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import UAE, ProgressiveSampler
+from repro.core import UAE
+from repro.infer import InferenceEngine
 from repro.data import make_toy
 from repro.nn import ResMADE
 from repro.workload import generate_inworkload, qerrors
@@ -60,8 +61,9 @@ class TestOrderedMADE:
             keep &= mask[tuples[:, col]]
         exact = float(probs[keep].sum())
 
-        sampler = ProgressiveSampler(model, num_samples=4000, seed=3)
-        est = sampler.estimate([("fixed", m) for m in masks])
+        est = InferenceEngine(model).estimate_batch(
+            [[("fixed", m) for m in masks]], 4000,
+            np.random.default_rng(3))[0]
         assert est == pytest.approx(exact, rel=0.12)
 
     def test_joint_sums_to_one_under_order(self):

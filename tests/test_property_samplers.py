@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DifferentiableProgressiveSampler, ProgressiveSampler
+from repro.infer import InferenceEngine
 from repro.nn import ResMADE
+from repro.train import FusedDPS
 
 from reference.made import nll_np
 
@@ -53,8 +54,9 @@ def test_progressive_sampling_matches_enumeration(domains, model_seed,
             mask[rng.integers(0, d)] = True
         masks.append(mask)
     exact = enumerate_mass(model, masks)
-    sampler = ProgressiveSampler(model, num_samples=3000, seed=mask_seed)
-    estimate = sampler.estimate([("fixed", m) for m in masks])
+    estimate = InferenceEngine(model).estimate_batch(
+        [[("fixed", m) for m in masks]], 3000,
+        np.random.default_rng(mask_seed))[0]
     assert 0.0 <= estimate <= 1.0
     assert estimate == pytest.approx(exact, rel=0.25, abs=0.02)
 
@@ -73,8 +75,8 @@ def test_dps_estimates_bounded_and_finite(domains, seed):
         if not mask.any():
             mask[0] = True
         constraints.append(("fixed", mask))
-    dps = DifferentiableProgressiveSampler(model, num_samples=6, seed=seed)
-    est = dps.estimate_batch([constraints])
+    est = FusedDPS(model).estimate_batch([constraints], 6, 1.0,
+                                         np.random.default_rng(seed))
     assert np.isfinite(est).all()
     assert (est >= 0).all() and (est <= 1.0 + 1e-4).all()
 
@@ -89,7 +91,7 @@ def test_monotonicity_in_region_size(seed):
     small[1:3] = True
     big = small.copy()
     big[4] = True
-    sampler = ProgressiveSampler(model, num_samples=64, seed=seed)
-    est_small = sampler.estimate([("fixed", small), None])
-    est_big = sampler.estimate([("fixed", big), None])
+    engine, rng = InferenceEngine(model), np.random.default_rng(seed)
+    est_small = engine.estimate_batch([[("fixed", small), None]], 64, rng)[0]
+    est_big = engine.estimate_batch([[("fixed", big), None]], 64, rng)[0]
     assert est_big >= est_small - 1e-6

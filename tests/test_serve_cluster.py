@@ -386,12 +386,9 @@ class TestCluster:
             # Bit-parity with a direct engine reference on the new
             # weights: the version-counter rebuild crossed the process
             # boundary intact.
-            constraints = [refined.fact.expand_masks(
-                q.masks(refined.table)) for q in probes]
-            sels = refined.sampler.scheduler.estimate_many(
-                constraints, refined.sampler.num_samples,
+            ref = refined.cardinalities(
+                [refined.constraints(q) for q in probes],
                 np.random.default_rng(99))
-            ref = np.clip(sels, 0.0, 1.0) * refined.table.num_rows
             assert np.array_equal(after, ref)
 
     def test_crashed_worker_typed_gap_then_recover(

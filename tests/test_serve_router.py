@@ -350,6 +350,32 @@ class TestRoutedEstimateService:
         assert per == {"tiny": 1, "second": 1}
         assert jobs("repro_pool_jobs_total") == sum(per.values())
 
+    def test_maintain_counts_the_drift_it_refines_on(self, tiny_uae,
+                                                     tiny_workload):
+        """The routed sweep runs each namespace's ``UAEServer.maintain``:
+        a drift-triggered refinement is counted and emitted as one, not
+        only performed."""
+        from repro.obs import EventLog
+        events = EventLog()
+        front = RoutedEstimateService(pool_workers=1, refine_epochs=1,
+                                      seed=5, events=events)
+        front.add_table(tiny_uae.clone())
+        server = front.namespace("tiny").server
+        server.feedback.min_observations = 4
+        server.feedback.threshold = 2.0
+        for q, tru in zip(tiny_workload.queries[:8],
+                          tiny_workload.cardinalities[:8]):
+            front.observe(q, tru, estimate=100.0 * tru)
+        started = front.maintain(background=False)
+        assert set(started) == {"tiny"}
+        assert started["tiny"]["version"] == 2
+        assert front.metrics.total("repro_drift_triggers_total",
+                                   namespace="tiny") == 1
+        assert len(events.recent(event="drift_trigger")) == 1
+        # No drift left: the next sweep neither refines nor counts.
+        assert front.maintain(background=False) == {}
+        assert front.metrics.total("repro_drift_triggers_total") == 1
+
     def test_join_namespace_serves_and_refines(self, front, tiny_schema,
                                                tiny_join):
         from repro.joins.workload import (generate_job_light,

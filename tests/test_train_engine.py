@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import UAE
-from repro.core.dps import DifferentiableProgressiveSampler, ScoreFunctionSampler
-from repro.core.progressive import ProgressiveSampler
+from repro.core.dps import ScoreFunctionSampler
+from repro.infer import InferenceEngine
 from repro.nn import ResMADE
 from repro.serve import RoutedEstimateService, UAEServer
 from repro.train import FusedDataLoss, FusedDPS, discrepancy
@@ -47,20 +47,25 @@ CONSTRAINTS = [fixed([1, 1, 0, 1, 0]), fixed([0, 1, 1, 0, 1, 1, 0]),
                None, fixed([1, 0, 0, 1, 1, 1])]
 
 
-def dps_qerror_grads(dps, backend, constraint_lists, true_sels):
-    """``dps``'s seeded stream through the reference loop (graph
+def dps_qerror_grads(model, backend, constraint_lists, true_sels, *,
+                     num_samples=8, temperature=1.0, seed=0):
+    """A DPS stream seeded ``seed`` through the reference loop (graph
     q-error, ``backward()``) or the kernel (closed-form q-error,
-    ``dps.accumulate_grad``): returns the estimates and the parameter
-    gradients."""
-    dps.model.zero_grad()
+    ``FusedDPS.accumulate_grad``): returns the estimates and the
+    parameter gradients."""
+    rng = np.random.default_rng(seed)
+    model.zero_grad()
     if backend == "legacy":
-        est = estimate_batch_legacy(dps, constraint_lists)
+        est = estimate_batch_legacy(model, constraint_lists, num_samples,
+                                    temperature, rng)
         qerror_loss(est, true_sels).backward()
         est = est.data
     else:
-        est = dps.estimate_batch(constraint_lists)
-        dps.accumulate_grad(discrepancy("qerror", est, true_sels)[1])
-    return est.copy(), collect_grads(dps.model)
+        fused = FusedDPS(model)
+        est = fused.estimate_batch(constraint_lists, num_samples,
+                                   temperature, rng)
+        fused.accumulate_grad(discrepancy("qerror", est, true_sels)[1])
+    return est.copy(), collect_grads(model)
 
 
 def batch_codes(model: ResMADE, n: int, seed: int = 1) -> np.ndarray:
@@ -205,11 +210,10 @@ class TestFusedDPS:
         model = small_model(7)
         results = {}
         for backend in ("legacy", "engine"):
-            dps = DifferentiableProgressiveSampler(
-                model, num_samples=8, temperature=1.0, seed=42)
             results[backend] = dps_qerror_grads(
-                dps, backend, [CONSTRAINTS, CONSTRAINTS[:2] + [None, None]],
-                np.array([0.2, 0.4]))
+                model, backend, [CONSTRAINTS, CONSTRAINTS[:2] + [None, None]],
+                np.array([0.2, 0.4]), num_samples=8, temperature=1.0,
+                seed=42)
         np.testing.assert_allclose(results["legacy"][0],
                                    results["engine"][0], atol=1e-5)
         assert max_grad_diff(results["legacy"][1],
@@ -241,8 +245,8 @@ class TestFusedDPS:
 
     def test_gradients_reach_all_layers(self):
         model = small_model(10)
-        dps = DifferentiableProgressiveSampler(model, num_samples=8, seed=3)
-        dps_qerror_grads(dps, "engine", [CONSTRAINTS], np.array([0.3]))
+        dps_qerror_grads(model, "engine", [CONSTRAINTS], np.array([0.3]),
+                         num_samples=8, seed=3)
         for name, param in [("input", model.input_layer.weight),
                             ("block", model.blocks[0].fc1.weight),
                             ("output", model.output_layer.weight)]:
@@ -256,10 +260,9 @@ class TestFusedDPS:
                 fixed([1, 0, 1, 0, 1, 1, 1]), None, None]]
         grads = {}
         for backend in ("legacy", "engine"):
-            dps = DifferentiableProgressiveSampler(
-                model, num_samples=8, seed=21)
-            _, grads[backend] = dps_qerror_grads(dps, backend, cls,
-                                                 np.array([0.15]))
+            _, grads[backend] = dps_qerror_grads(model, backend, cls,
+                                                 np.array([0.15]),
+                                                 num_samples=8, seed=21)
         assert max_grad_diff(grads["legacy"], grads["engine"]) < 1e-4
 
     def test_unknown_backend_rejected(self):
@@ -267,13 +270,13 @@ class TestFusedDPS:
         keyword, for any value."""
         for backend in ("engine", "legacy", "fast"):
             with pytest.raises(TypeError):
-                DifferentiableProgressiveSampler(small_model(),
-                                                 backend=backend)
+                FusedDPS(small_model(), backend=backend)
 
     def test_no_constraints_returns_one(self):
         model = small_model(16)
-        dps = DifferentiableProgressiveSampler(model, num_samples=4, seed=1)
-        out = dps.estimate_batch([[None] * 4])
+        dps = FusedDPS(model)
+        out = dps.estimate_batch([[None] * 4], 4, 1.0,
+                                 np.random.default_rng(1))
         np.testing.assert_allclose(out, 1.0)
         model.zero_grad()
         dps.accumulate_grad(np.ones_like(out))   # a constant: nothing to add
@@ -375,7 +378,7 @@ class TestUAEBackends:
             with pytest.raises(TypeError):
                 UAE(toy_table, **FAST, train_backend=value)
             with pytest.raises(TypeError):
-                ProgressiveSampler(uae.model, backend=value)
+                InferenceEngine(uae.model, backend=value)
             with pytest.raises(TypeError):
                 UAEServer(uae, train_backend=value)
             with pytest.raises(TypeError):

@@ -552,7 +552,15 @@ class UAE(TrainableEstimator):
 
     def loglikelihood(self, codes: np.ndarray) -> float:
         """Mean log-likelihood of raw-table code rows (diagnostics): the
-        data loss's forward with nothing wildcarded."""
+        data loss's forward with nothing wildcarded, run in
+        ``batch_size`` chunks (each chunk's mean weighted by its rows) so
+        its buffers stay ``batch_size`` rows tall whatever the table."""
         model_codes = self.fact.encode_rows(np.asarray(codes, dtype=np.int32))
-        nll, _ = FusedDataLoss(self.model).forward(model_codes)
-        return float(-nll)
+        data_loss = FusedDataLoss(self.model)
+        step = self.config.batch_size
+        total = 0.0
+        for start in range(0, len(model_codes), step):
+            chunk = model_codes[start:start + step]
+            nll, _ = data_loss.forward(chunk)
+            total += nll * len(chunk)
+        return float(-total / len(model_codes))

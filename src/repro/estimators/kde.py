@@ -10,13 +10,15 @@
 Range probabilities use the continuity-corrected interval
 ``[lo - 0.5, hi + 0.5]`` per run of valid codes, so arbitrary masks
 (including ``!=`` and ``IN``) are supported.
+
+SciPy (``ndtr``, ``minimize``) is imported inside the methods that call
+it, not at module level: ``repro.estimators`` is imported by the model
+and serving stack, which need only NumPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr  # fast Gaussian CDF
 
 from ..data.table import Table
 from ..workload.predicate import LabeledWorkload, Query
@@ -59,6 +61,7 @@ class KDEEstimator(CardinalityEstimator):
     def _dim_prob(self, dim: int, mask: np.ndarray,
                   bandwidths: np.ndarray) -> np.ndarray:
         """Per-sample probability mass of ``mask`` along ``dim``."""
+        from scipy.special import ndtr  # fast Gaussian CDF
         x = self.points[:, dim]
         h = bandwidths[dim]
         prob = np.zeros(len(x))
@@ -100,6 +103,7 @@ class FeedbackKDEEstimator(KDEEstimator, TrainableEstimator):
         truths = workload.selectivities(self.table.num_rows)[:n]
         query_masks = [q.masks(self.table) for q in queries]
 
+        from scipy.optimize import minimize
         result = minimize(
             lambda log_h: self.objective(log_h, query_masks, truths),
             np.log(self.bandwidths), jac=True, method="L-BFGS-B",
@@ -117,6 +121,7 @@ class FeedbackKDEEstimator(KDEEstimator, TrainableEstimator):
         -phi((b - x)/h) * (b - x)/h^2, folded through the product over
         queried dimensions and the sample mean.
         """
+        from scipy.special import ndtr
         h = np.exp(log_h)
         d = self.points.shape[1]
         loss = 0.0

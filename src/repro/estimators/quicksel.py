@@ -16,7 +16,6 @@ bounding code interval.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ..data.table import Table
 from ..workload.predicate import LabeledWorkload, Query
@@ -88,6 +87,7 @@ class QuickSelEstimator(TrainableEstimator):
         a = np.vstack([a, np.full((1, len(self.boxes)),
                                   self.sum_to_one_weight)])
         b = np.append(b, self.sum_to_one_weight)
+        from scipy.optimize import nnls
         self.weights, _ = nnls(a, b)
         return self
 

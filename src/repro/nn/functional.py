@@ -36,10 +36,11 @@ def hard_sample_np(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def softmax_nll(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-row ``-log softmax(logits)[target]`` as float64.
 
-    Stable (max-shifted); overwrites ``logits`` with the softmax.  The
-    one softmax cross-entropy forward outside the autograd graph: the
-    fused data loss (:class:`repro.train.FusedDataLoss`) runs it per
-    column, and the uniform sampler per queried column.
+    Stable (max-shifted); overwrites ``logits`` with the softmax.  Its
+    caller in ``src/`` is the uniform sampler, per queried column.  The
+    fused data loss (:meth:`repro.train.FusedDataLoss.cross_entropy`)
+    runs the same arithmetic over all columns at once; the per-column
+    loop over this function is its oracle in ``tests/reference/fused.py``.
     """
     ridx = np.arange(len(logits))
     logits -= logits.max(axis=1, keepdims=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoders import ColumnEncoder, make_encoder
+from .encoders import BinaryEncoder, ColumnEncoder, make_encoder
 from .modules import MaskedLinear, Module
 
 
@@ -156,15 +156,49 @@ class ResMADE(Module):
             self.logit_slices.append(slice(start, start + k))
             start += k
 
+        # One-gather plan for :meth:`encode_tuples`: input slot ``j``
+        # belongs to column ``slot_col[j]`` and, on a binary column's
+        # value slot, holds bit ``slot_bit[j]`` of its code
+        # (``slot_value[j]`` is 1 there and 0 on every other slot).
+        self.slot_col = np.repeat(np.arange(self.num_cols), widths)
+        self.slot_bit = np.zeros(self.input_width, dtype=np.int32)
+        self.slot_value = np.zeros(self.input_width, dtype=np.int32)
+        self.indicator_slots = np.array([sl.stop - 1
+                                         for sl in self.input_slices])
+        self.hard_cols = []     # one-hot / embedding: their encode_hard
+        for c, enc in enumerate(self.encoders):
+            sl = self.input_slices[c]
+            if isinstance(enc, BinaryEncoder):
+                self.slot_bit[sl.start:sl.stop - 1] = np.arange(
+                    enc.value_width)
+                self.slot_value[sl.start:sl.stop - 1] = 1
+            else:
+                self.hard_cols.append(c)
+
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
     def encode_tuples(self, codes: np.ndarray,
                       wildcard: np.ndarray | None = None) -> np.ndarray:
-        """Hard-encode integer code rows ``[batch, num_cols]`` (numpy path)."""
+        """Hard-encode integer code rows ``[batch, num_cols]`` (numpy path).
+
+        Every binary column is written by one gather over all input
+        slots, ``(codes[:, slot_col] >> slot_bit) & slot_value``; a
+        wildcard zeroes its column's value slots and sets its indicator
+        slot.  One-hot and embedding columns then write their own
+        ``encode_hard`` into their slots.  The result equals the
+        concatenation of every encoder's ``encode_hard`` exactly (the
+        binary slots are 0 or 1)."""
         codes = np.asarray(codes)
-        parts = []
-        for c, enc in enumerate(self.encoders):
+        bits = (codes[:, self.slot_col] >> self.slot_bit) & self.slot_value
+        if wildcard is not None:
+            wildcard = np.asarray(wildcard, dtype=bool)
+            bits &= ~wildcard[:, self.slot_col]
+        out = bits.astype(np.float32, order="C")
+        if wildcard is not None:
+            out[:, self.indicator_slots] = wildcard
+        for c in self.hard_cols:
             wc = None if wildcard is None else wildcard[:, c]
-            parts.append(enc.encode_hard(codes[:, c], wc))
-        return np.concatenate(parts, axis=1)
+            out[:, self.input_slices[c]] = self.encoders[c].encode_hard(
+                codes[:, c], wc)
+        return out

@@ -6,11 +6,15 @@ Python closure per primitive op, a ``log_softmax`` composition and an
 ``np.add.at`` scatter per column for the cross-entropy — which dominates
 the step time on CPU.  Here the forward is the shared ResMADE trunk
 kernel (:func:`repro.nn.trunk.trunk_forward`, with stored activations)
-plus one output GEMM and :func:`repro.nn.functional.softmax_nll` per
-column, and one hand-derived backward writes gradients straight into
-parameter ``.grad`` buffers.  That forward is also the one NLL
-evaluation in ``src/``: ``UAE.loglikelihood`` runs
-:meth:`FusedDataLoss.forward` with nothing wildcarded.
+plus one output GEMM and a one-pass softmax cross-entropy over every
+column (:meth:`FusedDataLoss.cross_entropy`: each elementwise step runs
+once on the whole logit matrix; only the normaliser and the column
+totals are summed per column, so it is bit-identical to the per-column
+loop in ``tests/reference/fused.py``), and one hand-derived backward
+writes gradients straight into parameter ``.grad`` buffers.  That
+forward is also the one NLL evaluation in ``src/``:
+``UAE.loglikelihood`` runs :meth:`FusedDataLoss.forward` with nothing
+wildcarded, in ``batch_size`` chunks.
 
 :meth:`FusedDataLoss.loss` runs forward and backward in one call: it
 adds ``scale * dL/dtheta`` into the parameters' ``.grad`` and returns
@@ -35,7 +39,6 @@ import numpy as np
 
 from ..nn.buffers import BufferPool
 from ..nn.encoders import EmbeddingEncoder
-from ..nn.functional import softmax_nll
 from ..nn.made import ResMADE
 from ..nn.trunk import TrunkGrads, trunk_backward, trunk_forward
 
@@ -46,11 +49,14 @@ class FusedDataLoss:
     def __init__(self, model: ResMADE):
         self.model = model
         self.pool = BufferPool()
+        self._starts = np.array([sl.start for sl in model.logit_slices])
 
     def forward(self, batch_codes: np.ndarray,
                 wildcard: np.ndarray | None = None) -> tuple[float, tuple]:
         """Mean per-row data NLL, plus the state :meth:`loss`'s backward
-        needs (the pooled logits hold ``dL/dlogits`` afterwards)."""
+        needs: encode (:meth:`ResMADE.encode_tuples`), trunk, output
+        GEMM, then :meth:`cross_entropy`, after which the pooled logits
+        hold ``dL/dlogits``."""
         model = self.model
         codes = np.asarray(batch_codes)
         n = len(codes)
@@ -65,16 +71,42 @@ class FusedDataLoss:
         np.matmul(fr, out_l.fused_weight_t(), out=logits)
         logits += out_l.bias.data
 
-        # Per-column softmax cross-entropy; ``logits`` is turned into
-        # dL/dlogits in place ((softmax - onehot) / n per column).
-        ridx = np.arange(n)
-        total = 0.0
-        for c in range(model.num_cols):
-            lg = logits[:, model.logit_slices[c]]
-            total += softmax_nll(lg, codes[:, c]).sum() / n
-            lg[ridx, codes[:, c]] -= 1.0
-        logits *= np.float32(1.0 / n)
+        total = self.cross_entropy(logits, codes)
         return total, (codes, wildcard, x, acts, fr, logits)
+
+    def cross_entropy(self, logits: np.ndarray, codes: np.ndarray) -> float:
+        """Mean per-row ``sum_col -log softmax(logits_col)[code_col]``;
+        turns ``logits`` into dL/dlogits in place ((softmax - onehot) / n
+        per column).
+
+        One pass over all columns: the per-column max (one
+        ``maximum.reduceat``), subtract, target gather, ``exp``, divide
+        and ``-1`` scatter each run once on the whole ``[n, logits]``
+        matrix.  Only the normaliser ``z`` and the float64 column totals
+        stay per column, summed and added in column order, because a
+        segmented sum rounds differently; so the result is bit-identical
+        to a per-column :func:`repro.nn.functional.softmax_nll` loop
+        (``tests/reference/fused.py``)."""
+        model = self.model
+        n = len(codes)
+        widths = model.domain_sizes
+        logits -= np.repeat(np.maximum.reduceat(logits, self._starts, axis=1),
+                            widths, axis=1)
+        # Targets laid out [num_cols, n], so each column's are contiguous.
+        rows = np.arange(n)
+        target = (codes + self._starts).T
+        shift = logits[rows, target].astype(np.float64)
+        np.exp(logits, out=logits)
+        z = np.empty((model.num_cols, n), dtype=np.float32)
+        for c, sl in enumerate(model.logit_slices):
+            np.sum(logits[:, sl], axis=1, out=z[c])
+        logits /= np.repeat(z.T, widths, axis=1)
+        total = 0.0
+        for col_total in (np.log(z) - shift).sum(axis=1):
+            total += col_total / n
+        logits[rows, target] -= 1.0
+        logits *= np.float32(1.0 / n)
+        return total
 
     def loss(self, batch_codes: np.ndarray,
              wildcard: np.ndarray | None = None,

@@ -66,6 +66,29 @@ class TestDataTraining:
         expected = -nll_np(uae.model, uae.fact.encode_rows(codes)).mean()
         assert uae.loglikelihood(codes) == pytest.approx(expected, rel=1e-5)
 
+    def test_loglikelihood_runs_in_batch_size_chunks(self, toy_table,
+                                                     monkeypatch):
+        """Chunked evaluation matches one forward over every row, and no
+        pooled buffer grows taller than ``batch_size`` rows."""
+        from repro.nn.buffers import BufferPool
+        from repro.train import FusedDataLoss
+
+        uae = UAE(toy_table, **FAST)
+        uae.fit(epochs=1, mode="data")
+        codes = toy_table.codes[:3 * FAST["batch_size"] + 37]
+        nll, _ = FusedDataLoss(uae.model).forward(uae.fact.encode_rows(codes))
+
+        rows_seen = []
+        get = BufferPool.get
+
+        def spy(pool, tag, rows, cols, dtype=np.float32):
+            rows_seen.append(rows)
+            return get(pool, tag, rows, cols, dtype)
+
+        monkeypatch.setattr(BufferPool, "get", spy)
+        assert uae.loglikelihood(codes) == pytest.approx(-nll, rel=1e-9)
+        assert rows_seen and max(rows_seen) == FAST["batch_size"]
+
     def test_history_records_epochs(self, toy_table):
         uae = UAE(toy_table, **FAST)
         uae.fit(epochs=2, mode="data")

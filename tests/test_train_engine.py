@@ -13,14 +13,17 @@ import pytest
 
 from repro.core import UAE
 from repro.core.dps import ScoreFunctionSampler
+from repro.data import ColumnFactorization, Table
 from repro.infer import InferenceEngine
 from repro.nn import ResMADE
+from repro.nn.encoders import EmbeddingEncoder
 from repro.serve import RoutedEstimateService, UAEServer
 from repro.train import FusedDataLoss, FusedDPS, discrepancy
 
 from reference import functional as F
 from reference import made as ref
 from reference.dps import estimate_batch_legacy, surrogate_legacy
+from reference.fused import LoopDataLoss, encode_tuples_concat
 from reference.losses import qerror_loss
 from reference.parity import collect_grads, gradient_parity, max_grad_diff
 from reference.uae import UAE_CLASS
@@ -203,6 +206,88 @@ class TestFusedDataLoss:
         FusedDataLoss(model).loss(second, wc)
         fresh = collect_grads(model)
         assert max_grad_diff(pooled, fresh) == 0.0
+
+
+def oracle_model(encoding: str, order=None, factorize: bool = False,
+                 seed: int = 0) -> ResMADE:
+    """A model whose columns span every encoder width the kernels see:
+    a one-value column, a 37-wide one and, with ``factorize``, the
+    digits of a factorized 300-value column."""
+    domains = [5, 1, 37, 7, 4]
+    if factorize:
+        table = Table.from_raw("t", {"big": np.arange(300),
+                                     "small": np.arange(300) % 6})
+        fact = ColumnFactorization(table, threshold=64, bits=5)
+        assert fact.any_factored
+        domains += fact.model_domains
+    if order == "random":
+        order = list(np.random.default_rng(seed).permutation(len(domains)))
+    rng = np.random.default_rng(seed)
+    model = ResMADE(domains, hidden=24, num_blocks=2, rng=rng,
+                    encoding=encoding, embedding_dim=3, order=order)
+    for p in model.parameters():
+        p.data += rng.standard_normal(p.data.shape).astype(np.float32) * 0.5
+        p.bump_version()
+    return model
+
+
+ORACLE_CASES = [("binary", None, False), ("onehot", None, False),
+                ("embedding", None, False), ("binary", "random", False),
+                ("binary", None, True), ("embedding", "random", True)]
+
+
+class TestOnePassCrossEntropy:
+    """The one-pass cross-entropy against the per-column loop it
+    replaced (``reference.fused.LoopDataLoss``): equal to the bit."""
+
+    @pytest.mark.parametrize("encoding,order,factorize", ORACLE_CASES)
+    @pytest.mark.parametrize("wildcarded", [False, True])
+    def test_loss_logit_grads_and_param_grads_are_bit_identical(
+            self, encoding, order, factorize, wildcarded):
+        model = oracle_model(encoding, order, factorize)
+        codes = batch_codes(model, 97, seed=3)
+        wc = (np.random.default_rng(4).random(codes.shape) < 0.35
+              if wildcarded else None)
+        seen = []
+        for kernel in (FusedDataLoss, LoopDataLoss):
+            total, state = kernel(model).forward(codes, wc)
+            model.zero_grad()
+            value = kernel(model).loss(codes, wc, scale=0.5)
+            seen.append((total, state[-1].copy(), value,
+                         collect_grads(model)))
+        (total, grad_logits, value, grads), (ref_total, ref_logits,
+                                             ref_value, ref_grads) = seen
+        assert total == ref_total
+        assert value == ref_value
+        np.testing.assert_array_equal(grad_logits, ref_logits)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("encoding", ["binary", "onehot", "embedding",
+                                          "mixed"])
+    @pytest.mark.parametrize("wildcarded", [False, True])
+    def test_encode_tuples_is_the_encoders_concatenation(self, encoding,
+                                                         wildcarded):
+        if encoding == "mixed":      # one column over the embedding cut
+            model = ResMADE([5, 40, 3, 2], hidden=16, encoding="binary",
+                            embedding_threshold=16, embedding_dim=4)
+            assert any(isinstance(e, EmbeddingEncoder)
+                       for e in model.encoders)
+        else:
+            model = oracle_model(encoding, factorize=True)
+        codes = batch_codes(model, 61, seed=5)
+        wc = (np.random.default_rng(6).random(codes.shape) < 0.4
+              if wildcarded else None)
+        for dtype in (np.int64, np.int32):
+            out = model.encode_tuples(codes.astype(dtype), wc)
+            ref = encode_tuples_concat(model, codes, wc)
+            assert out.dtype == ref.dtype == np.float32
+            # The layout too: the input GEMMs round by it.
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
 
 
 class TestFusedDPS:

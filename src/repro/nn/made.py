@@ -194,9 +194,10 @@ class ResMADE(Module):
         if wildcard is not None:
             wildcard = np.asarray(wildcard, dtype=bool)
             bits &= ~wildcard[:, self.slot_col]
+            bits[:, self.indicator_slots] = wildcard
+        # C order: the gather comes out column-major, and the input
+        # GEMMs round differently on a column-major ``x``.
         out = bits.astype(np.float32, order="C")
-        if wildcard is not None:
-            out[:, self.indicator_slots] = wildcard
         for c in self.hard_cols:
             wc = None if wildcard is None else wildcard[:, c]
             out[:, self.input_slices[c]] = self.encoders[c].encode_hard(

@@ -23,6 +23,8 @@ as the oracle the parity tests compare against:
   Gumbel-Softmax (Algorithm 2), and the graph REINFORCE surrogate;
 * :mod:`reference.gumbel` — graph Gumbel-Softmax sampling (Algorithm 1);
 * :mod:`reference.losses` — graph q-error / MSE / MSLE losses;
+* :mod:`reference.fused` — ``LoopDataLoss``, the fused data loss with
+  the per-column cross-entropy loop its one-pass kernel replaced;
 * :mod:`reference.uae` — ``ReferenceUAE``, a ``UAE`` whose data NLL
   (Eq. 2) and query loss run the two loops above;
 * :mod:`reference.parity` — gradient-comparison helpers;

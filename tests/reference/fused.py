@@ -31,13 +31,3 @@ class LoopDataLoss(FusedDataLoss):
         logits *= np.float32(1.0 / n)
         return total
 
-
-def encode_tuples_concat(model, codes: np.ndarray,
-                         wildcard: np.ndarray | None = None) -> np.ndarray:
-    """``ResMADE.encode_tuples`` as the concatenation of every encoder's
-    ``encode_hard`` (the one-gather encoding's oracle)."""
-    codes = np.asarray(codes)
-    return np.concatenate(
-        [enc.encode_hard(codes[:, c],
-                         None if wildcard is None else wildcard[:, c])
-         for c, enc in enumerate(model.encoders)], axis=1)

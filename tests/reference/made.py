@@ -13,6 +13,7 @@ the encoders' ``encode_soft`` /
 encoder) as their first argument.  :func:`encode_hard_tensor` routes an
 embedding column's lookups through the graph for every non-wildcarded
 entry, so the tables get a data-loss gradient, as in the fused kernel.
+:func:`encode_tuples_concat` is the per-encoder ``encode_tuples``.
 """
 
 from __future__ import annotations
@@ -140,3 +141,14 @@ def encode_soft(enc: ColumnEncoder, weights: Tensor) -> Tensor:
         values = soft_lookup(enc.table, weights)
     zeros = Tensor(np.zeros((weights.shape[0], 1), dtype=np.float32))
     return concatenate([values, zeros], axis=-1)
+
+
+def encode_tuples_concat(model: ResMADE, codes: np.ndarray,
+                         wildcard: np.ndarray | None = None) -> np.ndarray:
+    """``ResMADE.encode_tuples`` as the concatenation of every encoder's
+    ``encode_hard``: the oracle of its one-gather encoding."""
+    codes = np.asarray(codes)
+    return np.concatenate(
+        [enc.encode_hard(codes[:, c],
+                         None if wildcard is None else wildcard[:, c])
+         for c, enc in enumerate(model.encoders)], axis=1)

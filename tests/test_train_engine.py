@@ -22,10 +22,10 @@ from repro.train import FusedDataLoss, FusedDPS, discrepancy
 
 from reference import functional as F
 from reference import made as ref
-from reference.made import encode_tuples_concat
 from reference.dps import estimate_batch_legacy, surrogate_legacy
 from reference.fused import LoopDataLoss
 from reference.losses import qerror_loss
+from reference.made import encode_tuples_concat
 from reference.parity import collect_grads, gradient_parity, max_grad_diff
 from reference.uae import UAE_CLASS
 

@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.bench import PROFILES, format_table, reporting, save_json
+from repro.bench import PROFILES, format_table, reporting, save_result
 
 
 @pytest.fixture(scope="session")
@@ -42,10 +42,7 @@ def _artifacts_out_of_the_tree(tmp_path_factory, monkeypatch):
 def run_experiment(benchmark, name: str, func, profile):
     """Run ``func(profile)`` once under pytest-benchmark and report it."""
     result = benchmark.pedantic(func, args=(profile,), rounds=1, iterations=1)
-    text = format_table(result["rows"], result["columns"],
-                        title=result["title"])
-    print("\n" + text)
-    save_json(name, result)
-    with open(os.path.join(reporting.RESULTS_DIR, f"{name}.txt"), "w") as fh:
-        fh.write(text + "\n")
+    print("\n" + format_table(result["rows"], result["columns"],
+                              title=result["title"]))
+    save_result(name, result)
     return result

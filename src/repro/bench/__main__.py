@@ -1,8 +1,8 @@
 """CLI: ``python -m repro.bench <experiment> [--profile small|bench|paper]``.
 
 ``python -m repro.bench list`` shows every experiment id;
-``python -m repro.bench all`` runs the full sweep and saves JSON artifacts
-under ``results/``.
+``python -m repro.bench all`` runs the full sweep; each experiment saves
+``results/<id>.json`` and its rendered table ``results/<id>.txt``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import time
 
 from .experiments import EXPERIMENTS
 from .profiles import PROFILES
-from .reporting import format_table, save_json
+from .reporting import format_table, save_result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         print(format_table(result["rows"], result["columns"],
                            title=result["title"]))
         print(f"[{name} took {elapsed:.1f}s]")
-        path = save_json(name, result)
+        path = save_result(name, result)
         print(f"saved {path}\n")
     if failed:
         print(f"failed experiments: {failed}", file=sys.stderr)

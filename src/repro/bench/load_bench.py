@@ -53,7 +53,7 @@ from ..core import UAE
 from ..data import load
 from ..obs import percentile_from_counts
 from ..serve import (AsyncEstimateService, AsyncHTTPClient, HTTPFrontDoor,
-                     UAEServer)
+                     RoutedEstimateService)
 from ..workload import generate_inworkload
 from .profiles import Profile, current_profile
 
@@ -229,12 +229,13 @@ def run_open_loop(profile: Profile | None = None,
     # cache_capacity=1 + a round-robin pool of distinct queries: every
     # request pays real engine compute, so the knee reflects the
     # estimator, not the result cache.
-    server = UAEServer(uae, cache_capacity=1, max_batch=32, seed=7)
+    front = RoutedEstimateService(cache_capacity=1, max_batch=32, seed=7)
+    space = front.add_table(uae)
     rows: list[dict] = []
     checks: dict[str, bool] = {}
 
     async def _main() -> dict:
-        door = HTTPFrontDoor(AsyncEstimateService(server),
+        door = HTTPFrontDoor(AsyncEstimateService(front),
                              port=0, max_inflight=profile.load_max_inflight)
         await door.start()
         try:
@@ -293,7 +294,7 @@ def run_open_loop(profile: Profile | None = None,
         finally:
             await door.stop()
 
-    with server:
+    with front:
         meta = asyncio.run(_main())
 
     calib = meta["calibration"]
@@ -339,7 +340,7 @@ def run_open_loop(profile: Profile | None = None,
         else knee["fraction_of_capacity"],
         "metrics_internal": internal,
         "door": meta["door"],
-        "service": server.stats()["service"],
+        "service": space.service.stats(),
         "checks": checks,
         "rows": rows,
     }

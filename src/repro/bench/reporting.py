@@ -1,8 +1,9 @@
 """Result formatting and persistence for the benchmark harness.
 
 Every experiment returns plain dict/list structures; this module renders
-them as the paper's tables (aligned ASCII) and saves JSON artifacts under
-``results/`` so a reported number can be traced to a concrete run.
+them as the paper's tables (aligned ASCII) and saves each result under
+``results/`` as ``<id>.json`` plus its rendered ``<id>.txt``, so a
+reported number can be traced to a concrete run.
 """
 
 from __future__ import annotations
@@ -56,6 +57,17 @@ def save_json(name: str, payload) -> str:
     }
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, default=_jsonable)
+    return path
+
+
+def save_result(name: str, result: dict) -> str:
+    """Persist an experiment result as results/<name>.json plus its
+    rendered table, results/<name>.txt; returns the JSON path."""
+    path = save_json(name, result)
+    text = format_table(result["rows"], result["columns"],
+                        title=result["title"])
+    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
+        fh.write(text + "\n")
     return path
 
 

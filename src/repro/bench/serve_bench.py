@@ -38,8 +38,8 @@ from ..data import Table, load
 from ..data.schema import make_imdb
 from ..serve import (HAVE_SHARED_MEMORY, ChaosPlan, ClusterEstimateService,
                      FeedbackCollector, LoadShedError, ModelOpsConfig,
-                     RoutedEstimateService, UAEServer,
-                     UnknownNamespaceError, WorkerUnavailableError)
+                     RoutedEstimateService, UnknownNamespaceError,
+                     WorkerUnavailableError)
 from ..workload import (Predicate, Query, WorkloadConfig,
                         generate_inworkload, summarize)
 from ..workload.metrics import qerrors
@@ -72,14 +72,15 @@ def _zipf_stream(queries: list, n_total: int,
     return [stream[i] for i in perm]
 
 
-def _serve_stream(server: UAEServer,
+def _serve_stream(front: RoutedEstimateService,
                   stream: list) -> tuple[float, list, list]:
-    """Closed-loop drive through the micro-batching worker; returns
-    (elapsed_seconds, results in stream order, the settled handles)."""
+    """Closed-loop drive through the front's micro-batching worker;
+    returns (elapsed_seconds, results in stream order, the settled
+    handles)."""
     results, handles = [], []
     start = time.perf_counter()
     for lo in range(0, len(stream), _WAVE):
-        requests = [server.submit(q) for q in stream[lo:lo + _WAVE]]
+        requests = [front.submit(q) for q in stream[lo:lo + _WAVE]]
         results.extend(r.result(timeout=120.0) for r in requests)
         handles.extend(requests)
     return time.perf_counter() - start, results, handles
@@ -555,17 +556,19 @@ def run_chaos(profile: Profile | None = None,
                       params={"magnitude": 25.0})
         cfg_a = ModelOpsConfig(reject_ratio=1.5, min_probes=4,
                                cooldown_s=0.0, warm_top_n=0)
-        server_a = UAEServer(uae, refine_epochs=2, max_batch=32, seed=7,
-                             chaos=plan_a, modelops=cfg_a)
-        with server_a:
-            ests = server_a.estimate_batch(wl.queries)
+        front_a = RoutedEstimateService(refine_epochs=2, max_batch=32,
+                                        seed=7)
+        server_a = front_a.add_table(uae, chaos=plan_a,
+                                     modelops=cfg_a).server
+        with front_a:
+            ests = front_a.estimate_batch(wl.queries)
             for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
-                server_a.observe(q, tru, estimate=float(est))
-            ref_pre = server_a.estimate_batch(probes, seed=_SEED,
-                                              use_cache=False)
+                front_a.observe(q, tru, estimate=float(est))
+            ref_pre = front_a.estimate_batch(probes, seed=_SEED,
+                                             use_cache=False)
             record = server_a.refine()
-            ref_post = server_a.estimate_batch(probes, seed=_SEED,
-                                               use_cache=False)
+            ref_post = front_a.estimate_batch(probes, seed=_SEED,
+                                              use_cache=False)
             checks["shadow_reject_fired"] = bool(
                 server_a.modelops.rejects) and bool(
                 record and record.get("rejected"))
@@ -577,15 +580,16 @@ def run_chaos(profile: Profile | None = None,
             plan_a.inject("feedback.record", "corrupt", at=1,
                           params={"factor": 500.0})
             q0 = wl.queries[0]
-            err = server_a.observe(q0, float(wl.cardinalities[0]),
-                                   estimate=float(ests[0]))
+            err = front_a.observe(q0, float(wl.cardinalities[0]),
+                                  estimate=float(ests[0]))
             checks["feedback_corruption_contained"] = \
                 err >= 10.0 and _failures(server_a) == 0
         rows.append({"fault": "poison-refinement", "action": "reject",
                      "observations": len(wl), "version": 1})
         detail["shadow"] = {"verdict": server_a.modelops.last_verdict,
                             "rejects": int(server_a.metrics.total(
-                                "repro_shadow_rejects_total"))}
+                                "repro_shadow_rejects_total",
+                                namespace=server_a.namespace))}
 
         # ------------------------------------------------------------
         # 2. Tripwire rollback: the same poison published past a
@@ -598,17 +602,19 @@ def run_chaos(profile: Profile | None = None,
                                tripwire_ratio=2.0, tripwire_window=16,
                                tripwire_min_obs=6, cooldown_s=0.0,
                                warm_top_n=16)
-        server_b = UAEServer(uae.clone(), refine_epochs=2, max_batch=32,
-                             seed=7, chaos=plan_b, modelops=cfg_b)
-        with server_b:
-            ests = server_b.estimate_batch(wl.queries)
+        front_b = RoutedEstimateService(refine_epochs=2, max_batch=32,
+                                        seed=7)
+        server_b = front_b.add_table(uae.clone(), chaos=plan_b,
+                                     modelops=cfg_b).server
+        with front_b:
+            ests = front_b.estimate_batch(wl.queries)
             for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
-                server_b.observe(q, tru, estimate=float(est))
-            pre_seeded = server_b.estimate_batch(wl.queries, seed=_SEED,
-                                                 use_cache=False)
+                front_b.observe(q, tru, estimate=float(est))
+            pre_seeded = front_b.estimate_batch(wl.queries, seed=_SEED,
+                                                use_cache=False)
             pre_q = float(qerrors(pre_seeded, wl.cardinalities).mean())
-            refs_pre = server_b.estimate_batch(probes, seed=_SEED,
-                                               use_cache=False)
+            refs_pre = front_b.estimate_batch(probes, seed=_SEED,
+                                              use_cache=False)
             server_b.refine()                  # publishes poisoned v2
             checks["poison_published"] = server_b.registry.version == 2
             budget = 3 * (cfg_b.tripwire_min_obs + cfg_b.tripwire_window)
@@ -616,7 +622,7 @@ def run_chaos(profile: Profile | None = None,
             for i in range(budget):
                 q = wl.queries[i % len(wl.queries)]
                 tru = float(wl.cardinalities[i % len(wl.queries)])
-                server_b.observe(q, tru, estimate=server_b.estimate(q))
+                front_b.observe(q, tru, estimate=front_b.estimate(q))
                 obs_to_rollback += 1
                 if server_b.registry.version >= 3:
                     break
@@ -625,12 +631,12 @@ def run_chaos(profile: Profile | None = None,
                 and server_b.registry.version == 3
             checks["rollback_within_window"] = obs_to_rollback <= \
                 cfg_b.tripwire_min_obs + cfg_b.tripwire_window
-            post_heal = server_b.estimate_batch(probes, seed=_SEED,
-                                                use_cache=False)
+            post_heal = front_b.estimate_batch(probes, seed=_SEED,
+                                               use_cache=False)
             checks["postheal_bit_identical"] = bool(
                 np.array_equal(post_heal, refs_pre))
-            post_seeded = server_b.estimate_batch(wl.queries, seed=_SEED,
-                                                  use_cache=False)
+            post_seeded = front_b.estimate_batch(wl.queries, seed=_SEED,
+                                                 use_cache=False)
             post_q = float(qerrors(post_seeded, wl.cardinalities).mean())
             checks["postheal_qerr_under_ceiling"] = \
                 post_q <= max(pre_q, 1.0) * 1.05
@@ -643,7 +649,7 @@ def run_chaos(profile: Profile | None = None,
             # 3. Dropped publish heals by retry; the validated publish
             #    warms the cache with the hottest signatures.
             for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
-                server_b.observe(q, tru, estimate=float(est))
+                front_b.observe(q, tru, estimate=float(est))
             server_b.refine()                  # drop fault -> retry -> v4
             fired = [f["hook"] for f in plan_b.fired_log]
             checks["publish_drop_healed"] = \
@@ -651,10 +657,11 @@ def run_chaos(profile: Profile | None = None,
                 and server_b.registry.version == 4
             server_b.modelops.join_warm(timeout=30.0)
             hot = server_b.service.hot_queries(1)
-            req = server_b.submit(hot[0]) if hot else None
+            req = front_b.submit(hot[0]) if hot else None
             if req is not None:
                 req.result(timeout=60.0)
-            warmed = int(server_b.metrics.total("repro_cache_warmed_total"))
+            warmed = int(server_b.metrics.total(
+                "repro_cache_warmed_total", namespace=server_b.namespace))
             checks["warm_primes_cache"] = \
                 warmed > 0 and req is not None \
                 and req.from_cache \
@@ -868,19 +875,20 @@ def run_serving(profile: Profile | None = None,
     feedback = FeedbackCollector(
         window=max(64, n_shift), capacity=2 * n_shift,
         min_observations=min(32, n_shift), quantile=0.9, threshold=3.0)
-    server = UAEServer(uae, feedback=feedback, refine_epochs=12,
-                       data_epochs=3, max_batch=32, seed=7)
+    front = RoutedEstimateService(refine_epochs=12, data_epochs=3,
+                                  max_batch=32, seed=7)
+    server = front.add_table(uae, feedback=feedback).server
     rows: list[dict] = []
     checks: dict[str, bool] = {}
 
     probes = steady.queries[:_PROBES]
-    with server:
+    with front:
         # ----------------------------------------------------------
         # Pre-swap consistency: service answers == snapshot reference.
         v1 = server.registry.active()
-        svc_pre = server.estimate_batch(probes, seed=_SEED, use_cache=False)
-        svc_pre_again = server.estimate_batch(probes, seed=_SEED,
-                                              use_cache=False)
+        svc_pre = front.estimate_batch(probes, seed=_SEED, use_cache=False)
+        svc_pre_again = front.estimate_batch(probes, seed=_SEED,
+                                             use_cache=False)
         ref_pre = server.service.estimate_on(v1, probes, seed=_SEED)
         checks["pre_swap_bit_identical"] = bool(
             np.array_equal(svc_pre, ref_pre)
@@ -888,8 +896,8 @@ def run_serving(profile: Profile | None = None,
 
         # ----------------------------------------------------------
         # Phase 1: steady traffic through the micro-batching worker.
-        server.estimate_batch(steady.queries[:8])  # warm engine + caches
-        elapsed, results, handles = _serve_stream(server, stream)
+        front.estimate_batch(steady.queries[:8])  # warm engine + caches
+        elapsed, results, handles = _serve_stream(front, stream)
         serving_qps = len(stream) / elapsed
         steady_truths = np.array([truth_of[q] for q in stream])
         steady_err = summarize(np.array(results), steady_truths)
@@ -927,13 +935,13 @@ def run_serving(profile: Profile | None = None,
         # workload shifts onto the new region.
         server.stage_data(new_rows)
         shifted_elapsed, shift_est, handles = _serve_stream(
-            server, shift_fb.queries)
+            front, shift_fb.queries)
         for q, est, tru in zip(shift_fb.queries, shift_est,
                                shift_fb.cardinalities):
             server.feedback.record(q, est, tru)
         before = summarize(np.array(shift_est), shift_fb.cardinalities)
         heldout_before = summarize(
-            server.estimate_batch(shift_test.queries, seed=_SEED + 1),
+            front.estimate_batch(shift_test.queries, seed=_SEED + 1),
             shift_test.cardinalities)
         drift = server.feedback.drift()
         checks["drift_triggered"] = server.feedback.should_refine()
@@ -949,25 +957,25 @@ def run_serving(profile: Profile | None = None,
         # the outgoing and the incoming snapshot serve real engine work.
         swap_wl = generate_inworkload(full, min(64, n_stream), rng)
         failures_before = _failures(server)
-        refine_thread = server.refine(background=True)
+        refine_job = server.refine(background=True)
         swap_served = 0
         swap_versions: set[int] = set()
-        while refine_thread is not None and refine_thread.is_alive():
-            request = server.submit(
+        while refine_job is not None and refine_job.is_alive():
+            request = front.submit(
                 swap_wl.queries[swap_served % len(swap_wl.queries)])
             request.result(timeout=120.0)
             swap_versions.add(request.version)
             swap_served += 1
             if request.from_cache:
                 # Once the rotation is fully cached the loop would spin
-                # at memory speed, starving the refinement thread it is
+                # at memory speed, starving the pool worker it is
                 # waiting on; pace like a real client instead.
                 time.sleep(0.001)
         server.join_refinement()
         # One more wave after the swap so the new version shows up even
         # when refinement finishes between foreground requests.
         for q in probes:
-            req = server.submit(q)
+            req = front.submit(q)
             req.result(timeout=120.0)
             swap_versions.add(req.version)
             swap_served += 1
@@ -983,7 +991,7 @@ def run_serving(profile: Profile | None = None,
         # ----------------------------------------------------------
         # Post-swap consistency + accuracy on the shifted traffic.
         v2 = server.registry.active()
-        svc_post = server.estimate_batch(probes, seed=_SEED, use_cache=False)
+        svc_post = front.estimate_batch(probes, seed=_SEED, use_cache=False)
         ref_post = server.service.estimate_on(v2, probes, seed=_SEED)
         checks["post_swap_bit_identical"] = bool(
             np.array_equal(svc_post, ref_post))
@@ -995,10 +1003,10 @@ def run_serving(profile: Profile | None = None,
                                                                 svc_post)
 
         post_elapsed, after_est, handles = _serve_stream(
-            server, shift_fb.queries)
+            front, shift_fb.queries)
         after = summarize(np.array(after_est), shift_fb.cardinalities)
         heldout_after = summarize(
-            server.estimate_batch(shift_test.queries, seed=_SEED + 1),
+            front.estimate_batch(shift_test.queries, seed=_SEED + 1),
             shift_test.cardinalities)
         rows.append({"phase": "post-swap shifted",
                      "queries": len(shift_fb),

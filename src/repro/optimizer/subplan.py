@@ -2,9 +2,9 @@
 
 The DP planner asks for the cardinality of every connected fragment of a
 query.  :class:`ServingCardinalityProvider` answers through a live
-serving front (anything speaking the serving tier's front contract:
-:class:`~repro.serve.router.RoutedEstimateService`, a single
-:class:`~repro.serve.server.UAEServer`, ...) the way the related work's
+serving front (either front of the serving tier's front contract:
+:class:`~repro.serve.router.RoutedEstimateService`, in-process, or
+:class:`~repro.serve.cluster.ClusterEstimateService`) the way the related work's
 ``CardinalityGenerator`` adapters do — but instead of up to ``2^N``
 per-fragment round trips per plan it collects the query's connected
 fragments up front (deterministic order: smallest subsets first,

@@ -1,10 +1,10 @@
 """Online serving subsystem: the paper's incremental-ingestion loop
 (Section 4.5) run under live traffic.
 
-The cooperating pieces (see the README's "Serving" section; the three
-fronts — :class:`UAEServer`, :class:`RoutedEstimateService`,
-:class:`ClusterEstimateService` — share the one keyword contract in the
-README's "Front contract" table):
+The cooperating pieces (see the README's "Serving" section; the two
+fronts — :class:`RoutedEstimateService` in-process and
+:class:`ClusterEstimateService` across worker processes — share the one
+keyword contract in the README's "Front contract" table):
 
 * :class:`ModelRegistry` — versioned, immutable UAE snapshots with atomic
   hot-swap; background refinement never blocks or corrupts in-flight
@@ -17,13 +17,14 @@ README's "Front contract" table):
 * :class:`FeedbackCollector` — rolling (query, true cardinality) feedback
   plus a q-error drift monitor that decides when to refine
   (:mod:`repro.serve.feedback`);
-* :class:`UAEServer` — the loop tying them together: serve, observe,
-  refine, publish (:mod:`repro.serve.server`);
-* the multi-table front door (:mod:`repro.serve.router`):
-  :class:`MultiTableRegistry` keys one registry per table / join-schema
-  *namespace*, :class:`RoutedEstimateService` routes each query to its
-  namespace's micro-batcher, and :class:`RefinementPool` bounds
-  background-refinement capacity fairly across namespaces;
+* :class:`UAEServer` — one namespace's stack, the loop tying them
+  together: serve, observe, refine, publish (:mod:`repro.serve.server`);
+* the in-process front door (:mod:`repro.serve.router`), for one table
+  or many: :class:`MultiTableRegistry` keys one :class:`Namespace` per
+  table / join-schema *namespace*, :class:`RoutedEstimateService` routes
+  each query to its namespace's micro-batcher, and
+  :class:`RefinementPool` runs every background refinement, bounding
+  capacity fairly across namespaces;
 * the scale-out tier (:mod:`repro.serve.cluster`):
   :class:`ClusterEstimateService` fronts N shared-nothing worker
   processes, placing namespaces by consistent hashing

@@ -69,13 +69,14 @@ CHAOS_FAULTS = {
 # HTTP front door (--http / --smoke)
 # ----------------------------------------------------------------------
 def _build_http_front(profile):
-    """Train the profile's DMV model and wrap it in a UAEServer."""
+    """Train the profile's DMV model and serve it as the one namespace of
+    a :class:`~repro.serve.router.RoutedEstimateService`."""
     import numpy as np
 
     from ..core import UAE
     from ..data import load
     from ..workload import generate_inworkload
-    from .server import UAEServer
+    from .router import RoutedEstimateService
 
     table = load("dmv", rows=profile.dataset_rows("dmv"), seed=0)
     uae = UAE(table, hidden=profile.hidden,
@@ -86,8 +87,9 @@ def _build_http_front(profile):
               query_batch_size=profile.query_batch_size, seed=0)
     uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
     workload = generate_inworkload(table, 32, np.random.default_rng(5))
-    server = UAEServer(uae, max_batch=32, seed=7)
-    return server, [str(q) for q in workload.queries]
+    front = RoutedEstimateService(max_batch=32, seed=7)
+    front.add_table(uae)
+    return front, [str(q) for q in workload.queries]
 
 
 def _http_smoke(door, sqls: list[str]) -> list[str]:
@@ -141,8 +143,8 @@ def _http_smoke(door, sqls: list[str]) -> list[str]:
                   f"status={status} body={body}")
 
             status, body, _ = await client.get("/status")
-            version = body.get("service", {}).get("service", {}) \
-                .get("model_version")
+            version = body.get("service", {}).get("namespaces", {}) \
+                .get("dmv", {}).get("service", {}).get("model_version")
             check("status 200",
                   status == 200 and "front_door" in body
                   and isinstance(version, int), f"status={status}")
@@ -277,10 +279,10 @@ def _run_http(profile, port: int, smoke: bool) -> int:
     from .net import serve_http
 
     print(f"training DMV model (profile={profile.name}) ...", flush=True)
-    server, sqls = _build_http_front(profile)
-    with server:
+    front, sqls = _build_http_front(profile)
+    with front:
         if not smoke:
-            serve_http(server, port=port, ready=lambda d: print(
+            serve_http(front, port=port, ready=lambda d: print(
                 f"serving http://{d.host}:{d.port} "
                 "(POST /estimate | /estimate_batch | /feedback, "
                 "GET /status | /healthz; Ctrl-C stops)", flush=True))
@@ -288,7 +290,7 @@ def _run_http(profile, port: int, smoke: bool) -> int:
         ready: "queue.Queue" = queue.Queue()
         stop = threading.Event()
         thread = threading.Thread(
-            target=serve_http, args=(server,),
+            target=serve_http, args=(front,),
             kwargs=dict(port=port, max_inflight=1, ready=ready.put,
                         stop_event=stop),
             daemon=True)

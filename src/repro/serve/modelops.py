@@ -3,8 +3,10 @@
 The refinement loop publishes whatever the trainer produced — which
 means a single poisoned refinement (skewed feedback, a corrupt insert
 batch, a bad gradient step) silently degrades every subsequent estimate.
-This module closes the loop with three guards, attached to a
-:class:`~repro.serve.server.UAEServer` via the ``modelops`` argument:
+This module closes the loop with three guards, attached to one
+namespace's :class:`~repro.serve.server.UAEServer` stack via the
+``modelops`` argument (``RoutedEstimateService.add_table(...,
+modelops=...)`` passes it through):
 
 * **Shadow validation** (:class:`ShadowValidator`) — before a candidate
   is published, it is scored against the *live* snapshot on a held-out
@@ -209,12 +211,14 @@ class QErrorTripwire:
 
 
 class ModelOps:
-    """The controller wiring validator + tripwire + warming to a server.
+    """The controller wiring validator + tripwire + warming to one
+    namespace's stack.
 
-    Constructed by :class:`~repro.serve.server.UAEServer` when a
-    :class:`ModelOpsConfig` is passed as ``modelops=``; attaches itself
-    as ``server.modelops`` and is driven from the server's refinement
-    and observation paths.
+    Constructed by the per-namespace :class:`~repro.serve.server.UAEServer`
+    when a :class:`ModelOpsConfig` is passed as ``modelops=`` (to the
+    stack, or through the front's ``add_table`` / ``add_join``); attaches
+    itself as ``server.modelops`` and is driven from the stack's
+    refinement and observation paths.
     """
 
     def __init__(self, server, config: ModelOpsConfig | None = None,

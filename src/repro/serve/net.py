@@ -3,11 +3,10 @@
 Three layers, each usable on its own:
 
 ``AsyncEstimateService``
-    Awaitable adapter over any serving front —
-    :class:`~repro.serve.server.UAEServer`,
-    :class:`~repro.serve.router.RoutedEstimateService`, or
-    :class:`~repro.serve.cluster.ClusterEstimateService`, which share
-    one keyword contract (README "Front contract").  ``await
+    Awaitable adapter over either serving front —
+    :class:`~repro.serve.router.RoutedEstimateService` (in-process, one
+    table or many) or :class:`~repro.serve.cluster.ClusterEstimateService`
+    — which share one keyword contract (README "Front contract").  ``await
     submit(query, deadline_ms=...)`` propagates the caller's budget down
     into the micro-batcher (which sheds typed: ``TimeoutError`` /
     ``LoadShedError``), and cancelling the awaitable **abandons** the

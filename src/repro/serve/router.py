@@ -1,8 +1,9 @@
 """Multi-table serving front door: namespaces, routing, shared capacity.
 
-PR 3's loop served exactly one table.  Production traffic names many
-targets — several base tables and join schemas — so this module puts one
-front door in front of many per-namespace serving stacks:
+Production traffic names many targets — several base tables and join
+schemas — so this module puts one front door in front of many
+per-namespace serving stacks; one table is simply a front with one
+namespace:
 
 * :class:`MultiTableRegistry` keys the per-namespace
   :class:`~repro.serve.registry.ModelRegistry` instances (each owned by a
@@ -14,12 +15,12 @@ front door in front of many per-namespace serving stacks:
   Misses raise a typed :class:`UnknownNamespaceError`; genuinely
   ambiguous targets raise :class:`AmbiguousNamespaceError` instead of
   guessing (pass ``namespace=`` to disambiguate).
-* :class:`RoutedEstimateService` is the front door: ``submit`` /
-  ``estimate`` / ``estimate_batch`` dispatch each query to the right
-  namespace's micro-batcher.  Namespaces are fully isolated — their own
-  registry, result cache, feedback monitor, and sampling streams — so a
-  hot-swap in one namespace can never change another namespace's
-  per-version seeded answers (the isolation invariant
+* :class:`RoutedEstimateService` is the in-process front, for one table
+  or many: ``submit`` / ``estimate`` / ``estimate_batch`` dispatch each
+  query to the right namespace's micro-batcher.  Namespaces are fully
+  isolated — their own registry, result cache, feedback monitor, and
+  sampling streams — so a hot-swap in one namespace can never change
+  another namespace's per-version seeded answers (the isolation invariant
   ``python -m repro.bench serving`` checks bit-exactly).
 * :class:`RefinementPool` is the shared capacity manager: one bounded
   worker pool runs *all* namespaces' background refinements, draining
@@ -32,14 +33,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs import EVENTS, MetricsRegistry
 from ..workload.predicate import routing_signature
 from .registry import ModelRegistry
-from .server import (AmbiguousNamespaceError, Namespace,  # noqa: F401
-                     RoutingError, UAEServer, UnknownNamespaceError)
+from .server import UAEServer
 from .service import EstimateRequest
 
 
@@ -47,9 +48,9 @@ from .service import EstimateRequest
 # Shared refinement capacity
 # ----------------------------------------------------------------------
 class RefinementJob:
-    """A queued background refinement; future-like, and thread-shaped
-    (``is_alive``/``join``) so :class:`UAEServer` treats pool jobs and
-    its private threads uniformly."""
+    """A queued background refinement; future-like (``result``/``done``)
+    with ``is_alive``/``join``, which :class:`UAEServer` uses to tell
+    whether its last refinement is still pending or running."""
 
     __slots__ = ("namespace", "fn", "args", "submitted_at", "started_at",
                  "finished_at", "_event", "_result", "_error")
@@ -281,6 +282,49 @@ class RefinementPool:
 # ----------------------------------------------------------------------
 # Namespaces + routing
 # ----------------------------------------------------------------------
+class RoutingError(KeyError):
+    """Base class for front-door routing failures."""
+
+    def __str__(self) -> str:  # KeyError quotes its message otherwise
+        return self.args[0] if self.args else ""
+
+
+class UnknownNamespaceError(RoutingError):
+    """No registered namespace covers the query's target tables/columns."""
+
+
+class AmbiguousNamespaceError(RoutingError):
+    """More than one namespace covers the target; pass ``namespace=``."""
+
+
+@dataclass
+class Namespace:
+    """One serving namespace: a per-table (or per-join-schema) stack —
+    what every front's ``resolve`` returns."""
+
+    name: str
+    server: "UAEServer | None"              # None: hosted by a cluster worker
+    kind: str                               # "table" | "join"
+    tables: frozenset = field(default_factory=frozenset)
+    columns: frozenset = field(default_factory=frozenset)
+    #: published version of a worker-hosted namespace (``server is None``)
+    worker_version: int = 0
+
+    @property
+    def registry(self) -> ModelRegistry:
+        return self.server.registry
+
+    @property
+    def service(self):
+        return self.server.service
+
+    @property
+    def version(self) -> int:
+        if self.server is None:
+            return self.worker_version
+        return self.server.registry.version
+
+
 class MultiTableRegistry:
     """Keys per-namespace model registries; resolves queries to them.
 
@@ -390,9 +434,10 @@ class RoutedEstimateService:
 
     Each ``add_table``/``add_join`` builds a full
     :class:`~repro.serve.server.UAEServer` (registry + micro-batching
-    service + result cache + feedback monitor) for that namespace, wired
-    to the shared :class:`RefinementPool`.  The front door then routes
-    every query to its namespace's micro-batcher; nothing is shared
+    service + result cache + feedback monitor + refinement + model-ops)
+    for that namespace, wired to the shared :class:`RefinementPool`.
+    The front door then routes every query straight to its namespace's
+    micro-batcher (``space.server.service``); nothing is shared
     between namespaces except the bounded trainer pool, which is exactly
     what makes the isolation invariant (a hot-swap in namespace A never
     perturbs namespace B's per-version seeded answers) hold by
@@ -425,6 +470,7 @@ class RoutedEstimateService:
                               auto_refine=auto_refine,
                               metrics=self.metrics, events=self.events)
         self._running = False
+        self._add_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Namespace management
@@ -432,17 +478,11 @@ class RoutedEstimateService:
     def add_table(self, estimator, *, namespace: str | None = None,
                   feedback=None, **overrides) -> Namespace:
         """Register a single-table namespace (defaults to the table name)."""
-        name = namespace or estimator.table.name
-        server = UAEServer(estimator, feedback=feedback, namespace=name,
-                           pool=self.pool, seed=self._seed,
-                           **{**self._defaults, **overrides})
-        space = Namespace(name=name, server=server, kind="table",
-                          tables=frozenset({estimator.table.name}),
-                          columns=frozenset(estimator.table.column_names))
-        self.registry.register(space)
-        if self._running:
-            server.start()
-        return space
+        return self._add(
+            namespace or estimator.table.name, estimator, "table",
+            frozenset({estimator.table.name}),
+            frozenset(estimator.table.column_names),
+            feedback=feedback, **overrides)
 
     def add_join(self, join, *, namespace: str | None = None,
                  feedback=None, **overrides) -> Namespace:
@@ -454,16 +494,27 @@ class RoutedEstimateService:
         :class:`~repro.joins.JoinQuery` into fanout-scaled constraints,
         and estimates scale by the full outer join's size.
         """
-        name = namespace or "+".join(sorted(join.schema.tables))
-        server = UAEServer(join.uae, feedback=feedback, namespace=name,
-                           pool=self.pool, seed=self._seed,
-                           expander=join.constraint_expander(),
-                           scale=float(join.join_size),
-                           **{**self._defaults, **overrides})
-        space = Namespace(name=name, server=server, kind="join",
-                          tables=frozenset(join.schema.tables),
-                          columns=frozenset())
-        self.registry.register(space)
+        return self._add(
+            namespace or "+".join(sorted(join.schema.tables)), join.uae,
+            "join", frozenset(join.schema.tables), frozenset(),
+            feedback=feedback, expander=join.constraint_expander(),
+            scale=float(join.join_size), **overrides)
+
+    def _add(self, name: str, estimator, kind: str, tables: frozenset,
+             columns: frozenset, **kwargs) -> Namespace:
+        """Build ``name``'s stack and register it.  A taken name is
+        refused before anything is built: the stack's constructor would
+        re-point the live namespace's gauges (and set the rejected
+        estimator's ``metrics``) before the registry could refuse it."""
+        with self._add_lock:
+            if name in self.registry:
+                raise ValueError(f"namespace {name!r} already registered")
+            server = UAEServer(estimator, namespace=name, pool=self.pool,
+                               seed=self._seed,
+                               **{**self._defaults, **kwargs})
+            space = self.registry.register(Namespace(
+                name=name, server=server, kind=kind, tables=tables,
+                columns=columns))
         if self._running:
             server.start()
         return space
@@ -509,13 +560,13 @@ class RoutedEstimateService:
                deadline_ms: float | None = None,
                trace=None) -> EstimateRequest:
         space = self.resolve(query, namespace=namespace)
-        return space.server.submit(query, deadline_ms=deadline_ms,
-                                   trace=trace)
+        return space.server.service.submit(query, deadline_ms=deadline_ms,
+                                           trace=trace)
 
     def estimate(self, query, *, namespace: str | None = None,
                  deadline_ms: float | None = None) -> float:
         space = self.resolve(query, namespace=namespace)
-        return space.server.estimate(query, deadline_ms=deadline_ms)
+        return space.server.service.estimate(query, deadline_ms=deadline_ms)
 
     def estimate_batch(self, queries: list, *,
                        namespace: str | None = None, seed: int | None = None,
@@ -530,7 +581,7 @@ class RoutedEstimateService:
         out = np.empty(len(queries), dtype=np.float64)
         for space, indices in group_by_namespace(self.resolve, queries,
                                                  namespace):
-            out[indices] = space.server.estimate_batch(
+            out[indices] = space.server.service.estimate_batch(
                 [queries[i] for i in indices], seed=seed,
                 use_cache=use_cache)
         return out

@@ -1,11 +1,14 @@
-"""The continuously-learning serving loop.
+"""The continuously-learning serving loop behind one namespace.
 
 ``UAEServer`` owns one *trainer* UAE (the live weights that keep
 learning) and serves estimates exclusively from immutable registry
-snapshots of it.  The loop:
+snapshots of it.  It is the per-namespace stack behind
+:class:`~repro.serve.router.RoutedEstimateService`, the in-process
+front, which routes each query to a namespace and calls that
+namespace's ``service`` directly.  The loop:
 
-1. ``estimate``/``submit``/``estimate_batch`` answer traffic from the
-   active snapshot (micro-batched, cached);
+1. the :class:`~repro.serve.service.EstimateService` answers traffic
+   from the active snapshot (micro-batched, cached);
 2. ``observe`` feeds executed queries' true cardinalities into the
    :class:`~repro.serve.feedback.FeedbackCollector`;
 3. when the rolling q-error drifts past the collector's threshold,
@@ -16,8 +19,9 @@ snapshots of it.  The loop:
    refinement, which runs ``UAE.ingest_data`` on them before the query
    half, so both reach serving in one gated publish.
 
-Refinement can run inline (deterministic, used by tests) or in a
-background thread (``refine(background=True)``): serving continues on the
+Refinement can run inline (deterministic, used by tests) or in the
+background (``refine(background=True)``) as a job on the front's shared
+:class:`~repro.serve.router.RefinementPool`: serving continues on the
 old snapshot until the publish atomically swaps the new one in.
 """
 
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,77 +39,32 @@ from ..workload.predicate import LabeledWorkload, Query
 from .cache import ResultCache
 from .feedback import FeedbackCollector, checked_cardinality
 from .registry import ModelRegistry
-from .service import EstimateRequest, EstimateService
-
-
-class RoutingError(KeyError):
-    """Base class for front-door routing failures."""
-
-    def __str__(self) -> str:  # KeyError quotes its message otherwise
-        return self.args[0] if self.args else ""
-
-
-class UnknownNamespaceError(RoutingError):
-    """No registered namespace covers the query's target tables/columns."""
-
-
-class AmbiguousNamespaceError(RoutingError):
-    """More than one namespace covers the target; pass ``namespace=``."""
-
-
-@dataclass
-class Namespace:
-    """One serving namespace: a per-table (or per-join-schema) stack —
-    what every front's ``resolve`` returns."""
-
-    name: str
-    server: "UAEServer | None"              # None: hosted by a cluster worker
-    kind: str                               # "table" | "join"
-    tables: frozenset = field(default_factory=frozenset)
-    columns: frozenset = field(default_factory=frozenset)
-    #: published version of a worker-hosted namespace (``server is None``)
-    worker_version: int = 0
-
-    @property
-    def registry(self) -> ModelRegistry:
-        return self.server.registry
-
-    @property
-    def service(self):
-        return self.server.service
-
-    @property
-    def version(self) -> int:
-        if self.server is None:
-            return self.worker_version
-        return self.server.registry.version
+from .service import EstimateService
 
 
 class UAEServer:
-    """Registry + service + cache + feedback, wired into one loop; single
-    submits take the service's work-conserving micro-batcher (up to
-    ``max_batch`` queries per flush, no batching window)."""
+    """One namespace's stack — registry + micro-batching service + cache +
+    feedback + refinement + model-ops — wired into one loop.  The front
+    (:class:`~repro.serve.router.RoutedEstimateService`) builds it,
+    routes queries to ``service`` and feedback to ``observe``."""
 
-    def __init__(self, estimator: UAE, *, feedback: FeedbackCollector | None = None,
+    def __init__(self, estimator: UAE, *, pool,
+                 feedback: FeedbackCollector | None = None,
                  cache_capacity: int = 8192, keep_versions: int = 3,
                  max_batch: int = 32, refine_epochs: int = 8,
                  data_epochs: int = 3, auto_refine: bool = False,
-                 seed: int = 0, namespace: str = "default", pool=None,
+                 seed: int = 0, namespace: str = "default",
                  expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None,
                  chaos: ChaosPlan | None = None, modelops=None):
         self.trainer = estimator
         # Multi-table wiring (see repro.serve.router): the namespace this
-        # server answers for, an optional shared RefinementPool that
-        # bounds trainer concurrency across namespaces, and the join
-        # translation hooks (constraint expander + cardinality scale)
-        # forwarded to the EstimateService and used again when feedback
-        # is ingested.
+        # server answers for, the front's shared RefinementPool that runs
+        # every background refinement and bounds trainer concurrency
+        # across namespaces, and the join translation hooks (constraint
+        # expander + cardinality scale) forwarded to the EstimateService
+        # and used again when feedback is ingested.
         self.namespace = str(namespace)
-        self._space = Namespace(
-            self.namespace, self, "table" if expander is None else "join",
-            tables=frozenset({estimator.table.name}),
-            columns=frozenset(estimator.table.column_names))
         self.pool = pool
         self.expander = expander
         self.scale = None if scale is None else float(scale)
@@ -133,11 +91,11 @@ class UAEServer:
         self.refine_epochs = int(refine_epochs)
         self.data_epochs = int(data_epochs)
         self.auto_refine = bool(auto_refine)
-        # Reentrant: refine() drains, spawns/calls _refine_now, and
+        # Reentrant: refine() drains, queues/calls _refine_now, and
         # checks liveness as one atomic step, and _refine_now re-acquires
         # on the inline path.
         self._refine_lock = threading.RLock()
-        self._refine_thread: threading.Thread | None = None
+        self._refine_job = None             # the pool's RefinementJob
         self._staged_data: list[np.ndarray] = []
         self.refinements: list[dict] = []
         ns = self.namespace
@@ -192,7 +150,7 @@ class UAEServer:
                 ModelOps(self, config)      # attaches as self.modelops
 
     # ------------------------------------------------------------------
-    # Serving
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "UAEServer":
         self.service.start()
@@ -201,59 +159,18 @@ class UAEServer:
     def stop(self, timeout: float | None = 5.0) -> None:
         """Wait (bounded) for an in-flight refinement, then stop serving.
 
-        A standalone server owns its refinement thread, so it joins it
-        here; pool-backed servers leave drain/cancel to the shared
-        pool's :meth:`~repro.serve.router.RefinementPool.close` — the
-        pool outlives any single namespace.
+        Draining or cancelling what is still queued is left to the
+        shared pool's :meth:`~repro.serve.router.RefinementPool.close`
+        — the pool outlives any single namespace.
         """
         self.join_refinement(timeout=timeout)
         self.service.stop()
-
-    @property
-    def running(self) -> bool:
-        return self.service.running
-
-    def __enter__(self) -> "UAEServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def resolve(self, query, namespace: str | None = None) -> Namespace:
-        """The front contract's routing step for a single-namespace
-        front: every query is this server's, and only its own name (or
-        ``None``) names it."""
-        if namespace is not None and namespace != self.namespace:
-            raise UnknownNamespaceError(
-                f"unknown namespace {namespace!r} "
-                f"(have {[self.namespace]})")
-        return self._space
-
-    def estimate(self, query: Query, *, namespace: str | None = None,
-                 deadline_ms: float | None = None) -> float:
-        self.resolve(query, namespace)
-        return self.service.estimate(query, deadline_ms=deadline_ms)
-
-    def submit(self, query: Query, *, namespace: str | None = None,
-               deadline_ms: float | None = None,
-               trace=None) -> EstimateRequest:
-        self.resolve(query, namespace)
-        return self.service.submit(query, deadline_ms=deadline_ms,
-                                   trace=trace)
-
-    def estimate_batch(self, queries: list[Query], *,
-                       namespace: str | None = None, seed: int | None = None,
-                       use_cache: bool = True) -> np.ndarray:
-        self.resolve(None, namespace)
-        return self.service.estimate_batch(queries, seed=seed,
-                                           use_cache=use_cache)
 
     # ------------------------------------------------------------------
     # Feedback + continuous learning
     # ------------------------------------------------------------------
     def observe(self, query: Query, true_cardinality: float,
-                estimate: float | None = None, *,
-                namespace: str | None = None) -> float:
+                estimate: float | None = None) -> float:
         """Record an executed query's truth; returns its serving q-error.
 
         With ``auto_refine`` set, a drift past the feedback threshold
@@ -264,11 +181,10 @@ class UAEServer:
         """
         true_cardinality = checked_cardinality(true_cardinality,
                                                "true_cardinality")
-        if estimate is not None:
-            estimate = checked_cardinality(estimate, "estimate")
-        self.resolve(query, namespace)
         if estimate is None:
-            estimate = self.estimate(query)
+            estimate = self.service.estimate(query)
+        else:
+            estimate = checked_cardinality(estimate, "estimate")
         if self.chaos is not None:
             fault = self.chaos.fires("feedback.record",
                                      namespace=self.namespace)
@@ -289,8 +205,8 @@ class UAEServer:
 
     @property
     def refining(self) -> bool:
-        thread = self._refine_thread
-        return thread is not None and thread.is_alive()
+        job = self._refine_job
+        return job is not None and job.is_alive()
 
     def _drift_triggered(self) -> None:
         self._c_drift.inc()
@@ -298,8 +214,7 @@ class UAEServer:
                          drift=self.feedback.drift(),
                          threshold=self.feedback.threshold)
 
-    def maintain(self, background: bool = False
-                 ) -> dict | threading.Thread | None:
+    def maintain(self, background: bool = False):
         """One maintenance step: refine iff drift says so, counting the
         trigger.  Returns what :meth:`refine` returns, ``None`` when
         there is no drift."""
@@ -323,23 +238,20 @@ class UAEServer:
             self._staged_data.append(np.asarray(new_codes))
         self.feedback.reset_window()
 
-    def refine(self, epochs: int | None = None,
-               background: bool = False) -> dict | threading.Thread | None:
+    def refine(self, epochs: int | None = None, background: bool = False):
         """Drain feedback (and staged inserts) into Section 4.5 ingestion
         and hot-swap.
 
-        Returns the refinement record (inline) or the running thread /
-        pool job (background); ``None`` when a refinement is already in
-        flight or there is nothing to learn from.  The liveness check,
-        drain, and thread hand-off happen atomically under the refine
-        lock, so concurrent callers cannot double-spend the same
-        feedback, spawn duplicate refinements, or publish an empty
-        version.
+        Returns the refinement record (inline) or the queued
+        :class:`~repro.serve.router.RefinementJob` (background); ``None``
+        when a refinement is already in flight or there is nothing to
+        learn from.  The liveness check, drain, and job hand-off happen
+        atomically under the refine lock, so concurrent callers cannot
+        double-spend the same feedback, queue duplicate refinements, or
+        publish an empty version.
 
-        With a shared :class:`~repro.serve.router.RefinementPool`
-        attached, background refinement queues on the pool instead of
-        spawning a thread per server — the pool's bounded workers are
-        the cross-namespace trainer-capacity cap.
+        Background refinement queues on the shared pool, whose bounded
+        workers are the cross-namespace trainer-capacity cap.
         """
         with self._refine_lock:
             if self.refining:
@@ -348,29 +260,19 @@ class UAEServer:
             staged, self._staged_data = self._staged_data, []
             if (workload is None or len(workload) == 0) and not staged:
                 return None
-            if background:
-                if self.pool is not None:
-                    try:
-                        job = self.pool.submit(self.namespace,
-                                               self._refine_now,
-                                               workload, staged, epochs)
-                    except RuntimeError:
-                        # Pool stopped between the caller's check and the
-                        # submit.  The feedback is already drained, so
-                        # dropping it here would lose those observations
-                        # for good (and crash auto_refine observers) —
-                        # refine inline instead.
-                        return self._refine_now(workload, staged, epochs)
-                    self._refine_thread = job
-                    return job
-                thread = threading.Thread(
-                    target=self._refine_now,
-                    args=(workload, staged, epochs),
-                    name="uae-refine", daemon=True)
-                self._refine_thread = thread
-                thread.start()
-                return thread
-            return self._refine_now(workload, staged, epochs)
+            if not background:
+                return self._refine_now(workload, staged, epochs)
+            try:
+                job = self.pool.submit(self.namespace, self._refine_now,
+                                       workload, staged, epochs)
+            except RuntimeError:
+                # Pool stopped between the caller's check and the submit.
+                # The feedback is already drained, so dropping it here
+                # would lose those observations for good (and crash
+                # auto_refine observers) — refine inline instead.
+                return self._refine_now(workload, staged, epochs)
+            self._refine_job = job
+            return job
 
     def _refine_now(self, workload: LabeledWorkload | None,
                     staged: list[np.ndarray],
@@ -471,9 +373,9 @@ class UAEServer:
         return self.registry.publish(self.trainer, source=source)
 
     def join_refinement(self, timeout: float | None = None) -> None:
-        thread = self._refine_thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=timeout)
+        job = self._refine_job
+        if job is not None and job.is_alive():
+            job.join(timeout=timeout)
 
     def rollback(self, version: int) -> dict:
         """Revert a bad refinement: re-activate a retained snapshot *and*

@@ -63,6 +63,31 @@ def tiny_uae(tiny_table) -> UAE:
     return model
 
 
+@pytest.fixture
+def tiny_front(tiny_uae):
+    """Factory for the one-table in-process front: a started-on-demand
+    ``RoutedEstimateService`` serving a clone of ``tiny_uae`` (or
+    ``estimator``) as namespace ``"tiny"``; every front it built is
+    stopped at teardown.  The per-namespace stack behind it is
+    ``front.namespace("tiny").server``.  Keywords other than ``seed``
+    are ``add_table`` overrides (``refine_epochs=``, ``modelops=``, ...).
+    """
+    from repro.serve import RoutedEstimateService
+
+    built = []
+
+    def build(estimator=None, *, seed=7, **overrides):
+        front = RoutedEstimateService(seed=seed)
+        front.add_table(tiny_uae.clone() if estimator is None else estimator,
+                        namespace="tiny", **overrides)
+        built.append(front)
+        return front
+
+    yield build
+    for front in built:
+        front.stop()
+
+
 @pytest.fixture(scope="session")
 def tiny_workload(tiny_table):
     """Canned labeled workload over ``tiny_table``."""

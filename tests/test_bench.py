@@ -116,6 +116,20 @@ class TestCLI:
         from repro.bench.__main__ import main
         assert main(["not-an-experiment"]) == 2
 
+    def test_run_saves_json_and_rendered_table(self, tmp_path, monkeypatch,
+                                               capsys):
+        """A CLI run leaves what the benchmark suite leaves: the JSON and
+        its table as text, ``format_table`` of the JSON's rows."""
+        import repro.bench.reporting as reporting
+        from repro.bench.__main__ import main
+        monkeypatch.setattr(reporting, "RESULTS_DIR", str(tmp_path))
+        assert main(["table1"]) == 0
+        with open(tmp_path / "table1.json") as fh:
+            data = json.load(fh)["data"]
+        text = (tmp_path / "table1.txt").read_text()
+        assert text == format_table(data["rows"], data["columns"],
+                                    title=data["title"]) + "\n"
+
     def test_selectivity_distribution_runs(self, tmp_path, monkeypatch):
         """fig3 is the cheapest full experiment — run it at small scale."""
         import repro.bench.reporting as reporting

@@ -307,13 +307,13 @@ class TestEventLog:
 # ----------------------------------------------------------------------
 @pytest.mark.net
 class TestMetricsOverHTTP:
-    def test_metrics_roundtrip_counts_just_served_request(self, tiny_uae):
+    def test_metrics_roundtrip_counts_just_served_request(self, tiny_front):
         from repro.serve import (AsyncEstimateService, AsyncHTTPClient,
-                                 HTTPFrontDoor, UAEServer)
+                                 HTTPFrontDoor)
         from repro.workload import Predicate, Query
 
-        async def scenario(server):
-            door = HTTPFrontDoor(AsyncEstimateService(server), port=0)
+        async def scenario(front):
+            door = HTTPFrontDoor(AsyncEstimateService(front), port=0)
             await door.start()
             client = AsyncHTTPClient(door.host, door.port)
             try:
@@ -327,7 +327,7 @@ class TestMetricsOverHTTP:
                     status, text, headers = await client.get("/metrics")
                     assert status == 200
                     assert "text/plain" in headers["content-type"]
-                    if 'repro_serve_served_total{namespace="default"} 0' \
+                    if 'repro_serve_served_total{namespace="tiny"} 0' \
                             not in text:
                         break
                     await asyncio.sleep(0.01)
@@ -338,8 +338,8 @@ class TestMetricsOverHTTP:
                 await client.close()
                 await door.stop()
 
-        with UAEServer(tiny_uae, max_batch=8, seed=7) as server:
-            text, dump = asyncio.run(scenario(server))
+        with tiny_front(max_batch=8) as front:
+            text, dump = asyncio.run(scenario(front))
 
         # The estimate served just before the scrape must be visible.
         served = [line for line in text.splitlines()

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core import UAE
 from repro.serve import (EstimateRequest, EstimateService,
-                         FeedbackCollector, ModelRegistry, ResultCache,
-                         UAEServer)
+                         FeedbackCollector, ModelRegistry, RefinementJob,
+                         ResultCache)
 from repro.workload import RollingQErrorMonitor, qerrors
 
 
@@ -406,12 +406,16 @@ class TestFeedbackCollector:
 
 # ----------------------------------------------------------------------
 class TestUAEServer:
-    def test_refine_publishes_and_invalidates_cache(self, uae, workload):
-        server = UAEServer(uae.clone(), refine_epochs=1, seed=5)
+    """The per-namespace stack, driven through the one-table front."""
+
+    def test_refine_publishes_and_invalidates_cache(self, tiny_front,
+                                                    workload):
+        front = tiny_front(seed=5, refine_epochs=1)
+        server = front.namespace("tiny").server
         query = workload.queries[0]
-        first = server.estimate(query)
+        first = front.estimate(query)
         assert server.cache.hits == 0
-        server.estimate(query)
+        front.estimate(query)
         assert server.cache.hits == 1
         # Feed obviously-wrong feedback, refine, hot-swap.
         for q, tru in zip(workload.queries[:8], workload.cardinalities[:8]):
@@ -422,44 +426,63 @@ class TestUAEServer:
         assert server.registry.version == 2
         # Post-swap estimate recomputes (cache invalidated by version).
         hits_before, misses_before = server.cache.hits, server.cache.misses
-        server.estimate(query)
+        front.estimate(query)
         assert server.cache.misses > misses_before
         assert server.cache.hits == hits_before
         assert server.cache.invalidations >= 1
-        assert first == pytest.approx(server.estimate(query), rel=10.0)
+        assert first == pytest.approx(front.estimate(query), rel=10.0)
 
-    def test_maintain_noop_below_threshold(self, uae, workload):
-        server = UAEServer(uae.clone(), seed=6)
+    def test_maintain_noop_below_threshold(self, tiny_front, workload):
+        server = tiny_front(seed=6).namespace("tiny").server
         server.feedback.threshold = 1e9
         for q, tru in zip(workload.queries[:8], workload.cardinalities[:8]):
             server.observe(q, tru, estimate=tru)
         assert server.maintain() is None
         assert server.registry.version == 1
 
-    def test_background_refine_serves_during_swap(self, uae, workload):
-        server = UAEServer(uae.clone(), refine_epochs=2, seed=7)
+    def test_background_refine_serves_during_swap(self, tiny_front,
+                                                  workload):
+        front = tiny_front(seed=7, refine_epochs=2)
+        server = front.namespace("tiny").server
         for q, tru in zip(workload.queries, workload.cardinalities):
             server.feedback.record(q, 50.0 * tru, tru)
-        with server:
-            thread = server.refine(background=True)
+        with front:
+            job = server.refine(background=True)
             served = 0
             versions = set()
-            while thread.is_alive():
-                request = server.submit(workload.queries[served % 4])
+            while job.is_alive():
+                request = front.submit(workload.queries[served % 4])
                 request.result(timeout=30.0)
                 versions.add(request.version)
                 served += 1
             server.join_refinement()
-            request = server.submit(workload.queries[0])
+            request = front.submit(workload.queries[0])
             request.result(timeout=30.0)
             versions.add(request.version)
         assert server.metrics.total("repro_serve_failures_total") == 0
         assert server.registry.version == 2
         assert 2 in versions
 
-    def test_rollback_rewinds_trainer_weights(self, uae, workload):
+    def test_background_refine_is_a_counted_pool_job(self, tiny_front,
+                                                     workload):
+        """The one background path: the job queues on the front's
+        shared pool and shows in ``repro_pool_jobs_total``."""
+        front = tiny_front(refine_epochs=1)
+        server = front.namespace("tiny").server
+        for q, tru in zip(workload.queries[:8], workload.cardinalities[:8]):
+            server.feedback.record(q, 50.0 * tru, tru)
+        job = server.refine(background=True)
+        assert isinstance(job, RefinementJob) and job.namespace == "tiny"
+        assert job.result(timeout=60.0)["version"] == 2
+        assert front.metrics.total("repro_pool_jobs_total",
+                                   namespace="tiny", outcome="ok") == 1
+        assert not server.refining
+
+    def test_rollback_rewinds_trainer_weights(self, tiny_front, uae,
+                                              workload):
         trainer = uae.clone()
-        server = UAEServer(trainer, refine_epochs=2, seed=9)
+        server = tiny_front(trainer, seed=9, refine_epochs=2) \
+            .namespace("tiny").server
         state_v1 = trainer.model.state_dict()
         for q, tru in zip(workload.queries[:8], workload.cardinalities[:8]):
             server.observe(q, tru, estimate=100.0 * tru)
@@ -479,14 +502,16 @@ class TestUAEServer:
         assert trainer.optimizer is not optimizer_before
         assert trainer.optimizer.lr == optimizer_before.lr
 
-    def test_refine_steps_recorded_on_metrics(self, tiny_table, workload):
+    def test_refine_steps_recorded_on_metrics(self, tiny_front, tiny_table,
+                                              workload):
         """Section 4.5 refinement steps count on /metrics like fit's: the
         staged rows' data steps under mode="data", the feedback's query
         steps under mode="query"."""
         trainer = UAE(tiny_table, hidden=16, num_blocks=1, est_samples=24,
                       dps_samples=4, batch_size=128, query_batch_size=8,
                       seed=1)
-        server = UAEServer(trainer, refine_epochs=3, data_epochs=2, seed=8)
+        server = tiny_front(trainer, seed=8, refine_epochs=3,
+                            data_epochs=2).namespace("tiny").server
         server.stage_data(tiny_table.codes[:300])
         for q, tru in zip(workload.queries[:16], workload.cardinalities[:16]):
             server.observe(q, tru, estimate=100.0 * tru)
@@ -501,11 +526,13 @@ class TestUAEServer:
         text = server.metrics.render()
         assert 'repro_train_step_seconds_count{mode="query"} 6' in text
 
-    def test_stage_data_ingested_on_refine(self, tiny_table, workload):
+    def test_stage_data_ingested_on_refine(self, tiny_front, tiny_table,
+                                           workload):
         trainer = UAE(tiny_table, hidden=16, num_blocks=1, est_samples=24,
                       dps_samples=4, batch_size=128, query_batch_size=8,
                       seed=1)
-        server = UAEServer(trainer, refine_epochs=1, data_epochs=1, seed=8)
+        server = tiny_front(trainer, seed=8, refine_epochs=1,
+                            data_epochs=1).namespace("tiny").server
         rows_before = trainer.table.num_rows
         server.observe(workload.queries[0], workload.cardinalities[0],
                        estimate=123.0)

@@ -1,12 +1,12 @@
-"""Front-contract conformance: the same keyword calls against the three
+"""Front-contract conformance: the same keyword calls against the two
 serving fronts on the same tiny table.
 
-``UAEServer``, ``RoutedEstimateService`` and ``ClusterEstimateService``
-are interchangeable behind the async/HTTP door and the planner's
-sub-plan provider only because they answer one contract (README "Front
-contract").  Each test below runs once per front; the cluster case
-spawns a worker process and is ``multiproc``-marked (deselected from
-tier-1, run by the CI scale-out step).
+``RoutedEstimateService`` (in-process) and ``ClusterEstimateService``
+(worker processes) are interchangeable behind the async/HTTP door and
+the planner's sub-plan provider only because they answer one contract
+(README "Front contract").  Each test below runs once per front; the
+cluster case spawns a worker process and is ``multiproc``-marked
+(deselected from tier-1, run by the CI scale-out step).
 """
 
 import contextlib
@@ -20,11 +20,10 @@ import pytest
 
 from repro.obs import MetricsRegistry, Trace
 from repro.serve import (HAVE_SHARED_MEMORY, ClusterEstimateService,
-                         RoutedEstimateService, UAEServer,
-                         UnknownNamespaceError)
+                         RoutedEstimateService, UnknownNamespaceError)
 from repro.workload import Predicate, Query
 
-FRONTS = ["server", "routed",
+FRONTS = ["routed",
           pytest.param("cluster", marks=[
               pytest.mark.multiproc,
               pytest.mark.skipif(not HAVE_SHARED_MEMORY,
@@ -33,9 +32,7 @@ FRONTS = ["server", "routed",
 
 @pytest.fixture(params=FRONTS)
 def front(request, tiny_uae):
-    if request.param == "server":
-        built = UAEServer(tiny_uae.clone(), namespace="tiny", seed=7)
-    elif request.param == "routed":
+    if request.param == "routed":
         built = RoutedEstimateService(seed=7)
         built.add_table(tiny_uae.clone())
     else:
@@ -50,10 +47,12 @@ def front(request, tiny_uae):
 
 @pytest.fixture(scope="module")
 def reference(tiny_uae, tiny_workload):
-    """Seed-5 answers of the bare engine path, no front in between."""
-    server = UAEServer(tiny_uae.clone())
-    return server.service.estimate_on(
-        server.registry.active(), list(tiny_workload.queries), seed=5)
+    """Seed-5 answers of the bare engine path, no front in between: the
+    estimator on a snapshot, as every front's registry serves it."""
+    snap = tiny_uae.snapshot()
+    return snap.cardinalities(
+        [snap.constraints(q) for q in tiny_workload.queries],
+        np.random.default_rng(5))
 
 
 def test_identical_keyword_calls_are_accepted(front, tiny_workload):

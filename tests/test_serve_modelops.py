@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (ModelOpsConfig, ModelRegistry, QErrorTripwire,
-                         ShadowValidator, UAEServer)
+                         ShadowValidator)
 
 
 @pytest.fixture
@@ -138,12 +138,18 @@ class TestQErrorTripwire:
 
 # ----------------------------------------------------------------------
 class TestModelOps:
+    @pytest.fixture(autouse=True)
+    def _front(self, tiny_front):
+        self.tiny_front = tiny_front
+
     def make_server(self, uae, **cfg_kw):
+        """The model-ops stack of a one-table front over ``uae``."""
         cfg_kw.setdefault("reject_ratio", float("inf"))
         cfg_kw.setdefault("cooldown_s", 0.0)
         cfg_kw.setdefault("warm_top_n", 0)
-        return UAEServer(uae.clone(), refine_epochs=1, seed=21,
-                         modelops=ModelOpsConfig(**cfg_kw))
+        self.front = self.tiny_front(uae.clone(), seed=21, refine_epochs=1,
+                                     modelops=ModelOpsConfig(**cfg_kw))
+        return self.front.namespace("tiny").server
 
     def feed(self, server, workload, n=8, factor=1.0):
         for q, tru in zip(workload.queries[:n], workload.cardinalities[:n]):
@@ -235,13 +241,13 @@ class TestModelOps:
         server = self.make_server(uae, warm_top_n=4)
         hot = workload.queries[0]
         for _ in range(3):
-            server.estimate(hot)                       # becomes hottest
+            self.front.estimate(hot)                   # becomes hottest
         self.feed(server, workload)
         record = server.refine()
         server.modelops.join_warm(timeout=30.0)
         assert server.metrics.total("repro_cache_warmed_total") > 0
         hits = server.cache.hits
-        server.estimate(hot)                           # primed for v2
+        self.front.estimate(hot)                       # primed for v2
         assert server.cache.hits == hits + 1
         assert record["version"] == 2
 
@@ -301,15 +307,16 @@ class TestRegistryRollbackEdges:
         assert registry.version == 21                  # 1 + 10 + 10
         assert registry.active().version == 21
 
-    def test_rollback_invalidates_result_cache(self, uae, workload):
-        server = UAEServer(uae.clone(), seed=22)
+    def test_rollback_invalidates_result_cache(self, tiny_front, workload):
+        front = tiny_front(seed=22)
+        server = front.namespace("tiny").server
         query = workload.queries[0]
-        server.estimate(query)
-        server.estimate(query)
+        front.estimate(query)
+        front.estimate(query)
         assert server.cache.hits == 1
         record = server.rollback(1)                    # re-publish v1 as v2
         assert record["version"] == 2
         hits, misses = server.cache.hits, server.cache.misses
-        server.estimate(query)                         # version-bump miss
+        front.estimate(query)                          # version-bump miss
         assert server.cache.misses > misses
         assert server.cache.hits == hits

@@ -33,8 +33,7 @@ from repro.serve import (ERROR_STATUS, AmbiguousNamespaceError,
                          AsyncEstimateService, AsyncHTTPClient,
                          ClusterRequest, EstimateRequest, HTTPFrontDoor,
                          LoadShedError, RequestCancelledError,
-                         RoutedEstimateService, UAEServer,
-                         UnknownNamespaceError,
+                         RoutedEstimateService, UnknownNamespaceError,
                          WorkerUnavailableError, status_for)
 from repro.workload import Predicate, Query
 from repro.workload.sqlparse import SQLParseError
@@ -48,9 +47,10 @@ def run(coro):
 
 
 @pytest.fixture
-def server(tiny_uae):
-    with UAEServer(tiny_uae, max_batch=16, seed=7) as srv:
-        yield srv
+def front(tiny_front):
+    """The one-table in-process front (namespace ``"tiny"``), started."""
+    with tiny_front(max_batch=16) as built:
+        yield built
 
 
 @pytest.fixture
@@ -72,40 +72,41 @@ def fresh_query(i: int) -> Query:
 # Awaitable semantics
 # ----------------------------------------------------------------------
 class TestAwaitableParity:
-    def test_seeded_batch_bit_parity_with_sync(self, server, tiny_workload):
-        svc = AsyncEstimateService(server)
+    def test_seeded_batch_bit_parity_with_sync(self, front, tiny_workload):
+        svc = AsyncEstimateService(front)
         queries = list(tiny_workload.queries)
         got = run(svc.estimate_batch(queries, seed=99))
-        ref = server.estimate_batch(queries, seed=99)
+        ref = front.estimate_batch(queries, seed=99)
         assert np.array_equal(got, ref)
         # And stable across a second awaitable call (seeded calls bypass
         # the cache, so this is real recompute parity).
         again = run(svc.estimate_batch(queries, seed=99))
         assert np.array_equal(got, again)
 
-    def test_single_submit_matches_sync_via_cache(self, server):
-        svc = AsyncEstimateService(server)
+    def test_single_submit_matches_sync_via_cache(self, front):
+        svc = AsyncEstimateService(front)
         query = fresh_query(0)
         got = run(svc.submit(query))
         # The sync path must see the identical cached float — the async
         # layer writes through the same service.
-        assert server.estimate(query) == got
+        assert front.estimate(query) == got
 
-    def test_submit_request_exposes_version(self, server):
-        svc = AsyncEstimateService(server)
+    def test_submit_request_exposes_version(self, front):
+        svc = AsyncEstimateService(front)
         request = run(svc.submit_request(fresh_query(1)))
-        assert request.version == server.registry.version
+        assert request.version == front.namespace("tiny").version
         assert request.done() and request.exception() is None
 
 
 class TestCancellation:
-    def test_cancelled_awaitable_never_occupies_batch_slot(self, tiny_uae):
+    def test_cancelled_awaitable_never_occupies_batch_slot(self,
+                                                            tiny_front):
         """``submit`` enqueues inline, so the only place an await can be
         abandoned is *pending* — queued behind the worker.  Cancelling
         it settles the handle on the spot and the flush drops it: the
         engine never sees its constraints."""
-        with UAEServer(tiny_uae, max_batch=16, seed=7) as srv:
-            service = srv.service
+        with tiny_front(max_batch=16) as front:
+            service = front.namespace("tiny").service
             gate = threading.Event()
             entered = threading.Event()
             computed_queries = []
@@ -120,7 +121,7 @@ class TestCancellation:
             service._compute = gated
 
             async def scenario():
-                svc = AsyncEstimateService(srv)
+                svc = AsyncEstimateService(front)
                 # q0 occupies the worker inside the gated compute...
                 first = asyncio.ensure_future(svc.submit(fresh_query(0)))
                 await asyncio.get_running_loop().run_in_executor(
@@ -155,8 +156,8 @@ class TestCancellation:
             # Only q0's singleton batch ever reached the engine.
             assert sum(computed_queries) == 1
 
-    def test_cancel_settles_request_with_typed_error(self, server):
-        request = server.submit(fresh_query(2))
+    def test_cancel_settles_request_with_typed_error(self, front):
+        request = front.submit(fresh_query(2))
         if request.cancel():
             assert isinstance(request.exception(), RequestCancelledError)
             with pytest.raises(RequestCancelledError):
@@ -256,14 +257,14 @@ class TestLoopNeverBlocks:
     ``front.submit`` inline, no executor hop, and nothing the loop can
     wait on indefinitely."""
 
-    def test_cache_hits_settle_without_leaving_the_loop(self, server):
+    def test_cache_hits_settle_without_leaving_the_loop(self, front):
         query = fresh_query(7)
 
         def left_the_loop(*args, **kwargs):
             raise AssertionError("a cache hit must not leave the loop")
 
         async def scenario():
-            svc = AsyncEstimateService(server)
+            svc = AsyncEstimateService(front)
             await svc.submit(query)             # the miss fills the cache
             loop = asyncio.get_running_loop()
             patched = ("run_in_executor", "call_soon_threadsafe",
@@ -282,15 +283,16 @@ class TestLoopNeverBlocks:
         assert all(h.from_cache and h.done() for h in handles)
         assert svc._c_offloop.value == 0 and svc.cancelled == 0
 
-    def test_front_that_is_not_running_is_refused_typed(self, tiny_uae):
-        srv = UAEServer(tiny_uae, seed=7)       # never started
+    def test_front_that_is_not_running_is_refused_typed(self, tiny_front):
+        front = tiny_front()                    # never started
         computed = []
-        srv.service._compute = lambda *a, **k: computed.append(a)
+        front.namespace("tiny").service._compute = \
+            lambda *a, **k: computed.append(a)
 
         async def scenario():
             with pytest.raises(WorkerUnavailableError):
-                await AsyncEstimateService(srv).submit(fresh_query(8))
-            async with _DoorHarness(srv) as h:
+                await AsyncEstimateService(front).submit(fresh_query(8))
+            async with _DoorHarness(front) as h:
                 return await h.client.post("/estimate",
                                            {"sql": "a = 1 AND b = 1"})
 
@@ -397,11 +399,11 @@ class TestLoopNeverBlocks:
 
 
 class TestDeadlinePropagation:
-    def test_service_layer_sheds_typed(self, server):
-        svc = AsyncEstimateService(server)
+    def test_service_layer_sheds_typed(self, front):
+        svc = AsyncEstimateService(front)
         with pytest.raises(TimeoutError):
             run(svc.submit(fresh_query(5), deadline_ms=0.01))
-        assert server.metrics.total("repro_serve_deadline_misses_total") >= 1
+        assert front.metrics.total("repro_serve_deadline_misses_total") >= 1
 
     def test_router_layer_sheds_typed(self, routed):
         svc = AsyncEstimateService(routed)
@@ -496,9 +498,9 @@ class _DoorHarness:
 
 
 class TestHTTPRoundTrips:
-    def test_estimate_roundtrip(self, server):
+    def test_estimate_roundtrip(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 status, body, _ = await h.client.post(
                     "/estimate", {"sql": "a = 1 AND b <= 3"})
                 return status, body
@@ -506,13 +508,13 @@ class TestHTTPRoundTrips:
         status, body = run(scenario())
         assert status == 200
         assert body["estimate"] >= 0.0
-        assert body["version"] == server.registry.version
+        assert body["version"] == front.namespace("tiny").version
 
-    def test_batch_roundtrip_seeded_bits_cross_the_wire(self, server):
+    def test_batch_roundtrip_seeded_bits_cross_the_wire(self, front):
         sqls = ["a = 0 AND c = 1", "b >= 2", "a <= 2 AND b = 3"]
 
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 one = await h.client.post("/estimate_batch",
                                           {"sql": sqls, "seed": 5})
                 two = await h.client.post("/estimate_batch",
@@ -526,9 +528,9 @@ class TestHTTPRoundTrips:
         # (repr round-trip), so the wire answers are identical floats.
         assert b1["estimates"] == b2["estimates"]
 
-    def test_feedback_roundtrip(self, server):
+    def test_feedback_roundtrip(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 return await h.client.post(
                     "/feedback", {"sql": "a = 1", "true_cardinality": 200})
 
@@ -537,9 +539,9 @@ class TestHTTPRoundTrips:
         assert body["ok"] is True
         assert body["qerror"] >= 1.0
 
-    def test_status_shows_hot_swap_version(self, server):
+    def test_status_shows_hot_swap_version(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 await h.client.post("/estimate", {"sql": "a = 1"})
                 _, healthz, _ = await h.client.get("/healthz")
                 status, body, _ = await h.client.get("/status")
@@ -548,10 +550,10 @@ class TestHTTPRoundTrips:
         healthz, status, body = run(scenario())
         assert healthz == {"ok": True}
         assert status == 200
-        assert server.metrics.total("repro_http_served_total") >= 1
+        assert front.metrics.total("repro_http_served_total") >= 1
         # Hot-swap visibility: the service payload carries the registry
         # version the estimates were answered at.
-        assert str(server.registry.version) in json.dumps(body["service"])
+        assert str(front.namespace("tiny").version) in json.dumps(body["service"])
 
     def test_routed_status_serves_version_and_invalidations(self, routed):
         """The two ``/status`` paths the benchmark harness reads,
@@ -583,9 +585,9 @@ class TestHTTPRoundTrips:
 
 
 class TestHTTPRejections:
-    def test_malformed_json_is_400(self, server):
+    def test_malformed_json_is_400(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", h.door.port)
                 raw = b"{not json"
@@ -599,18 +601,18 @@ class TestHTTPRejections:
 
         assert b" 400 " in run(scenario())
 
-    def test_non_object_body_is_400(self, server):
+    def test_non_object_body_is_400(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 return await h.client.post("/estimate", [1, 2, 3])
 
         status, body, _ = run(scenario())
         assert status == 400
         assert body["error"] == "ValueError"
 
-    def test_oversized_body_is_413(self, server):
+    def test_oversized_body_is_413(self, front):
         async def scenario():
-            async with _DoorHarness(server, max_body=256) as h:
+            async with _DoorHarness(front, max_body=256) as h:
                 big = {"sql": "a = 1", "pad": "x" * 1024}
                 return await h.client.post("/estimate", big)
 
@@ -618,12 +620,12 @@ class TestHTTPRejections:
         assert status == 413
         assert body["error"] == "PayloadTooLarge"
 
-    def test_negative_content_length_is_400(self, server):
+    def test_negative_content_length_is_400(self, front):
         """A negative length must not read as "all but the last 20
         buffered bytes": the pipelined second request is not swallowed
         as a body, the first gets a typed 400."""
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", h.door.port)
                 writer.write(b"GET /healthz HTTP/1.1\r\n"
@@ -638,18 +640,18 @@ class TestHTTPRejections:
         assert data.startswith(b"HTTP/1.1 400 ")
         assert b"BadHeader" in data
 
-    def test_missing_field_is_400(self, server):
+    def test_missing_field_is_400(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 return await h.client.post("/estimate", {"nope": 1})
 
         status, body, _ = run(scenario())
         assert status == 400
         assert "sql" in body["detail"]
 
-    def test_unknown_route_404_and_wrong_method_405(self, server):
+    def test_unknown_route_404_and_wrong_method_405(self, front):
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 a = await h.client.get("/nope")
                 b = await h.client.request("GET", "/estimate")
                 return a, b
@@ -659,12 +661,12 @@ class TestHTTPRejections:
         assert s405 == 405
         assert h405.get("allow") == "POST"
 
-    def test_bad_deadline_is_400(self, server):
+    def test_bad_deadline_is_400(self, front):
         # json.loads accepts the NaN / Infinity literals the client's
         # json.dumps emits: a NaN budget used to wait out the grace and
         # answer 504, an infinite one was accepted.
         async def scenario():
-            async with _DoorHarness(server) as h:
+            async with _DoorHarness(front) as h:
                 return [await h.client.post(
                     "/estimate", {"sql": "a = 1", "deadline_ms": bad})
                     for bad in (-5, 0, float("nan"), float("inf"))]
@@ -673,7 +675,8 @@ class TestHTTPRejections:
             assert status == 400
             assert "deadline_ms" in body["detail"]
 
-    def test_bad_feedback_number_is_400_and_never_recorded(self, tiny_uae):
+    def test_bad_feedback_number_is_400_and_never_recorded(self,
+                                                             tiny_front):
         """A non-finite or negative truth / estimate is refused at the
         door: it never becomes a training label, a drift observation, a
         shadow probe or a tripwire sample."""
@@ -683,8 +686,8 @@ class TestHTTPRejections:
         bodies += [{"sql": "a = 1", "true_cardinality": 200, "estimate": bad}
                    for bad in (nan, inf, -5)]
 
-        async def scenario(srv):
-            async with _DoorHarness(srv) as h:
+        async def scenario(front):
+            async with _DoorHarness(front) as h:
                 bad = [await h.client.post("/feedback", b) for b in bodies]
                 # No upper bound: a truth above the table size (counted
                 # over rows staged but not yet ingested) is legitimate.
@@ -692,9 +695,9 @@ class TestHTTPRejections:
                     "/feedback", {"sql": "a = 1", "true_cardinality": 1e300})
                 return bad, good
 
-        with UAEServer(tiny_uae.clone(), max_batch=16, seed=7,
-                       modelops=True) as srv:
-            bad, good = run(scenario(srv))
+        with tiny_front(max_batch=16, modelops=True) as front:
+            srv = front.namespace("tiny").server
+            bad, good = run(scenario(front))
             for (status, body, _), sent in zip(bad, bodies):
                 assert status == 400, sent
                 assert body["error"] == "ValueError"
@@ -823,11 +826,12 @@ class TestErrorMappingTable:
 
 
 class TestAdmissionControl:
-    def test_deadlined_requests_shed_when_window_full(self, tiny_uae):
+    def test_deadlined_requests_shed_when_window_full(self, tiny_front):
         """max_inflight=1 + a gated compute: the second deadlined
         request is shed typed (503 semantics) before touching the
         service; a deadline-free request waits instead."""
-        with UAEServer(tiny_uae, max_batch=4, seed=7) as srv:
+        with tiny_front(max_batch=4) as front:
+            srv = front.namespace("tiny").server
             gate = threading.Event()
             entered = threading.Event()
             orig = srv.service._compute
@@ -840,7 +844,7 @@ class TestAdmissionControl:
             srv.service._compute = gated
 
             async def scenario():
-                async with _DoorHarness(srv, max_inflight=1) as h:
+                async with _DoorHarness(front, max_inflight=1) as h:
                     blocker = asyncio.ensure_future(h.client.post(
                         "/estimate", {"sql": "a = 1 AND b = 1",
                                       "deadline_ms": 5000}))
@@ -873,12 +877,13 @@ class TestAdmissionControl:
         assert wait_status == 200
         assert sheds == 1
 
-    def test_feedback_takes_an_admission_slot(self, tiny_uae):
+    def test_feedback_takes_an_admission_slot(self, tiny_front):
         """A /feedback post holds an executor thread (and, without an
         estimate, runs one), so the window counts it: when full, a
         deadlined post sheds typed and records nothing; a deadline-free
         one waits for the slot, then lands."""
-        with UAEServer(tiny_uae, max_batch=4, seed=7) as srv:
+        with tiny_front(max_batch=4) as front:
+            srv = front.namespace("tiny").server
             gate = threading.Event()
             entered = threading.Event()
             orig = srv.service._compute
@@ -891,7 +896,7 @@ class TestAdmissionControl:
             srv.service._compute = gated
 
             async def scenario():
-                async with _DoorHarness(srv, max_inflight=1) as h:
+                async with _DoorHarness(front, max_inflight=1) as h:
                     blocker = asyncio.ensure_future(h.client.post(
                         "/estimate", {"sql": "a = 1 AND b = 1"}))
                     await asyncio.get_running_loop().run_in_executor(
@@ -923,11 +928,12 @@ class TestAdmissionControl:
 
 
 class TestDisconnectAbandonment:
-    def test_client_disconnect_cancels_inflight_work(self, tiny_uae):
+    def test_client_disconnect_cancels_inflight_work(self, tiny_front):
         """Closing the socket mid-request translates into query
         abandonment: the service counts a cancellation, and the engine
         never runs (or its answer is discarded) for the dead client."""
-        with UAEServer(tiny_uae, max_batch=4, seed=7) as srv:
+        with tiny_front(max_batch=4) as front:
+            srv = front.namespace("tiny").server
             gate = threading.Event()
             entered = threading.Event()
             orig = srv.service._compute
@@ -940,7 +946,7 @@ class TestDisconnectAbandonment:
             srv.service._compute = gated
 
             async def scenario():
-                async with _DoorHarness(srv) as h:
+                async with _DoorHarness(front) as h:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", h.door.port)
                     raw = b'{"sql": "a = 1 AND c = 1"}'

@@ -81,6 +81,43 @@ class TestMultiTableRegistry:
         with pytest.raises(ValueError, match="already registered"):
             routed.add_table(tiny_uae.clone(), namespace="tiny")
 
+    def test_rejected_duplicate_leaves_the_live_gauges(self, tiny_uae,
+                                                       tiny_join,
+                                                       tiny_workload):
+        """A taken name is refused before a stack is built: building
+        one re-pointed the live namespace's scrape-time gauges at the
+        orphan's empty collector and version 1, and set the rejected
+        estimator's ``metrics``."""
+        import copy
+        routed = RoutedEstimateService(seed=0)
+        server = routed.add_table(tiny_uae.clone(), namespace="tiny").server
+        for q, tru in zip(tiny_workload.queries[:4],
+                          tiny_workload.cardinalities[:4]):
+            server.observe(q, tru, estimate=10.0 * max(tru, 1.0))
+        server.registry.publish(server.trainer)          # live version 2
+        gauges = [("repro_qerror", {"quantile": "p50"}),
+                  ("repro_qerror", {"quantile": "p95"}),
+                  ("repro_feedback_observations", {}),
+                  ("repro_serve_queue_depth", {}),
+                  ("repro_serve_model_version", {})]
+
+        def read():
+            return [routed.metrics.total(name, namespace="tiny", **labels)
+                    for name, labels in gauges]
+
+        before = read()
+        assert before[2] == 4 and before[4] == 2
+        rejected = tiny_uae.clone()
+        join = copy.copy(tiny_join)
+        join.uae = tiny_join.uae.clone()
+        with pytest.raises(ValueError, match="already registered"):
+            routed.add_table(rejected, namespace="tiny")
+        with pytest.raises(ValueError, match="already registered"):
+            routed.add_join(join, namespace="tiny")
+        assert read() == before
+        assert rejected.metrics is None and join.uae.metrics is None
+        assert len(server.feedback.monitor) == 4
+
     def test_resolves_table_queries_by_columns(self, front, tiny_workload,
                                                second_workload):
         assert front.resolve(tiny_workload.queries[0]).name == "tiny"
@@ -112,12 +149,15 @@ class TestMultiTableRegistry:
         assert routed.estimate(query, namespace="a") >= 0.0
 
     def test_smallest_covering_join_schema_wins(self, tiny_uae, tiny_join):
-        small = Namespace(name="pair", server=UAEServer(tiny_uae.clone()),
+        pool = RefinementPool()
+        small = Namespace(name="pair",
+                          server=UAEServer(tiny_uae.clone(), pool=pool),
                           kind="join",
                           tables=frozenset({"title", "movie_info"}))
         registry = MultiTableRegistry()
         registry.register(small)
-        big = Namespace(name="star", server=UAEServer(tiny_uae.clone()),
+        big = Namespace(name="star",
+                        server=UAEServer(tiny_uae.clone(), pool=pool),
                         kind="join",
                         tables=frozenset({"title", "movie_info",
                                           "movie_companies"}))

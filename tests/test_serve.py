@@ -9,7 +9,7 @@ import pytest
 from repro.core import UAE
 from repro.serve import (EstimateRequest, EstimateService,
                          FeedbackCollector, ModelRegistry, RefinementJob,
-                         ResultCache)
+                         ResultCache, UAEServer)
 from repro.workload import RollingQErrorMonitor, qerrors
 
 
@@ -477,6 +477,48 @@ class TestUAEServer:
         assert front.metrics.total("repro_pool_jobs_total",
                                    namespace="tiny", outcome="ok") == 1
         assert not server.refining
+
+    def test_pool_is_a_required_argument(self, uae):
+        """No private refinement thread to fall back on: a stack is
+        built with the pool its background refinements queue on."""
+        with pytest.raises(TypeError):
+            UAEServer(uae.clone())
+
+    def test_observe_without_estimate_asks_the_service(self, tiny_front,
+                                                       workload):
+        front = tiny_front(seed=3)
+        server = front.namespace("tiny").server
+        query, truth = workload.queries[1], workload.cardinalities[1]
+        err = server.observe(query, truth)
+        served = server.service.estimate(query)   # the cached answer
+        assert server.cache.hits == 1
+        assert err == pytest.approx(qerrors([served], [truth])[0])
+        assert server.feedback.total_observed == 1
+        assert front.estimate(query) == served
+
+    def test_front_resolves_each_request_once(self, tiny_front, workload,
+                                              monkeypatch):
+        """The front hands a request straight to the namespace's service,
+        which does not route it again."""
+        front = tiny_front()
+        calls = []
+        resolve = front.registry.resolve
+
+        def counted(query, namespace=None):
+            calls.append(query)
+            return resolve(query, namespace=namespace)
+
+        monkeypatch.setattr(front.registry, "resolve", counted)
+        queries = list(workload.queries[:4])
+        with front:
+            front.submit(queries[0]).result(timeout=30.0)
+            assert len(calls) == 1
+            front.estimate(queries[1])
+            assert len(calls) == 2
+            front.observe(queries[2], 10.0)
+            assert len(calls) == 3
+            front.estimate_batch(queries, seed=1)
+        assert calls[3:] == queries
 
     def test_rollback_rewinds_trainer_weights(self, tiny_front, uae,
                                               workload):

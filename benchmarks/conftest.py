@@ -7,7 +7,8 @@ formatted table, and persists JSON + text artifacts.
 
 Artifacts go to ``$REPRO_RESULTS_DIR`` when it is set and to a pytest
 temp directory otherwise, so a plain test run never rewrites the tracked
-``results/`` files (every one carries a timestamp and wall-clock cells).
+``results/`` files (every one carries a timestamp and wall-clock cells);
+a ``BENCH_*.json`` lands in that directory's parent.
 ``REPRO_RESULTS_DIR=results python -m pytest benchmarks/`` or
 ``python -m repro.bench all`` regenerates the committed ones.
 

@@ -697,36 +697,9 @@ def run_infer_latency(profile: Profile | None = None) -> dict:
 
 
 def run_serving(profile: Profile | None = None) -> dict:
-    """Online serving scenario (writes BENCH_serve.json)."""
+    """Online serving scenario and its four sub-scenarios (writes
+    BENCH_serve.json)."""
     from .serve_bench import run_serving as _run
-    return _run(profile)
-
-
-def run_serving_multi(profile: Profile | None = None) -> dict:
-    """Multi-table front-door scenario (standalone; also embedded in
-    BENCH_serve.json by the `serving` experiment)."""
-    from .serve_bench import run_multi_table as _run
-    return _run(profile)
-
-
-def run_serving_scale(profile: Profile | None = None) -> dict:
-    """Scale-out cluster scenario (standalone; also embedded in
-    BENCH_serve.json by the `serving` experiment)."""
-    from .serve_bench import run_scale_out as _run
-    return _run(profile)
-
-
-def run_serving_load(profile: Profile | None = None) -> dict:
-    """Open-loop HTTP load scenario (standalone; also embedded in
-    BENCH_serve.json by the `serving` experiment)."""
-    from .load_bench import run_open_loop as _run
-    return _run(profile)
-
-
-def run_serving_chaos(profile: Profile | None = None) -> dict:
-    """Self-healing chaos scenario (standalone; also embedded in
-    BENCH_serve.json by the `serving` experiment)."""
-    from .serve_bench import run_chaos as _run
     return _run(profile)
 
 
@@ -747,10 +720,6 @@ def run_training_bench(profile: Profile | None = None) -> dict:
 EXPERIMENTS = {
     "latency": run_infer_latency,
     "serving": run_serving,
-    "serving_multi": run_serving_multi,
-    "serving_scale": run_serving_scale,
-    "serving_load": run_serving_load,
-    "serving_chaos": run_serving_chaos,
     "plans": run_plan_quality,
     "training": run_training_bench,
     "table1": capability_matrix,

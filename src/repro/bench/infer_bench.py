@@ -15,8 +15,6 @@ Run ``python -m repro.bench latency --profile bench`` to regenerate the
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from datetime import datetime, timezone
 
@@ -27,13 +25,7 @@ from ..data import load
 from ..infer import InferenceEngine
 from ..workload import generate_inworkload
 from .profiles import Profile, current_profile
-from .reporting import RESULTS_DIR
-
-# Next to the results directory (which follows $REPRO_RESULTS_DIR), so the
-# artifact lands in the repo for source checkouts and stays writable for
-# installed packages pointed at a results location.
-BENCH_PATH = os.path.join(os.path.dirname(os.path.abspath(RESULTS_DIR)),
-                          "BENCH_infer.json")
+from .reporting import save_bench
 
 _LATENCY_QUERIES = {"small": 16, "bench": 64, "paper": 256}
 
@@ -81,8 +73,7 @@ def _measure_obs_overhead(engine: InferenceEngine,
 
 
 def run_infer_latency(profile: Profile | None = None,
-                      batch_queries: int = 8,
-                      write_artifact: bool = True) -> dict:
+                      batch_queries: int = 8) -> dict:
     """Compiled-engine and scheduler throughput on the DMV workload."""
     profile = profile or current_profile()
     n_queries = _LATENCY_QUERIES.get(profile.name, 64)
@@ -139,12 +130,7 @@ def run_infer_latency(profile: Profile | None = None,
         "checks": checks,
         "rows": rows,
     }
-    if write_artifact:
-        try:
-            with open(BENCH_PATH, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:  # never discard timed results over a write
-            print(f"warning: could not write {BENCH_PATH}: {exc}")
+    save_bench("infer", payload)
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise RuntimeError(

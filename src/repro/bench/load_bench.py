@@ -37,8 +37,8 @@ and at least as many observations as successes.  This pins the
 observability plane to ground truth: a registry that under-counts or
 mis-buckets fails the bench, not just a unit test.
 
-``python -m repro.bench serving_load`` runs it standalone;
-``run_serving`` embeds the payload under ``"open_loop"``.
+It runs as one of the sub-scenarios of ``python -m repro.bench
+serving``, which embeds the payload under ``"open_loop"``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..obs import percentile_from_counts
 from ..serve import (AsyncEstimateService, AsyncHTTPClient, HTTPFrontDoor,
                      RoutedEstimateService)
 from ..workload import generate_inworkload
-from .profiles import Profile, current_profile
+from .profiles import Profile
 
 _SEED = 20210621        # arrival-process seed (paper's SIGMOD year+date)
 
@@ -209,11 +209,9 @@ async def _sweep_rate(host: str, port: int, payloads: list[dict],
             **_percentiles(ok)}
 
 
-def run_open_loop(profile: Profile | None = None,
-                  raise_on_failure: bool = True) -> dict:
-    """The open-loop scenario; returns the usual experiment dict (and
-    the payload ``run_serving`` embeds under ``"open_loop"``)."""
-    profile = profile or current_profile()
+def run_open_loop(profile: Profile) -> dict:
+    """The open-loop scenario; returns the payload ``run_serving`` embeds
+    under ``"open_loop"``."""
     rng = np.random.default_rng(_SEED)
 
     table = load("dmv", rows=profile.dataset_rows("dmv"), seed=0)
@@ -326,7 +324,7 @@ def run_open_loop(profile: Profile | None = None,
         and internal["p99_ms"] == internal["p99_ms"]  # not NaN
         and internal["p99_ms"] <= 1.5 * first["p99_ms"] + 5.0)
 
-    payload = {
+    return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "profile": profile.name,
         "dataset": "dmv",
@@ -344,17 +342,3 @@ def run_open_loop(profile: Profile | None = None,
         "checks": checks,
         "rows": rows,
     }
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed and raise_on_failure:
-        summary = [(round(row["offered_qps"]), round(row["loss"], 3))
-                   for row in rows]
-        raise RuntimeError(
-            f"open-loop load invariants violated: {failed} "
-            f"[capacity {calib['capacity_qps']:.0f} q/s; slo "
-            f"{slo_ms:.0f} ms; (offered, loss) per rate: {summary}]")
-    return {"title": "Open-loop HTTP load: Poisson arrivals over the "
-                     f"asyncio front door (DMV, profile={profile.name})",
-            "columns": ["offered_qps", "achieved_qps", "sent", "ok",
-                        "shed_503", "deadline_504", "untyped", "p50_ms",
-                        "p95_ms", "p99_ms", "loss"],
-            **payload}

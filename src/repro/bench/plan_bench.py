@@ -59,8 +59,6 @@ at the repo root; ``--profile ci`` is the CI smoke.  Hard ``pq_*`` checks
 
 from __future__ import annotations
 
-import json
-import os
 from datetime import datetime, timezone
 
 import numpy as np
@@ -78,10 +76,7 @@ from ..serve.router import RoutingError
 from ..workload import (FragmentError, extract_fragment,
                         fragment_signature)
 from .profiles import Profile, current_profile
-from .reporting import RESULTS_DIR
-
-BENCH_PLAN_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(RESULTS_DIR)), "BENCH_plan.json")
+from .reporting import save_bench
 
 _SUBPLAN_SEED = 1234        # provider's base seed for per-plan batches
 _UAE_ORACLE_FACTOR = 10.0   # median true-cost bound vs the oracle
@@ -209,9 +204,7 @@ def _select_test_queries(schema, pool, oracle, n_keep):
     return [pool.queries[i] for i in kept], spreads[kept], gaps[kept]
 
 
-def run_plan_quality(profile: Profile | None = None,
-                     write_artifact: bool = True,
-                     raise_on_failure: bool = True) -> dict:
+def run_plan_quality(profile: Profile | None = None) -> dict:
     """The ``plan_quality`` scenario; writes ``BENCH_plan.json``."""
     profile = profile or current_profile()
     n_titles = max(profile.join_titles // 2, _MIN_TITLES)
@@ -336,23 +329,17 @@ def run_plan_quality(profile: Profile | None = None,
         "checks": checks,
         "rows": rows,
     }
-    if write_artifact:
-        try:
-            with open(BENCH_PLAN_PATH, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:  # never discard results over a write
-            print(f"warning: could not write {BENCH_PLAN_PATH}: {exc}")
+    path = save_bench("plan", payload)
 
     failed = [name for name, ok in checks.items() if not ok]
-    if failed and raise_on_failure:
+    if failed:
         raise RuntimeError(
             f"plan-quality invariants violated: {failed} "
             f"[UAE-vs-Magic median {uae_vs_magic:.3f}; UAE-vs-oracle "
             f"median {uae_vs_oracle:.3f} (bound {_UAE_ORACLE_FACTOR}); "
             f"batched {serving.batched_calls}/{len(test_queries)} plans; "
             f"untyped "
-            f"{untyped_failures}]; see "
-            f"{BENCH_PLAN_PATH if write_artifact else 'payload'}")
+            f"{untyped_failures}]; see {path}")
 
     result = {"title": "Plan quality: serving-tier UAE vs oracle/heuristic "
                        f"baselines (IMDB-large, profile={profile.name})",

@@ -3,7 +3,8 @@
 Every experiment returns plain dict/list structures; this module renders
 them as the paper's tables (aligned ASCII) and saves each result under
 ``results/`` as ``<id>.json`` plus its rendered ``<id>.txt``, so a
-reported number can be traced to a concrete run.
+reported number can be traced to a concrete run.  The perf benches also
+write a ``BENCH_<name>.json`` artifact beside ``results/``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,26 @@ def save_result(name: str, result: dict) -> str:
                         title=result["title"])
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
+    return path
+
+
+def bench_path(name: str) -> str:
+    """``BENCH_<name>.json`` in the parent of the results directory (the
+    repo root by default), resolved at call time so a redirected
+    ``RESULTS_DIR`` moves the artifact with it."""
+    return os.path.join(os.path.dirname(os.path.abspath(RESULTS_DIR)),
+                        f"BENCH_{name}.json")
+
+
+def save_bench(name: str, payload: dict) -> str:
+    """Write the ``BENCH_<name>.json`` artifact and return its path; a
+    failed write only warns, so timed results are never discarded."""
+    path = bench_path(name)
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+    except OSError as exc:
+        print(f"warning: could not write {path}: {exc}")
     return path
 
 

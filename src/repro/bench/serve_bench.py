@@ -18,10 +18,16 @@ Drives the :mod:`repro.serve` subsystem through four phases:
 4. **post-swap** — the shifted traffic again, on the refined model: the
    rolling q-error must improve.
 
-``python -m repro.bench serving --profile bench`` writes the
-``BENCH_serve.json`` artifact; ``--profile ci`` is the tiny smoke profile
-the CI workflow gates on.  Violated invariants raise ``RuntimeError`` so
-the process exits non-zero.
+After the loop, the sub-scenarios in :data:`SCENARIOS` run in turn —
+multi-table front door, scale-out cluster, open-loop HTTP load and
+self-healing chaos — each embedded in the artifact under its own key,
+its checks joining the gate under its own prefix.
+
+``python -m repro.bench serving`` is the one way to run any of them:
+``--profile bench`` writes the ``BENCH_serve.json`` artifact, and
+``--profile ci`` is the tiny smoke profile the CI workflow gates on.
+Violated invariants raise ``RuntimeError`` so the process exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -43,13 +49,9 @@ from ..serve import (HAVE_SHARED_MEMORY, ChaosPlan, ClusterEstimateService,
 from ..workload import (Predicate, Query, WorkloadConfig,
                         generate_inworkload, summarize)
 from ..workload.metrics import qerrors
+from .load_bench import run_open_loop
 from .profiles import Profile, current_profile
-from .reporting import RESULTS_DIR
-
-BENCH_SERVE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(RESULTS_DIR)), "BENCH_serve.json")
-BENCH_INFER_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(RESULTS_DIR)), "BENCH_infer.json")
+from .reporting import bench_path, save_bench
 
 _REPEAT_FRACTION = 0.35     # fraction of the stream that re-asks hot queries
 _WAVE = 64                  # closed-loop submission window
@@ -102,11 +104,9 @@ def _phase_latency(handles: list) -> dict[str, float]:
             "p99_ms": float(np.percentile(arr, 99) * 1e3)}
 
 
-def run_multi_table(profile: Profile | None = None,
-                    datasets: tuple[str, ...] = ("dmv", "census"),
-                    raise_on_failure: bool = True) -> dict:
-    """The multi-table front-door scenario: several table namespaces plus
-    one join-schema namespace behind a single
+def run_multi_table(profile: Profile) -> dict:
+    """The multi-table front-door scenario: the DMV and Census table
+    namespaces plus one join-schema namespace behind a single
     :class:`~repro.serve.RoutedEstimateService`.
 
     Measures mixed-stream routing throughput and verifies, bit-exactly:
@@ -122,11 +122,9 @@ def run_multi_table(profile: Profile | None = None,
       answers, while every other namespace's per-version seeded answers
       stay bit-identical and their versions stay put.
 
-    Runs standalone as ``python -m repro.bench serving_multi`` (or via
-    ``python -m repro.serve --datasets ...``); ``run_serving`` embeds the
-    payload in ``BENCH_serve.json`` under ``"multi_table"``.
+    Returns the payload ``run_serving`` embeds under ``"multi_table"``.
     """
-    profile = profile or current_profile()
+    datasets = ("dmv", "census")
     rng = np.random.default_rng(4242)
     uae_kwargs = dict(hidden=profile.hidden, num_blocks=profile.num_blocks,
                       est_samples=profile.est_samples,
@@ -256,7 +254,7 @@ def run_multi_table(profile: Profile | None = None,
                     "repro_pool_jobs_total", namespace=name)),
             })
 
-    payload = {
+    return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "profile": profile.name,
         "datasets": list(datasets),
@@ -268,20 +266,9 @@ def run_multi_table(profile: Profile | None = None,
         "checks": checks,
         "rows": rows,
     }
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed and raise_on_failure:
-        raise RuntimeError(
-            f"multi-table serving invariants violated: {failed}")
-    return {"title": "Multi-table front door: "
-                     f"{' + '.join(names)} behind one RoutedEstimateService "
-                     f"(profile={profile.name})",
-            "columns": ["namespace", "kind", "queries", "served", "version",
-                        "refined"],
-            **payload}
 
 
-def run_scale_out(profile: Profile | None = None,
-                  raise_on_failure: bool = True) -> dict:
+def run_scale_out(profile: Profile) -> dict:
     """The scale-out serving scenario: N shared-nothing worker processes
     behind a :class:`~repro.serve.ClusterEstimateService`.
 
@@ -309,12 +296,12 @@ def run_scale_out(profile: Profile | None = None,
     is the cause) — a 1-core container cannot demonstrate parallel
     speedup, and a check that passes without measuring it is worse than
     none.
+
+    Returns the payload ``run_serving`` embeds under ``"scale_out"``.
     """
-    profile = profile or current_profile()
     if not HAVE_SHARED_MEMORY:      # pragma: no cover - platform gate
-        return {"title": "Scale-out serving (skipped: no shared_memory)",
-                "skipped": {"scale_out": "no multiprocessing.shared_memory"},
-                "checks": {}, "rows": [], "columns": []}
+        return {"skipped": {"scale_out": "no multiprocessing.shared_memory"},
+                "checks": {}, "rows": []}
     rng = np.random.default_rng(777)
     datasets = tuple(profile.scale_datasets)
     workers = tuple(int(w) for w in profile.scale_workers)
@@ -460,7 +447,7 @@ def run_scale_out(profile: Profile | None = None,
         checks["scale_throughput"] = \
             qps[max(workers)] >= 2.5 * qps[min(workers)]
 
-    payload = {
+    return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "profile": profile.name,
         "datasets": list(datasets),
@@ -478,25 +465,9 @@ def run_scale_out(profile: Profile | None = None,
         "skipped": skipped,
         "rows": rows,
     }
-    failed = [name for name, ok_ in checks.items() if not ok_]
-    if failed and raise_on_failure:
-        raise RuntimeError(
-            f"scale-out serving invariants violated: {failed} "
-            f"[qps {payload['qps_by_workers']}; max propagation "
-            f"{max_prop:.1f} ms; overload {shed_stats}]")
-    return {"title": "Scale-out serving: shared-nothing workers, "
-                     "zero-copy hot-swap, load-shedding balancer "
-                     f"(profile={profile.name})",
-            "columns": ["workers", "queries", "qps", "namespaces",
-                        "distinct_owners", "failures", "sheds"],
-            **payload}
 
 
-def run_chaos(profile: Profile | None = None,
-              raise_on_failure: bool = True,
-              include_single: bool = True,
-              include_cluster: bool = True,
-              workers: int = 2) -> dict:
+def run_chaos(profile: Profile) -> dict:
     """The self-healing chaos scenario: seeded faults injected into the
     serving stack must be *healed*, not merely survived.
 
@@ -521,8 +492,9 @@ def run_chaos(profile: Profile | None = None,
     supervisor must restart it within a bounded window, the restarted
     worker must serve bit-identical seeded answers from the retained
     snapshot segments, and every surfaced error must be typed.
+
+    Returns the payload ``run_serving`` embeds under ``"chaos"``.
     """
-    profile = profile or current_profile()
     rng = np.random.default_rng(97)
     uae_kwargs = dict(hidden=profile.hidden, num_blocks=profile.num_blocks,
                       est_samples=profile.est_samples,
@@ -533,301 +505,294 @@ def run_chaos(profile: Profile | None = None,
     rows: list[dict] = []
     detail: dict = {}
 
-    if include_single:
-        name = profile.scale_datasets[0]
-        table = load(name, rows=profile.dataset_rows(name))
-        uae = UAE(table, seed=0, **uae_kwargs)
-        uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
-        n_queries = max(24, profile.scale_stream_queries // 2)
-        # Wide queries (few filters, generous bounds): truths well above
-        # 1, so a poisoned model's collapsed estimates (floored at 1 by
-        # the q-error metric) are *distinguishable* from healthy ones —
-        # hyper-selective probes would make every model look fine.
-        wl = generate_inworkload(
-            table, n_queries, rng,
-            cfg=WorkloadConfig(num_filters_min=1, num_filters_max=2,
-                               bounded_volume=0.3))
-        probes = list(wl.queries[:_PROBES])
+    name = profile.scale_datasets[0]
+    table = load(name, rows=profile.dataset_rows(name))
+    uae = UAE(table, seed=0, **uae_kwargs)
+    uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
+    n_queries = max(24, profile.scale_stream_queries // 2)
+    # Wide queries (few filters, generous bounds): truths well above
+    # 1, so a poisoned model's collapsed estimates (floored at 1 by
+    # the q-error metric) are *distinguishable* from healthy ones —
+    # hyper-selective probes would make every model look fine.
+    wl = generate_inworkload(
+        table, n_queries, rng,
+        cfg=WorkloadConfig(num_filters_min=1, num_filters_max=2,
+                           bounded_volume=0.3))
+    probes = list(wl.queries[:_PROBES])
 
-        # ------------------------------------------------------------
-        # 1. Shadow reject: poisoned candidate never publishes.
-        plan_a = ChaosPlan(seed=11)
-        plan_a.inject("refine.weights", "poison", at=1,
-                      params={"magnitude": 25.0})
-        cfg_a = ModelOpsConfig(reject_ratio=1.5, min_probes=4,
-                               cooldown_s=0.0, warm_top_n=0)
-        front_a = RoutedEstimateService(refine_epochs=2, max_batch=32,
-                                        seed=7)
-        server_a = front_a.add_table(uae, chaos=plan_a,
-                                     modelops=cfg_a).server
-        with front_a:
-            ests = front_a.estimate_batch(wl.queries)
-            for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
-                front_a.observe(q, tru, estimate=float(est))
-            ref_pre = front_a.estimate_batch(probes, seed=_SEED,
+    # ------------------------------------------------------------
+    # 1. Shadow reject: poisoned candidate never publishes.
+    plan_a = ChaosPlan(seed=11)
+    plan_a.inject("refine.weights", "poison", at=1,
+                  params={"magnitude": 25.0})
+    cfg_a = ModelOpsConfig(reject_ratio=1.5, min_probes=4,
+                           cooldown_s=0.0, warm_top_n=0)
+    front_a = RoutedEstimateService(refine_epochs=2, max_batch=32,
+                                    seed=7)
+    server_a = front_a.add_table(uae, chaos=plan_a,
+                                 modelops=cfg_a).server
+    with front_a:
+        ests = front_a.estimate_batch(wl.queries)
+        for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
+            front_a.observe(q, tru, estimate=float(est))
+        ref_pre = front_a.estimate_batch(probes, seed=_SEED,
+                                         use_cache=False)
+        record = server_a.refine()
+        ref_post = front_a.estimate_batch(probes, seed=_SEED,
+                                          use_cache=False)
+        checks["shadow_reject_fired"] = bool(
+            server_a.modelops.rejects) and bool(
+            record and record.get("rejected"))
+        checks["reject_no_publish"] = server_a.registry.version == 1
+        checks["reject_restores_weights"] = bool(
+            np.array_equal(ref_pre, ref_post))
+
+        # Feedback-stream corruption: contained, typed, observable.
+        plan_a.inject("feedback.record", "corrupt", at=1,
+                      params={"factor": 500.0})
+        q0 = wl.queries[0]
+        err = front_a.observe(q0, float(wl.cardinalities[0]),
+                              estimate=float(ests[0]))
+        checks["feedback_corruption_contained"] = \
+            err >= 10.0 and _failures(server_a) == 0
+    rows.append({"fault": "poison-refinement", "action": "reject",
+                 "observations": len(wl), "version": 1})
+    detail["shadow"] = {"verdict": server_a.modelops.last_verdict,
+                        "rejects": int(server_a.metrics.total(
+                            "repro_shadow_rejects_total",
+                            namespace=server_a.namespace))}
+
+    # ------------------------------------------------------------
+    # 2. Tripwire rollback: the same poison published past a
+    #    disabled gate must be rolled back from live traffic.
+    plan_b = ChaosPlan(seed=13)
+    plan_b.inject("refine.weights", "poison", at=1,
+                  params={"magnitude": 25.0})
+    plan_b.inject("publish.snapshot", "drop", at=2)
+    cfg_b = ModelOpsConfig(reject_ratio=float("inf"),
+                           tripwire_ratio=2.0, tripwire_window=16,
+                           tripwire_min_obs=6, cooldown_s=0.0,
+                           warm_top_n=16)
+    front_b = RoutedEstimateService(refine_epochs=2, max_batch=32,
+                                    seed=7)
+    server_b = front_b.add_table(uae.clone(), chaos=plan_b,
+                                 modelops=cfg_b).server
+    with front_b:
+        ests = front_b.estimate_batch(wl.queries)
+        for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
+            front_b.observe(q, tru, estimate=float(est))
+        pre_seeded = front_b.estimate_batch(wl.queries, seed=_SEED,
+                                            use_cache=False)
+        pre_q = float(qerrors(pre_seeded, wl.cardinalities).mean())
+        refs_pre = front_b.estimate_batch(probes, seed=_SEED,
+                                          use_cache=False)
+        server_b.refine()                  # publishes poisoned v2
+        checks["poison_published"] = server_b.registry.version == 2
+        budget = 3 * (cfg_b.tripwire_min_obs + cfg_b.tripwire_window)
+        obs_to_rollback = 0
+        for i in range(budget):
+            q = wl.queries[i % len(wl.queries)]
+            tru = float(wl.cardinalities[i % len(wl.queries)])
+            front_b.observe(q, tru, estimate=front_b.estimate(q))
+            obs_to_rollback += 1
+            if server_b.registry.version >= 3:
+                break
+        checks["tripwire_rollback_fired"] = bool(
+            server_b.modelops.rollbacks) \
+            and server_b.registry.version == 3
+        checks["rollback_within_window"] = obs_to_rollback <= \
+            cfg_b.tripwire_min_obs + cfg_b.tripwire_window
+        post_heal = front_b.estimate_batch(probes, seed=_SEED,
+                                           use_cache=False)
+        checks["postheal_bit_identical"] = bool(
+            np.array_equal(post_heal, refs_pre))
+        post_seeded = front_b.estimate_batch(wl.queries, seed=_SEED,
                                              use_cache=False)
-            record = server_a.refine()
-            ref_post = front_a.estimate_batch(probes, seed=_SEED,
-                                              use_cache=False)
-            checks["shadow_reject_fired"] = bool(
-                server_a.modelops.rejects) and bool(
-                record and record.get("rejected"))
-            checks["reject_no_publish"] = server_a.registry.version == 1
-            checks["reject_restores_weights"] = bool(
-                np.array_equal(ref_pre, ref_post))
-
-            # Feedback-stream corruption: contained, typed, observable.
-            plan_a.inject("feedback.record", "corrupt", at=1,
-                          params={"factor": 500.0})
-            q0 = wl.queries[0]
-            err = front_a.observe(q0, float(wl.cardinalities[0]),
-                                  estimate=float(ests[0]))
-            checks["feedback_corruption_contained"] = \
-                err >= 10.0 and _failures(server_a) == 0
-        rows.append({"fault": "poison-refinement", "action": "reject",
-                     "observations": len(wl), "version": 1})
-        detail["shadow"] = {"verdict": server_a.modelops.last_verdict,
-                            "rejects": int(server_a.metrics.total(
-                                "repro_shadow_rejects_total",
-                                namespace=server_a.namespace))}
-
-        # ------------------------------------------------------------
-        # 2. Tripwire rollback: the same poison published past a
-        #    disabled gate must be rolled back from live traffic.
-        plan_b = ChaosPlan(seed=13)
-        plan_b.inject("refine.weights", "poison", at=1,
-                      params={"magnitude": 25.0})
-        plan_b.inject("publish.snapshot", "drop", at=2)
-        cfg_b = ModelOpsConfig(reject_ratio=float("inf"),
-                               tripwire_ratio=2.0, tripwire_window=16,
-                               tripwire_min_obs=6, cooldown_s=0.0,
-                               warm_top_n=16)
-        front_b = RoutedEstimateService(refine_epochs=2, max_batch=32,
-                                        seed=7)
-        server_b = front_b.add_table(uae.clone(), chaos=plan_b,
-                                     modelops=cfg_b).server
-        with front_b:
-            ests = front_b.estimate_batch(wl.queries)
-            for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
-                front_b.observe(q, tru, estimate=float(est))
-            pre_seeded = front_b.estimate_batch(wl.queries, seed=_SEED,
-                                                use_cache=False)
-            pre_q = float(qerrors(pre_seeded, wl.cardinalities).mean())
-            refs_pre = front_b.estimate_batch(probes, seed=_SEED,
-                                              use_cache=False)
-            server_b.refine()                  # publishes poisoned v2
-            checks["poison_published"] = server_b.registry.version == 2
-            budget = 3 * (cfg_b.tripwire_min_obs + cfg_b.tripwire_window)
-            obs_to_rollback = 0
-            for i in range(budget):
-                q = wl.queries[i % len(wl.queries)]
-                tru = float(wl.cardinalities[i % len(wl.queries)])
-                front_b.observe(q, tru, estimate=front_b.estimate(q))
-                obs_to_rollback += 1
-                if server_b.registry.version >= 3:
-                    break
-            checks["tripwire_rollback_fired"] = bool(
-                server_b.modelops.rollbacks) \
-                and server_b.registry.version == 3
-            checks["rollback_within_window"] = obs_to_rollback <= \
-                cfg_b.tripwire_min_obs + cfg_b.tripwire_window
-            post_heal = front_b.estimate_batch(probes, seed=_SEED,
-                                               use_cache=False)
-            checks["postheal_bit_identical"] = bool(
-                np.array_equal(post_heal, refs_pre))
-            post_seeded = front_b.estimate_batch(wl.queries, seed=_SEED,
-                                                 use_cache=False)
-            post_q = float(qerrors(post_seeded, wl.cardinalities).mean())
-            checks["postheal_qerr_under_ceiling"] = \
-                post_q <= max(pre_q, 1.0) * 1.05
-            rows.append({"fault": "poison-refinement+tripwire",
-                         "action": "rollback",
-                         "observations": obs_to_rollback,
-                         "version": server_b.registry.version})
-
-            # --------------------------------------------------------
-            # 3. Dropped publish heals by retry; the validated publish
-            #    warms the cache with the hottest signatures.
-            for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
-                front_b.observe(q, tru, estimate=float(est))
-            server_b.refine()                  # drop fault -> retry -> v4
-            fired = [f["hook"] for f in plan_b.fired_log]
-            checks["publish_drop_healed"] = \
-                fired.count("publish.snapshot") == 1 \
-                and server_b.registry.version == 4
-            server_b.modelops.join_warm(timeout=30.0)
-            hot = server_b.service.hot_queries(1)
-            req = front_b.submit(hot[0]) if hot else None
-            if req is not None:
-                req.result(timeout=60.0)
-            warmed = int(server_b.metrics.total(
-                "repro_cache_warmed_total", namespace=server_b.namespace))
-            checks["warm_primes_cache"] = \
-                warmed > 0 and req is not None \
-                and req.from_cache \
-                and req.version == server_b.registry.version
-            checks["zero_untyped_singleproc"] = \
-                _failures(server_a) == 0 and _failures(server_b) == 0
-            detail["tripwire"] = server_b.modelops.stats()
-        rows.append({"fault": "drop-publish", "action": "retry+warm",
-                     "observations": warmed,
+        post_q = float(qerrors(post_seeded, wl.cardinalities).mean())
+        checks["postheal_qerr_under_ceiling"] = \
+            post_q <= max(pre_q, 1.0) * 1.05
+        rows.append({"fault": "poison-refinement+tripwire",
+                     "action": "rollback",
+                     "observations": obs_to_rollback,
                      "version": server_b.registry.version})
 
-    if include_cluster:
-        if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform gate
-            checks["cluster_skipped_no_shared_memory"] = True
-        else:
-            datasets = tuple(profile.scale_datasets)
-            estimators: dict[str, UAE] = {}
-            pools: dict[str, list] = {}
-            n_each = max(16, profile.scale_stream_queries // len(datasets))
-            for i, name in enumerate(datasets):
-                table = load(name, rows=profile.dataset_rows(name))
-                est = UAE(table, seed=i, **uae_kwargs)
-                est.fit(epochs=max(1, profile.epochs // 3), mode="data")
-                estimators[name] = est
-                pools[name] = list(
-                    generate_inworkload(table, n_each, rng).queries)
+        # --------------------------------------------------------
+        # 3. Dropped publish heals by retry; the validated publish
+        #    warms the cache with the hottest signatures.
+        for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
+            front_b.observe(q, tru, estimate=float(est))
+        server_b.refine()                  # drop fault -> retry -> v4
+        fired = [f["hook"] for f in plan_b.fired_log]
+        checks["publish_drop_healed"] = \
+            fired.count("publish.snapshot") == 1 \
+            and server_b.registry.version == 4
+        server_b.modelops.join_warm(timeout=30.0)
+        hot = server_b.service.hot_queries(1)
+        req = front_b.submit(hot[0]) if hot else None
+        if req is not None:
+            req.result(timeout=60.0)
+        warmed = int(server_b.metrics.total(
+            "repro_cache_warmed_total", namespace=server_b.namespace))
+        checks["warm_primes_cache"] = \
+            warmed > 0 and req is not None \
+            and req.from_cache \
+            and req.version == server_b.registry.version
+        checks["zero_untyped_singleproc"] = \
+            _failures(server_a) == 0 and _failures(server_b) == 0
+        detail["tripwire"] = server_b.modelops.stats()
+    rows.append({"fault": "drop-publish", "action": "retry+warm",
+                 "observations": warmed,
+                 "version": server_b.registry.version})
 
-            plan_c = ChaosPlan(seed=29)
-            # 2nd batch of worker w0's first incarnation dies; the
-            # restarted incarnation runs healthy.  w1's first batch is
-            # merely slow (latency fault): it must answer, not crash.
-            plan_c.inject("worker.batch", "kill", at=2,
-                          where={"worker": "w0", "incarnation": 0})
-            plan_c.inject("worker.batch", "sleep", at=1,
-                          where={"worker": "w1"},
-                          params={"seconds": 0.05})
-            cluster = ClusterEstimateService(workers=max(2, workers),
-                                             queue_depth=4, seed=7,
-                                             chaos=plan_c)
+    if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform gate
+        checks["cluster_skipped_no_shared_memory"] = True
+    else:
+        datasets = tuple(profile.scale_datasets)
+        estimators: dict[str, UAE] = {}
+        pools: dict[str, list] = {}
+        n_each = max(16, profile.scale_stream_queries // len(datasets))
+        for i, name in enumerate(datasets):
+            table = load(name, rows=profile.dataset_rows(name))
+            est = UAE(table, seed=i, **uae_kwargs)
+            est.fit(epochs=max(1, profile.epochs // 3), mode="data")
+            estimators[name] = est
+            pools[name] = list(
+                generate_inworkload(table, n_each, rng).queries)
+
+        plan_c = ChaosPlan(seed=29)
+        # 2nd batch of worker w0's first incarnation dies; the
+        # restarted incarnation runs healthy.  w1's first batch is
+        # merely slow (latency fault): it must answer, not crash.
+        plan_c.inject("worker.batch", "kill", at=2,
+                      where={"worker": "w0", "incarnation": 0})
+        plan_c.inject("worker.batch", "sleep", at=1,
+                      where={"worker": "w1"},
+                      params={"seconds": 0.05})
+        cluster = ClusterEstimateService(workers=2, queue_depth=4, seed=7,
+                                         chaos=plan_c)
+        for name in datasets:
+            cluster.add_table(estimators[name])
+        untyped = 0
+        with cluster:
+            supervisor = cluster.supervise(
+                poll_interval=0.02, backoff_base_s=0.02,
+                backoff_max_s=0.5, max_restarts=3, seed=7)
+            slices = {name: [q for q in pools[name][:_PROBES]]
+                      for name in datasets}
+            # On profiles with more namespaces than workers w0 owns
+            # several, so the kill can fire while these references
+            # are computed; retry through the healing window (the
+            # restarted worker answers bit-identically, so the
+            # reference stays valid either way).
+            refs = {}
+            ref_deadline = time.perf_counter() + 60.0
             for name in datasets:
-                cluster.add_table(estimators[name])
-            untyped = 0
-            with cluster:
-                supervisor = cluster.supervise(
-                    poll_interval=0.02, backoff_base_s=0.02,
-                    backoff_max_s=0.5, max_restarts=3, seed=7)
-                slices = {name: [q for q in pools[name][:_PROBES]]
-                          for name in datasets}
-                # On profiles with more namespaces than workers w0 owns
-                # several, so the kill can fire while these references
-                # are computed; retry through the healing window (the
-                # restarted worker answers bit-identically, so the
-                # reference stays valid either way).
-                refs = {}
-                ref_deadline = time.perf_counter() + 60.0
-                for name in datasets:
-                    while True:
-                        try:
-                            refs[name] = cluster.estimate_batch(
-                                slices[name], seed=_SEED)
-                            break
-                        except (WorkerUnavailableError, LoadShedError):
-                            if time.perf_counter() > ref_deadline:
-                                raise
-                            time.sleep(0.05)
-                # Drive mixed waves; the kill fires on w0's 2nd batch.
-                # Typed unavailability is retried (that is the healing
-                # window); anything untyped is a hard failure.
-                mixed = [q for pair in zip(*pools.values()) for q in pair]
-                deadline = time.perf_counter() + 60.0
-                lo, waves = 0, 0
-                while lo < len(mixed) and time.perf_counter() < deadline:
+                while True:
                     try:
-                        cluster.estimate_batch(mixed[lo:lo + 8])
-                        lo += 8
-                        waves += 1
+                        refs[name] = cluster.estimate_batch(
+                            slices[name], seed=_SEED)
+                        break
+                    except (WorkerUnavailableError, LoadShedError):
+                        if time.perf_counter() > ref_deadline:
+                            raise
+                        time.sleep(0.05)
+            # Drive mixed waves; the kill fires on w0's 2nd batch.
+            # Typed unavailability is retried (that is the healing
+            # window); anything untyped is a hard failure.
+            mixed = [q for pair in zip(*pools.values()) for q in pair]
+            deadline = time.perf_counter() + 60.0
+            lo, waves = 0, 0
+            while lo < len(mixed) and time.perf_counter() < deadline:
+                try:
+                    cluster.estimate_batch(mixed[lo:lo + 8])
+                    lo += 8
+                    waves += 1
+                except (WorkerUnavailableError, LoadShedError):
+                    time.sleep(0.05)
+                except Exception:   # noqa: BLE001 - counted + gated
+                    untyped += 1
+                    lo += 8
+            t_restart = time.perf_counter()
+            while time.perf_counter() < deadline \
+                    and not supervisor.restarts:
+                time.sleep(0.02)
+            restart_s = time.perf_counter() - t_restart
+            checks["kill_fired"] = any(
+                f["hook"] == "worker.batch" and f["action"] == "kill"
+                for f in plan_c.fired_log) \
+                or cluster.stats()["workers"].get("w0", {}) \
+                    .get("incarnation", 0) >= 1
+            checks["worker_restarted"] = len(supervisor.restarts) >= 1
+            checks["restart_within_window"] = \
+                bool(supervisor.restarts) and restart_s < 30.0
+            post = {}
+            for name in datasets:
+                for _ in range(40):     # restarted worker settles
+                    try:
+                        post[name] = cluster.estimate_batch(
+                            slices[name], seed=_SEED)
+                        break
                     except (WorkerUnavailableError, LoadShedError):
                         time.sleep(0.05)
-                    except Exception:   # noqa: BLE001 - counted + gated
-                        untyped += 1
-                        lo += 8
-                t_restart = time.perf_counter()
-                while time.perf_counter() < deadline \
-                        and not supervisor.restarts:
-                    time.sleep(0.02)
-                restart_s = time.perf_counter() - t_restart
-                checks["kill_fired"] = any(
-                    f["hook"] == "worker.batch" and f["action"] == "kill"
-                    for f in plan_c.fired_log) \
-                    or cluster.stats()["workers"].get("w0", {}) \
-                        .get("incarnation", 0) >= 1
-                checks["worker_restarted"] = len(supervisor.restarts) >= 1
-                checks["restart_within_window"] = \
-                    bool(supervisor.restarts) and restart_s < 30.0
-                post = {}
-                for name in datasets:
-                    for _ in range(40):     # restarted worker settles
-                        try:
-                            post[name] = cluster.estimate_batch(
-                                slices[name], seed=_SEED)
-                            break
-                        except (WorkerUnavailableError, LoadShedError):
-                            time.sleep(0.05)
-                checks["restart_bit_identical"] = all(
-                    name in post and bool(
-                        np.array_equal(post[name], refs[name]))
-                    for name in datasets)
-                stats = cluster.stats()
-                checks["cluster_zero_untyped"] = untyped == 0 \
-                    and cluster.metrics.total(
-                        "repro_cluster_failures_total") == 0
-                detail["cluster"] = {
-                    "restarts": supervisor.stats()["restarts"],
-                    "restart_wait_s": restart_s,
-                    "waves": waves,
-                    "incarnations": {
-                        wid: w["incarnation"]
-                        for wid, w in stats["workers"].items()},
-                    "fired": plan_c.summary()["fired"],
-                }
-            rows.append({"fault": "kill-worker+slow-worker",
-                         "action": "restart",
-                         "observations": len(mixed),
-                         "version": len(supervisor.restarts)})
+            checks["restart_bit_identical"] = all(
+                name in post and bool(
+                    np.array_equal(post[name], refs[name]))
+                for name in datasets)
+            stats = cluster.stats()
+            checks["cluster_zero_untyped"] = untyped == 0 \
+                and cluster.metrics.total(
+                    "repro_cluster_failures_total") == 0
+            detail["cluster"] = {
+                "restarts": supervisor.stats()["restarts"],
+                "restart_wait_s": restart_s,
+                "waves": waves,
+                "incarnations": {
+                    wid: w["incarnation"]
+                    for wid, w in stats["workers"].items()},
+                "fired": plan_c.summary()["fired"],
+            }
+        rows.append({"fault": "kill-worker+slow-worker",
+                     "action": "restart",
+                     "observations": len(mixed),
+                     "version": len(supervisor.restarts)})
 
-    payload = {
+    return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "profile": profile.name,
         "checks": checks,
         "detail": detail,
         "rows": rows,
     }
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed and raise_on_failure:
-        raise RuntimeError(
-            f"chaos healing invariants violated: {failed} "
-            f"[detail {detail}]")
-    return {"title": "Self-healing under deterministic chaos: shadow "
-                     "rejects, tripwire rollback, worker supervision "
-                     f"(profile={profile.name})",
-            "columns": ["fault", "action", "observations", "version"],
-            **payload}
 
 
-def run_serving(profile: Profile | None = None,
-                write_artifact: bool = True,
-                include_multi_table: bool = True,
-                include_scale_out: bool = True,
-                include_open_loop: bool = True,
-                include_chaos: bool = True) -> dict:
-    """The serving scenario; returns the usual experiment dict.
+#: The sub-scenarios ``run_serving`` runs after the single-table loop:
+#: artifact key -> (check prefix, runner, one of its rows -> a row of the
+#: serving table).  The open-loop checks carry their own ``ol_`` prefix.
+SCENARIOS = {
+    "multi_table": ("mt_", run_multi_table, lambda row: {
+        "phase": f"mt:{row['namespace']}", "queries": row["queries"],
+        "version": row["version"]}),
+    "scale_out": ("so_", run_scale_out, lambda row: {
+        "phase": f"so:{row['workers']}w", "queries": row["queries"],
+        "qps": row["qps"]}),
+    "open_loop": ("", run_open_loop, lambda row: {
+        "phase": f"ol:{row['fraction_of_capacity']}x",
+        "queries": row["sent"], "qps": row["achieved_qps"],
+        "p50_ms": row["p50_ms"], "p99_ms": row["p99_ms"]}),
+    "chaos": ("ch_", run_chaos, lambda row: {
+        "phase": f"ch:{row['fault']}", "queries": row["observations"]}),
+}
 
-    After the single-table loop, the multi-table front-door scenario
-    (:func:`run_multi_table`) runs too; its payload lands in the
-    artifact under ``"multi_table"`` and its checks join the gate with
-    an ``mt_`` prefix.  The scale-out cluster scenario
-    (:func:`run_scale_out`) follows under ``"scale_out"`` with an
-    ``so_`` prefix (skipped automatically where
-    ``multiprocessing.shared_memory`` is unavailable; a check it could
-    not measure is listed under ``"skipped"`` with the reason, never in
-    ``checks``), the
-    open-loop HTTP load scenario
-    (:func:`~repro.bench.load_bench.run_open_loop`) under
-    ``"open_loop"`` with its own ``ol_``-prefixed checks, and the
-    self-healing chaos scenario (:func:`run_chaos`) under ``"chaos"``
-    with a ``ch_`` prefix.
+
+def run_serving(profile: Profile | None = None) -> dict:
+    """The serving scenario; returns the usual experiment dict and writes
+    ``BENCH_serve.json``.
+
+    After the single-table loop, every scenario in :data:`SCENARIOS`
+    runs; its payload lands in the artifact under its key and its checks
+    join the gate under its prefix.  A check a scenario could not
+    measure is listed under ``"skipped"`` with the reason, never in
+    ``checks``.
     """
     profile = profile or current_profile()
     rng = np.random.default_rng(2024)
@@ -1025,55 +990,21 @@ def run_serving(profile: Profile | None = None,
             serving_qps >= qps_floor * engine_qps
         stats = server.stats()
 
-    multi = None
-    if include_multi_table:
-        multi = run_multi_table(profile, raise_on_failure=False)
-        checks.update({f"mt_{name}": ok
-                       for name, ok in multi["checks"].items()})
-        rows.extend({"phase": f"mt:{row['namespace']}",
-                     "queries": row["queries"],
-                     "version": row["version"]}
-                    for row in multi["rows"])
-
-    scale = None
+    parts: dict[str, dict] = {}
     skipped: dict[str, str] = {}
-    if include_scale_out:
-        scale = run_scale_out(profile, raise_on_failure=False)
-        checks.update({f"so_{name}": ok
-                       for name, ok in scale["checks"].items()})
-        skipped.update({f"so_{name}": reason
-                        for name, reason in scale["skipped"].items()})
-        rows.extend({"phase": f"so:{row['workers']}w",
-                     "queries": row["queries"], "qps": row["qps"]}
-                    for row in scale.get("rows", []))
+    for key, (prefix, run, to_row) in SCENARIOS.items():
+        part = parts[key] = run(profile)
+        checks.update({prefix + name: ok
+                       for name, ok in part["checks"].items()})
+        skipped.update({prefix + name: reason
+                        for name, reason in part.get("skipped", {}).items()})
+        rows.extend(to_row(row) for row in part["rows"])
 
-    open_loop = None
-    if include_open_loop:
-        from .load_bench import run_open_loop
-        open_loop = run_open_loop(profile, raise_on_failure=False)
-        checks.update(open_loop["checks"])      # already ol_-prefixed
-        rows.extend({"phase": f"ol:{row['fraction_of_capacity']}x",
-                     "queries": row["sent"],
-                     "qps": row["achieved_qps"],
-                     "p50_ms": row["p50_ms"], "p99_ms": row["p99_ms"]}
-                    for row in open_loop.get("rows", []))
-
-    chaos = None
-    if include_chaos:
-        chaos = run_chaos(profile, raise_on_failure=False)
-        checks.update({f"ch_{name}": ok
-                       for name, ok in chaos["checks"].items()})
-        rows.extend({"phase": f"ch:{row['fault']}",
-                     "queries": row["observations"]}
-                    for row in chaos.get("rows", []))
-
-    infer_reference = None
-    if os.path.exists(BENCH_INFER_PATH):
-        try:
-            with open(BENCH_INFER_PATH) as fh:
-                infer_reference = json.load(fh).get("engine_qps")
-        except (OSError, ValueError):
-            pass
+    try:
+        with open(bench_path("infer")) as fh:
+            infer_reference = json.load(fh).get("engine_qps")
+    except (OSError, ValueError):
+        infer_reference = None
 
     payload = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -1103,25 +1034,9 @@ def run_serving(profile: Profile | None = None,
         "checks": checks,
         "skipped": skipped,
         "rows": rows,
+        **parts,
     }
-    if multi is not None:
-        payload["multi_table"] = {k: v for k, v in multi.items()
-                                  if k not in ("title", "columns")}
-    if scale is not None:
-        payload["scale_out"] = {k: v for k, v in scale.items()
-                                if k not in ("title", "columns")}
-    if open_loop is not None:
-        payload["open_loop"] = {k: v for k, v in open_loop.items()
-                                if k not in ("title", "columns")}
-    if chaos is not None:
-        payload["chaos"] = {k: v for k, v in chaos.items()
-                            if k not in ("title", "columns")}
-    if write_artifact:
-        try:
-            with open(BENCH_SERVE_PATH, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:  # never discard timed results over a write
-            print(f"warning: could not write {BENCH_SERVE_PATH}: {exc}")
+    path = save_bench("serve", payload)
 
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
@@ -1131,8 +1046,7 @@ def run_serving(profile: Profile | None = None,
             f"{server.feedback.threshold:.2f}; shifted q-error mean "
             f"{before.mean:.2f} -> {after.mean:.2f}; serving "
             f"{serving_qps:.0f} q/s vs engine {engine_qps:.0f} q/s; "
-            f"p99 {p99:.1f} ms; failures {_failures(server)}]; see "
-            f"{BENCH_SERVE_PATH if write_artifact else 'payload'}")
+            f"p99 {p99:.1f} ms; failures {_failures(server)}]; see {path}")
 
     return {"title": "Online serving: micro-batched estimates, hot-swap, "
                      f"feedback refinement (DMV, profile={profile.name})",

@@ -17,8 +17,6 @@ Run ``python -m repro.bench training --profile bench`` to regenerate the
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from datetime import datetime, timezone
 
@@ -28,10 +26,7 @@ from ..core import UAE
 from ..data import load
 from ..workload import generate_inworkload
 from .profiles import Profile, current_profile
-from .reporting import RESULTS_DIR
-
-BENCH_TRAIN_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(RESULTS_DIR)), "BENCH_train.json")
+from .reporting import save_bench
 
 # Measured optimizer steps per mode (after warmup); refinement uses the
 # serving loop's epoch counts and scales with the profile's row/query
@@ -73,8 +68,7 @@ def _time_refinement(uae: UAE, new_rows: np.ndarray, workload) -> float:
     return time.perf_counter() - start
 
 
-def run_training(profile: Profile | None = None,
-                 write_artifact: bool = True) -> dict:
+def run_training(profile: Profile | None = None) -> dict:
     """Fused-engine training throughput on the DMV workload."""
     profile = profile or current_profile()
     reps = _TRAIN_STEPS.get(profile.name, 10)
@@ -126,12 +120,7 @@ def run_training(profile: Profile | None = None,
         "checks": checks,
         "rows": rows,
     }
-    if write_artifact:
-        try:
-            with open(BENCH_TRAIN_PATH, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:  # never discard timed results over a write
-            print(f"warning: could not write {BENCH_TRAIN_PATH}: {exc}")
+    path = save_bench("train", payload)
 
     # Sanity is a hard gate (the CI smoke job relies on the non-zero
     # exit); throughput is recorded, not gated — step timing on a noisy
@@ -139,8 +128,7 @@ def run_training(profile: Profile | None = None,
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
         raise RuntimeError(
-            f"training bench invariants violated: {failed}; see "
-            f"{BENCH_TRAIN_PATH if write_artifact else 'payload'}")
+            f"training bench invariants violated: {failed}; see {path}")
 
     return {"title": "Training engine throughput "
                      f"(DMV, profile={profile.name}); refinement "

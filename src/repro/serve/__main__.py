@@ -1,73 +1,27 @@
-"""CLI: ``python -m repro.serve [--profile ci|small|bench|paper]
-[--datasets NAME ...]``.
+"""CLI: ``python -m repro.serve --http PORT [--profile ci|small|bench|paper]
+[--smoke]``: the JSON-over-HTTP front door.
 
-Default: the single-table online-serving loop — train a data-only UAE,
-serve steady traffic through the micro-batching service, drift on a
-shifted workload, refine from feedback in the background, hot-swap,
-serve again — and print the per-phase report.  This is the same
-scenario ``python -m repro.bench serving`` benchmarks; the bench
-variant additionally writes the ``BENCH_serve.json`` artifact.
+Trains the profile's DMV model once, then serves the JSON-over-HTTP
+protocol (``POST /estimate``, ``POST /estimate_batch``,
+``POST /feedback``, ``GET /status``, ``GET /healthz``, ``GET /metrics``,
+``GET /debug/traces``) until Ctrl-C.  ``PORT`` 0 binds an ephemeral port
+(printed once bound).  ``--smoke`` instead starts the door, drives one
+request through every endpoint and every typed error path
+(400/404/503/504) over a real socket, and exits non-zero on any protocol
+violation — the CI HTTP smoke step runs exactly this.
 
-With ``--datasets`` naming one or more tables, the multi-table
-front-door scenario runs instead: one namespace per dataset plus the
-synthetic IMDB join schema behind a single ``RoutedEstimateService``,
-checking mixed-stream routing parity and the namespace-isolation
-invariant (a hot-swap in one namespace leaves every other namespace's
-per-version seeded answers bit-identical).
-
-With ``--workers N``, the scale-out cluster scenario runs instead:
-the profile's scale datasets served by 1 and then N shared-nothing
-worker processes behind a ``ClusterEstimateService``, checking
-bit-parity with single-process serving, zero-copy swap propagation,
-and typed load shedding under overload.
-
-With ``--chaos FAULT``, the deterministic chaos-healing scenario runs
-instead (see :func:`repro.bench.serve_bench.run_chaos`): a seeded fault
-plan injects FAULT into the serving stack and the run exits non-zero
-unless the stack *heals* — shadow validation rejects poisoned
-refinements, the q-error tripwire auto-rolls-back a bad publish, the
-worker supervisor restarts a SIGKILLed worker bit-identically.
-``--workers N`` sizes the cluster for the worker faults;
-``python -m repro.serve --workers 2 --chaos kill-worker --smoke`` is
-the CI chaos smoke step.
-
-With ``--http PORT``, the network front door runs instead: train the
-profile's DMV model once, then serve the JSON-over-HTTP protocol
-(``POST /estimate``, ``POST /estimate_batch``, ``POST /feedback``,
-``GET /status``, ``GET /healthz``) until Ctrl-C.  ``PORT`` 0 binds an
-ephemeral port (printed once bound).  ``--http 0 --smoke`` instead
-starts the door on an ephemeral port, drives one request through every
-endpoint and every typed error path (400/404/413/503/504) over a real
-socket, and exits non-zero on any protocol violation — the CI HTTP
-smoke step runs exactly this.
+The serving scenarios (the Section 4.5 loop, multi-table, scale-out,
+open-loop load and chaos) run only as ``python -m repro.bench serving``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 
 from ..bench.profiles import PROFILES
-from ..bench.reporting import format_table
-from ..bench.serve_bench import (run_chaos, run_multi_table, run_scale_out,
-                                 run_serving)
-from ..data.datasets import DATASETS
-
-#: --chaos FAULT -> which half of the chaos scenario exercises it.
-CHAOS_FAULTS = {
-    "kill-worker": "cluster",
-    "slow-worker": "cluster",
-    "poison-refinement": "single",
-    "drop-publish": "single",
-    "corrupt-feedback": "single",
-}
 
 
-# ----------------------------------------------------------------------
-# HTTP front door (--http / --smoke)
-# ----------------------------------------------------------------------
 def _build_http_front(profile):
     """Train the profile's DMV model and serve it as the one namespace of
     a :class:`~repro.serve.router.RoutedEstimateService`."""
@@ -312,118 +266,20 @@ def _run_http(profile, port: int, smoke: bool) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Drive the online serving loop (registry, "
-                    "micro-batching service, cache, feedback refinement) "
-                    "over a shifting DMV workload — or, with --datasets, "
-                    "the multi-table front door over several namespaces.")
+        description="Serve the JSON-over-HTTP front door over a DMV model "
+                    "trained at the given profile.  The serving "
+                    "scenarios run as `python -m repro.bench serving`.")
     parser.add_argument("--profile", default="small",
                         choices=sorted(PROFILES),
                         help="scale profile (default: small)")
-    parser.add_argument("--datasets", nargs="+", default=None,
-                        choices=sorted(DATASETS), metavar="NAME",
-                        help="serve these tables (plus the synthetic join "
-                             "schema) as namespaces behind the multi-table "
-                             "front door instead of the single-table loop")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="run the scale-out cluster scenario with 1 "
-                             "and N shared-nothing worker processes "
-                             "instead of the single-process loop")
-    parser.add_argument("--http", type=int, default=None, metavar="PORT",
-                        help="serve the JSON-over-HTTP front door on PORT "
-                             "(0 = ephemeral) instead of running a "
-                             "scenario; Ctrl-C stops")
-    parser.add_argument("--chaos", choices=sorted(CHAOS_FAULTS),
-                        metavar="FAULT", default=None,
-                        help="run the deterministic chaos-healing "
-                             "scenario exercising FAULT (one of "
-                             f"{', '.join(sorted(CHAOS_FAULTS))}); "
-                             "cluster faults use --workers processes "
-                             "(default 2); exits non-zero unless every "
-                             "healing invariant holds")
+    parser.add_argument("--http", type=int, required=True, metavar="PORT",
+                        help="serve on PORT (0 = ephemeral); Ctrl-C stops")
     parser.add_argument("--smoke", action="store_true",
-                        help="with --http: bind an ephemeral port, drive "
-                             "every endpoint and typed error path once, "
-                             "exit non-zero on any protocol violation; "
-                             "with --chaos: alias for the gated chaos "
-                             "run (the CI chaos smoke step)")
-    parser.add_argument("--no-artifact", action="store_true",
-                        help="skip writing BENCH_serve.json "
-                             "(--datasets runs never write it)")
-    parser.add_argument("--json", action="store_true",
-                        help="dump the full result payload as JSON")
+                        help="drive every endpoint and typed error path "
+                             "once, exit non-zero on any protocol "
+                             "violation")
     args = parser.parse_args(argv)
-
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.smoke and args.http is None and args.chaos is None:
-        parser.error("--smoke requires --http or --chaos")
-    if args.http is not None:
-        if args.datasets or args.workers is not None or args.chaos:
-            parser.error("--http is exclusive of "
-                         "--datasets/--workers/--chaos")
-        return _run_http(PROFILES[args.profile], args.http, args.smoke)
-    if args.chaos is not None and args.datasets:
-        parser.error("--chaos is exclusive of --datasets")
-    try:
-        if args.chaos is not None:
-            cluster_fault = CHAOS_FAULTS[args.chaos] == "cluster"
-            result = run_chaos(
-                PROFILES[args.profile],
-                include_single=not cluster_fault,
-                include_cluster=cluster_fault,
-                workers=args.workers if args.workers is not None else 2)
-        elif args.workers is not None:
-            profile = PROFILES[args.profile]
-            counts = (1,) if args.workers == 1 else (1, args.workers)
-            result = run_scale_out(replace(profile,
-                                           scale_workers=counts))
-        elif args.datasets:
-            # Dedupe (order-preserving): each dataset is one namespace,
-            # and namespaces must be unique.
-            datasets = tuple(dict.fromkeys(args.datasets))
-            result = run_multi_table(PROFILES[args.profile],
-                                     datasets=datasets)
-        else:
-            result = run_serving(PROFILES[args.profile],
-                                 write_artifact=not args.no_artifact)
-    except RuntimeError as exc:
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps({k: v for k, v in result.items()
-                          if k not in ("rows", "columns", "title")},
-                         indent=2, default=str))
-    print(format_table(result["rows"], result["columns"],
-                       title=result["title"]))
-    if args.chaos is not None:
-        pass                                # the table is the summary
-    elif args.workers is not None:
-        qps = result["qps_by_workers"]
-        print(f"\ncluster q/s by worker count: "
-              + ", ".join(f"{n}w {v:.0f}" for n, v in qps.items())
-              + f" | max swap propagation "
-                f"{result['max_propagation_ms']:.1f} ms | overload: "
-                f"{result['overload']['shed']} shed (typed), "
-                f"{result['overload']['failures']} failures"
-              + (" | cpu-limited host" if result["cpu_limited"] else ""))
-    elif args.datasets:
-        print(f"\nfront door {result['front_door_qps']:.0f} q/s over "
-              f"{result['mixed_stream_queries']} mixed queries across "
-              f"{len(result['namespaces'])} namespaces | hot-swap in "
-              f"{result['swap_namespace']!r} isolated from the rest")
-    else:
-        print(f"\nserving {result['serving_qps']:.0f} q/s vs plain engine "
-              f"{result['engine_qps_baseline']:.0f} q/s | "
-              f"p50 {result['p50_ms']:.2f} ms, "
-              f"p99 {result['p99_ms']:.2f} ms | "
-              f"shifted q-error "
-              f"{result['qerr_shifted_before']['mean']:.3g} -> "
-              f"{result['qerr_shifted_after']['mean']:.3g} after hot-swap "
-              f"(x{result['qerr_improvement']:.2f})")
-    print(f"checks: {'all passed' if all(result['checks'].values()) else result['checks']}")
-    for name, reason in result.get("skipped", {}).items():
-        print(f"skipped: {name} ({reason})")
-    return 0
+    return _run_http(PROFILES[args.profile], args.http, args.smoke)
 
 
 if __name__ == "__main__":

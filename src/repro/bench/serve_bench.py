@@ -133,8 +133,7 @@ def run_multi_table(profile: Profile) -> dict:
                       query_batch_size=profile.query_batch_size)
 
     front = RoutedEstimateService(
-        pool_workers=1, max_batch=32, seed=7,
-        refine_epochs=max(4, profile.query_epochs // 2))
+        max_batch=32, seed=7, refine_epochs=max(4, profile.query_epochs // 2))
     n_each = max(16, profile.serve_stream_queries // 2)
     workloads: dict[str, object] = {}
     for i, name in enumerate(datasets):
@@ -525,8 +524,7 @@ def run_chaos(profile: Profile) -> dict:
     plan_a = ChaosPlan(seed=11)
     plan_a.inject("refine.weights", "poison", at=1,
                   params={"magnitude": 25.0})
-    cfg_a = ModelOpsConfig(reject_ratio=1.5, min_probes=4,
-                           cooldown_s=0.0, warm_top_n=0)
+    cfg_a = ModelOpsConfig(reject_ratio=1.5, cooldown_s=0.0, warm_top_n=0)
     front_a = RoutedEstimateService(refine_epochs=2, max_batch=32,
                                     seed=7)
     server_a = front_a.add_table(uae, chaos=plan_a,
@@ -569,8 +567,7 @@ def run_chaos(profile: Profile) -> dict:
     plan_b.inject("refine.weights", "poison", at=1,
                   params={"magnitude": 25.0})
     plan_b.inject("publish.snapshot", "drop", at=2)
-    cfg_b = ModelOpsConfig(reject_ratio=float("inf"),
-                           tripwire_ratio=2.0, tripwire_window=16,
+    cfg_b = ModelOpsConfig(reject_ratio=float("inf"), tripwire_window=16,
                            tripwire_min_obs=6, cooldown_s=0.0,
                            warm_top_n=16)
     front_b = RoutedEstimateService(refine_epochs=2, max_batch=32,
@@ -839,7 +836,7 @@ def run_serving(profile: Profile | None = None) -> dict:
 
     feedback = FeedbackCollector(
         window=max(64, n_shift), capacity=2 * n_shift,
-        min_observations=min(32, n_shift), quantile=0.9, threshold=3.0)
+        min_observations=min(32, n_shift), threshold=3.0)
     front = RoutedEstimateService(refine_epochs=12, data_epochs=3,
                                   max_batch=32, seed=7)
     server = front.add_table(uae, feedback=feedback).server

@@ -150,9 +150,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], float]) -> None:
         """Sample *fn* at snapshot/render time instead of storing a value."""
         with self._lock:

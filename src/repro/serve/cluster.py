@@ -41,7 +41,9 @@ separate: :class:`~repro.serve.supervisor.WorkerSupervisor` restarts the
 worker under its id, or :meth:`ClusterEstimateService.recover` re-places
 its namespaces on the survivors (only ~1/N move) from the retained
 snapshot segments; either way serving resumes bit-identically — the
-model state lives in shared memory, not in the dead process.
+model state lives in shared memory, not in the dead process.  A
+blocking call with no deadline waits at most
+:attr:`ClusterEstimateService.REQUEST_TIMEOUT_S` (120 s) for its answer.
 
 Determinism: a seeded ``estimate_batch`` groups queries by namespace in
 stream order and sends each namespace group as one batch, so answers are
@@ -352,28 +354,31 @@ class ClusterEstimateService:
     budget drops under the worker's observed batch latency
     (deadline-first shedding: the requests that cannot make it are
     dropped immediately, typed, before any compute is wasted on them).
+
+    Workers start with ``fork`` where the platform has it (the first
+    start method it offers elsewhere).  Series go to the cluster's own
+    metrics registry, events to the process event log.
     """
 
+    #: Seconds a blocking call waits for a worker's answer when the
+    #: caller gave no deadline.
+    REQUEST_TIMEOUT_S = 120.0
+    #: Prefix of the worker process and thread names.
+    NAME = "cluster"
+
     def __init__(self, *, workers: int = 2, queue_depth: int = 4,
-                 vnodes: int = 64, balance: float | None = 1.0,
-                 seed: int = 0, start_method: str | None = None,
-                 request_timeout: float = 120.0, name: str = "cluster",
-                 metrics=None, events=None, chaos=None):
+                 seed: int = 0, chaos=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.num_workers = int(workers)
         self.queue_depth = int(queue_depth)
-        self.balance = balance
-        self.request_timeout = float(request_timeout)
-        self.name = str(name)
         self._seed = int(seed)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(start_method)
-        self._ring = HashRing(vnodes=vnodes)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0])
+        self._ring = HashRing()
         # Routing (and each namespace's published version) lives in the
         # same registry class the single-process front door routes by.
         self.registry = MultiTableRegistry()
@@ -391,8 +396,8 @@ class ClusterEstimateService:
         self._incarnations: dict[str, int] = {}
         self._supervisor = None
         from ..obs import EVENTS, MetricsRegistry
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None else EVENTS
+        self.metrics = MetricsRegistry()
+        self.events = EVENTS
         m = self.metrics
         self._c_served = m.counter(
             "repro_cluster_served_total",
@@ -475,8 +480,7 @@ class ClusterEstimateService:
         for i in range(self.num_workers):
             self._spawn_worker(f"w{i}", 0)
         self._running = True
-        self._assignment = self._ring.assign(self._specs,
-                                             balance=self.balance)
+        self._assignment = self._ring.assign(self._specs)
         self._adopt_all(self._specs)
         return self
 
@@ -560,7 +564,7 @@ class ClusterEstimateService:
                  deadline_ms: float | None = None) -> float:
         request = self.submit(query, namespace=namespace,
                               deadline_ms=deadline_ms)
-        budget = self.request_timeout if deadline_ms is None \
+        budget = self.REQUEST_TIMEOUT_S if deadline_ms is None \
             else deadline_ms / 1e3 + 5.0
         return request.result(timeout=budget)
 
@@ -584,7 +588,7 @@ class ClusterEstimateService:
                        self.resolve, queries, namespace)]
         out = np.empty(len(queries), dtype=np.float64)
         for request, indices in pending:
-            out[indices] = request.result(timeout=self.request_timeout)
+            out[indices] = request.result(timeout=self.REQUEST_TIMEOUT_S)
         return out
 
     def observe(self, query, true_cardinality: float,
@@ -619,8 +623,7 @@ class ClusterEstimateService:
         encode_s = time.perf_counter() - t0
         handle = self._owner_handle(namespace)
         request = self._control(handle, "publish", namespace)
-        ack_version, load_s = request.result(
-            timeout=self.request_timeout)
+        ack_version, load_s = request.result(timeout=self.REQUEST_TIMEOUT_S)
         propagation_ms = (time.perf_counter() - t0) * 1e3
         if ack_version != version:
             raise RuntimeError(
@@ -651,8 +654,7 @@ class ClusterEstimateService:
         if not self._handles:
             raise WorkerUnavailableError(
                 "all cluster workers are down")
-        new_assignment = self._ring.assign(self._specs,
-                                           balance=self.balance)
+        new_assignment = self._ring.assign(self._specs)
         moved = [ns for ns, wid in new_assignment.items()
                  if self._assignment.get(ns) != wid]
         self._assignment = new_assignment
@@ -719,8 +721,7 @@ class ClusterEstimateService:
         incarnation = self._incarnations.get(worker_id, 0) + 1
         self._incarnations[worker_id] = incarnation
         self._spawn_worker(worker_id, incarnation)
-        new_assignment = self._ring.assign(self._specs,
-                                           balance=self.balance)
+        new_assignment = self._ring.assign(self._specs)
         # The fresh process has no state: every namespace it now owns
         # must be (re-)adopted, even when the deterministic ring hands
         # it exactly its pre-crash placement (assignment unchanged).
@@ -764,14 +765,14 @@ class ClusterEstimateService:
         process = self._ctx.Process(
             target=_worker_main,
             args=(worker_id, child_end, conn, self.chaos, incarnation),
-            name=f"{self.name}-{worker_id}", daemon=True)
+            name=f"{self.NAME}-{worker_id}", daemon=True)
         process.start()
         # Close our copy of the worker's end, or a dead worker gives no EOF.
         child_end.close()
         handle = _WorkerHandle(worker_id, process, conn, self.queue_depth)
         handle.reader = threading.Thread(
             target=self._read_loop, args=(handle,),
-            name=f"{self.name}-{worker_id}-reader", daemon=True)
+            name=f"{self.NAME}-{worker_id}-reader", daemon=True)
         with self._lock:
             self._handles[worker_id] = handle
             self._ring.add(worker_id)
@@ -786,7 +787,7 @@ class ClusterEstimateService:
                 continue
             request = self._control(handle, "ping")
             out[wid] = {"alive": True,
-                        **request.result(timeout=self.request_timeout)}
+                        **request.result(timeout=self.REQUEST_TIMEOUT_S)}
         return out
 
     # ------------------------------------------------------------------
@@ -814,7 +815,7 @@ class ClusterEstimateService:
                 spec["config"], spec["order"], self._snapshots[ns].name,
                 self._seed)))
         for ns, request in acks:
-            request.result(timeout=timeout or self.request_timeout)
+            request.result(timeout=timeout or self.REQUEST_TIMEOUT_S)
             self.events.emit("swap_adopt", namespace=ns,
                              worker=self._assignment.get(ns),
                              version=self.version(ns))
@@ -879,7 +880,7 @@ class ClusterEstimateService:
                 if handle.placer is None:
                     handle.placer = threading.Thread(
                         target=self._place_loop, args=(handle,),
-                        name=f"{self.name}-{handle.worker_id}-placer",
+                        name=f"{self.NAME}-{handle.worker_id}-placer",
                         daemon=True)
                     handle.placer.start()
                 handle.cond.notify()
@@ -1122,7 +1123,7 @@ class ClusterEstimateService:
         for wid, request in requests:
             try:
                 out[wid] = request.result(
-                    timeout=timeout or self.request_timeout)
+                    timeout=timeout or self.REQUEST_TIMEOUT_S)
             except BaseException:  # noqa: BLE001 - dead worker mid-poll
                 continue
         return out

@@ -45,17 +45,18 @@ def checked_cardinality(value, field: str) -> float:
 class FeedbackCollector:
     """Rolling labeled-workload buffer + q-error drift monitor.
 
-    ``quantile``/``threshold`` define the degradation trigger: refinement
-    is suggested once the rolling ``quantile`` q-error exceeds
+    :attr:`QUANTILE` and ``threshold`` define the degradation trigger:
+    refinement is suggested once the rolling p90 q-error exceeds
     ``threshold`` and at least ``min_observations`` have arrived since the
     last drain (so one outlier straggler cannot thrash the trainer).
     """
 
+    #: The rolling q-error quantile that drift is judged on.
+    QUANTILE = 0.9
+
     def __init__(self, window: int = 256, capacity: int = 512,
-                 min_observations: int = 64, quantile: float = 0.9,
-                 threshold: float = 4.0):
+                 min_observations: int = 64, threshold: float = 4.0):
         self.monitor = RollingQErrorMonitor(window=window)
-        self.quantile = float(quantile)
         self.threshold = float(threshold)
         self.min_observations = int(min_observations)
         self._lock = threading.Lock()
@@ -82,9 +83,9 @@ class FeedbackCollector:
             return err
 
     def drift(self) -> float:
-        """Current rolling q-error at the configured quantile."""
+        """Current rolling q-error at :attr:`QUANTILE`."""
         with self._lock:
-            return self.monitor.quantile(self.quantile)
+            return self.monitor.quantile(self.QUANTILE)
 
     def should_refine(self) -> bool:
         with self._lock:
@@ -92,12 +93,7 @@ class FeedbackCollector:
                 return False
             if len(self.monitor) < self.min_observations:
                 return False
-            return self.monitor.quantile(self.quantile) > self.threshold
-
-    def clear_buffer(self) -> None:
-        """Drop buffered labels without touching the drift monitor."""
-        with self._lock:
-            self._buffer.clear()
+            return self.monitor.quantile(self.QUANTILE) > self.threshold
 
     def reset_window(self) -> None:
         """Atomically drop buffered labels *and* the drift window.
@@ -142,7 +138,7 @@ class FeedbackCollector:
                     "since_drain": self._since_drain,
                     "rolling_qerror": None if summary is None
                     else summary.row(),
-                    "drift_quantile": self.quantile,
+                    "drift_quantile": self.QUANTILE,
                     "drift_threshold": self.threshold,
-                    "drift": self.monitor.quantile(self.quantile)
+                    "drift": self.monitor.quantile(self.QUANTILE)
                     if len(self.monitor) else None}

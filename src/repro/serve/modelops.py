@@ -19,7 +19,7 @@ modelops=...)`` passes it through):
 * **Tripwire rollback** (:class:`QErrorTripwire`) — shadow scoring can
   only judge what the probe set covers, so every publish also arms a
   rolling post-swap q-error window against the pre-swap ceiling.  If
-  serving accuracy degrades past ``tripwire_ratio`` x the ceiling, the
+  serving accuracy degrades past :data:`TRIPWIRE_RATIO` x the ceiling, the
   server rolls back to the last good version automatically
   (``ModelRegistry.rollback`` re-publishes it forward), then enters a
   cooldown so a noisy window cannot ping-pong versions.
@@ -45,6 +45,20 @@ import numpy as np
 
 from ..workload.metrics import qerrors
 
+#: Bound on distinct labeled probes retained from observations.
+PROBE_CAPACITY = 256
+#: Probes scored per validation (hottest first).
+MAX_PROBES = 64
+#: Below this many probes the gate passes unjudged (cold start).
+MIN_PROBES = 4
+#: Pinned sampling seed for shadow scoring (candidate and live are
+#: scored on the identical stream, so the comparison is exact) and, with
+#: the version, for post-swap cache warming.
+SHADOW_SEED = 9173
+#: Trip when the post-publish window's mean q-error exceeds this
+#: multiple of the armed pre-swap ceiling.
+TRIPWIRE_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class ModelOpsConfig:
@@ -54,18 +68,7 @@ class ModelOpsConfig:
     #: of the live snapshot's.  ``inf`` disables the shadow gate (the
     #: tripwire still guards post-publish).
     reject_ratio: float = 1.5
-    #: Bound on distinct labeled probes retained from observations.
-    probe_capacity: int = 256
-    #: Probes scored per validation (hottest first).
-    max_probes: int = 64
-    #: Below this many probes the gate passes unjudged (cold start).
-    min_probes: int = 4
-    #: Pinned sampling seed for shadow scoring (candidate and live are
-    #: scored on the identical stream, so the comparison is exact).
-    shadow_seed: int = 9173
-    #: Post-publish rolling window: trip when its mean q-error exceeds
-    #: ``tripwire_ratio`` x the armed pre-swap ceiling.
-    tripwire_ratio: float = 2.0
+    #: Post-publish rolling window the tripwire averages.
     tripwire_window: int = 32
     tripwire_min_obs: int = 8
     #: Seconds after a rollback during which the tripwire stays quiet.
@@ -90,7 +93,7 @@ class ShadowValidator:
         self._observed: dict = {}
         self._seeded: list[tuple] = []
         if workload is not None and len(workload) > 0:
-            take = min(len(workload.queries), config.max_probes)
+            take = min(len(workload.queries), MAX_PROBES)
             self._seeded = list(zip(workload.queries[:take],
                                     workload.cardinalities[:take]))
 
@@ -102,24 +105,24 @@ class ShadowValidator:
                 entry[1] = float(truth)
                 return
             self._observed[query] = [1, float(truth)]
-            if len(self._observed) > self.config.probe_capacity:
+            if len(self._observed) > PROBE_CAPACITY:
                 # Drop the coldest half in one pass (amortised O(1)).
                 keep = sorted(self._observed.items(),
                               key=lambda kv: kv[1][0],
-                              reverse=True)[:self.config.probe_capacity // 2]
+                              reverse=True)[:PROBE_CAPACITY // 2]
                 self._observed = dict(keep)
 
     def probes(self) -> tuple[list, np.ndarray]:
         """(queries, truths): hottest observed probes, padded with the
-        seeded workload sample up to ``max_probes``."""
+        seeded workload sample up to :data:`MAX_PROBES`."""
         with self._lock:
             hot = sorted(self._observed.items(), key=lambda kv: kv[1][0],
-                         reverse=True)[:self.config.max_probes]
+                         reverse=True)[:MAX_PROBES]
             queries = [q for q, _ in hot]
             truths = [entry[1] for _, entry in hot]
             seen = set(queries)
             for query, truth in self._seeded:
-                if len(queries) >= self.config.max_probes:
+                if len(queries) >= MAX_PROBES:
                     break
                 if query in seen:
                     continue
@@ -133,14 +136,13 @@ class ShadowValidator:
         gate acts on."""
         cfg = self.config
         queries, truths = self.probes()
-        if len(queries) < cfg.min_probes:
+        if len(queries) < MIN_PROBES:
             return {"accepted": True, "reason": "insufficient-probes",
                     "probes": len(queries), "candidate_qerr": None,
                     "live_qerr": None, "reject_ratio": cfg.reject_ratio}
-        live_est = service.estimate_on(live_snap, queries,
-                                       seed=cfg.shadow_seed)
+        live_est = service.estimate_on(live_snap, queries, seed=SHADOW_SEED)
         cand_est = service.estimate_on(SimpleNamespace(model=candidate),
-                                       queries, seed=cfg.shadow_seed)
+                                       queries, seed=SHADOW_SEED)
         live_q = float(qerrors(live_est, truths).mean())
         cand_q = float(qerrors(cand_est, truths).mean())
         accepted = cand_q <= cfg.reject_ratio * max(live_q, 1.0)
@@ -198,7 +200,7 @@ class QErrorTripwire:
             if len(self._window) < cfg.tripwire_min_obs:
                 return False
             mean = sum(self._window) / len(self._window)
-            if mean > cfg.tripwire_ratio * self.baseline:
+            if mean > TRIPWIRE_RATIO * self.baseline:
                 self.trips += 1
                 return True
             return False
@@ -361,7 +363,7 @@ class ModelOps:
         try:
             warmed = service.warm_cache(
                 queries, version=version,
-                seed=[self.config.shadow_seed, version])
+                seed=[SHADOW_SEED, version])
         except Exception:              # noqa: BLE001 - warming is advisory
             return
         if warmed:

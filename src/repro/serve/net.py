@@ -26,24 +26,26 @@ Three layers, each usable on its own:
     to typed statuses via :data:`ERROR_STATUS` — LoadShedError →
     503 + Retry-After, WorkerUnavailableError → 503,
     UnknownNamespaceError → 404, AmbiguousNamespaceError /
-    SQLParseError / malformed JSON → 400, oversized body → 413,
-    deadline exceeded → 504 — and a client that disconnects mid-request
-    cancels the in-flight awaitable (see above).  A bounded
-    ``max_inflight`` admission window sheds deadlined requests
-    immediately when full (503) and backpressures deadline-free ones.
+    SQLParseError / malformed JSON / a field of the wrong JSON type →
+    400, a body over ``HTTPFrontDoor.MAX_BODY`` (1 MiB) → 413, deadline
+    exceeded → 504 — and a client that disconnects mid-request cancels
+    the in-flight awaitable (see above).  A request without a
+    ``deadline_ms`` has none.  A bounded ``max_inflight`` admission
+    window sheds deadlined requests immediately when full (503) and
+    backpressures deadline-free ones.
 
 ``AsyncHTTPClient``
     A minimal keep-alive JSON client over ``asyncio.open_connection``
     used by the tests, the CLI smoke mode, and the open-loop load
     generator in :mod:`repro.bench.load_bench`.
 
-Observability: the door exposes ``GET /metrics`` (Prometheus text
-0.0.4; merges the front's worker snapshots when the front is a
-cluster) and ``GET /debug/traces`` (JSON dump of the recent/slow trace
-rings).  Every ``/estimate`` request opens a :class:`~repro.obs.Trace`
-at accept time and threads it through ``submit`` so admission wait,
-micro-batch queue wait, engine compute, and settle all land on one
-timeline.
+Observability: the door shares the front's metrics registry and
+exposes it as ``GET /metrics`` (Prometheus text 0.0.4; merges the
+front's worker snapshots when the front is a cluster), and
+``GET /debug/traces`` (JSON dump of the recent/slow trace rings).
+Every ``/estimate`` request opens a :class:`~repro.obs.Trace` at accept
+time and threads it through ``submit`` so admission wait, micro-batch
+queue wait, engine compute, and settle all land on one timeline.
 """
 
 from __future__ import annotations
@@ -312,22 +314,25 @@ class HTTPFrontDoor:
     stays observable under overload.
     """
 
+    #: Largest request body accepted, in bytes (larger: 413).
+    MAX_BODY = 1 << 20
+    #: Retry-After sent with every 503, in seconds.
+    RETRY_AFTER_S = 0.05
+    #: Recent traces kept for ``GET /debug/traces``.
+    TRACE_CAPACITY = 128
+    #: Traces slower than this are also kept in the slow ring.
+    SLOW_TRACE_THRESHOLD_S = 0.25
+
     def __init__(self, service: AsyncEstimateService, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_inflight: int = 64, max_body: int = 1 << 20,
-                 default_deadline_ms: float | None = None,
-                 retry_after_s: float = 0.05, parser=parse_query,
-                 metrics: MetricsRegistry | None = None,
-                 trace_capacity: int = 128,
-                 slow_trace_threshold_s: float = 0.25):
+                 max_inflight: int = 64):
         self.service = service
         self.host = host
         self.port = port                    # 0 -> ephemeral; set on start
         self.max_inflight = max_inflight
-        self.max_body = max_body
-        self.default_deadline_ms = default_deadline_ms
-        self.retry_after_s = retry_after_s
-        self.parser = parser
+        # An instance attribute, called for every SQL string, so one
+        # door's parser can be wrapped without touching another's.
+        self.parser = parse_query
         self._server: asyncio.AbstractServer | None = None
         self._inflight = 0
         self._space = asyncio.Condition()
@@ -335,11 +340,10 @@ class HTTPFrontDoor:
         # scrape covers the whole process; a cluster front additionally
         # contributes its workers' snapshots via metrics_snapshots() at
         # scrape time.
-        self.metrics = metrics if metrics is not None \
-            else service.front.metrics
+        self.metrics = service.front.metrics
         self.traces = TraceRecorder(
-            capacity=trace_capacity,
-            slow_threshold_s=slow_trace_threshold_s)
+            capacity=self.TRACE_CAPACITY,
+            slow_threshold_s=self.SLOW_TRACE_THRESHOLD_S)
         self._c_requests = self.metrics.counter(
             "repro_http_requests_total", "HTTP requests accepted")
         self._f_responses = self.metrics.counter(
@@ -371,10 +375,6 @@ class HTTPFrontDoor:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
 
     # -- admission window ----------------------------------------------
     async def _admit(self, deadline_ms: float | None) -> None:
@@ -464,11 +464,11 @@ class HTTPFrontDoor:
         if length < 0:
             raise _EarlyResponse(400, {"error": "BadHeader",
                                        "detail": "bad Content-Length"})
-        if length > self.max_body:
+        if length > self.MAX_BODY:
             raise _EarlyResponse(
                 413, {"error": "PayloadTooLarge",
                       "detail": f"body of {length} bytes exceeds the "
-                                f"{self.max_body}-byte limit"})
+                                f"{self.MAX_BODY}-byte limit"})
         body = await conn.readexactly(length) if length else b""
         keep_alive = headers.get("connection",
                                  "keep-alive").lower() != "close"
@@ -537,7 +537,7 @@ class HTTPFrontDoor:
             status = status_for(exc)
             out = {"error": type(exc).__name__, "detail": str(exc)}
             if status == 503:
-                extra = (("Retry-After", f"{self.retry_after_s:.3f}"),)
+                extra = (("Retry-After", f"{self.RETRY_AFTER_S:.3f}"),)
         finally:
             self._h_request.labels(route=route).observe(
                 time.perf_counter() - t0)
@@ -556,12 +556,26 @@ class HTTPFrontDoor:
         return self.parser(sql)
 
     @staticmethod
-    def _deadline_from(payload: dict, default: float | None):
-        deadline_ms = payload.get("deadline_ms", default)
-        if deadline_ms is not None:
-            deadline_ms = float(deadline_ms)
-            if not (math.isfinite(deadline_ms) and deadline_ms > 0):
-                raise ValueError("deadline_ms must be a finite number > 0")
+    def _number_from(payload: dict, field: str) -> float | None:
+        """``payload[field]`` as a float, ``None`` when absent.  Only a
+        JSON number is one: a boolean or a numeric string is a
+        ``ValueError``, as is an integer too large for a float."""
+        value = payload.get(field)
+        if value is None:
+            return None
+        if type(value) not in (int, float):     # no bool, no str
+            raise ValueError(f"field {field!r} must be a JSON number")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"field {field!r} is out of range") from None
+
+    @classmethod
+    def _deadline_from(cls, payload: dict) -> float | None:
+        deadline_ms = cls._number_from(payload, "deadline_ms")
+        if deadline_ms is not None and not (math.isfinite(deadline_ms)
+                                            and deadline_ms > 0):
+            raise ValueError("deadline_ms must be a finite number > 0")
         return deadline_ms
 
     async def _h_estimate(self, payload: dict):
@@ -569,8 +583,7 @@ class HTTPFrontDoor:
         try:
             query = self._query_from(payload)
             namespace = payload.get("namespace")
-            deadline_ms = self._deadline_from(payload,
-                                              self.default_deadline_ms)
+            deadline_ms = self._deadline_from(payload)
             trace.set(namespace=namespace, deadline_ms=deadline_ms)
             with trace.span("admission"):
                 await self._admit(deadline_ms)
@@ -608,8 +621,7 @@ class HTTPFrontDoor:
         use_cache = payload.get("use_cache", True)
         if type(use_cache) is not bool:
             raise ValueError("field 'use_cache' must be a JSON boolean")
-        deadline_ms = self._deadline_from(payload,
-                                          self.default_deadline_ms)
+        deadline_ms = self._deadline_from(payload)
         await self._admit(deadline_ms)
         try:
             values = await self.service.estimate_batch(
@@ -626,17 +638,16 @@ class HTTPFrontDoor:
 
     async def _h_feedback(self, payload: dict):
         query = self._query_from(payload)
-        truth = payload.get("true_cardinality")
+        truth = self._number_from(payload, "true_cardinality")
         if truth is None:
             raise ValueError("missing required field 'true_cardinality'")
         truth = checked_cardinality(truth, "true_cardinality")
-        estimate = payload.get("estimate")
+        estimate = self._number_from(payload, "estimate")
         if estimate is not None:
             estimate = checked_cardinality(estimate, "estimate")
         # Holds an executor thread (and runs an estimate when none is
         # given), so it is admitted like /estimate_batch.
-        await self._admit(self._deadline_from(payload,
-                                              self.default_deadline_ms))
+        await self._admit(self._deadline_from(payload))
         try:
             qerror = await self.service.observe(
                 query, truth, estimate=estimate,
@@ -656,21 +667,14 @@ class HTTPFrontDoor:
         return 200, {"ok": True}
 
     async def _h_metrics(self, payload: dict):
-        """Prometheus text exposition.  A cluster front contributes its
-        workers' registry snapshots (labelled ``worker=...``); other
-        fronts share one registry with the door, so a single render
-        covers the whole process."""
-        front = self.service.front
-        own = [] if front.metrics is self.metrics \
-            else [(self.metrics.snapshot(), None)]
-        snaps = getattr(front, "metrics_snapshots", None)
-        if snaps is not None:
-            loop = asyncio.get_running_loop()
-            pairs = list(await loop.run_in_executor(None, snaps)) + own
-        elif own:
-            pairs = own + [(front.metrics.snapshot(), None)]
-        else:
+        """Prometheus text exposition of the registry the door shares
+        with its front.  A cluster front adds its workers' registry
+        snapshots (labelled ``worker=...``)."""
+        snaps = getattr(self.service.front, "metrics_snapshots", None)
+        if snaps is None:
             return 200, self.metrics.render()
+        loop = asyncio.get_running_loop()
+        pairs = await loop.run_in_executor(None, snaps)
         return 200, MetricsRegistry.merged(pairs).render()
 
     async def _h_debug_traces(self, payload: dict):
@@ -715,11 +719,12 @@ class AsyncHTTPClient:
     client task owns its own instance (the open-loop generator does
     exactly that); a lock still serializes accidental overlap."""
 
-    def __init__(self, host: str, port: int,
-                 connect_timeout: float = 5.0):
+    #: Seconds to wait for the TCP connection to open.
+    CONNECT_TIMEOUT_S = 5.0
+
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.connect_timeout = connect_timeout
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._lock = asyncio.Lock()
@@ -728,7 +733,7 @@ class AsyncHTTPClient:
         if self._writer is None or self._writer.is_closing():
             self._reader, self._writer = await asyncio.wait_for(
                 asyncio.open_connection(self.host, self.port),
-                timeout=self.connect_timeout)
+                timeout=self.CONNECT_TIMEOUT_S)
         return self._reader, self._writer
 
     async def close(self) -> None:
@@ -805,7 +810,6 @@ class AsyncHTTPClient:
 # ----------------------------------------------------------------------
 def serve_http(front, *, host: str = "127.0.0.1", port: int = 8080,
                max_inflight: int = 64,
-               default_deadline_ms: float | None = None,
                ready=None, stop_event=None) -> None:
     """Run an HTTP front door over ``front`` until interrupted.
 
@@ -818,8 +822,7 @@ def serve_http(front, *, host: str = "127.0.0.1", port: int = 8080,
     async def _main():
         door = HTTPFrontDoor(
             AsyncEstimateService(front), host=host, port=port,
-            max_inflight=max_inflight,
-            default_deadline_ms=default_deadline_ms)
+            max_inflight=max_inflight)
         await door.start()
         if ready is not None:
             ready(door)

@@ -1,20 +1,21 @@
 """Consistent-hash namespace placement for the scale-out serving tier.
 
 Namespaces map to worker processes through a classic consistent-hash
-ring (:class:`HashRing`): every worker contributes ``vnodes`` virtual
-points hashed onto a 64-bit circle, and a namespace is owned by the
-first worker point at or after its own hash.  Adding or removing one of
-``N`` workers therefore moves only ~1/N of the namespaces — the property
-that makes worker crashes and elastic resizes cheap (only the migrated
-namespaces pay a model re-adoption).
+ring (:class:`HashRing`): every worker contributes
+:attr:`HashRing.VNODES` virtual points hashed onto a 64-bit circle, and a
+namespace's natural owner is the first worker point at or after its own
+hash.  Adding or removing one of ``N`` workers therefore moves only
+~1/N of the namespaces — the property that makes worker crashes and
+elastic resizes cheap (only the migrated namespaces pay a model
+re-adoption).
 
 Plain ring walks can be lopsided for small key sets (a handful of
-namespaces over a handful of workers), so :meth:`HashRing.assign` also
-offers *bounded-load* placement (Mirrokni et al.'s consistent hashing
-with bounded loads): each key walks the ring but skips workers already
-at the load cap ``ceil(len(keys) * balance / len(workers))``.  With
-``balance=1.0`` the assignment is perfectly even while still inheriting
-the ring's stability for unaffected keys.
+namespaces over a handful of workers), so :meth:`HashRing.assign` places
+with *bounded loads* (Mirrokni et al.'s consistent hashing with bounded
+loads): each key walks the ring but skips workers already at the load
+cap ``ceil(len(keys) * BALANCE / len(workers))``.  With ``BALANCE`` at
+1.0 the assignment is perfectly even while still inheriting the ring's
+stability for unaffected keys.
 
 Hashes come from ``blake2b`` — stable across processes and Python runs
 (never ``hash()``, which is salted per process).
@@ -42,10 +43,12 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """Consistent-hash ring over worker ids with virtual nodes."""
 
-    def __init__(self, workers: Iterable[str] = (), vnodes: int = 64):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = int(vnodes)
+    #: Virtual points each worker contributes to the ring.
+    VNODES = 64
+    #: Load cap of :meth:`assign`, as a multiple of an even share.
+    BALANCE = 1.0
+
+    def __init__(self, workers: Iterable[str] = ()):
         self._points: list[int] = []          # sorted vnode hashes
         self._owners: dict[int, str] = {}     # vnode hash -> worker id
         self._workers: set[str] = set()
@@ -60,7 +63,7 @@ class HashRing:
         if worker in self._workers:
             return
         self._workers.add(worker)
-        for i in range(self.vnodes):
+        for i in range(self.VNODES):
             point = stable_hash(f"{worker}#{i}")
             # Collisions across 64-bit blake2b are vanishingly rare; the
             # deterministic tiebreak keeps the ring identical everywhere.
@@ -112,46 +115,26 @@ class HashRing:
             return worker
         raise WorkerUnavailableError("hash ring has no workers")
 
-    def owners(self, key: str, n: int) -> list[str]:
-        """Up to ``n`` distinct workers for ``key`` (replica sets)."""
-        out: list[str] = []
-        for worker in self.walk(key):
-            out.append(worker)
-            if len(out) >= n:
-                break
-        return out
-
     # ------------------------------------------------------------------
-    def assign(self, keys: Iterable[str],
-               balance: float | None = None) -> dict[str, str]:
-        """Place every key on a worker.
+    def assign(self, keys: Iterable[str]) -> dict[str, str]:
+        """Place every key on a worker, bounded-load.
 
-        ``balance=None`` is the plain ring walk (maximal stability).
-        With a float, bounded-load placement caps each worker at
-        ``ceil(len(keys) * balance / len(workers))`` keys: a key whose
-        natural owner is full walks on to the next under-cap worker.
-        Keys are placed in ring-hash order so the result is deterministic
-        and membership changes move only keys near the changed worker
-        (plus any overflow they displace).
+        Each worker takes at most ``ceil(len(keys) * BALANCE /
+        len(workers))`` keys: a key whose natural owner is full walks on
+        to the next under-cap worker.  Keys are placed in ring-hash order
+        so the result is deterministic and membership changes move only
+        keys near the changed worker (plus any overflow they displace).
         """
         keys = list(dict.fromkeys(str(k) for k in keys))
         if not self._workers:
             raise WorkerUnavailableError("hash ring has no workers")
-        if balance is None:
-            return {key: self.owner(key) for key in keys}
-        if balance < 1.0:
-            raise ValueError("balance must be >= 1.0")
-        cap = max(1, math.ceil(len(keys) * balance / len(self._workers)))
+        cap = max(1, math.ceil(len(keys) * self.BALANCE / len(self._workers)))
         loads: dict[str, int] = {w: 0 for w in self._workers}
         out: dict[str, str] = {}
         for key in sorted(keys, key=stable_hash):
-            placed = None
-            for worker in self.walk(key):
-                if loads[worker] < cap:
-                    placed = worker
-                    break
-            if placed is None:             # every worker at cap: spill to
-                placed = self.owner(key)   # the natural owner
+            # The caps sum to at least len(keys), and the walk visits
+            # every worker, so some worker on it is still under cap.
+            placed = next(w for w in self.walk(key) if loads[w] < cap)
             loads[placed] += 1
             out[key] = placed
         return out

@@ -42,15 +42,15 @@ class ModelVersion:
 class ModelRegistry:
     """Holds versioned UAE snapshots; reads are lock-free, swaps atomic."""
 
-    def __init__(self, estimator: UAE, keep_versions: int = 3,
-                 name: str = "default"):
-        if keep_versions < 1:
-            raise ValueError("keep_versions must be >= 1")
+    #: Snapshots retained for ``get`` / ``rollback`` (the active one
+    #: included); older ones are trimmed on publish.
+    KEEP_VERSIONS = 3
+
+    def __init__(self, estimator: UAE, name: str = "default"):
         # The namespace this registry serves under a MultiTableRegistry
         # front door (one registry per table / join schema); purely a
         # label for single-registry deployments.
         self.name = str(name)
-        self.keep_versions = int(keep_versions)
         self._lock = threading.Lock()
         self._versions: dict[int, ModelVersion] = {}
         self._next_version = 1
@@ -76,7 +76,7 @@ class ModelRegistry:
         return mv
 
     def _trim_locked(self) -> None:
-        while len(self._versions) > self.keep_versions:
+        while len(self._versions) > self.KEEP_VERSIONS:
             oldest = min(self._versions)
             if oldest == self._active.version:
                 break

@@ -22,8 +22,8 @@ namespace:
   sampling streams — so a hot-swap in one namespace can never change
   another namespace's per-version seeded answers (the isolation invariant
   ``python -m repro.bench serving`` checks bit-exactly).
-* :class:`RefinementPool` is the shared capacity manager: one bounded
-  worker pool runs *all* namespaces' background refinements, draining
+* :class:`RefinementPool` is the shared capacity manager: one trainer
+  thread runs *all* namespaces' background refinements, draining
   per-namespace job queues round-robin so a chatty namespace cannot
   starve the others' drift-triggered refinements.
 """
@@ -100,25 +100,25 @@ class RefinementJob:
 
 
 class RefinementPool:
-    """Bounded trainer pool shared across namespaces, drained fairly.
+    """One trainer thread shared across namespaces, drained fairly.
 
-    Each namespace gets its own FIFO queue; workers pop queues
-    round-robin, so with ``max_workers=1`` a namespace that submits ten
-    refinements still yields to every other namespace between its own
-    jobs — no namespace starves behind a hot one.  Workers start lazily
-    on the first ``submit``.
+    Each namespace gets its own FIFO queue; the thread pops queues
+    round-robin, so a namespace that submits ten refinements still
+    yields to every other namespace between its own jobs — no namespace
+    starves behind a hot one.  The thread starts lazily on the first
+    ``submit``.
     """
 
-    def __init__(self, max_workers: int = 1, name: str = "refinement-pool",
-                 metrics=None):
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = int(max_workers)
-        self.name = name
+    #: Trainer threads: refinements run one at a time across namespaces.
+    WORKERS = 1
+    #: Name of the trainer thread.
+    NAME = "refinement-pool"
+
+    def __init__(self, metrics=None):
         self._cond = threading.Condition()
         self._queues: "OrderedDict[str, deque[RefinementJob]]" = OrderedDict()
         self._rotation: deque[str] = deque()   # namespaces with pending jobs
-        self._workers: list[threading.Thread] = []
+        self._worker: threading.Thread | None = None
         self._stop = False
         self._closing = False
         self._active = 0
@@ -141,26 +141,23 @@ class RefinementPool:
             .set_function(lambda: float(self.pending()))
 
     # ------------------------------------------------------------------
-    def _spawn_workers_locked(self) -> None:
-        self._workers = [t for t in self._workers if t.is_alive()]
-        while len(self._workers) < self.max_workers:
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"{self.name}-{len(self._workers)}", daemon=True)
-            self._workers.append(thread)
-            thread.start()
+    def _spawn_worker_locked(self) -> None:
+        if self._worker is None or not self._worker.is_alive():
+            self._worker = threading.Thread(
+                target=self._worker_loop, name=f"{self.NAME}-0", daemon=True)
+            self._worker.start()
 
     def start(self) -> "RefinementPool":
         with self._cond:
             self._stop = False
             self._closing = False
-            self._spawn_workers_locked()
+            self._spawn_worker_locked()
         return self
 
     def submit(self, namespace: str, fn, *args) -> RefinementJob:
         """Queue ``fn(*args)`` on ``namespace``'s lane; returns the job.
 
-        Workers spawn lazily under the same lock as the enqueue: a
+        The thread spawns lazily under the same lock as the enqueue: a
         ``stop()`` racing this call either sees the job (and fails it)
         or beats the stop-check (and ``submit`` raises) — it can never
         be silently resurrected afterwards.
@@ -173,7 +170,7 @@ class RefinementPool:
             queue.append(job)
             if job.namespace not in self._rotation:
                 self._rotation.append(job.namespace)
-            self._spawn_workers_locked()
+            self._spawn_worker_locked()
             self._cond.notify()
         return job
 
@@ -223,7 +220,8 @@ class RefinementPool:
                     self._cond.notify_all()
 
     def stop(self) -> None:
-        """Stop workers; queued-but-unstarted jobs fail with RuntimeError."""
+        """Stop the thread; queued-but-unstarted jobs fail with
+        RuntimeError."""
         with self._cond:
             self._stop = True
             pending = [job for queue in self._queues.values()
@@ -233,13 +231,13 @@ class RefinementPool:
             self._cond.notify_all()
         for job in pending:
             job._fail(RuntimeError("refinement pool stopped"))
-        for thread in self._workers:
-            thread.join(timeout=5.0)
-        self._workers = []
+        if self._worker is not None:
+            self._worker.join(timeout=5.0)
+        self._worker = None
 
     def close(self, timeout: float | None = 5.0) -> bool:
         """Graceful shutdown: stop accepting work, drain what's queued,
-        then stop the workers.
+        then stop the thread.
 
         New ``submit`` calls fail immediately; already-queued and
         running refinements get up to ``timeout`` seconds to finish
@@ -274,7 +272,7 @@ class RefinementPool:
 
     def stats(self) -> dict:
         with self._cond:
-            return {"workers": self.max_workers,
+            return {"workers": self.WORKERS,
                     "active": self._active,
                     "pending": sum(len(q) for q in self._queues.values())}
 
@@ -438,7 +436,7 @@ class RoutedEstimateService:
     for that namespace, wired to the shared :class:`RefinementPool`.
     The front door then routes every query straight to its namespace's
     micro-batcher (``space.server.service``); nothing is shared
-    between namespaces except the bounded trainer pool, which is exactly
+    between namespaces except the one trainer thread, which is exactly
     what makes the isolation invariant (a hot-swap in namespace A never
     perturbs namespace B's per-version seeded answers) hold by
     construction.
@@ -447,8 +445,7 @@ class RoutedEstimateService:
     no batching window); the benchmark's frozen front spec still passes it.
     """
 
-    def __init__(self, *, pool_workers: int = 1, cache_capacity: int = 8192,
-                 keep_versions: int = 3, max_batch: int = 32,
+    def __init__(self, *, cache_capacity: int = 8192, max_batch: int = 32,
                  max_wait_ms: float | None = None, seed: int = 0,
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False,
@@ -459,11 +456,9 @@ class RoutedEstimateService:
         # side by side, distinguished by the ``namespace`` label.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EVENTS
-        self.pool = RefinementPool(max_workers=pool_workers,
-                                   metrics=self.metrics)
+        self.pool = RefinementPool(metrics=self.metrics)
         self._seed = int(seed)
         self._defaults = dict(cache_capacity=cache_capacity,
-                              keep_versions=keep_versions,
                               max_batch=max_batch,
                               refine_epochs=refine_epochs,
                               data_epochs=data_epochs,

@@ -50,20 +50,20 @@ class UAEServer:
 
     def __init__(self, estimator: UAE, *, pool,
                  feedback: FeedbackCollector | None = None,
-                 cache_capacity: int = 8192, keep_versions: int = 3,
-                 max_batch: int = 32, refine_epochs: int = 8,
-                 data_epochs: int = 3, auto_refine: bool = False,
+                 cache_capacity: int = 8192, max_batch: int = 32,
+                 refine_epochs: int = 8, data_epochs: int = 3,
+                 auto_refine: bool = False,
                  seed: int = 0, namespace: str = "default",
                  expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None,
                  chaos: ChaosPlan | None = None, modelops=None):
         self.trainer = estimator
         # Multi-table wiring (see repro.serve.router): the namespace this
-        # server answers for, the front's shared RefinementPool that runs
-        # every background refinement and bounds trainer concurrency
-        # across namespaces, and the join translation hooks (constraint
-        # expander + cardinality scale) forwarded to the EstimateService
-        # and used again when feedback is ingested.
+        # server answers for, the front's shared RefinementPool whose one
+        # trainer thread runs every background refinement, and the join
+        # translation hooks (constraint expander + cardinality scale)
+        # forwarded to the EstimateService and used again when feedback
+        # is ingested.
         self.namespace = str(namespace)
         self.pool = pool
         self.expander = expander
@@ -71,8 +71,7 @@ class UAEServer:
         if expander is not None and self.scale is None:
             raise ValueError("an expander needs an explicit cardinality "
                              "scale (feedback selectivities depend on it)")
-        self.registry = ModelRegistry(estimator, keep_versions=keep_versions,
-                                      name=namespace)
+        self.registry = ModelRegistry(estimator, name=namespace)
         self.cache = ResultCache(capacity=cache_capacity)
         # One metrics registry + event log threaded through the whole
         # stack (service, trainer, engine); routed deployments pass a
@@ -250,8 +249,8 @@ class UAEServer:
         double-spend the same feedback, queue duplicate refinements, or
         publish an empty version.
 
-        Background refinement queues on the shared pool, whose bounded
-        workers are the cross-namespace trainer-capacity cap.
+        Background refinement queues on the shared pool, whose one
+        trainer thread is the cross-namespace trainer-capacity cap.
         """
         with self._refine_lock:
             if self.refining:

@@ -326,8 +326,7 @@ def serving_front(imdb_join):
     """Fresh front door per test: hot-swap tests mutate the namespace."""
     join = copy.copy(imdb_join)
     join.uae = imdb_join.uae.clone()
-    front = RoutedEstimateService(pool_workers=1, refine_epochs=1,
-                                  data_epochs=1, seed=3)
+    front = RoutedEstimateService(refine_epochs=1, data_epochs=1, seed=3)
     space = front.add_join(join, namespace="imdb")
     return front, space, join
 

@@ -83,15 +83,16 @@ class TestModelRegistry:
         assert not np.allclose(before, swapped, rtol=1e-6)
 
     def test_keep_versions_trims_oldest(self, uae):
-        registry = ModelRegistry(uae, keep_versions=2)
-        registry.publish(uae)
-        registry.publish(uae)
-        assert len(registry) == 2
+        registry = ModelRegistry(uae)
+        keep = ModelRegistry.KEEP_VERSIONS
+        for _ in range(keep):
+            registry.publish(uae)
+        assert len(registry) == keep
         assert registry.get(1) is None
-        assert registry.get(3) is not None
+        assert registry.get(keep + 1) is not None
 
     def test_rollback_republishes_forward(self, uae):
-        registry = ModelRegistry(uae, keep_versions=3)
+        registry = ModelRegistry(uae)
         registry.publish(uae)
         v1_model = registry.get(1).model
         redo = registry.rollback(1)
@@ -380,8 +381,7 @@ class TestEstimateService:
 class TestFeedbackCollector:
     def test_drift_trigger_and_drain(self, workload):
         collector = FeedbackCollector(window=16, capacity=32,
-                                      min_observations=4, quantile=0.5,
-                                      threshold=3.0)
+                                      min_observations=4, threshold=3.0)
         for query, truth in zip(workload.queries[:4],
                                 workload.cardinalities[:4]):
             collector.record(query, truth, truth)   # perfect estimates
@@ -395,13 +395,6 @@ class TestFeedbackCollector:
         assert len(collector) == 0
         assert not collector.should_refine()        # trigger reset
         assert collector.drain() is None
-
-    def test_clear_buffer_keeps_monitor(self, workload):
-        collector = FeedbackCollector(window=8, min_observations=2)
-        collector.record(workload.queries[0], 50.0, 1.0)
-        collector.clear_buffer()
-        assert len(collector) == 0
-        assert len(collector.monitor) == 1
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ import pytest
 
 from repro.serve import (ModelOpsConfig, ModelRegistry, QErrorTripwire,
                          ShadowValidator)
+from repro.serve.modelops import MAX_PROBES, MIN_PROBES, PROBE_CAPACITY
+from repro.workload.predicate import LabeledWorkload
 
 
 @pytest.fixture
@@ -26,46 +28,50 @@ def workload(tiny_workload):
 # ----------------------------------------------------------------------
 class TestShadowValidator:
     def test_insufficient_probes_passes_unjudged(self):
-        validator = ShadowValidator(ModelOpsConfig(min_probes=4))
+        validator = ShadowValidator(ModelOpsConfig())
+        for key in range(MIN_PROBES - 1):
+            validator.add_probe(key, truth=1.0)
         verdict = validator.score(None, None, None)   # never hits the engine
         assert verdict["accepted"] and \
             verdict["reason"] == "insufficient-probes"
 
     def test_probe_capacity_keeps_hottest(self):
-        cfg = ModelOpsConfig(probe_capacity=8, max_probes=4)
-        validator = ShadowValidator(cfg)
+        validator = ShadowValidator(ModelOpsConfig())
         # Probe keys only need to be hashable; ints stand in for queries.
-        for hot in range(4):
+        for hot in range(MAX_PROBES):
             for _ in range(10):
                 validator.add_probe(hot, truth=float(hot))
-        for cold in range(100, 120):                  # overflow capacity
-            validator.add_probe(cold, truth=1.0)
+        for cold in range(10_000, 10_000 + 2 * PROBE_CAPACITY):
+            validator.add_probe(cold, truth=1.0)      # overflow capacity
         queries, truths = validator.probes()
-        assert len(queries) == cfg.max_probes
-        assert set(queries) == {0, 1, 2, 3}           # hottest survived
-        np.testing.assert_array_equal(sorted(truths), [0.0, 1.0, 2.0, 3.0])
+        assert len(queries) == MAX_PROBES
+        assert set(queries) == set(range(MAX_PROBES))  # hottest survived
+        np.testing.assert_array_equal(sorted(truths),
+                                      np.arange(MAX_PROBES, dtype=float))
 
-    def test_seeded_workload_pads_probes(self, workload):
-        cfg = ModelOpsConfig(max_probes=6, min_probes=1)
-        validator = ShadowValidator(cfg, workload=workload)
+    def test_seeded_workload_pads_probes(self):
+        n = MAX_PROBES + 8                  # more than one validation takes
+        workload = LabeledWorkload(list(range(n)), np.arange(n, dtype=float))
+        validator = ShadowValidator(ModelOpsConfig(), workload=workload)
         queries, truths = validator.probes()
-        assert len(queries) == 6                       # cold start: seeded
+        assert queries == list(range(MAX_PROBES))      # cold start: seeded
         validator.add_probe(workload.queries[3], truth=123.0)
         queries, truths = validator.probes()
-        assert queries[0] is workload.queries[3]       # observed first
+        assert queries[0] == workload.queries[3]       # observed first
         assert truths[0] == 123.0
-        assert len(queries) == 6                       # no duplicate pad
+        assert len(queries) == MAX_PROBES
+        assert queries.count(workload.queries[3]) == 1  # no duplicate pad
 
     def test_score_compares_candidate_against_live(self):
         """The verdict is a pure function of the two scored streams; a
         stub service makes the accept/reject boundary exact."""
-        cfg = ModelOpsConfig(reject_ratio=1.5, min_probes=2, max_probes=8)
-        validator = ShadowValidator(cfg)
+        validator = ShadowValidator(ModelOpsConfig(reject_ratio=1.5))
         truths = 100.0
-        for key in range(4):
+        for key in range(MIN_PROBES):
             validator.add_probe(key, truth=truths)
         live_marker, cand_marker = object(), object()
-        answers = {"live": np.full(4, 100.0), "cand": np.full(4, 100.0)}
+        answers = {"live": np.full(MIN_PROBES, 100.0),
+                   "cand": np.full(MIN_PROBES, 100.0)}
 
         def estimate_on(snap, queries, seed=0):
             if snap is live_marker:
@@ -77,20 +83,19 @@ class TestShadowValidator:
         verdict = validator.score(service, live_marker, cand_marker)
         assert verdict["accepted"] and verdict["candidate_qerr"] == 1.0
         # Candidate 10x worse than a perfect live model: rejected.
-        answers["cand"] = np.full(4, 10.0)
+        answers["cand"] = np.full(MIN_PROBES, 10.0)
         verdict = validator.score(service, live_marker, cand_marker)
         assert not verdict["accepted"]
         assert verdict["candidate_qerr"] == pytest.approx(10.0)
         # Just inside the ratio: accepted.
-        answers["cand"] = np.full(4, 70.0)             # q-error ~1.43
+        answers["cand"] = np.full(MIN_PROBES, 70.0)    # q-error ~1.43
         assert validator.score(service, live_marker, cand_marker)["accepted"]
 
 
 # ----------------------------------------------------------------------
 class TestQErrorTripwire:
     def cfg(self, **kw):
-        base = dict(tripwire_ratio=2.0, tripwire_window=8,
-                    tripwire_min_obs=3, cooldown_s=60.0)
+        base = dict(tripwire_window=8, tripwire_min_obs=3, cooldown_s=60.0)
         base.update(kw)
         return ModelOpsConfig(**base)
 
@@ -182,8 +187,7 @@ class TestModelOps:
             np.testing.assert_array_equal(restored[key], live_state[key])
 
     def test_tripwire_rolls_back_automatically(self, uae, workload):
-        server = self.make_server(uae, tripwire_ratio=2.0,
-                                  tripwire_window=8, tripwire_min_obs=4)
+        server = self.make_server(uae, tripwire_window=8, tripwire_min_obs=4)
         self.feed(server, workload)                    # accurate: errs ~1
         assert server.refine()["version"] == 2
         v2_model = server.registry.active().model
@@ -203,8 +207,7 @@ class TestModelOps:
         """A NaN / infinite / negative truth or estimate used to reach
         the training buffer and the probe set, and — as a 1e18 q-error —
         the tripwire window, where it rolls back a healthy swap."""
-        server = self.make_server(uae, tripwire_ratio=2.0,
-                                  tripwire_window=8, tripwire_min_obs=4)
+        server = self.make_server(uae, tripwire_window=8, tripwire_min_obs=4)
         self.feed(server, workload)
         assert server.refine()["version"] == 2         # healthy, wire armed
         query = workload.queries[0]
@@ -262,7 +265,7 @@ class TestRegistryRollbackEdges:
             registry.rollback(0)                       # versions start at 1
 
     def test_double_rollback_stays_monotonic(self, uae):
-        registry = ModelRegistry(uae, keep_versions=8)
+        registry = ModelRegistry(uae)
         registry.publish(uae)                          # v2
         v1_model = registry.get(1).model
         v2_model = registry.get(2).model
@@ -272,15 +275,17 @@ class TestRegistryRollbackEdges:
         assert second.version == 4 and second.model is v2_model
         third = registry.rollback(3)                   # rollback a rollback
         assert third.version == 5 and third.model is v1_model
-        assert [h["version"] for h in registry.history()] == \
-            [1, 2, 3, 4, 5]
+        # Monotonic, and trimmed to the newest KEEP_VERSIONS.
+        assert [h["version"] for h in registry.history()] == [3, 4, 5]
+        with pytest.raises(KeyError):
+            registry.rollback(1)                       # trimmed: typed
 
     def test_rollback_racing_concurrent_hot_swap(self, uae):
         """Rollbacks interleaved with publishes must keep versions
         strictly monotonic and the retained map consistent."""
-        registry = ModelRegistry(uae, keep_versions=64)
+        registry = ModelRegistry(uae)
         barrier = threading.Barrier(2)
-        errors = []
+        rolled, errors = [], []
 
         def publisher():
             barrier.wait()
@@ -291,7 +296,7 @@ class TestRegistryRollbackEdges:
             barrier.wait()
             for _ in range(10):
                 try:
-                    registry.rollback(1)
+                    rolled.append(registry.rollback(registry.version))
                 except KeyError as exc:               # retention race: typed
                     errors.append(exc)
 
@@ -301,11 +306,15 @@ class TestRegistryRollbackEdges:
             t.start()
         for t in threads:
             t.join(timeout=30.0)
-        assert not errors
+        assert not any(t.is_alive() for t in threads)
+        assert len(rolled) + len(errors) == 10         # nothing untyped
+        assert rolled
         versions = [h["version"] for h in registry.history()]
         assert versions == sorted(set(versions))       # strictly monotonic
-        assert registry.version == 21                  # 1 + 10 + 10
-        assert registry.active().version == 21
+        assert len(versions) == ModelRegistry.KEEP_VERSIONS   # trimmed
+        assert registry.version == 1 + 10 + len(rolled)
+        assert registry.active().version == registry.version
+        assert versions[-1] == registry.version
 
     def test_rollback_invalidates_result_cache(self, tiny_front, workload):
         front = tiny_front(seed=22)

@@ -55,7 +55,7 @@ def front(tiny_front):
 
 @pytest.fixture
 def routed(tiny_uae, second_uae):
-    front = RoutedEstimateService(pool_workers=1, refine_epochs=1, seed=3)
+    front = RoutedEstimateService(refine_epochs=1, seed=3)
     front.add_table(tiny_uae.clone())
     front.add_table(second_uae.clone())
     with front:
@@ -611,14 +611,23 @@ class TestHTTPRejections:
         assert body["error"] == "ValueError"
 
     def test_oversized_body_is_413(self, front):
+        """Refused from the Content-Length header alone, before a byte
+        of the body is read."""
         async def scenario():
-            async with _DoorHarness(front, max_body=256) as h:
-                big = {"sql": "a = 1", "pad": "x" * 1024}
-                return await h.client.post("/estimate", big)
+            async with _DoorHarness(front) as h:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", h.door.port)
+                length = HTTPFrontDoor.MAX_BODY + 1
+                writer.write(b"POST /estimate HTTP/1.1\r\n"
+                             + f"Content-Length: {length}\r\n\r\n".encode())
+                await writer.drain()
+                data = await asyncio.wait_for(reader.read(), timeout=10.0)
+                writer.close()
+                return data
 
-        status, body, _ = run(scenario())
-        assert status == 413
-        assert body["error"] == "PayloadTooLarge"
+        data = run(scenario())
+        assert data.startswith(b"HTTP/1.1 413 ")
+        assert b"PayloadTooLarge" in data
 
     def test_negative_content_length_is_400(self, front):
         """A negative length must not read as "all but the last 20
@@ -664,12 +673,15 @@ class TestHTTPRejections:
     def test_bad_deadline_is_400(self, front):
         # json.loads accepts the NaN / Infinity literals the client's
         # json.dumps emits: a NaN budget used to wait out the grace and
-        # answer 504, an infinite one was accepted.
+        # answer 504, an infinite one was accepted.  A JSON true read as
+        # a 1 ms budget, "50" as 50 ms, and an integer too large for a
+        # float answered 500.
         async def scenario():
             async with _DoorHarness(front) as h:
                 return [await h.client.post(
                     "/estimate", {"sql": "a = 1", "deadline_ms": bad})
-                    for bad in (-5, 0, float("nan"), float("inf"))]
+                    for bad in (-5, 0, float("nan"), float("inf"), True,
+                                "50", 10 ** 400)]
 
         for status, body, _ in run(scenario()):
             assert status == 400
@@ -677,14 +689,16 @@ class TestHTTPRejections:
 
     def test_bad_feedback_number_is_400_and_never_recorded(self,
                                                              tiny_front):
-        """A non-finite or negative truth / estimate is refused at the
+        """A non-finite or negative truth / estimate, or one that is not
+        a JSON number (a boolean, a numeric string), is refused at the
         door: it never becomes a training label, a drift observation, a
         shadow probe or a tripwire sample."""
         nan, inf = float("nan"), float("inf")
         bodies = [{"sql": "a = 1", "true_cardinality": bad}
-                  for bad in (nan, inf, -inf, -5, "many")]
+                  for bad in (nan, inf, -inf, -5, "many", True, "7",
+                              10 ** 400)]
         bodies += [{"sql": "a = 1", "true_cardinality": 200, "estimate": bad}
-                   for bad in (nan, inf, -5)]
+                   for bad in (nan, inf, -5, True, "7")]
 
         async def scenario(front):
             async with _DoorHarness(front) as h:

@@ -64,13 +64,6 @@ class TestHashRing:
             else:
                 assert after[k] != "w1"
 
-    def test_owners_distinct_replicas(self):
-        ring = HashRing(["w0", "w1", "w2"])
-        replicas = ring.owners("dmv", 3)
-        assert len(replicas) == 3
-        assert len(set(replicas)) == 3
-        assert replicas[0] == ring.owner("dmv")
-
     def test_walk_yields_each_worker_once(self):
         ring = HashRing(["w0", "w1", "w2", "w3"])
         assert sorted(ring.walk("census")) == ["w0", "w1", "w2", "w3"]
@@ -80,8 +73,7 @@ class TestHashRing:
 class TestBoundedAssign:
     def test_perfectly_even_at_balance_one(self):
         ring = HashRing(["w0", "w1", "w2", "w3"])
-        assignment = ring.assign(["dmv", "census", "kddcup", "toy"],
-                                 balance=1.0)
+        assignment = ring.assign(["dmv", "census", "kddcup", "toy"])
         loads = {}
         for worker in assignment.values():
             loads[worker] = loads.get(worker, 0) + 1
@@ -89,8 +81,8 @@ class TestBoundedAssign:
 
     def test_respects_cap_at_scale(self):
         ring = HashRing([f"w{i}" for i in range(4)])
-        assignment = ring.assign(KEYS, balance=1.25)
-        cap = math.ceil(len(KEYS) * 1.25 / 4)
+        assignment = ring.assign(KEYS)
+        cap = math.ceil(len(KEYS) * HashRing.BALANCE / 4)
         loads = {}
         for worker in assignment.values():
             loads[worker] = loads.get(worker, 0) + 1
@@ -99,20 +91,10 @@ class TestBoundedAssign:
 
     def test_membership_change_moves_few_keys(self):
         ring = HashRing(["w0", "w1", "w2", "w3"])
-        before = ring.assign(KEYS, balance=1.25)
+        before = ring.assign(KEYS)
         ring.remove("w3")
-        after = ring.assign(KEYS, balance=1.25)
+        after = ring.assign(KEYS)
         # Displaced keys: everything w3 owned, plus bounded-load spill.
         moved = [k for k in KEYS if before[k] != after[k]]
         assert "w3" not in set(after.values())
         assert len(moved) / len(KEYS) <= 0.6
-
-    def test_plain_assign_matches_owner(self):
-        ring = HashRing(["w0", "w1", "w2"])
-        assignment = ring.assign(KEYS, balance=None)
-        assert assignment == {k: ring.owner(k) for k in KEYS}
-
-    def test_balance_below_one_rejected(self):
-        ring = HashRing(["w0"])
-        with pytest.raises(ValueError):
-            ring.assign(KEYS, balance=0.5)

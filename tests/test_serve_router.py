@@ -35,7 +35,7 @@ def tiny_join(tiny_schema):
 def front(tiny_uae, second_uae, tiny_join):
     """A three-namespace front door: two tables + one join schema."""
     import copy
-    routed = RoutedEstimateService(pool_workers=1, refine_epochs=1, seed=3)
+    routed = RoutedEstimateService(refine_epochs=1, seed=3)
     routed.add_table(tiny_uae.clone())
     routed.add_table(second_uae.clone())
     # Shallow-copy the join wrapper with a cloned inner UAE: the sampler,
@@ -171,7 +171,7 @@ class TestMultiTableRegistry:
 # ----------------------------------------------------------------------
 class TestRefinementPool:
     def test_result_and_error_propagate(self):
-        pool = RefinementPool(max_workers=1)
+        pool = RefinementPool()
         try:
             assert pool.submit("a", lambda: 41 + 1).result(timeout=5.0) == 42
             bad = pool.submit("a", lambda: 1 / 0)
@@ -183,9 +183,9 @@ class TestRefinementPool:
             pool.stop()
 
     def test_round_robin_no_namespace_starves(self):
-        """With one worker, a namespace queueing many jobs still yields
+        """With one trainer thread, a namespace queueing many jobs yields
         to every other namespace between its own jobs."""
-        pool = RefinementPool(max_workers=1)
+        pool = RefinementPool()
         release = threading.Event()
         started = threading.Event()
         order: list[str] = []
@@ -229,7 +229,7 @@ class TestRefinementPool:
         """Feedback drained for a background refinement must never be
         lost because the shared pool already stopped — the server
         refines inline instead."""
-        pool = RefinementPool(max_workers=1)
+        pool = RefinementPool()
         server = UAEServer(tiny_uae.clone(), pool=pool, refine_epochs=1)
         pool.stop()
         for q, tru in zip(tiny_workload.queries[:8],
@@ -241,7 +241,7 @@ class TestRefinementPool:
         assert server.registry.version == 2
 
     def test_stop_fails_pending_jobs(self):
-        pool = RefinementPool(max_workers=1)
+        pool = RefinementPool()
         block = threading.Event()
         pool.submit("a", lambda: block.wait(timeout=10.0))
         pending = pool.submit("a", lambda: "never")
@@ -255,7 +255,7 @@ class TestRefinementPool:
     def test_close_drains_queued_jobs_then_rejects(self):
         """Graceful close: everything already queued finishes, new work
         is rejected, and the caller learns the pool drained fully."""
-        pool = RefinementPool(max_workers=1)
+        pool = RefinementPool()
         block = threading.Event()
         slow = pool.submit("a", lambda: block.wait(timeout=10.0) and "done")
         tail = pool.submit("b", lambda: "tail")
@@ -271,7 +271,7 @@ class TestRefinementPool:
     def test_close_timeout_cancels_whats_left(self):
         """A drain budget that lapses falls back to stop() semantics:
         still-pending jobs fail typed, and close() reports False."""
-        pool = RefinementPool(max_workers=1)
+        pool = RefinementPool()
         block = threading.Event()
         pool.submit("a", lambda: block.wait(timeout=10.0))
         pending = pool.submit("a", lambda: "never")
@@ -363,8 +363,7 @@ class TestRoutedEstimateService:
     def test_shared_pool_refines_both_namespaces(self, tiny_uae, second_uae,
                                                  tiny_workload,
                                                  second_workload):
-        front = RoutedEstimateService(pool_workers=1, refine_epochs=1,
-                                      seed=5)
+        front = RoutedEstimateService(refine_epochs=1, seed=5)
         front.add_table(tiny_uae.clone())
         front.add_table(second_uae.clone())
         with front:
@@ -397,8 +396,8 @@ class TestRoutedEstimateService:
         only performed."""
         from repro.obs import EventLog
         events = EventLog()
-        front = RoutedEstimateService(pool_workers=1, refine_epochs=1,
-                                      seed=5, events=events)
+        front = RoutedEstimateService(refine_epochs=1, seed=5,
+                                      events=events)
         front.add_table(tiny_uae.clone())
         server = front.namespace("tiny").server
         server.feedback.min_observations = 4

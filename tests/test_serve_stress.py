@@ -82,7 +82,7 @@ class TestEstimateServiceStress:
         value must be one actually computed under the version it reports
         — a cache entry surviving a swap would fail this exactly."""
         trainer = tiny_uae.clone()
-        registry = ModelRegistry(trainer, keep_versions=8)
+        registry = ModelRegistry(trainer)
         cache = ResultCache(capacity=512)
         service = EstimateService(registry, cache, max_batch=8)
         computed: dict[int, set] = defaultdict(set)

@@ -8,8 +8,9 @@ import pytest
 
 from repro.core import UAE
 from repro.serve import (EstimateRequest, EstimateService,
-                         FeedbackCollector, ModelRegistry, RefinementJob,
-                         ResultCache, UAEServer)
+                         FeedbackCollector, HTTPFrontDoor, ModelRegistry,
+                         RefinementJob, ResultCache, UAEServer)
+from repro.serve.feedback import checked_cardinality
 from repro.workload import RollingQErrorMonitor, qerrors
 
 
@@ -398,6 +399,40 @@ class TestFeedbackCollector:
 
 
 # ----------------------------------------------------------------------
+class TestFeedbackNumbers:
+    """Which values count as a cardinality or a deadline: the sync API
+    takes any real scalar, the HTTP door only a JSON number."""
+
+    def test_checked_cardinality_takes_numpy_scalars(self):
+        for value in (np.int64(7), np.float32(2.5), 3, 0.0):
+            number = checked_cardinality(value, "true_cardinality")
+            assert type(number) is float and number == float(value)
+
+    def test_checked_cardinality_refuses_nonfinite_and_negative(self):
+        for value in (float("nan"), float("inf"), -1.0, np.float64(-0.5)):
+            with pytest.raises(ValueError, match="estimate"):
+                checked_cardinality(value, "estimate")
+
+    def test_door_numbers_are_json_numbers_only(self):
+        number_from = HTTPFrontDoor._number_from
+        assert number_from({"estimate": 7}, "estimate") == 7.0
+        assert number_from({"estimate": 2.5}, "estimate") == 2.5
+        assert number_from({}, "estimate") is None
+        assert number_from({"estimate": None}, "estimate") is None
+        for value in (True, False, "7", "50", [1], {"n": 1}, 10 ** 400):
+            with pytest.raises(ValueError, match="estimate"):
+                number_from({"estimate": value}, "estimate")
+
+    def test_door_deadline_is_positive_finite_and_has_no_default(self):
+        deadline_from = HTTPFrontDoor._deadline_from
+        assert deadline_from({}) is None
+        assert deadline_from({"deadline_ms": 50}) == 50.0
+        for value in (0, -1, float("inf"), float("nan"), True, "50"):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                deadline_from({"deadline_ms": value})
+
+
+# ----------------------------------------------------------------------
 class TestUAEServer:
     """The per-namespace stack, driven through the one-table front."""
 
@@ -488,6 +523,17 @@ class TestUAEServer:
         assert err == pytest.approx(qerrors([served], [truth])[0])
         assert server.feedback.total_observed == 1
         assert front.estimate(query) == served
+
+    def test_observe_takes_numpy_scalars(self, tiny_front, workload):
+        """The door takes JSON numbers only; the sync path keeps taking
+        the NumPy scalars an in-process executor reports."""
+        server = tiny_front(seed=3).namespace("tiny").server
+        query, truth = workload.queries[1], workload.cardinalities[1]
+        err = server.observe(query, np.int64(truth),
+                             estimate=np.float32(2.0 * truth + 1.0))
+        assert err == pytest.approx(
+            qerrors([float(np.float32(2.0 * truth + 1.0))], [truth])[0])
+        assert server.feedback.total_observed == 1
 
     def test_front_resolves_each_request_once(self, tiny_front, workload,
                                               monkeypatch):

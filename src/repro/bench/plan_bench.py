@@ -78,7 +78,6 @@ from ..workload import (FragmentError, extract_fragment,
 from .profiles import Profile, current_profile
 from .reporting import save_bench
 
-_SUBPLAN_SEED = 1234        # provider's base seed for per-plan batches
 _UAE_ORACLE_FACTOR = 10.0   # median true-cost bound vs the oracle
 _TYPED_ERRORS = (RoutingError, FragmentError, UnjoinableFragmentError)
 
@@ -241,8 +240,7 @@ def run_plan_quality(profile: Profile | None = None) -> dict:
     front = RoutedEstimateService(seed=0)
     space = front.add_join(uae)
     with front:
-        serving = ServingCardinalityProvider(front, schema,
-                                             seed=_SUBPLAN_SEED)
+        serving = ServingCardinalityProvider(front, schema)
         providers = [oracle, PostgresHeuristic(schema),
                      MagicConstantHeuristic(schema),
                      UESPessimisticProvider(schema), serving]
@@ -314,7 +312,7 @@ def run_plan_quality(profile: Profile | None = None) -> dict:
             "median": float(np.median(kept_gaps)),
             "max": float(kept_gaps.max()),
         },
-        "subplan_seed": _SUBPLAN_SEED,
+        "subplan_seed": ServingCardinalityProvider.SEED,
         "uae_oracle_factor_bound": _UAE_ORACLE_FACTOR,
         "uae_median_speedup_over_magic": uae_vs_magic,
         "uae_median_cost_vs_oracle": uae_vs_oracle,

@@ -132,15 +132,15 @@ def run_multi_table(profile: Profile) -> dict:
                       batch_size=profile.batch_size,
                       query_batch_size=profile.query_batch_size)
 
-    front = RoutedEstimateService(
-        max_batch=32, seed=7, refine_epochs=max(4, profile.query_epochs // 2))
+    front = RoutedEstimateService(max_batch=32, seed=7)
+    refine_epochs = max(4, profile.query_epochs // 2)
     n_each = max(16, profile.serve_stream_queries // 2)
     workloads: dict[str, object] = {}
     for i, name in enumerate(datasets):
         table = load(name, rows=profile.dataset_rows(name))
         uae = UAE(table, seed=i, **uae_kwargs)
         uae.fit(epochs=max(1, profile.epochs // 3), mode="data")
-        front.add_table(uae)
+        front.add_table(uae, refine_epochs=refine_epochs)
         workloads[name] = generate_inworkload(table, n_each, rng)
 
     schema = make_imdb(n_titles=profile.join_titles, seed=0)
@@ -149,7 +149,7 @@ def run_multi_table(profile: Profile) -> dict:
                    **uae_kwargs)
     join.fit(epochs=max(1, profile.join_epochs // 3), mode="data")
     join_name = "imdb_star"
-    front.add_join(join, namespace=join_name)
+    front.add_join(join, namespace=join_name, refine_epochs=refine_epochs)
     workloads[join_name] = generate_job_light_ranges_focused(
         schema, max(8, profile.join_test_queries // 4), rng)
 
@@ -525,10 +525,9 @@ def run_chaos(profile: Profile) -> dict:
     plan_a.inject("refine.weights", "poison", at=1,
                   params={"magnitude": 25.0})
     cfg_a = ModelOpsConfig(reject_ratio=1.5, cooldown_s=0.0, warm_top_n=0)
-    front_a = RoutedEstimateService(refine_epochs=2, max_batch=32,
-                                    seed=7)
-    server_a = front_a.add_table(uae, chaos=plan_a,
-                                 modelops=cfg_a).server
+    front_a = RoutedEstimateService(max_batch=32, seed=7)
+    server_a = front_a.add_table(uae, chaos=plan_a, modelops=cfg_a,
+                                 refine_epochs=2).server
     with front_a:
         ests = front_a.estimate_batch(wl.queries)
         for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
@@ -570,10 +569,9 @@ def run_chaos(profile: Profile) -> dict:
     cfg_b = ModelOpsConfig(reject_ratio=float("inf"), tripwire_window=16,
                            tripwire_min_obs=6, cooldown_s=0.0,
                            warm_top_n=16)
-    front_b = RoutedEstimateService(refine_epochs=2, max_batch=32,
-                                    seed=7)
-    server_b = front_b.add_table(uae.clone(), chaos=plan_b,
-                                 modelops=cfg_b).server
+    front_b = RoutedEstimateService(max_batch=32, seed=7)
+    server_b = front_b.add_table(uae.clone(), chaos=plan_b, modelops=cfg_b,
+                                 refine_epochs=2).server
     with front_b:
         ests = front_b.estimate_batch(wl.queries)
         for q, est, tru in zip(wl.queries, ests, wl.cardinalities):
@@ -671,9 +669,7 @@ def run_chaos(profile: Profile) -> dict:
             cluster.add_table(estimators[name])
         untyped = 0
         with cluster:
-            supervisor = cluster.supervise(
-                poll_interval=0.02, backoff_base_s=0.02,
-                backoff_max_s=0.5, max_restarts=3, seed=7)
+            supervisor = cluster.supervise()
             slices = {name: [q for q in pools[name][:_PROBES]]
                       for name in datasets}
             # On profiles with more namespaces than workers w0 owns
@@ -837,9 +833,9 @@ def run_serving(profile: Profile | None = None) -> dict:
     feedback = FeedbackCollector(
         window=max(64, n_shift), capacity=2 * n_shift,
         min_observations=min(32, n_shift), threshold=3.0)
-    front = RoutedEstimateService(refine_epochs=12, data_epochs=3,
-                                  max_batch=32, seed=7)
-    server = front.add_table(uae, feedback=feedback).server
+    front = RoutedEstimateService(max_batch=32, seed=7)
+    server = front.add_table(uae, feedback=feedback, refine_epochs=12,
+                             data_epochs=3).server
     rows: list[dict] = []
     checks: dict[str, bool] = {}
 

@@ -11,7 +11,9 @@ fragments up front (deterministic order: smallest subsets first,
 lexicographic within a size) and issues **one batched, seeded**
 ``estimate_batch`` call, so every sub-plan answer is bit-reproducible
 against the single-process engine reference (``estimate_on`` with the
-same snapshot, fragment order, and seed).
+same snapshot, fragment order, and seed).  The front routes each query
+to its namespace, and the per-plan seed derives from the class constant
+:attr:`ServingCardinalityProvider.SEED`.
 
 Each plan's answers are kept as that plan's own array, per (namespace,
 query signature), and a subset is read from it by position.  A seeded
@@ -52,14 +54,13 @@ class ServingCardinalityProvider:
     """
 
     name = "UAE-serving"
+    #: Base of every per-plan sampling seed (see :meth:`seed_for`).
+    SEED = 1234
 
-    def __init__(self, service, schema: Schema, *, seed: int = 1234,
-                 namespace: str | None = None):
+    def __init__(self, service, schema: Schema):
         self.service = service
         self.schema = schema
         self.graph = JoinGraph.from_schema(schema)
-        self.seed = int(seed)
-        self.namespace = namespace
         self._lock = threading.Lock()
         self._versions: dict[str, int] = {}
         self._prefetched: dict[tuple, np.ndarray] = {}
@@ -82,20 +83,20 @@ class ServingCardinalityProvider:
         builtin ``hash``), so reference recomputations agree bit-for-bit
         wherever they run."""
         digest = zlib.crc32(repr(fragment_signature(query)).encode("utf-8"))
-        return int((self.seed * 0x9E3779B1 + digest) % (2 ** 31 - 1))
+        return int((self.SEED * 0x9E3779B1 + digest) % (2 ** 31 - 1))
 
     # ------------------------------------------------------------------
     # Serving-tier access
     # ------------------------------------------------------------------
     def _target(self, query) -> tuple[str, int]:
         """(namespace name, live model version) serving ``query``."""
-        space = self.service.resolve(query, namespace=self.namespace)
+        space = self.service.resolve(query)
         return space.name, space.version
 
     def reference(self, query: JoinQuery) -> np.ndarray:
         """Single-process seeded engine answers for the plan's fragments
         — what :meth:`prefetch` must match bit-for-bit."""
-        space = self.service.resolve(query, namespace=self.namespace)
+        space = self.service.resolve(query)
         return space.service.estimate_on(
             space.registry.active(), self.plan_fragments(query),
             seed=self.seed_for(query))
@@ -126,8 +127,7 @@ class ServingCardinalityProvider:
             return cached
         fragments = self.plan_fragments(query)
         values = np.asarray(self.service.estimate_batch(
-            fragments, namespace=self.namespace, seed=self.seed_for(query)),
-            dtype=np.float64)
+            fragments, seed=self.seed_for(query)), dtype=np.float64)
         values.setflags(write=False)
         with self._lock:
             self.batched_calls += 1

@@ -21,15 +21,13 @@ import numpy as np
 class ResultCache:
     """LRU cache of selectivity estimates, invalidated on version bump."""
 
-    def __init__(self, capacity: int = 8192):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[bytes, float]" = OrderedDict()
         self._version: int | None = None
-        self.hits = 0
-        self.misses = 0
         self.invalidations = 0
 
     # ------------------------------------------------------------------
@@ -69,14 +67,10 @@ class ResultCache:
     def get(self, key: bytes, version: int) -> float | None:
         with self._lock:
             if not self._sync_version_locked(version):
-                self.misses += 1
                 return None
             value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
+            if value is not None:
+                self._entries.move_to_end(key)
             return value
 
     def put(self, key: bytes, version: int, value: float) -> None:
@@ -97,10 +91,10 @@ class ResultCache:
             return len(self._entries)
 
     def stats(self) -> dict:
+        # ``invalidations`` is the one count kept here rather than in
+        # the metrics registry: ``GET /status`` serves it, and
+        # ``perf/run.py`` reads it there.
         with self._lock:
-            lookups = self.hits + self.misses
-            return {"entries": len(self._entries), "hits": self.hits,
-                    "misses": self.misses,
-                    "hit_rate": self.hits / lookups if lookups else 0.0,
+            return {"entries": len(self._entries),
                     "invalidations": self.invalidations,
                     "version": self._version}

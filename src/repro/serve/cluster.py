@@ -300,7 +300,6 @@ class _WorkerHandle:
         self.closed = False
         self.in_flight = 0
         self.ewma_seconds: float | None = None   # observed batch latency
-        self.dispatched = 0
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -749,15 +748,15 @@ class ClusterEstimateService:
         return {"restarted": True, "worker": worker_id,
                 "incarnation": incarnation, "moved": sorted(moved)}
 
-    def supervise(self, **kwargs):
+    def supervise(self):
         """Attach and start a
         :class:`~repro.serve.supervisor.WorkerSupervisor` on this
-        cluster (kwargs forwarded to its constructor); idempotent while
-        one is running.  ``stop()`` stops it first."""
+        cluster; idempotent while one is running.  ``stop()`` stops it
+        first."""
         from .supervisor import WorkerSupervisor
         if self._supervisor is not None and self._supervisor.running:
             return self._supervisor
-        self._supervisor = WorkerSupervisor(self, **kwargs).start()
+        self._supervisor = WorkerSupervisor(self).start()
         return self._supervisor
 
     def _spawn_worker(self, worker_id: str, incarnation: int) -> None:
@@ -983,7 +982,6 @@ class ClusterEstimateService:
             self._pending[req_id] = (request, handle, is_batch)
             if is_batch:
                 handle.in_flight += 1
-                handle.dispatched += 1
         return True
 
     def _callback_failed(self, request, exc: BaseException) -> None:
@@ -1150,7 +1148,6 @@ class ClusterEstimateService:
             workers[wid] = {
                 "alive": handle.alive(),
                 "in_flight": handle.in_flight,
-                "dispatched": handle.dispatched,
                 "ewma_batch_seconds": handle.ewma_seconds,
                 "incarnation": self._incarnations.get(wid, 0),
             }

@@ -10,8 +10,8 @@ modelops=...)`` passes it through):
 
 * **Shadow validation** (:class:`ShadowValidator`) — before a candidate
   is published, it is scored against the *live* snapshot on a held-out
-  probe set (the hottest observed labeled queries plus an optional
-  seeded workload sample), on the same seeded engine path serving uses.
+  probe set (the hottest labeled queries observed from serving
+  feedback), on the same seeded engine path serving uses.
   A candidate whose mean q-error exceeds ``reject_ratio`` x the live
   model's is rejected: the trainer's weights are restored from the
   active snapshot and nothing is published
@@ -21,8 +21,9 @@ modelops=...)`` passes it through):
   rolling post-swap q-error window against the pre-swap ceiling.  If
   serving accuracy degrades past :data:`TRIPWIRE_RATIO` x the ceiling, the
   server rolls back to the last good version automatically
-  (``ModelRegistry.rollback`` re-publishes it forward), then enters a
-  cooldown so a noisy window cannot ping-pong versions.
+  (``ModelRegistry.rollback`` re-publishes it forward,
+  ``repro_tripwire_rollbacks_total``), then enters a cooldown so a noisy
+  window cannot ping-pong versions.
 * **Post-swap cache warming** — a validated publish empties the result
   cache by design (new version).  :meth:`ModelOps.on_publish` replays
   the hottest observed constraint signatures through the new snapshot in
@@ -82,20 +83,15 @@ class ShadowValidator:
     """Held-out probe set + candidate-vs-live scoring.
 
     Probes accumulate from serving feedback (``add_probe``) keyed by
-    query, hottest-first; an optional labeled workload seeds the set so
-    validation works before any feedback arrives.
+    query, hottest-first; until :data:`MIN_PROBES` have arrived the gate
+    passes unjudged.
     """
 
-    def __init__(self, config: ModelOpsConfig, workload=None):
+    def __init__(self, config: ModelOpsConfig):
         self.config = config
         self._lock = threading.Lock()
         # query -> [observation count, latest truth]
         self._observed: dict = {}
-        self._seeded: list[tuple] = []
-        if workload is not None and len(workload) > 0:
-            take = min(len(workload.queries), MAX_PROBES)
-            self._seeded = list(zip(workload.queries[:take],
-                                    workload.cardinalities[:take]))
 
     def add_probe(self, query, truth: float) -> None:
         with self._lock:
@@ -113,22 +109,13 @@ class ShadowValidator:
                 self._observed = dict(keep)
 
     def probes(self) -> tuple[list, np.ndarray]:
-        """(queries, truths): hottest observed probes, padded with the
-        seeded workload sample up to :data:`MAX_PROBES`."""
+        """(queries, truths): the :data:`MAX_PROBES` hottest observed
+        probes."""
         with self._lock:
             hot = sorted(self._observed.items(), key=lambda kv: kv[1][0],
                          reverse=True)[:MAX_PROBES]
-            queries = [q for q, _ in hot]
-            truths = [entry[1] for _, entry in hot]
-            seen = set(queries)
-            for query, truth in self._seeded:
-                if len(queries) >= MAX_PROBES:
-                    break
-                if query in seen:
-                    continue
-                queries.append(query)
-                truths.append(float(truth))
-        return queries, np.asarray(truths, dtype=np.float64)
+        return ([q for q, _ in hot],
+                np.asarray([entry[1] for _, entry in hot], dtype=np.float64))
 
     def score(self, service, live_snap, candidate) -> dict:
         """Mean probe q-error of ``candidate`` (a trainer UAE) vs the
@@ -165,7 +152,6 @@ class QErrorTripwire:
         self.baseline: float | None = None
         self.version: int | None = None
         self.cooldown_until = 0.0          # monotonic
-        self.trips = 0
 
     def arm(self, baseline: float, version: int) -> None:
         with self._lock:
@@ -200,16 +186,12 @@ class QErrorTripwire:
             if len(self._window) < cfg.tripwire_min_obs:
                 return False
             mean = sum(self._window) / len(self._window)
-            if mean > TRIPWIRE_RATIO * self.baseline:
-                self.trips += 1
-                return True
-            return False
+            return mean > TRIPWIRE_RATIO * self.baseline
 
     def stats(self) -> dict:
         with self._lock:
             return {"armed": self.armed, "baseline": self.baseline,
-                    "version": self.version, "trips": self.trips,
-                    "window": len(self._window)}
+                    "version": self.version, "window": len(self._window)}
 
 
 class ModelOps:
@@ -217,17 +199,16 @@ class ModelOps:
     namespace's stack.
 
     Constructed by the per-namespace :class:`~repro.serve.server.UAEServer`
-    when a :class:`ModelOpsConfig` is passed as ``modelops=`` (to the
-    stack, or through the front's ``add_table`` / ``add_join``); attaches
-    itself as ``server.modelops`` and is driven from the stack's
+    when ``modelops=`` is a :class:`ModelOpsConfig`, or True for its
+    defaults (passed through the front's ``add_table`` / ``add_join``);
+    attaches itself as ``server.modelops`` and is driven from the stack's
     refinement and observation paths.
     """
 
-    def __init__(self, server, config: ModelOpsConfig | None = None,
-                 workload=None):
+    def __init__(self, server, config: ModelOpsConfig):
         self.server = server
-        self.config = config if config is not None else ModelOpsConfig()
-        self.validator = ShadowValidator(self.config, workload=workload)
+        self.config = config
+        self.validator = ShadowValidator(self.config)
         self.tripwire = QErrorTripwire(self.config)
         self.rejects: list[dict] = []
         self.rollbacks: list[dict] = []
@@ -301,8 +282,7 @@ class ModelOps:
         self.tripwire.arm(baseline, mv.version)
         with self._recent_lock:
             self._recent_errs = []
-        if self.config.warm_top_n > 0 \
-                and self.server.service.cache is not None:
+        if self.config.warm_top_n > 0:
             thread = threading.Thread(target=self._warm,
                                       args=(mv.version,),
                                       name="modelops-warm", daemon=True)

@@ -21,7 +21,9 @@ namespace:
   isolated — their own registry, result cache, feedback monitor, and
   sampling streams — so a hot-swap in one namespace can never change
   another namespace's per-version seeded answers (the isolation invariant
-  ``python -m repro.bench serving`` checks bit-exactly).
+  ``python -m repro.bench serving`` checks bit-exactly).  Every setting
+  has one entry point: what all namespaces share is a front keyword,
+  what one namespace varies is an ``add_table`` / ``add_join`` keyword.
 * :class:`RefinementPool` is the shared capacity manager: one trainer
   thread runs *all* namespaces' background refinements, draining
   per-namespace job queues round-robin so a chatty namespace cannot
@@ -441,14 +443,17 @@ class RoutedEstimateService:
     perturbs namespace B's per-version seeded answers) hold by
     construction.
 
-    ``max_wait_ms`` is ignored and not forwarded (the micro-batchers have
-    no batching window); the benchmark's frozen front spec still passes it.
+    The front's keywords are what every namespace shares; ``add_table``
+    / ``add_join`` take the per-namespace ones (``feedback``,
+    ``modelops``, ``chaos``, ``auto_refine``, ``refine_epochs``,
+    ``data_epochs``), whose defaults ``UAEServer`` states.
+    ``max_wait_ms`` is ignored and not forwarded (the
+    micro-batchers have no batching window); the benchmark's frozen front
+    spec still passes it.
     """
 
     def __init__(self, *, cache_capacity: int = 8192, max_batch: int = 32,
                  max_wait_ms: float | None = None, seed: int = 0,
-                 refine_epochs: int = 8, data_epochs: int = 3,
-                 auto_refine: bool = False,
                  metrics=None, events=None):
         self.registry = MultiTableRegistry()
         # One shared metrics registry + event log across namespaces: the
@@ -457,13 +462,9 @@ class RoutedEstimateService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EVENTS
         self.pool = RefinementPool(metrics=self.metrics)
+        self._cache_capacity = int(cache_capacity)
+        self._max_batch = int(max_batch)
         self._seed = int(seed)
-        self._defaults = dict(cache_capacity=cache_capacity,
-                              max_batch=max_batch,
-                              refine_epochs=refine_epochs,
-                              data_epochs=data_epochs,
-                              auto_refine=auto_refine,
-                              metrics=self.metrics, events=self.events)
         self._running = False
         self._add_lock = threading.Lock()
 
@@ -471,16 +472,15 @@ class RoutedEstimateService:
     # Namespace management
     # ------------------------------------------------------------------
     def add_table(self, estimator, *, namespace: str | None = None,
-                  feedback=None, **overrides) -> Namespace:
+                  **settings) -> Namespace:
         """Register a single-table namespace (defaults to the table name)."""
         return self._add(
             namespace or estimator.table.name, estimator, "table",
             frozenset({estimator.table.name}),
-            frozenset(estimator.table.column_names),
-            feedback=feedback, **overrides)
+            frozenset(estimator.table.column_names), None, None, settings)
 
     def add_join(self, join, *, namespace: str | None = None,
-                 feedback=None, **overrides) -> Namespace:
+                 **settings) -> Namespace:
         """Register a join-schema namespace for a
         :class:`~repro.joins.UAEJoin` (or NeuroCard) estimator.
 
@@ -492,21 +492,26 @@ class RoutedEstimateService:
         return self._add(
             namespace or "+".join(sorted(join.schema.tables)), join.uae,
             "join", frozenset(join.schema.tables), frozenset(),
-            feedback=feedback, expander=join.constraint_expander(),
-            scale=float(join.join_size), **overrides)
+            join.constraint_expander(), float(join.join_size), settings)
 
     def _add(self, name: str, estimator, kind: str, tables: frozenset,
-             columns: frozenset, **kwargs) -> Namespace:
-        """Build ``name``'s stack and register it.  A taken name is
+             columns: frozenset, expander, scale, settings: dict
+             ) -> Namespace:
+        """Build ``name``'s stack and register it.  ``settings`` are the
+        per-namespace ``UAEServer`` keywords; one that the front sets
+        (``max_batch``, ``seed``, ...) is a ``TypeError``.  A taken name is
         refused before anything is built: the stack's constructor would
         re-point the live namespace's gauges (and set the rejected
         estimator's ``metrics``) before the registry could refuse it."""
         with self._add_lock:
             if name in self.registry:
                 raise ValueError(f"namespace {name!r} already registered")
-            server = UAEServer(estimator, namespace=name, pool=self.pool,
-                               seed=self._seed,
-                               **{**self._defaults, **kwargs})
+            server = UAEServer(estimator, pool=self.pool, namespace=name,
+                               cache_capacity=self._cache_capacity,
+                               max_batch=self._max_batch, seed=self._seed,
+                               expander=expander, scale=scale,
+                               metrics=self.metrics, events=self.events,
+                               **settings)
             space = self.registry.register(Namespace(
                 name=name, server=server, kind=kind, tables=tables,
                 columns=columns))

@@ -48,12 +48,11 @@ class UAEServer:
     (:class:`~repro.serve.router.RoutedEstimateService`) builds it,
     routes queries to ``service`` and feedback to ``observe``."""
 
-    def __init__(self, estimator: UAE, *, pool,
+    def __init__(self, estimator: UAE, *, pool, namespace: str,
+                 cache_capacity: int, max_batch: int, seed: int,
                  feedback: FeedbackCollector | None = None,
-                 cache_capacity: int = 8192, max_batch: int = 32,
                  refine_epochs: int = 8, data_epochs: int = 3,
                  auto_refine: bool = False,
-                 seed: int = 0, namespace: str = "default",
                  expander=None, scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None,
                  chaos: ChaosPlan | None = None, modelops=None):
@@ -133,20 +132,14 @@ class UAEServer:
             .labels(namespace=ns).set_function(lambda: float(len(fb.monitor)))
         # Self-healing model-ops (repro.serve.modelops): shadow-validated
         # publishes + tripwire auto-rollback + post-swap cache warming.
-        # Pass a ModelOpsConfig (or True for defaults); the controller
+        # Pass a ModelOpsConfig, or True for its defaults; the controller
         # attaches itself as ``self.modelops``.  ``chaos`` is the seeded
         # fault-injection plan the healing paths are tested against.
         self.chaos = chaos
         self.modelops = None
-        if modelops is not None and modelops is not False:
+        if modelops is not None:
             from .modelops import ModelOps, ModelOpsConfig
-            if isinstance(modelops, ModelOps):
-                modelops.server = self
-                self.modelops = modelops
-            else:
-                config = modelops if isinstance(modelops, ModelOpsConfig) \
-                    else None
-                ModelOps(self, config)      # attaches as self.modelops
+            ModelOps(self, ModelOpsConfig() if modelops is True else modelops)
 
     # ------------------------------------------------------------------
     # Lifecycle

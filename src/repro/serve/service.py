@@ -30,9 +30,11 @@ disconnects or times out) settles the request immediately with
 at flush time — a dead client never occupies a batch slot or engine
 time (``repro_serve_cancellations_total``).
 
-All estimates are answered from the
-:class:`~repro.serve.cache.ResultCache` when the active model version has
-an entry for the query's constraint signature.
+Every service has a :class:`~repro.serve.cache.ResultCache`; an
+estimate is answered from it when the active model version has an entry
+for the query's constraint signature.  A queued request is looked up
+again at flush time, so a repeat submitted while its twin computed is
+answered from the cache.
 """
 
 from __future__ import annotations
@@ -191,9 +193,9 @@ class EstimateService:
     """Sync + deadline-aware micro-batching API over a model registry;
     work-conserving, with no batching window (see the module docstring)."""
 
-    def __init__(self, registry: ModelRegistry, cache: ResultCache | None = None,
-                 *, max_batch: int = 32,
-                 seed: int = 0, expander=None, scale: float | None = None,
+    def __init__(self, registry: ModelRegistry, cache: ResultCache, *,
+                 max_batch: int, seed: int, expander=None,
+                 scale: float | None = None,
                  metrics: MetricsRegistry | None = None, events=None):
         self.registry = registry
         self.cache = cache
@@ -334,26 +336,23 @@ class EstimateService:
         """
         snap = self.registry.active()
         constraints = self._expand(snap, query)
-        key = ResultCache.signature(constraints) \
-            if self.cache is not None else None
-        if key is not None:
-            self._record_hot(key, query)
+        key = ResultCache.signature(constraints)
+        self._record_hot(key, query)
         deadline = None if deadline_ms is None \
             else time.perf_counter() + deadline_ms / 1e3
         request = EstimateRequest(query, constraints, key, deadline,
                                   trace=trace)
         request.on_callback_error = self._callback_failed
-        if key is not None:
-            hit = self.cache.get(key, snap.version)
-            if hit is not None:
-                request._complete(hit, snap.version, from_cache=True)
-                self._c_cache.inc()
-                self._c_served.inc()
-                self._h_latency.observe(request.latency())
-                if trace is not None:
-                    trace.add_span("cache_hit", request.submitted_at,
-                                   request.completed_at, version=snap.version)
-                return request
+        hit = self.cache.get(key, snap.version)
+        if hit is not None:
+            request._complete(hit, snap.version, from_cache=True)
+            self._c_cache.inc()
+            self._c_served.inc()
+            self._h_latency.observe(request.latency())
+            if trace is not None:
+                trace.add_span("cache_hit", request.submitted_at,
+                               request.completed_at, version=snap.version)
+            return request
         enqueued = False
         with self._cond:
             # Liveness re-checked under the lock: stop() sets _stop and
@@ -399,7 +398,7 @@ class EstimateService:
         todo: list[int] = []
         keys: list[bytes | None] = [None] * len(queries)
         for i, cl in enumerate(constraints):
-            if use_cache and self.cache is not None:
+            if use_cache:
                 keys[i] = ResultCache.signature(cl)
                 self._record_hot(keys[i], queries[i])
                 hit = self.cache.get(keys[i], snap.version)
@@ -463,7 +462,7 @@ class EstimateService:
         ``version`` given, a swap that lands before the replay starts
         makes this a no-op instead of warming a superseded snapshot.
         """
-        if self.cache is None or not queries:
+        if not queries:
             return 0
         snap = self.registry.active()
         if version is not None and snap.version != version:
@@ -538,14 +537,13 @@ class EstimateService:
                                           "compute")):
                     self._c_deadline.inc()
                 continue
-            if req.key is not None:
-                hit = self.cache.get(req.key, snap.version)
-                if hit is not None:
-                    if req._complete(hit, snap.version, from_cache=True):
-                        self._c_cache.inc()
-                        self._c_served.inc()
-                        self._h_latency.observe(req.latency())
-                    continue
+            hit = self.cache.get(req.key, snap.version)
+            if hit is not None:
+                if req._complete(hit, snap.version, from_cache=True):
+                    self._c_cache.inc()
+                    self._c_served.inc()
+                    self._h_latency.observe(req.latency())
+                continue
             live.append(req)
         if not live:
             return
@@ -606,10 +604,9 @@ class EstimateService:
             if req.trace is not None:
                 req.trace.add_span("compute", now, done_at,
                                    batch=len(live), version=snap.version)
-            if req.key is not None:
-                # Cache regardless of the requester's deadline — the
-                # estimate is valid for this version either way.
-                self.cache.put(req.key, snap.version, float(card))
+            # Cache regardless of the requester's deadline — the
+            # estimate is valid for this version either way.
+            self.cache.put(req.key, snap.version, float(card))
             if req.deadline is not None and done_at > req.deadline:
                 if req._fail(TimeoutError("deadline expired during "
                                           "compute")):
@@ -631,8 +628,6 @@ class EstimateService:
     def stats(self) -> dict:
         # State, not counts: those (and the latency histogram) are
         # series in ``self.metrics``.  Time keys carry unit suffixes.
-        out = {"model_version": self.registry.version,
-               "cost_ewma_seconds": self._cost_per_query}
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out
+        return {"model_version": self.registry.version,
+                "cost_ewma_seconds": self._cost_per_query,
+                "cache": self.cache.stats()}

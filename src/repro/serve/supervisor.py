@@ -14,22 +14,26 @@ machine per worker:
                      \\-> (crash loop) -> evicted
 
 * **Restart with backoff + jitter** — each crash inside the rolling
-  ``crash_window_s`` doubles the delay (``backoff_base_s`` up to
-  ``backoff_max_s``), scaled by a seeded jitter so a fleet of
-  supervisors never stampedes.  The restart re-forks the worker under
-  its original id — consistent hashing then restores its original
-  namespace placement — and re-adopts those namespaces from the retained
-  shared-memory snapshot segments, so a restarted worker serves
+  :attr:`~WorkerSupervisor.CRASH_WINDOW_S` doubles the delay (from
+  :attr:`~WorkerSupervisor.BACKOFF_BASE_S`), scaled by a seeded jitter
+  so a fleet of supervisors never stampedes.  The restart re-forks the
+  worker under its original id — consistent hashing then restores its
+  original namespace placement — and re-adopts those namespaces from the
+  retained shared-memory snapshot segments, so a restarted worker serves
   bit-identical estimates (``repro_worker_restarts_total``).
-* **Crash-loop circuit breaker** — more than ``max_restarts`` crashes
-  inside the window means restarting is not healing (poisoned state,
-  bad host); the worker is evicted for good and
+* **Crash-loop circuit breaker** — more than
+  :attr:`~WorkerSupervisor.MAX_RESTARTS` crashes inside the window
+  means restarting is not healing (poisoned state, bad host); the
+  worker is evicted for good and
   :meth:`ClusterEstimateService.recover` rebalances its namespaces onto
   the survivors (``repro_worker_evictions_total``).
 
-Every transition lands in the event log (``worker_backoff``,
-``worker_restart``, ``worker_evict``); the deterministic chaos harness
-(:mod:`repro.chaos`) is what this machine is tested against.
+Every transition lands in the cluster's event log (``worker_backoff``,
+``worker_restart``, ``worker_evict``) and its metrics registry; the
+deterministic chaos harness (:mod:`repro.chaos`) is what this machine is
+tested against.  The supervisor has no settings: its timings are the
+class constants below, and ``ClusterEstimateService.supervise()`` takes
+no arguments.
 """
 
 from __future__ import annotations
@@ -41,27 +45,30 @@ from collections import defaultdict, deque
 
 
 class WorkerSupervisor:
-    """Detect dead cluster workers; restart with backoff or evict."""
+    """Detect dead cluster workers; restart with backoff or evict.
 
-    def __init__(self, cluster, *, poll_interval: float = 0.05,
-                 backoff_base_s: float = 0.05, backoff_max_s: float = 2.0,
-                 jitter: float = 0.25, max_restarts: int = 3,
-                 crash_window_s: float = 30.0, seed: int = 0,
-                 metrics=None, events=None):
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+    With these constants the longest backoff is the third restart's,
+    ``BACKOFF_BASE_S * 2**2 * (1 + JITTER)`` = 0.1 s.
+    """
+
+    #: Seconds between dead-worker polls.
+    POLL_INTERVAL_S = 0.02
+    #: Delay before a window's first restart; each later crash doubles it.
+    BACKOFF_BASE_S = 0.02
+    #: Largest fraction a seeded draw adds to a delay.
+    JITTER = 0.25
+    #: Crashes inside the window that are restarted; one more evicts.
+    MAX_RESTARTS = 3
+    #: Rolling window, in seconds, in which crashes count together.
+    CRASH_WINDOW_S = 30.0
+    #: Seed of the jitter stream.
+    SEED = 7
+
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.poll_interval = float(poll_interval)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.jitter = float(jitter)
-        self.max_restarts = int(max_restarts)
-        self.crash_window_s = float(crash_window_s)
-        self._rng = random.Random(seed)
-        self.metrics = metrics if metrics is not None else cluster.metrics
-        self.events = events if events is not None else cluster.events
+        self._rng = random.Random(self.SEED)
+        self.metrics = cluster.metrics
+        self.events = cluster.events
         self._c_restarts = self.metrics.counter(
             "repro_worker_restarts_total",
             "Dead workers restarted by the supervisor", ("worker",))
@@ -103,7 +110,7 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------
     def _loop(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(self.POLL_INTERVAL_S):
             if not self.cluster.running:
                 continue
             try:
@@ -121,16 +128,15 @@ class WorkerSupervisor:
     def _handle_crash(self, worker_id: str) -> None:
         now = time.monotonic()
         window = self._crashes[worker_id]
-        while window and now - window[0] > self.crash_window_s:
+        while window and now - window[0] > self.CRASH_WINDOW_S:
             window.popleft()
         window.append(now)
         attempt = len(window)
-        if attempt > self.max_restarts:
+        if attempt > self.MAX_RESTARTS:
             self._evict(worker_id, crashes=attempt)
             return
-        delay = min(self.backoff_max_s,
-                    self.backoff_base_s * (2 ** (attempt - 1)))
-        delay *= 1.0 + self.jitter * self._rng.random()
+        delay = self.BACKOFF_BASE_S * (2 ** (attempt - 1)) \
+            * (1.0 + self.JITTER * self._rng.random())
         self.events.emit("worker_backoff", worker=worker_id,
                          attempt=attempt, delay_s=delay)
         if self._stop.wait(delay) or not self.cluster.running:

@@ -69,17 +69,18 @@ def tiny_front(tiny_uae):
     ``RoutedEstimateService`` serving a clone of ``tiny_uae`` (or
     ``estimator``) as namespace ``"tiny"``; every front it built is
     stopped at teardown.  The per-namespace stack behind it is
-    ``front.namespace("tiny").server``.  Keywords other than ``seed``
-    are ``add_table`` overrides (``refine_epochs=``, ``modelops=``, ...).
+    ``front.namespace("tiny").server``.  ``seed`` and ``max_batch`` go
+    to the front; other keywords are ``add_table`` settings
+    (``refine_epochs=``, ``modelops=``, ...).
     """
     from repro.serve import RoutedEstimateService
 
     built = []
 
-    def build(estimator=None, *, seed=7, **overrides):
-        front = RoutedEstimateService(seed=seed)
+    def build(estimator=None, *, seed=7, max_batch=32, **settings):
+        front = RoutedEstimateService(seed=seed, max_batch=max_batch)
         front.add_table(tiny_uae.clone() if estimator is None else estimator,
-                        namespace="tiny", **overrides)
+                        namespace="tiny", **settings)
         built.append(front)
         return front
 

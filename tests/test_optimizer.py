@@ -173,7 +173,7 @@ _JOIN_KWARGS = dict(sample_size=200, hidden=16, num_blocks=1,
 def _serving(schema):
     front = RoutedEstimateService(seed=3)
     front.add_join(UAEJoin(schema, **_JOIN_KWARGS))
-    return ServingCardinalityProvider(front, schema, seed=17)
+    return ServingCardinalityProvider(front, schema)
 
 
 def _mscn(schema):

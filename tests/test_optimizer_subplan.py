@@ -326,8 +326,9 @@ def serving_front(imdb_join):
     """Fresh front door per test: hot-swap tests mutate the namespace."""
     join = copy.copy(imdb_join)
     join.uae = imdb_join.uae.clone()
-    front = RoutedEstimateService(refine_epochs=1, data_epochs=1, seed=3)
-    space = front.add_join(join, namespace="imdb")
+    front = RoutedEstimateService(seed=3)
+    space = front.add_join(join, namespace="imdb", refine_epochs=1,
+                           data_epochs=1)
     return front, space, join
 
 
@@ -341,7 +342,7 @@ class TestServingCardinalityProvider:
     def test_prefetch_bit_identical_to_reference(self, serving_front,
                                                  imdb_schema):
         front, _, _ = serving_front
-        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        provider = ServingCardinalityProvider(front, imdb_schema)
         got = provider.prefetch(SERVING_QUERY)
         ref = provider.reference(SERVING_QUERY)
         assert np.array_equal(got, ref)
@@ -350,7 +351,7 @@ class TestServingCardinalityProvider:
     def test_one_batched_call_covers_the_whole_plan(self, serving_front,
                                                     imdb_schema):
         front, _, _ = serving_front
-        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        provider = ServingCardinalityProvider(front, imdb_schema)
         plan = plan_for_query(imdb_schema, list(SERVING_QUERY.tables),
                               card_fn(provider, SERVING_QUERY))
         assert plan.tables == frozenset(SERVING_QUERY.tables)
@@ -363,7 +364,7 @@ class TestServingCardinalityProvider:
     def test_cardinality_matches_prefetch(self, serving_front,
                                           imdb_schema):
         front, _, _ = serving_front
-        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        provider = ServingCardinalityProvider(front, imdb_schema)
         values = provider.prefetch(SERVING_QUERY)
         frags = provider.plan_fragments(SERVING_QUERY)
         for frag, value in zip(frags, values):
@@ -378,7 +379,7 @@ class TestServingCardinalityProvider:
         B's value for their shared fragments in a cross-plan cache,
         which A's second planning then read."""
         front, _, _ = serving_front
-        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        provider = ServingCardinalityProvider(front, imdb_schema)
         kind = (Predicate("title.kind_id", "=", 1),)
         a = JoinQuery(("title", "movie_companies", "movie_info"), kind)
         b = JoinQuery(("title", "movie_companies"), kind)
@@ -394,7 +395,7 @@ class TestServingCardinalityProvider:
     def test_subset_outside_the_plan_is_typed(self, serving_front,
                                               imdb_schema):
         front, _, _ = serving_front
-        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        provider = ServingCardinalityProvider(front, imdb_schema)
         with pytest.raises(FragmentError):
             provider.cardinality(
                 SERVING_QUERY, frozenset(["movie_companies", "movie_info"]))
@@ -402,18 +403,15 @@ class TestServingCardinalityProvider:
 
     def test_seed_stable_across_instances(self, serving_front, imdb_schema):
         front, _, _ = serving_front
-        a = ServingCardinalityProvider(front, imdb_schema, seed=17)
-        b = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        a = ServingCardinalityProvider(front, imdb_schema)
+        b = ServingCardinalityProvider(front, imdb_schema)
         assert a.seed_for(SERVING_QUERY) == b.seed_for(SERVING_QUERY)
-        assert a.seed_for(SERVING_QUERY) != \
-            ServingCardinalityProvider(front, imdb_schema,
-                                       seed=18).seed_for(SERVING_QUERY)
 
     def test_hot_swap_invalidates_and_stays_bit_identical(self,
                                                           serving_front,
                                                           imdb_schema):
         front, space, join = serving_front
-        provider = ServingCardinalityProvider(front, imdb_schema, seed=17)
+        provider = ServingCardinalityProvider(front, imdb_schema)
         before = provider.prefetch(SERVING_QUERY)
         v1 = space.version
         space.server.stage_data(join.sample_table.codes[:80])

@@ -27,6 +27,21 @@ def workload(tiny_workload):
     return tiny_workload
 
 
+def make_service(registry, max_batch=32):
+    """A micro-batching service over ``registry`` with its own cache.
+    Tests that count flushes or computes send distinct queries: the
+    first 15 of ``tiny_workload`` have distinct constraint signatures,
+    so none of them is a cache hit."""
+    return EstimateService(registry, ResultCache(capacity=8192),
+                           max_batch=max_batch, seed=0)
+
+
+def count(server, family: str) -> float:
+    """``server``'s namespace total of ``repro_serve_<family>_total``."""
+    return server.metrics.total(f"repro_serve_{family}_total",
+                                namespace=server.namespace)
+
+
 def perturb(model: UAE) -> None:
     """A visible, version-bumping weight change on the trainer."""
     for p in model.model.parameters():
@@ -153,7 +168,7 @@ class TestResultCache:
 class TestEstimateService:
     def test_sync_batch_matches_reference_bitwise(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, ResultCache())
+        service = make_service(registry)
         queries = workload.queries[:6]
         a = service.estimate_batch(queries, seed=42, use_cache=False)
         b = service.estimate_on(registry.active(), queries, seed=42)
@@ -161,22 +176,22 @@ class TestEstimateService:
 
     def test_empty_batch(self, uae):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, ResultCache())
+        service = make_service(registry)
         assert service.estimate_batch([]).shape == (0,)
 
     def test_cache_round_trip(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, ResultCache())
+        service = make_service(registry)
         query = workload.queries[0]
         first = service.estimate(query)
         second = service.estimate(query)
         assert first == second
         assert service.metrics.total("repro_serve_cache_hits_total") == 1
-        assert service.cache.hits == 1
+        assert service.metrics.total("repro_serve_served_total") == 2
 
     def test_microbatch_worker_matches_sync(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, ResultCache(), max_batch=8)
+        service = make_service(registry, max_batch=8)
         queries = list(workload.queries[:12])
         with service:
             requests = [service.submit(q) for q in queries]
@@ -191,7 +206,7 @@ class TestEstimateService:
 
     def test_deadline_expired_fails(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None, max_batch=4)
+        service = make_service(registry, max_batch=4)
         with service:
             request = service.submit(workload.queries[0], deadline_ms=0.0)
             with pytest.raises(TimeoutError):
@@ -202,7 +217,7 @@ class TestEstimateService:
         """A request whose budget lapses while the engine runs must fail,
         not silently return late."""
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None, max_batch=4)
+        service = make_service(registry, max_batch=4)
         original = service._compute
 
         def slow_compute(*args, **kwargs):
@@ -222,7 +237,7 @@ class TestEstimateService:
         counted), while deadline-free requests in the same flush still
         get real answers."""
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None, max_batch=8)
+        service = make_service(registry, max_batch=8)
         original = service._compute
 
         def slow_compute(*args, **kwargs):
@@ -248,7 +263,7 @@ class TestEstimateService:
 
     def test_stop_fails_pending(self, uae, workload):
         registry = ModelRegistry(uae)
-        service = EstimateService(registry, cache=None)
+        service = make_service(registry)
         service.start()
         service.stop()
         assert not service.running
@@ -260,8 +275,7 @@ class TestEstimateService:
         """A done-callback that raises (``call_soon_threadsafe`` on a
         closed loop does) used to propagate out of the flush: the
         micro-batcher thread died and its batch-mates never settled."""
-        service = EstimateService(ModelRegistry(uae), cache=None,
-                                  max_batch=2)
+        service = make_service(ModelRegistry(uae), max_batch=2)
 
         def boom(request):
             raise RuntimeError("Event loop is closed")
@@ -286,8 +300,7 @@ class TestEstimateService:
         """Work-conserving: queued requests are taken at once (up to
         ``max_batch``), and the idle wait has no timeout — ``stop()``'s
         notify is what wakes it."""
-        service = EstimateService(ModelRegistry(uae), cache=None,
-                                  max_batch=2)
+        service = make_service(ModelRegistry(uae), max_batch=2)
         waits = []
         waiting = threading.Event()
 
@@ -321,8 +334,8 @@ class TestEstimateService:
                                                 max_batch, sizes):
         """A first submit flushes alone; submits made while its compute
         runs make up the next flush (split at ``max_batch``)."""
-        service = EstimateService(ModelRegistry(uae), cache=None,
-                                  max_batch=max_batch)
+        service = make_service(ModelRegistry(uae),
+                               max_batch=max_batch)
         gate = threading.Event()
         entered = threading.Event()
         computed = []
@@ -353,7 +366,7 @@ class TestEstimateService:
         """Never started: inline on the caller.  Started and died: the
         next submit respawns the worker — the caller may be an event
         loop and must not run the engine."""
-        service = EstimateService(ModelRegistry(uae), cache=None)
+        service = make_service(ModelRegistry(uae))
         threads = []
         orig = service._compute
 
@@ -442,9 +455,9 @@ class TestUAEServer:
         server = front.namespace("tiny").server
         query = workload.queries[0]
         first = front.estimate(query)
-        assert server.cache.hits == 0
+        assert count(server, "cache_hits") == 0
         front.estimate(query)
-        assert server.cache.hits == 1
+        assert count(server, "cache_hits") == 1
         # Feed obviously-wrong feedback, refine, hot-swap.
         for q, tru in zip(workload.queries[:8], workload.cardinalities[:8]):
             server.observe(q, tru, estimate=100.0 * tru)
@@ -453,12 +466,33 @@ class TestUAEServer:
         assert record["queries"] == 8
         assert server.registry.version == 2
         # Post-swap estimate recomputes (cache invalidated by version).
-        hits_before, misses_before = server.cache.hits, server.cache.misses
+        hits_before = count(server, "cache_hits")
+        flushes_before = count(server, "flushes")
         front.estimate(query)
-        assert server.cache.misses > misses_before
-        assert server.cache.hits == hits_before
+        assert count(server, "flushes") == flushes_before + 1
+        assert count(server, "cache_hits") == hits_before
         assert server.cache.invalidations >= 1
         assert first == pytest.approx(front.estimate(query), rel=10.0)
+
+    @pytest.mark.parametrize("started", [False, True])
+    def test_status_cache_block_restates_no_count(self, tiny_front,
+                                                   workload, started):
+        """The cache block of ``stats()`` (``GET /status``) holds state
+        only.  Its own hit / miss counts double-counted every computed
+        miss (looked up at submit and again at flush): 12 distinct
+        queries then 6 repeats read 24 misses and a 0.2 hit rate.  The
+        registry's counts are the true ones: 18 served, 6 from cache."""
+        front = tiny_front(seed=4)
+        if started:
+            front.start()
+        queries = list(workload.queries[:12])       # distinct signatures
+        for query in queries + queries[:6]:
+            front.estimate(query)
+        server = front.namespace("tiny").server
+        cache = front.stats()["namespaces"]["tiny"]["service"]["cache"]
+        assert cache == {"entries": 12, "invalidations": 0, "version": 1}
+        assert count(server, "served") == 18
+        assert count(server, "cache_hits") == 6
 
     def test_maintain_noop_below_threshold(self, tiny_front, workload):
         server = tiny_front(seed=6).namespace("tiny").server
@@ -509,8 +543,9 @@ class TestUAEServer:
     def test_pool_is_a_required_argument(self, uae):
         """No private refinement thread to fall back on: a stack is
         built with the pool its background refinements queue on."""
-        with pytest.raises(TypeError):
-            UAEServer(uae.clone())
+        with pytest.raises(TypeError, match="pool"):
+            UAEServer(uae.clone(), namespace="tiny", cache_capacity=8,
+                      max_batch=4, seed=0)
 
     def test_observe_without_estimate_asks_the_service(self, tiny_front,
                                                        workload):
@@ -519,7 +554,7 @@ class TestUAEServer:
         query, truth = workload.queries[1], workload.cardinalities[1]
         err = server.observe(query, truth)
         served = server.service.estimate(query)   # the cached answer
-        assert server.cache.hits == 1
+        assert count(server, "cache_hits") == 1
         assert err == pytest.approx(qerrors([served], [truth])[0])
         assert server.feedback.total_observed == 1
         assert front.estimate(query) == served

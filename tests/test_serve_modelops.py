@@ -12,7 +12,6 @@ import pytest
 from repro.serve import (ModelOpsConfig, ModelRegistry, QErrorTripwire,
                          ShadowValidator)
 from repro.serve.modelops import MAX_PROBES, MIN_PROBES, PROBE_CAPACITY
-from repro.workload.predicate import LabeledWorkload
 
 
 @pytest.fixture
@@ -48,19 +47,6 @@ class TestShadowValidator:
         assert set(queries) == set(range(MAX_PROBES))  # hottest survived
         np.testing.assert_array_equal(sorted(truths),
                                       np.arange(MAX_PROBES, dtype=float))
-
-    def test_seeded_workload_pads_probes(self):
-        n = MAX_PROBES + 8                  # more than one validation takes
-        workload = LabeledWorkload(list(range(n)), np.arange(n, dtype=float))
-        validator = ShadowValidator(ModelOpsConfig(), workload=workload)
-        queries, truths = validator.probes()
-        assert queries == list(range(MAX_PROBES))      # cold start: seeded
-        validator.add_probe(workload.queries[3], truth=123.0)
-        queries, truths = validator.probes()
-        assert queries[0] == workload.queries[3]       # observed first
-        assert truths[0] == 123.0
-        assert len(queries) == MAX_PROBES
-        assert queries.count(workload.queries[3]) == 1  # no duplicate pad
 
     def test_score_compares_candidate_against_live(self):
         """The verdict is a pure function of the two scored streams; a
@@ -109,7 +95,6 @@ class TestQErrorTripwire:
         assert not wire.observe(100.0)                 # 1 obs < min_obs
         assert not wire.observe(100.0)
         assert wire.observe(100.0)                     # mean 100 > 2 x 10
-        assert wire.trips == 1
         # Healthy errors dilute the window back under the ceiling.
         wire.disarm()
         wire.arm(baseline=10.0, version=3)
@@ -197,6 +182,7 @@ class TestModelOps:
         assert server.registry.version == 3
         (record,) = server.modelops.rollbacks
         assert record["rolled_back_to"] == 1
+        assert server.metrics.total("repro_tripwire_rollbacks_total") == 1
         assert server.registry.active().model is not v2_model
         assert not server.modelops.tripwire.stats()["armed"]
         # The rollback version is the new fallback target.
@@ -249,9 +235,10 @@ class TestModelOps:
         record = server.refine()
         server.modelops.join_warm(timeout=30.0)
         assert server.metrics.total("repro_cache_warmed_total") > 0
-        hits = server.cache.hits
+        hits = server.metrics.total("repro_serve_cache_hits_total")
         self.front.estimate(hot)                       # primed for v2
-        assert server.cache.hits == hits + 1
+        assert server.metrics.total("repro_serve_cache_hits_total") == \
+            hits + 1
         assert record["version"] == 2
 
 
@@ -320,12 +307,13 @@ class TestRegistryRollbackEdges:
         front = tiny_front(seed=22)
         server = front.namespace("tiny").server
         query = workload.queries[0]
+        total = server.metrics.total
         front.estimate(query)
         front.estimate(query)
-        assert server.cache.hits == 1
+        assert total("repro_serve_cache_hits_total") == 1
         record = server.rollback(1)                    # re-publish v1 as v2
         assert record["version"] == 2
-        hits, misses = server.cache.hits, server.cache.misses
+        flushes = total("repro_serve_flushes_total")
         front.estimate(query)                          # version-bump miss
-        assert server.cache.misses > misses
-        assert server.cache.hits == hits
+        assert total("repro_serve_flushes_total") == flushes + 1
+        assert total("repro_serve_cache_hits_total") == 1

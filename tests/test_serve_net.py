@@ -55,9 +55,9 @@ def front(tiny_front):
 
 @pytest.fixture
 def routed(tiny_uae, second_uae):
-    front = RoutedEstimateService(refine_epochs=1, seed=3)
-    front.add_table(tiny_uae.clone())
-    front.add_table(second_uae.clone())
+    front = RoutedEstimateService(seed=3)
+    front.add_table(tiny_uae.clone(), refine_epochs=1)
+    front.add_table(second_uae.clone(), refine_epochs=1)
     with front:
         yield front
 

@@ -15,6 +15,13 @@ from repro.serve import (AmbiguousNamespaceError, MultiTableRegistry,
 from repro.workload import Predicate, Query, routing_signature
 
 
+def stack(uae, pool, name: str, **settings) -> UAEServer:
+    """A namespace stack built outside a front (the front passes these
+    four settings itself)."""
+    return UAEServer(uae, pool=pool, namespace=name, cache_capacity=8192,
+                     max_batch=32, seed=0, **settings)
+
+
 def perturb(model) -> None:
     """A visible, version-bumping weight change on a trainer UAE."""
     for p in model.model.parameters():
@@ -35,16 +42,16 @@ def tiny_join(tiny_schema):
 def front(tiny_uae, second_uae, tiny_join):
     """A three-namespace front door: two tables + one join schema."""
     import copy
-    routed = RoutedEstimateService(refine_epochs=1, seed=3)
-    routed.add_table(tiny_uae.clone())
-    routed.add_table(second_uae.clone())
+    routed = RoutedEstimateService(seed=3)
+    routed.add_table(tiny_uae.clone(), refine_epochs=1)
+    routed.add_table(second_uae.clone(), refine_epochs=1)
     # Shallow-copy the join wrapper with a cloned inner UAE: the sampler,
     # sample table, and gains are immutable and safe to share, but the
     # UAE becomes the namespace's live trainer (refine mutates it), and
     # the module-scoped fixture must stay pristine.
     join = copy.copy(tiny_join)
     join.uae = tiny_join.uae.clone()
-    routed.add_join(join, namespace="imdb")
+    routed.add_join(join, namespace="imdb", refine_epochs=1)
     return routed
 
 
@@ -151,13 +158,13 @@ class TestMultiTableRegistry:
     def test_smallest_covering_join_schema_wins(self, tiny_uae, tiny_join):
         pool = RefinementPool()
         small = Namespace(name="pair",
-                          server=UAEServer(tiny_uae.clone(), pool=pool),
+                          server=stack(tiny_uae.clone(), pool, "pair"),
                           kind="join",
                           tables=frozenset({"title", "movie_info"}))
         registry = MultiTableRegistry()
         registry.register(small)
         big = Namespace(name="star",
-                        server=UAEServer(tiny_uae.clone(), pool=pool),
+                        server=stack(tiny_uae.clone(), pool, "star"),
                         kind="join",
                         tables=frozenset({"title", "movie_info",
                                           "movie_companies"}))
@@ -230,7 +237,7 @@ class TestRefinementPool:
         lost because the shared pool already stopped — the server
         refines inline instead."""
         pool = RefinementPool()
-        server = UAEServer(tiny_uae.clone(), pool=pool, refine_epochs=1)
+        server = stack(tiny_uae.clone(), pool, "tiny", refine_epochs=1)
         pool.stop()
         for q, tru in zip(tiny_workload.queries[:8],
                           tiny_workload.cardinalities[:8]):
@@ -285,6 +292,31 @@ class TestRefinementPool:
 
 # ----------------------------------------------------------------------
 class TestRoutedEstimateService:
+    def test_each_setting_has_one_entry_point(self, tiny_uae, tiny_join):
+        """Refinement settings are per namespace (``add_table`` /
+        ``add_join``); what every namespace shares is a front keyword,
+        and neither is accepted at the other's door."""
+        for setting in ("refine_epochs", "data_epochs", "auto_refine"):
+            with pytest.raises(TypeError, match=setting):
+                RoutedEstimateService(**{setting: 1})
+        front = RoutedEstimateService(seed=0)
+        for shared in ("max_batch", "cache_capacity", "seed", "metrics",
+                       "events"):
+            with pytest.raises(TypeError, match=shared):
+                front.add_table(tiny_uae.clone(), **{shared: 8})
+        with pytest.raises(TypeError, match="max_batch"):
+            front.add_join(tiny_join, max_batch=8)
+        with pytest.raises(TypeError, match="expander"):
+            front.add_table(tiny_uae.clone(), expander=None)
+        assert len(front.registry) == 0
+        space = front.add_table(tiny_uae.clone(), refine_epochs=1,
+                                data_epochs=2, auto_refine=True)
+        server = space.server
+        assert (server.refine_epochs, server.data_epochs,
+                server.auto_refine) == (1, 2, True)
+        assert server.service.max_batch == 32
+        assert server.cache.capacity == 8192
+
     def test_mixed_batch_matches_per_namespace_answers(self, front,
                                                        tiny_workload,
                                                        second_workload):
@@ -363,9 +395,9 @@ class TestRoutedEstimateService:
     def test_shared_pool_refines_both_namespaces(self, tiny_uae, second_uae,
                                                  tiny_workload,
                                                  second_workload):
-        front = RoutedEstimateService(refine_epochs=1, seed=5)
-        front.add_table(tiny_uae.clone())
-        front.add_table(second_uae.clone())
+        front = RoutedEstimateService(seed=5)
+        front.add_table(tiny_uae.clone(), refine_epochs=1)
+        front.add_table(second_uae.clone(), refine_epochs=1)
         with front:
             for q, tru in zip(tiny_workload.queries[:8],
                               tiny_workload.cardinalities[:8]):
@@ -396,9 +428,8 @@ class TestRoutedEstimateService:
         only performed."""
         from repro.obs import EventLog
         events = EventLog()
-        front = RoutedEstimateService(refine_epochs=1, seed=5,
-                                      events=events)
-        front.add_table(tiny_uae.clone())
+        front = RoutedEstimateService(seed=5, events=events)
+        front.add_table(tiny_uae.clone(), refine_epochs=1)
         server = front.namespace("tiny").server
         server.feedback.min_observations = 4
         server.feedback.threshold = 2.0

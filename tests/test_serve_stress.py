@@ -84,7 +84,7 @@ class TestEstimateServiceStress:
         trainer = tiny_uae.clone()
         registry = ModelRegistry(trainer)
         cache = ResultCache(capacity=512)
-        service = EstimateService(registry, cache, max_batch=8)
+        service = EstimateService(registry, cache, max_batch=8, seed=0)
         computed: dict[int, set] = defaultdict(set)
         record_lock = threading.Lock()
         original = service._compute

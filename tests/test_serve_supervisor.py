@@ -9,7 +9,9 @@ harness; they are marked ``chaos`` (deselected from tier-1, run by the
 CI chaos step) and skip without ``multiprocessing.shared_memory``.
 """
 
+import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import (HAVE_SHARED_MEMORY, ChaosPlan,
                          ClusterEstimateService, LoadShedError,
                          WorkerSupervisor)
+from repro.serve import supervisor as supervisor_module
 from repro.serve.placement import WorkerUnavailableError
 
 needs_shm = pytest.mark.skipif(
@@ -77,20 +80,21 @@ class FakeCluster:
         return {"removed": list(self.failed), "moved": ["toy"]}
 
 
-def make_supervisor(cluster, **kw):
-    kw.setdefault("poll_interval", 0.01)
-    kw.setdefault("backoff_base_s", 0.001)
-    kw.setdefault("backoff_max_s", 0.004)
-    kw.setdefault("jitter", 0.0)
-    kw.setdefault("seed", 0)
-    return WorkerSupervisor(cluster, metrics=cluster.metrics,
-                            events=cluster.events, **kw)
+S = WorkerSupervisor
+
+
+def expected_delays(attempts):
+    """The backoff delays of ``attempts`` (each a 1-based attempt
+    number), drawn from the supervisor's seeded jitter stream in order."""
+    rng = random.Random(S.SEED)
+    return [S.BACKOFF_BASE_S * 2 ** (attempt - 1)
+            * (1.0 + S.JITTER * rng.random()) for attempt in attempts]
 
 
 class TestSupervisorStateMachine:
     def test_restart_records_and_counts(self):
         cluster = FakeCluster()
-        supervisor = make_supervisor(cluster, max_restarts=3)
+        supervisor = WorkerSupervisor(cluster)
         cluster.dead = ["w0"]
         supervisor.check()
         assert cluster.restarted == ["w0"]
@@ -98,75 +102,92 @@ class TestSupervisorStateMachine:
         assert record["worker"] == "w0" and record["attempt"] == 1
         assert record["incarnation"] == 1
         assert supervisor.stats()["evictions"] == []
+        assert cluster.metrics.total("repro_worker_restarts_total",
+                                     worker="w0") == 1
 
-    def test_backoff_doubles_then_caps(self):
+    def test_backoff_doubles(self):
         cluster = FakeCluster()
-        supervisor = make_supervisor(cluster, max_restarts=8)
-        for _ in range(4):
+        supervisor = WorkerSupervisor(cluster)
+        for _ in range(S.MAX_RESTARTS):
             cluster.dead = ["w0"]
             supervisor.check()
         delays = [e["delay_s"] for e in cluster.events.of("worker_backoff")]
-        assert delays == pytest.approx([0.001, 0.002, 0.004, 0.004])
+        assert delays == pytest.approx(
+            expected_delays(range(1, S.MAX_RESTARTS + 1)))
+        # Jitter only ever adds: each delay is at least its doubling.
+        for attempt, delay in enumerate(delays, start=1):
+            base = S.BACKOFF_BASE_S * 2 ** (attempt - 1)
+            assert base <= delay <= base * (1.0 + S.JITTER)
 
     def test_jitter_is_seeded(self):
-        def delays(seed):
+        def delays():
             cluster = FakeCluster()
-            supervisor = make_supervisor(cluster, max_restarts=8,
-                                         jitter=0.5, seed=seed)
+            supervisor = WorkerSupervisor(cluster)
             for _ in range(3):
                 cluster.dead = ["w0"]
                 supervisor.check()
             return [e["delay_s"]
                     for e in cluster.events.of("worker_backoff")]
 
-        assert delays(3) == delays(3)
-        assert delays(3) != delays(4)
+        first = delays()
+        assert first == delays()
+        assert first != [S.BACKOFF_BASE_S * 2 ** k for k in range(3)]
 
     def test_circuit_breaker_evicts_after_max_restarts(self):
         cluster = FakeCluster()
-        supervisor = make_supervisor(cluster, max_restarts=2)
-        for _ in range(3):
+        supervisor = WorkerSupervisor(cluster)
+        for _ in range(S.MAX_RESTARTS + 1):
             cluster.dead = ["w0"]
             supervisor.check()
-        assert cluster.restarted == ["w0", "w0"]       # 2 restarts, then...
+        assert cluster.restarted == ["w0"] * S.MAX_RESTARTS  # then...
         assert cluster.failed == ["w0"]                # ...evicted
         assert cluster.recovers == 1
         (evict,) = supervisor.evictions
-        assert evict["worker"] == "w0" and evict["crashes"] == 3
+        assert evict["worker"] == "w0"
+        assert evict["crashes"] == S.MAX_RESTARTS + 1
         assert evict["moved"] == ["toy"]
         # An evicted worker is never touched again.
         cluster.dead = ["w0"]
         supervisor.check()
-        assert cluster.restarted == ["w0", "w0"]
+        assert cluster.restarted == ["w0"] * S.MAX_RESTARTS
         assert supervisor.stats()["evicted"] == ["w0"]
+        assert cluster.metrics.total("repro_worker_evictions_total") == 1
 
     def test_failed_restart_counts_as_another_crash(self):
         cluster = FakeCluster(restart_ok=False)
-        supervisor = make_supervisor(cluster, max_restarts=1)
-        cluster.dead = ["w0"]
-        supervisor.check()                             # restart raises
+        supervisor = WorkerSupervisor(cluster)
+        for _ in range(S.MAX_RESTARTS):
+            cluster.dead = ["w0"]
+            supervisor.check()                         # restart raises
         assert supervisor.restarts == []
-        assert cluster.events.of("worker_restart_failed")
-        supervisor.check()                             # attempt 2 > max
+        assert len(cluster.events.of("worker_restart_failed")) == \
+            S.MAX_RESTARTS
+        assert cluster.failed == []
+        supervisor.check()                             # one more: evict
         assert cluster.failed == ["w0"]
 
-    def test_crash_window_expiry_resets_attempts(self):
+    def test_crash_window_expiry_resets_attempts(self, monkeypatch):
+        clock = [1000.0]
+        monkeypatch.setattr(supervisor_module, "time",
+                            SimpleNamespace(monotonic=lambda: clock[0]))
         cluster = FakeCluster()
-        supervisor = make_supervisor(cluster, max_restarts=8,
-                                     crash_window_s=0.01)
+        supervisor = WorkerSupervisor(cluster)
         cluster.dead = ["w0"]
         supervisor.check()
-        time.sleep(0.03)                               # window expires
+        clock[0] += S.CRASH_WINDOW_S + 1.0             # window expires
         cluster.dead = ["w0"]
         supervisor.check()
+        attempts = [e["attempt"]
+                    for e in cluster.events.of("worker_backoff")]
+        assert attempts == [1, 1]                      # attempt reset to 1
         delays = [e["delay_s"] for e in cluster.events.of("worker_backoff")]
-        assert delays == pytest.approx([0.001, 0.001])  # attempt reset to 1
+        assert delays == pytest.approx(expected_delays([1, 1]))
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            make_supervisor(FakeCluster(), poll_interval=0.0)
-        with pytest.raises(ValueError):
-            make_supervisor(FakeCluster(), max_restarts=-1)
+    def test_supervise_takes_no_settings(self):
+        with pytest.raises(TypeError):
+            ClusterEstimateService().supervise(poll_interval=0.02)
+        with pytest.raises(TypeError):
+            WorkerSupervisor(FakeCluster(), max_restarts=2)
 
 
 # ----------------------------------------------------------------------
@@ -204,10 +225,7 @@ class TestSupervisedCluster:
                                    second_workload.queries[:8])
                  for q in pair]
         with self.make_cluster(tiny_uae, second_uae, plan) as cluster:
-            supervisor = cluster.supervise(poll_interval=0.02,
-                                           backoff_base_s=0.02,
-                                           backoff_max_s=0.5,
-                                           max_restarts=3, seed=7)
+            supervisor = cluster.supervise()
             expected = self.wave(cluster, mixed, seed=777)  # occurrence 1
             self.wave(cluster, mixed, seed=777)             # occurrence 2:
             deadline = time.monotonic() + 60.0              # kill + heal
@@ -236,11 +254,7 @@ class TestSupervisedCluster:
                                    second_workload.queries[:6])
                  for q in pair]
         with self.make_cluster(tiny_uae, second_uae, plan) as cluster:
-            supervisor = cluster.supervise(poll_interval=0.02,
-                                           backoff_base_s=0.02,
-                                           backoff_max_s=0.2,
-                                           max_restarts=2,
-                                           crash_window_s=30.0, seed=7)
+            supervisor = cluster.supervise()
             deadline = time.monotonic() + 90.0
             while not supervisor.evictions \
                     and time.monotonic() < deadline:
@@ -250,7 +264,8 @@ class TestSupervisedCluster:
                     time.sleep(0.05)
             (evict,) = supervisor.evictions
             assert evict["worker"] == "w0"
-            assert evict["crashes"] == 3               # 2 restarts + 1
+            # MAX_RESTARTS restarts, then the kill that evicts.
+            assert evict["crashes"] == WorkerSupervisor.MAX_RESTARTS + 1
             # Namespaces rebalanced onto the survivor: full coverage,
             # deterministic answers, no untyped failures.
             assignment = cluster.assignment()

@@ -198,7 +198,6 @@ class UAE(TrainableEstimator):
     def fit(self, epochs: int = 10, workload: LabeledWorkload | None = None,
             mode: str = "hybrid",
             on_epoch_end: Callable[[int, "UAE"], None] | None = None,
-            query_steps_per_epoch: int | None = None,
             validation: LabeledWorkload | None = None,
             patience: int | None = None) -> "UAE":
         """Train the single set of weights from data and/or queries.
@@ -219,8 +218,7 @@ class UAE(TrainableEstimator):
         rows = self.model_codes
         steps = max(1, int(np.ceil(len(rows) / self.config.batch_size)))
         if mode == "query":
-            steps = query_steps_per_epoch or max(
-                1, len(workload) // self.config.query_batch_size)
+            steps = max(1, len(workload) // self.config.query_batch_size)
 
         best_score = np.inf
         best_state = None

@@ -15,13 +15,14 @@ same snapshot, fragment order, and seed).  The front routes each query
 to its namespace, and the per-plan seed derives from the class constant
 :attr:`ServingCardinalityProvider.SEED`.
 
-Each plan's answers are kept as that plan's own array, per (namespace,
-query signature), and a subset is read from it by position.  A seeded
+Each plan's answers are kept as that plan's own array, in one
+:class:`~repro.serve.cache.ResultCache` per namespace keyed by the
+query's signature, and a subset is read from it by position.  A seeded
 batch shares one Monte-Carlo stream, so a fragment's answer belongs to
 the plan it was drawn for; two plans sharing a fragment never read each
-other's value.  The arrays invalidate the way the serving tier's
-``ResultCache`` does: a newer published version clears them, so a
-hot-swap is immediately visible to the planner.
+other's value.  The cache is tied to the namespace's model version: a
+newer published version clears it, so a hot-swap is immediately visible
+to the planner.
 
 :class:`UESPessimisticProvider` is the pessimistic baseline: an
 UES-style upper bound (Hertzschuch et al., CIDR 2021) propagating
@@ -37,6 +38,7 @@ import numpy as np
 
 from ..data.schema import Schema
 from ..joins.workload import JoinQuery
+from ..serve.cache import ResultCache
 from ..workload.fragments import (FragmentError, extract_fragment,
                                   fragment_signature)
 from .planner import JoinGraph
@@ -56,17 +58,24 @@ class ServingCardinalityProvider:
     name = "UAE-serving"
     #: Base of every per-plan sampling seed (see :meth:`seed_for`).
     SEED = 1234
+    #: Plans kept per namespace (LRU).  The largest shipped profile
+    #: plans 50 queries, so no shipped run evicts.
+    PLAN_CAPACITY = 1024
 
     def __init__(self, service, schema: Schema):
         self.service = service
         self.schema = schema
         self.graph = JoinGraph.from_schema(schema)
         self._lock = threading.Lock()
-        self._versions: dict[str, int] = {}
-        self._prefetched: dict[tuple, np.ndarray] = {}
+        self._plans: dict[str, ResultCache] = {}
         self.batched_calls = 0
         self.fragments_estimated = 0
-        self.invalidations = 0
+
+    @property
+    def invalidations(self) -> int:
+        """Hot-swaps that cleared a namespace's cached plans."""
+        with self._lock:
+            return sum(cache.invalidations for cache in self._plans.values())
 
     # ------------------------------------------------------------------
     # Fragment plumbing
@@ -102,27 +111,19 @@ class ServingCardinalityProvider:
             seed=self.seed_for(query))
 
     # ------------------------------------------------------------------
-    # Per-plan answers (ResultCache-style version sync)
+    # Per-plan answers
     # ------------------------------------------------------------------
-    def _sync_locked(self, name: str, version: int) -> None:
-        stored = self._versions.get(name)
-        if stored is None or version > stored:
-            self._versions[name] = version
-            if stored is not None:
-                self.invalidations += 1
-            self._prefetched = {key: value
-                                for key, value in self._prefetched.items()
-                                if key[0] != name}
-
     def prefetch(self, query: JoinQuery) -> np.ndarray:
         """All connected fragment cardinalities of ``query`` (raw, in
         :meth:`plan_fragments` order), via at most one batched seeded
         round trip per model version.  Read-only."""
         name, version = self._target(query)
-        plan_key = (name, fragment_signature(query))
+        key = fragment_signature(query)
         with self._lock:
-            self._sync_locked(name, version)
-            cached = self._prefetched.get(plan_key)
+            plans = self._plans.get(name)
+            if plans is None:
+                plans = self._plans[name] = ResultCache(self.PLAN_CAPACITY)
+        cached = plans.get(key, version)
         if cached is not None:
             return cached
         fragments = self.plan_fragments(query)
@@ -132,9 +133,7 @@ class ServingCardinalityProvider:
         with self._lock:
             self.batched_calls += 1
             self.fragments_estimated += len(fragments)
-            self._sync_locked(name, version)
-            if self._versions.get(name) == version:
-                self._prefetched[plan_key] = values
+        plans.put(key, version, values)
         return values
 
     def cardinality(self, query: JoinQuery, subset: frozenset) -> float:

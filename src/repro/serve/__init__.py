@@ -52,8 +52,8 @@ Every layer shares the :mod:`repro.obs` observability plane: one
 scrape time), per-request traces threaded edge-to-engine, and the
 ``GET /metrics`` / ``GET /debug/traces`` endpoints on the front door.
 
-``python -m repro.serve --http PORT`` is the HTTP server (``--smoke``
-drives every endpoint once); ``python -m repro.bench serving`` runs the
+``python -m repro.serve --http PORT`` is the HTTP server and nothing
+else; ``python -m repro.bench serving`` runs the
 serving scenarios — the Section 4.5 loop over a shifting workload, the
 multi-table front door, the scale-out cluster, open-loop load and
 chaos — and writes ``BENCH_serve.json``.

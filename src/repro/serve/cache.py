@@ -6,7 +6,9 @@ from memory.  Keys are content hashes of the *expanded* constraint masks
 — two syntactically different predicate sets that compile to the same
 per-column validity masks share an entry — and the whole cache is tied to
 one model version: the first access after a hot-swap clears it, so a new
-model can never serve a predecessor's numbers.
+model can never serve a predecessor's numbers.  The planner's
+:class:`~repro.optimizer.subplan.ServingCardinalityProvider` keeps one
+per namespace for its per-plan answer arrays, keyed by query signature.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import numpy as np
 
 
 class ResultCache:
-    """LRU cache of selectivity estimates, invalidated on version bump."""
+    """LRU cache of estimates, invalidated on version bump."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[bytes, float]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self._version: int | None = None
         self.invalidations = 0
 
@@ -64,7 +66,7 @@ class ResultCache:
             self._version = version
         return version == self._version
 
-    def get(self, key: bytes, version: int) -> float | None:
+    def get(self, key, version: int):
         with self._lock:
             if not self._sync_version_locked(version):
                 return None
@@ -73,7 +75,7 @@ class ResultCache:
                 self._entries.move_to_end(key)
             return value
 
-    def put(self, key: bytes, version: int, value: float) -> None:
+    def put(self, key, version: int, value) -> None:
         with self._lock:
             if not self._sync_version_locked(version):
                 return

@@ -66,7 +66,7 @@ import numpy as np
 
 from .placement import HashRing, WorkerUnavailableError
 from .router import MultiTableRegistry, Namespace, group_by_namespace
-from .service import EstimateRequest
+from .service import DEADLINE_GRACE_S, EstimateRequest
 from .snapshot import HAVE_SHARED_MEMORY, SharedSnapshot
 
 
@@ -564,7 +564,7 @@ class ClusterEstimateService:
         request = self.submit(query, namespace=namespace,
                               deadline_ms=deadline_ms)
         budget = self.REQUEST_TIMEOUT_S if deadline_ms is None \
-            else deadline_ms / 1e3 + 5.0
+            else deadline_ms / 1e3 + DEADLINE_GRACE_S
         return request.result(timeout=budget)
 
     def estimate_batch(self, queries: list, *,

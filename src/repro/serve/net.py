@@ -36,8 +36,8 @@ Three layers, each usable on its own:
 
 ``AsyncHTTPClient``
     A minimal keep-alive JSON client over ``asyncio.open_connection``
-    used by the tests, the CLI smoke mode, and the open-loop load
-    generator in :mod:`repro.bench.load_bench`.
+    used by the tests and the open-loop load generator in
+    :mod:`repro.bench.load_bench`.
 
 Observability: the door shares the front's metrics registry and
 exposes it as ``GET /metrics`` (Prometheus text 0.0.4; merges the
@@ -63,7 +63,7 @@ from .cluster import LoadShedError
 from .feedback import checked_cardinality
 from .placement import WorkerUnavailableError
 from .router import AmbiguousNamespaceError, UnknownNamespaceError
-from .service import RequestCancelledError
+from .service import DEADLINE_GRACE_S, RequestCancelledError
 
 __all__ = [
     "AsyncEstimateService", "HTTPFrontDoor", "AsyncHTTPClient",
@@ -132,11 +132,6 @@ class AsyncEstimateService:
     into :meth:`EstimateRequest.cancel`.
     """
 
-    #: grace added to a deadline before the awaitable gives up locally
-    #: (mirrors the sync ``estimate()`` budget) — the service normally
-    #: sheds first; this only guards against a wedged worker.
-    DEADLINE_GRACE_S = 5.0
-
     def __init__(self, front):
         self.front = front
         self.cancelled = 0              # awaits abandoned while pending
@@ -176,7 +171,7 @@ class AsyncEstimateService:
         request.add_done_callback(
             lambda _req: loop.call_soon_threadsafe(_wake))
         budget = None if deadline_ms is None \
-            else deadline_ms / 1e3 + self.DEADLINE_GRACE_S
+            else deadline_ms / 1e3 + DEADLINE_GRACE_S
         try:
             await asyncio.wait_for(settled, timeout=budget)
         except asyncio.CancelledError:
@@ -711,7 +706,7 @@ class _EarlyResponse(Exception):
 
 
 # ----------------------------------------------------------------------
-# Minimal keep-alive client (tests, smoke, load generator)
+# Minimal keep-alive client (tests, load generator)
 # ----------------------------------------------------------------------
 class AsyncHTTPClient:
     """One keep-alive HTTP/1.1 connection speaking the front door's JSON
@@ -809,26 +804,21 @@ class AsyncHTTPClient:
 # Blocking runner (CLI)
 # ----------------------------------------------------------------------
 def serve_http(front, *, host: str = "127.0.0.1", port: int = 8080,
-               max_inflight: int = 64,
-               ready=None, stop_event=None) -> None:
-    """Run an HTTP front door over ``front`` until interrupted.
+               ready=None) -> None:
+    """Run an HTTP front door over ``front`` until Ctrl-C.
 
     ``ready(door)`` (optional) fires once the socket is bound — the CLI
-    smoke mode and tests use it to learn the ephemeral port.
-    ``stop_event`` (a ``threading.Event``) requests shutdown from
-    another thread; otherwise Ctrl-C stops the loop.
+    uses it to print the ephemeral port.
     """
 
     async def _main():
-        door = HTTPFrontDoor(
-            AsyncEstimateService(front), host=host, port=port,
-            max_inflight=max_inflight)
+        door = HTTPFrontDoor(AsyncEstimateService(front), host=host,
+                             port=port)
         await door.start()
         if ready is not None:
             ready(door)
         try:
-            while stop_event is None or not stop_event.is_set():
-                await asyncio.sleep(0.1)
+            await asyncio.Event().wait()
         finally:
             await door.stop()
 

@@ -53,6 +53,12 @@ from .registry import ModelRegistry, ModelVersion
 #: Bucket layout for micro-batch sizes (1 .. max_batch, geometric).
 BATCH_SIZE_BUCKETS = log_buckets(1.0, 512.0, per_decade=4)
 
+#: Seconds a caller waits past a request's deadline before giving up on
+#: it locally.  The front normally sheds typed first; the grace only
+#: guards against a wedged worker.  Read by every front's sync
+#: ``estimate`` and by the awaitable ``AsyncEstimateService``.
+DEADLINE_GRACE_S = 5.0
+
 
 class RequestCancelledError(RuntimeError):
     """The caller abandoned the request before it completed."""
@@ -375,7 +381,8 @@ class EstimateService:
                  deadline_ms: float | None = None) -> float:
         """Synchronous single-query cardinality estimate."""
         request = self.submit(query, deadline_ms=deadline_ms)
-        budget = None if deadline_ms is None else deadline_ms / 1e3 + 5.0
+        budget = None if deadline_ms is None \
+            else deadline_ms / 1e3 + DEADLINE_GRACE_S
         return request.result(timeout=budget)
 
     def estimate_batch(self, queries: list[Query], seed: int | None = None,

@@ -347,11 +347,16 @@ class TestMetricsOverHTTP:
         assert served and any(
             float(line.rsplit(" ", 1)[1]) >= 1 for line in served)
         for family in ("repro_http_requests_total",
+                       "repro_http_responses_total",
                        "repro_serve_latency_seconds_bucket",
                        "repro_serve_stage_seconds_bucket",
                        "repro_http_request_seconds_bucket",
                        "repro_http_inflight"):
             assert family in text, family
+        # No submit had to leave the event loop, and the 0 is exported.
+        offloop = [line for line in text.splitlines()
+                   if line.startswith("repro_async_offloop_submits_total")]
+        assert [float(line.rsplit(" ", 1)[1]) for line in offloop] == [0.0]
         # And its trace, with the full span chain across layers.
         assert dump["recorded"] >= 1
         spans = {s["name"] for t in dump["recent"] for s in t["spans"]}

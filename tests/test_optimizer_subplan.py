@@ -426,6 +426,28 @@ class TestServingCardinalityProvider:
         assert not np.array_equal(before, after)
 
 
+    def test_plans_kept_per_namespace_are_bounded(self, serving_front,
+                                                  imdb_schema, monkeypatch):
+        """The per-namespace plan cache is an LRU of ``PLAN_CAPACITY``
+        plans: of three distinct plans the two most recent stay."""
+        monkeypatch.setattr(ServingCardinalityProvider, "PLAN_CAPACITY", 2)
+        front, _, _ = serving_front
+        provider = ServingCardinalityProvider(front, imdb_schema)
+        plans = [JoinQuery(SERVING_QUERY.tables,
+                           (Predicate("movie_companies.company_id", "<=",
+                                      bound),))
+                 for bound in (20, 40, 60)]
+        for query in plans:
+            provider.prefetch(query)
+        assert provider.batched_calls == 3
+        provider.prefetch(plans[2])
+        provider.prefetch(plans[1])
+        assert provider.batched_calls == 3
+        provider.prefetch(plans[0])
+        assert provider.batched_calls == 4
+        assert provider.invalidations == 0
+
+
 class TestUESPessimisticProvider:
     def test_singleton_is_filtered_count(self, tiny_schema):
         ues = UESPessimisticProvider(tiny_schema)

@@ -499,16 +499,29 @@ class _DoorHarness:
 
 class TestHTTPRoundTrips:
     def test_estimate_roundtrip(self, front):
+        """A fresh query is computed, its repeat answered from the cache
+        with the same number; a namespace the front does not serve and
+        a budget too small to meet answer typed."""
         async def scenario():
             async with _DoorHarness(front) as h:
-                status, body, _ = await h.client.post(
-                    "/estimate", {"sql": "a = 1 AND b <= 3"})
-                return status, body
+                sql = {"sql": "a = 1 AND b <= 3"}
+                return [await h.client.post("/estimate", body)
+                        for body in (sql, sql,
+                                     {**sql, "namespace": "ghost"},
+                                     {"sql": "a = 2 AND c = 2",
+                                      "deadline_ms": 0.001})]
 
-        status, body = run(scenario())
+        (status, body, _), (again_status, again, _), \
+            (ghost_status, ghost, _), (late_status, late, _) = run(scenario())
         assert status == 200
         assert body["estimate"] >= 0.0
         assert body["version"] == front.namespace("tiny").version
+        assert "from_cache" not in body
+        assert again_status == 200 and again["from_cache"] is True
+        assert again["estimate"] == body["estimate"]
+        assert ghost_status == 404
+        assert ghost["error"] == "UnknownNamespaceError"
+        assert late_status == 504 and late["error"] == "TimeoutError"
 
     def test_batch_roundtrip_seeded_bits_cross_the_wire(self, front):
         sqls = ["a = 0 AND c = 1", "b >= 2", "a <= 2 AND b = 3"]
@@ -550,6 +563,7 @@ class TestHTTPRoundTrips:
         healthz, status, body = run(scenario())
         assert healthz == {"ok": True}
         assert status == 200
+        assert "front_door" in body
         assert front.metrics.total("repro_http_served_total") >= 1
         # Hot-swap visibility: the service payload carries the registry
         # version the estimates were answered at.
@@ -889,6 +903,7 @@ class TestAdmissionControl:
         assert "retry-after" in shed_headers
         assert ok_status == 200
         assert wait_status == 200
+        assert {shed_status, ok_status, wait_status} <= {200, 503, 504}
         assert sheds == 1
 
     def test_feedback_takes_an_admission_slot(self, tiny_front):

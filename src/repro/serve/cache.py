@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -28,7 +29,7 @@ class ResultCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._version: int | None = None
         self.invalidations = 0
 
@@ -66,7 +67,7 @@ class ResultCache:
             self._version = version
         return version == self._version
 
-    def get(self, key, version: int):
+    def get(self, key: Hashable, version: int) -> object | None:
         with self._lock:
             if not self._sync_version_locked(version):
                 return None
@@ -75,7 +76,7 @@ class ResultCache:
                 self._entries.move_to_end(key)
             return value
 
-    def put(self, key, version: int, value) -> None:
+    def put(self, key: Hashable, version: int, value: object) -> None:
         with self._lock:
             if not self._sync_version_locked(version):
                 return
